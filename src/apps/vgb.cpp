@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/compiled.hpp"
 #include "core/policy.hpp"
 
 namespace fpm::apps {
@@ -32,6 +33,15 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
   VgbDistribution dist;
   dist.n = n;
   dist.block = b;
+
+  // Under the functional model every group partitions the same models:
+  // compile them once and let each group's solve reuse that compilation
+  // (sub-lists, e.g. the bounded algorithm's residual rounds, do not match
+  // the guard and compile their own). The distributions are bit-identical
+  // to compiling per solve.
+  const core::CompiledSpeedList compiled =
+      core::CompiledSpeedList::compile(models);
+  const core::PrecompiledGuard guard(models, compiled);
 
   std::int64_t remaining_cols = n;
   while (remaining_cols > 0) {

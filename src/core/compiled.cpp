@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 
 #include "core/detail/parallel.hpp"
 #include "core/detail/simd.hpp"
@@ -20,23 +21,23 @@
 namespace fpm::core {
 namespace {
 
-// FNV-1a, 64-bit: the canonical byte-at-a-time fold. Parameters must be
-// hashed through their bit patterns (not values) so that -0.0 vs 0.0 and
-// NaN payloads cannot collide two different models onto one cache key.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+// Fingerprint fold: one 64-bit word per field, each absorbed as
+// h' = F(h ^ v) with F the SplitMix64 finalizer. F is a bijection, so two
+// field sequences of equal length that differ in exactly one word always
+// hash differently. Parameters are hashed through their bit patterns (not
+// values) so that -0.0 vs 0.0 and NaN payloads cannot collide two different
+// models onto one cache key.
+constexpr std::uint64_t kHashSeed = 0x6a09e667f3bcc908ULL;
 
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= v & 0xffu;
-    h *= kFnvPrime;
-    v >>= 8;
-  }
-  return h;
+inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
+  std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
-inline std::uint64_t fnv_mix(std::uint64_t h, double v) {
-  return fnv_mix(h, std::bit_cast<std::uint64_t>(v));
+inline std::uint64_t hash_mix(std::uint64_t h, double v) {
+  return hash_mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
 std::atomic<bool> g_compiled_enabled{true};
@@ -74,14 +75,16 @@ thread_local const SpeedList* g_precompiled_speeds = nullptr;
 thread_local const CompiledSpeedList* g_precompiled_list = nullptr;
 
 /// The shared classification of one speed function: which family/wrap it
-/// compiles to and the scalar parameters, with typed pointers for the
-/// families whose data lives in pools. Both compile() and fingerprint_of()
-/// run exactly this walk, so the fingerprint of a list never depends on
-/// which of the two computed it.
+/// compiles to, its (wrapped) max_size and the scalar parameters, with
+/// typed pointers for the families whose data lives in pools. Both
+/// compile() and fingerprint_of() run exactly this walk and fold it through
+/// hash_entry(), so the fingerprint of a list never depends on which of the
+/// two computed it.
 struct Classified {
   CompiledSpeedList::Family family = CompiledSpeedList::Family::Generic;
   CompiledSpeedList::Wrap wrap = CompiledSpeedList::Wrap::None;
   double wrap_param = 1.0;
+  double max_size = 0.0;
   double a = 0.0, b = 0.0, c = 0.0, d = 0.0;
   std::uint32_t count = 0;
   const UnimodalSpeed* unimodal = nullptr;
@@ -89,72 +92,205 @@ struct Classified {
   const PiecewiseLinearSpeed* piecewise = nullptr;
 };
 
+/// Every concrete type classify() understands. All of them are final, so
+/// an exact dynamic-type match makes the same decision a dynamic_cast
+/// chain would, at the cost of one table scan.
+enum class Kind : std::uint8_t {
+  Unknown,
+  Constant,
+  LinearDecay,
+  PowerDecay,
+  ExpDecay,
+  Unimodal,
+  Stepped,
+  Piecewise,
+  Scaled,
+  Granular,
+  GranularView,
+};
+
+struct KindEntry {
+  const std::type_info* type;
+  Kind kind;
+};
+
+constexpr KindEntry kKinds[] = {
+    {&typeid(PiecewiseLinearSpeed), Kind::Piecewise},
+    {&typeid(ConstantSpeed), Kind::Constant},
+    {&typeid(LinearDecaySpeed), Kind::LinearDecay},
+    {&typeid(PowerDecaySpeed), Kind::PowerDecay},
+    {&typeid(ExpDecaySpeed), Kind::ExpDecay},
+    {&typeid(UnimodalSpeed), Kind::Unimodal},
+    {&typeid(SteppedSpeed), Kind::Stepped},
+    {&typeid(ScaledSpeed), Kind::Scaled},
+    {&typeid(GranularSpeed), Kind::Granular},
+    {&typeid(GranularSpeedView), Kind::GranularView},
+};
+
+Kind kind_of(const SpeedFunction& f) {
+  const std::type_info& type = typeid(f);
+  for (const KindEntry& k : kKinds)
+    if (k.type == &type) return k.kind;
+  // The same type seen through a second type_info object (possible across
+  // shared objects) still compares equal by name.
+  for (const KindEntry& k : kKinds)
+    if (*k.type == type) return k.kind;
+  return Kind::Unknown;
+}
+
+template <typename T>
+const T& as(const SpeedFunction& f) {
+  return static_cast<const T&>(f);
+}
+
 Classified classify(const SpeedFunction& f) {
   using Family = CompiledSpeedList::Family;
   using Wrap = CompiledSpeedList::Wrap;
   Classified out;
+  out.max_size = f.max_size();
   const SpeedFunction* inner = &f;
-  Wrap wrap = Wrap::None;
-  double wrap_param = 1.0;
-  if (const auto* sc = dynamic_cast<const ScaledSpeed*>(&f)) {
-    wrap = Wrap::Scaled;
-    wrap_param = sc->factor();
-    inner = &sc->base();
-  } else if (const auto* g = dynamic_cast<const GranularSpeed*>(&f)) {
-    wrap = Wrap::Granular;
-    wrap_param = g->elements_per_item();
-    inner = &g->base();
-  } else if (const auto* gv = dynamic_cast<const GranularSpeedView*>(&f)) {
-    wrap = Wrap::Granular;
-    wrap_param = gv->elements_per_item();
-    inner = &gv->base();
+  Kind kind = kind_of(f);
+  switch (kind) {
+    case Kind::Scaled:
+      out.wrap = Wrap::Scaled;
+      out.wrap_param = as<ScaledSpeed>(f).factor();
+      inner = &as<ScaledSpeed>(f).base();
+      break;
+    case Kind::Granular:
+      out.wrap = Wrap::Granular;
+      out.wrap_param = as<GranularSpeed>(f).elements_per_item();
+      inner = &as<GranularSpeed>(f).base();
+      break;
+    case Kind::GranularView:
+      out.wrap = Wrap::Granular;
+      out.wrap_param = as<GranularSpeedView>(f).elements_per_item();
+      inner = &as<GranularSpeedView>(f).base();
+      break;
+    default:
+      break;
   }
-  if (const auto* c = dynamic_cast<const ConstantSpeed*>(inner)) {
-    out.family = Family::Constant;
-    out.a = c->s0();
-  } else if (const auto* l = dynamic_cast<const LinearDecaySpeed*>(inner)) {
-    out.family = Family::LinearDecay;
-    out.a = l->s0();
-    out.b = l->max_size();
-    out.c = l->floor_speed();
-  } else if (const auto* pd = dynamic_cast<const PowerDecaySpeed*>(inner)) {
-    out.family = Family::PowerDecay;
-    out.a = pd->s0();
-    out.b = pd->x0();
-    out.c = pd->exponent();
-    out.d = pd->max_size();
-  } else if (const auto* ed = dynamic_cast<const ExpDecaySpeed*>(inner)) {
-    out.family = Family::ExpDecay;
-    out.a = ed->s0();
-    out.b = ed->lambda();
-    out.d = ed->max_size();
-  } else if (const auto* u = dynamic_cast<const UnimodalSpeed*>(inner)) {
-    out.family = Family::Unimodal;
-    out.a = u->s_low();
-    out.b = u->s_peak();
-    out.c = u->x_peak();
-    out.count = 2;
-    out.unimodal = u;
-  } else if (const auto* st = dynamic_cast<const SteppedSpeed*>(inner)) {
-    out.family = Family::Stepped;
-    out.a = st->s0();
-    out.count = static_cast<std::uint32_t>(st->steps().size());
-    out.stepped = st;
-  } else if (const auto* pw =
-                 dynamic_cast<const PiecewiseLinearSpeed*>(inner)) {
-    out.family = Family::Piecewise;
-    out.a = pw->floor_speed();
-    out.b = pw->tail_slope();
-    out.count = static_cast<std::uint32_t>(pw->points().size());
-    out.piecewise = pw;
-  } else {
-    // Unknown family (or a wrapper around one, or nested wrappers): keep
-    // the whole object behind the virtual interface.
-    return Classified{};
+  if (inner != &f) kind = kind_of(*inner);
+  switch (kind) {
+    case Kind::Constant:
+      out.family = Family::Constant;
+      out.a = as<ConstantSpeed>(*inner).s0();
+      break;
+    case Kind::LinearDecay: {
+      const auto& l = as<LinearDecaySpeed>(*inner);
+      out.family = Family::LinearDecay;
+      out.a = l.s0();
+      out.b = l.max_size();
+      out.c = l.floor_speed();
+      break;
+    }
+    case Kind::PowerDecay: {
+      const auto& pd = as<PowerDecaySpeed>(*inner);
+      out.family = Family::PowerDecay;
+      out.a = pd.s0();
+      out.b = pd.x0();
+      out.c = pd.exponent();
+      out.d = pd.max_size();
+      break;
+    }
+    case Kind::ExpDecay: {
+      const auto& ed = as<ExpDecaySpeed>(*inner);
+      out.family = Family::ExpDecay;
+      out.a = ed.s0();
+      out.b = ed.lambda();
+      out.d = ed.max_size();
+      break;
+    }
+    case Kind::Unimodal: {
+      const auto& u = as<UnimodalSpeed>(*inner);
+      out.family = Family::Unimodal;
+      out.a = u.s_low();
+      out.b = u.s_peak();
+      out.c = u.x_peak();
+      out.count = 2;
+      out.unimodal = &u;
+      break;
+    }
+    case Kind::Stepped: {
+      const auto& st = as<SteppedSpeed>(*inner);
+      out.family = Family::Stepped;
+      out.a = st.s0();
+      out.count = static_cast<std::uint32_t>(st.steps().size());
+      out.stepped = &st;
+      break;
+    }
+    case Kind::Piecewise: {
+      const auto& pw = as<PiecewiseLinearSpeed>(*inner);
+      out.family = Family::Piecewise;
+      out.a = pw.floor_speed();
+      out.b = pw.tail_slope();
+      out.count = static_cast<std::uint32_t>(pw.points().size());
+      out.piecewise = &pw;
+      break;
+    }
+    default: {
+      // Unknown family (or a wrapper around one, or nested wrappers): keep
+      // the whole object behind the virtual interface.
+      Classified generic;
+      generic.max_size = out.max_size;
+      return generic;
+    }
   }
-  out.wrap = wrap;
-  out.wrap_param = wrap_param;
   return out;
+}
+
+/// Classifies `f`, rejecting null entries.
+Classified classify_entry(const SpeedFunction* f) {
+  if (f == nullptr)
+    throw std::invalid_argument("CompiledSpeedList: null speed function");
+  return classify(*f);
+}
+
+/// The fingerprint state before the first entry: the list length.
+std::uint64_t hash_start(std::size_t size) {
+  return hash_mix(kHashSeed, static_cast<std::uint64_t>(size));
+}
+
+/// Folds one classified entry into the running fingerprint `h`. Generic
+/// entries hash their object address (identity semantics); every other
+/// entry hashes its family and wrap, its parameter bit patterns, then its
+/// pool data, in a fixed order.
+std::uint64_t hash_entry(std::uint64_t h, const SpeedFunction* f,
+                         const Classified& cl) {
+  using Family = CompiledSpeedList::Family;
+  h = hash_mix(h, (static_cast<std::uint64_t>(cl.family) << 8) |
+                      static_cast<std::uint64_t>(cl.wrap));
+  if (cl.family == Family::Generic)
+    return hash_mix(
+        h, static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(f)));
+  h = hash_mix(h, cl.wrap_param);
+  h = hash_mix(h, cl.max_size);
+  h = hash_mix(h, cl.a);
+  h = hash_mix(h, cl.b);
+  h = hash_mix(h, cl.c);
+  h = hash_mix(h, cl.d);
+  h = hash_mix(h, static_cast<std::uint64_t>(cl.count));
+  switch (cl.family) {
+    case Family::Unimodal:
+      h = hash_mix(h, cl.unimodal->decay_x0());
+      h = hash_mix(h, cl.unimodal->decay_exponent());
+      break;
+    case Family::Stepped:
+      for (const SteppedSpeed::Step& st : cl.stepped->steps()) {
+        h = hash_mix(h, st.at);
+        h = hash_mix(h, st.to);
+        h = hash_mix(h, st.width);
+      }
+      break;
+    case Family::Piecewise:
+      for (const SpeedPoint& p : cl.piecewise->points()) {
+        h = hash_mix(h, p.size);
+        h = hash_mix(h, p.speed);
+      }
+      break;
+    default:
+      break;
+  }
+  return h;
 }
 
 }  // namespace
@@ -284,10 +420,10 @@ void set_parallel_intersect_threshold(std::size_t entries) noexcept {
 CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   CompiledSpeedList list;
   list.entries_.reserve(speeds.size());
+  std::uint64_t h = hash_start(speeds.size());
   for (const SpeedFunction* f : speeds) {
-    if (f == nullptr)
-      throw std::invalid_argument("CompiledSpeedList: null speed function");
-    const Classified cl = classify(*f);
+    const Classified cl = classify_entry(f);
+    h = hash_entry(h, f, cl);
     Entry e;
     e.base = f;
     e.family = cl.family;
@@ -333,9 +469,10 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
       default:
         break;
     }
-    e.max_size = f->max_size();
+    e.max_size = cl.max_size;
     list.entries_.push_back(e);
   }
+  list.fingerprint_ = h;
   // Batch plan for intersect_all(): group the unwrapped closed-form
   // families into SoA parameter lanes, vetted unwrapped Unimodal/Stepped
   // entries into the bisection lanes; everything else (wrapped entries,
@@ -470,56 +607,15 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
       }
     }
   }
-  list.fingerprint_ = fingerprint_of(speeds);
   return list;
 }
 
 std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds) {
-  // Content fingerprint (Generic entries degrade to pointer identity).
-  // Classification only reads the objects — no pools, no allocations — so
-  // the server's cache-hit path keys requests without compiling them.
-  std::uint64_t h = kFnvOffset;
-  h = fnv_mix(h, static_cast<std::uint64_t>(speeds.size()));
-  for (const SpeedFunction* f : speeds) {
-    if (f == nullptr)
-      throw std::invalid_argument("CompiledSpeedList: null speed function");
-    const Classified cl = classify(*f);
-    h = fnv_mix(h, (static_cast<std::uint64_t>(cl.family) << 8) |
-                       static_cast<std::uint64_t>(cl.wrap));
-    if (cl.family == Family::Generic) {
-      h = fnv_mix(
-          h, static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(f)));
-      continue;
-    }
-    h = fnv_mix(h, cl.wrap_param);
-    h = fnv_mix(h, f->max_size());
-    h = fnv_mix(h, cl.a);
-    h = fnv_mix(h, cl.b);
-    h = fnv_mix(h, cl.c);
-    h = fnv_mix(h, cl.d);
-    h = fnv_mix(h, static_cast<std::uint64_t>(cl.count));
-    switch (cl.family) {
-      case Family::Unimodal:
-        h = fnv_mix(h, cl.unimodal->decay_x0());
-        h = fnv_mix(h, cl.unimodal->decay_exponent());
-        break;
-      case Family::Stepped:
-        for (const SteppedSpeed::Step& st : cl.stepped->steps()) {
-          h = fnv_mix(h, st.at);
-          h = fnv_mix(h, st.to);
-          h = fnv_mix(h, st.width);
-        }
-        break;
-      case Family::Piecewise:
-        for (const SpeedPoint& p : cl.piecewise->points()) {
-          h = fnv_mix(h, p.size);
-          h = fnv_mix(h, p.speed);
-        }
-        break;
-      default:
-        break;
-    }
-  }
+  // The hash compile() folds during its own walk, without the pools:
+  // classification only reads the objects (no allocations), so the
+  // server's cache-hit path keys requests without compiling them.
+  std::uint64_t h = hash_start(speeds.size());
+  for (const SpeedFunction* f : speeds) h = hash_entry(h, f, classify_entry(f));
   return h;
 }
 
@@ -1004,9 +1100,12 @@ std::vector<double> speeds_at(const CompiledSpeedList& speeds,
   return out;
 }
 
-std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
-                             EvalCounters* counters) {
-  std::vector<double> xs(speeds.size());
+namespace {
+
+/// Solves one line into `xs` (batched or per entry, as the toggle says) and
+/// counts it. Every compiled line solve goes through here.
+void solve_line(const CompiledSpeedList& speeds, double slope,
+                std::span<double> xs, EvalCounters* counters) {
   if (batched_kernels_enabled()) {
     speeds.intersect_all(slope, xs);
   } else {
@@ -1015,31 +1114,37 @@ std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
   }
   if (counters)
     counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
+}
+
+/// The entry-order sum of a solved line: lane-local partial sums would
+/// reorder the floating-point additions and break bit-identity with the
+/// per-entry path.
+double line_total(std::span<const double> xs) {
+  double sum = 0.0;
+  for (const double x : xs) sum += x;
+  return sum;
+}
+
+}  // namespace
+
+std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
+                             EvalCounters* counters) {
+  std::vector<double> xs(speeds.size());
+  solve_line(speeds, slope, xs, counters);
   return xs;
 }
 
 double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters) {
-  double sum = 0.0;
-  if (batched_kernels_enabled()) {
-    // The batch fills a scratch row first so the final reduction still runs
-    // in entry order: lane-local partial sums would reorder the floating-
-    // point additions and break bit-identity with the per-entry path.
-    static thread_local std::vector<double> scratch;
-    scratch.resize(speeds.size());
-    speeds.intersect_all(slope, scratch);
-    for (const double x : scratch) sum += x;
-  } else {
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      sum += speeds.intersect(i, slope);
-  }
-  if (counters)
-    counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
-  return sum;
+  static thread_local std::vector<double> scratch;
+  scratch.resize(speeds.size());
+  solve_line(speeds, slope, scratch, counters);
+  return line_total(scratch);
 }
 
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
-                            EvalCounters* counters) {
+                            EvalCounters* counters, std::vector<double>* small,
+                            std::vector<double>* large) {
   // Line-for-line the SpeedList overload in partition.cpp (including its
   // counting profile: one speed probe per processor, one solve batch per
   // expansion test) so that the two paths report identical stats.
@@ -1062,13 +1167,29 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
   br.lo_slope = s_min / probe;
   if (br.lo_slope <= 0.0) br.lo_slope = br.hi_slope * 1e-12;
   const double nd = static_cast<double>(n);
-  for (int i = 0; i < 256 && total_size_at(speeds, br.hi_slope, counters) > nd;
-       ++i)
+  std::vector<double> hi_local, lo_local;
+  std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;
+  std::vector<double>& lo_sizes = large != nullptr ? *large : lo_local;
+  hi_sizes.resize(speeds.size());
+  lo_sizes.resize(speeds.size());
+  const auto total_at = [&](double slope, std::vector<double>& xs) {
+    solve_line(speeds, slope, xs, counters);
+    return line_total(xs);
+  };
+  double hi_total = total_at(br.hi_slope, hi_sizes);
+  for (int i = 0; i < 256 && hi_total > nd; ++i) {
     br.hi_slope *= 2.0;
-  for (int i = 0; i < 256 && total_size_at(speeds, br.lo_slope, counters) < nd;
-       ++i)
+    hi_total = total_at(br.hi_slope, hi_sizes);
+  }
+  double lo_total = total_at(br.lo_slope, lo_sizes);
+  for (int i = 0; i < 256 && lo_total < nd; ++i) {
     br.lo_slope *= 0.5;
-  if (br.lo_slope > br.hi_slope) std::swap(br.lo_slope, br.hi_slope);
+    lo_total = total_at(br.lo_slope, lo_sizes);
+  }
+  if (br.lo_slope > br.hi_slope) {
+    std::swap(br.lo_slope, br.hi_slope);
+    hi_sizes.swap(lo_sizes);
+  }
   return br;
 }
 

@@ -121,16 +121,20 @@ class CompiledSpeedList {
 
   /// Content hash over (family, wrap, parameters, breakpoints) of every
   /// entry, in order — equal model lists hash equal regardless of object
-  /// identity. Generic entries hash their object address instead (identity
-  /// semantics), which is safe for caching within one process but means
-  /// two structurally equal unknown subclasses never share a cache line.
+  /// identity. Each field's 64-bit pattern is folded as one word through a
+  /// SplitMix64-style finalizer, so lists differing in exactly one field
+  /// (including -0.0 vs 0.0) never hash equal. Generic entries hash their
+  /// object address instead (identity semantics), which is safe for
+  /// caching within one process but means two structurally equal unknown
+  /// subclasses never share a cache line.
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   /// The fingerprint `compile(speeds)` would produce, computed without
   /// materializing the compiled entries or SoA pools (no allocations).
   /// This is the cache-key fast path of core/server.hpp: a cache hit needs
   /// only the key, so it must not pay for a full compilation. compile()
-  /// itself delegates here, keeping one hashing routine.
+  /// folds the same per-entry hash inside its own classification walk, so
+  /// the two cannot diverge.
   static std::uint64_t fingerprint_of(const SpeedList& speeds);
 
  private:
@@ -254,12 +258,16 @@ class CompiledEntryView final : public SpeedFunction {
 /// same loops, same numbers, optional counting (pass nullptr to skip it).
 /// `counters` is deliberately not defaulted: two-argument calls must keep
 /// resolving to the SpeedList overloads (e.g. detect_bracket({}, n)).
+/// detect_bracket's optional `small`/`large` receive the sizes at the
+/// returned hi/lo slopes, exactly as sizes_at would compute them.
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
                              EvalCounters* counters);
 double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters);
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
-                            EvalCounters* counters);
+                            EvalCounters* counters,
+                            std::vector<double>* small = nullptr,
+                            std::vector<double>* large = nullptr);
 
 /// Batched counterpart of `speeds.speed(i, xs[i])` per entry (one
 /// CompiledSpeedList::speed_all sweep, counted like p boundary

@@ -60,15 +60,11 @@ SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
     warmstart_ =
         try_warm_bracket(*hint, n, speeds) ? WarmStart::Hit : WarmStart::Stale;
   if (warmstart_ != WarmStart::Hit) {
-    if (compiled_ != nullptr) {
-      bracket_ = detect_bracket(*compiled_, n, &counters_);
-      small_ = sizes_at(*compiled_, bracket_.hi_slope, &counters_);
-      large_ = sizes_at(*compiled_, bracket_.lo_slope, &counters_);
-    } else {
-      bracket_ = detect_bracket(speeds_, n);
-      small_ = sizes_at(speeds_, bracket_.hi_slope);
-      large_ = sizes_at(speeds_, bracket_.lo_slope);
-    }
+    // The bracket's last expansion tests already solved both lines; keep
+    // those sizes instead of solving the lines again.
+    bracket_ = compiled_ != nullptr
+                   ? detect_bracket(*compiled_, n, &counters_, &small_, &large_)
+                   : detect_bracket(speeds_, n, &small_, &large_);
   }
   intersections_ += static_cast<int>(2 * speeds_.size());
   if (observing())

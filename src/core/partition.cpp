@@ -26,7 +26,9 @@ double total_size_at(const SpeedList& speeds, double slope) {
   return sum;
 }
 
-SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n) {
+SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n,
+                            std::vector<double>* small,
+                            std::vector<double>* large) {
   if (speeds.empty()) throw std::invalid_argument("detect_bracket: no speeds");
   if (n < 1) throw std::invalid_argument("detect_bracket: n must be >= 1");
   const double p = static_cast<double>(speeds.size());
@@ -46,13 +48,32 @@ SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n) {
   // requirement; the expansion loops below make the function total for any
   // inputs. Intersections extend beyond the modelled ranges (see
   // SpeedFunction::intersect), so total_size_at is unbounded as the slope
-  // approaches zero and the shallow expansion always terminates.
+  // approaches zero and the shallow expansion always terminates. Each test
+  // keeps its solved sizes, so the final lines come back without a re-solve.
   const double nd = static_cast<double>(n);
-  for (int i = 0; i < 256 && total_size_at(speeds, br.hi_slope) > nd; ++i)
+  std::vector<double> hi_local, lo_local;
+  std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;
+  std::vector<double>& lo_sizes = large != nullptr ? *large : lo_local;
+  const auto total_at = [&](double slope, std::vector<double>& xs) {
+    xs = sizes_at(speeds, slope);
+    double sum = 0.0;
+    for (const double x : xs) sum += x;
+    return sum;
+  };
+  double hi_total = total_at(br.hi_slope, hi_sizes);
+  for (int i = 0; i < 256 && hi_total > nd; ++i) {
     br.hi_slope *= 2.0;
-  for (int i = 0; i < 256 && total_size_at(speeds, br.lo_slope) < nd; ++i)
+    hi_total = total_at(br.hi_slope, hi_sizes);
+  }
+  double lo_total = total_at(br.lo_slope, lo_sizes);
+  for (int i = 0; i < 256 && lo_total < nd; ++i) {
     br.lo_slope *= 0.5;
-  if (br.lo_slope > br.hi_slope) std::swap(br.lo_slope, br.hi_slope);
+    lo_total = total_at(br.lo_slope, lo_sizes);
+  }
+  if (br.lo_slope > br.hi_slope) {
+    std::swap(br.lo_slope, br.hi_slope);
+    hi_sizes.swap(lo_sizes);
+  }
   return br;
 }
 

@@ -149,8 +149,12 @@ struct SlopeBracket {
 /// n/p; line 1 through (n/p, max speed) has sum <= n, line 2 through
 /// (n/p, min speed) has sum >= n. A geometric expansion loop guards against
 /// degenerate inputs (e.g. sizes beyond every curve's range).
-/// Requires n >= 1 and a non-empty speed list.
-SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n);
+/// Requires n >= 1 and a non-empty speed list. When given, `small` and
+/// `large` receive sizes_at() of the returned hi and lo slopes — the last
+/// lines the expansion loops solved, so no further solve is needed.
+SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n,
+                            std::vector<double>* small = nullptr,
+                            std::vector<double>* large = nullptr);
 
 /// Even distribution: n/p elements each, remainders to the lowest ranks.
 /// The paper's fallback when model information is unusable.

@@ -179,29 +179,69 @@ const PartitionerRegistry& partitioner_registry() {
   return registry;
 }
 
+namespace {
+
+/// The registry counters partition() feeds, resolved once: a registry
+/// lookup scans every slot under the registry's one mutex, which concurrent
+/// solvers would otherwise contend on for every solve.
+struct PartitionCounters {
+  std::vector<obs::Counter*> invocations;  ///< by partitioner registry index
+  obs::Counter& speed_evals;
+  obs::Counter& intersect_solves;
+  obs::Counter& bracket_saturations;
+  obs::Counter& warmstart_hits;
+  obs::Counter& warmstart_iterations_saved;
+  obs::Counter& warmstart_stale;
+};
+
+const PartitionCounters& partition_counters() {
+  static const PartitionCounters counters = [] {
+    obs::MetricsRegistry& reg = obs::metrics();
+    std::vector<obs::Counter*> invocations;
+    for (const PartitionerInfo& info : partitioner_registry().entries())
+      invocations.push_back(&reg.counter(
+          std::string(obs::names::kPartitionInvocationsPrefix) + info.id));
+    return PartitionCounters{
+        std::move(invocations),
+        reg.counter(obs::names::kPartitionSpeedEvals),
+        reg.counter(obs::names::kPartitionIntersectSolves),
+        reg.counter(obs::names::kPartitionBracketSaturations),
+        reg.counter(obs::names::kPartitionWarmstartHits),
+        reg.counter(obs::names::kPartitionWarmstartIterationsSaved),
+        reg.counter(obs::names::kPartitionWarmstartStale)};
+  }();
+  return counters;
+}
+
+/// The invocation counter for the algorithm a result reports.
+obs::Counter& invocation_counter(const std::string& algorithm) {
+  const PartitionCounters& counters = partition_counters();
+  const std::vector<PartitionerInfo>& infos = partitioner_registry().entries();
+  for (std::size_t i = 0; i < infos.size(); ++i)
+    if (infos[i].id == algorithm) return *counters.invocations[i];
+  return obs::metrics().counter(
+      std::string(obs::names::kPartitionInvocationsPrefix) + algorithm);
+}
+
+}  // namespace
+
 PartitionResult partition(const SpeedList& speeds, std::int64_t n,
                           const PartitionPolicy& policy) {
   PartitionResult result = partitioner_registry().run(speeds, n, policy);
   // Roll the per-call PartitionStats accounting into the process-wide
   // registry: one invocation counter per algorithm id, plus the
-  // SpeedFunction-boundary totals. Registry lookup cost is negligible next
-  // to the search itself.
-  obs::MetricsRegistry& reg = obs::metrics();
-  reg.counter(std::string(obs::names::kPartitionInvocationsPrefix) +
-              result.stats.algorithm)
-      .add(1);
-  reg.counter(obs::names::kPartitionSpeedEvals).add(result.stats.speed_evals);
-  reg.counter(obs::names::kPartitionIntersectSolves)
-      .add(result.stats.intersect_solves);
+  // SpeedFunction-boundary totals.
+  const PartitionCounters& counters = partition_counters();
+  invocation_counter(result.stats.algorithm).add(1);
+  counters.speed_evals.add(result.stats.speed_evals);
+  counters.intersect_solves.add(result.stats.intersect_solves);
   if (result.stats.bracket_saturations != 0)
-    reg.counter(obs::names::kPartitionBracketSaturations)
-        .add(result.stats.bracket_saturations);
+    counters.bracket_saturations.add(result.stats.bracket_saturations);
   if (result.stats.warmstart == WarmStart::Hit) {
-    reg.counter(obs::names::kPartitionWarmstartHits).add(1);
-    reg.counter(obs::names::kPartitionWarmstartIterationsSaved)
-        .add(result.stats.iterations_saved);
+    counters.warmstart_hits.add(1);
+    counters.warmstart_iterations_saved.add(result.stats.iterations_saved);
   } else if (result.stats.warmstart == WarmStart::Stale) {
-    reg.counter(obs::names::kPartitionWarmstartStale).add(1);
+    counters.warmstart_stale.add(1);
   }
   return result;
 }

@@ -240,7 +240,7 @@ void PartitionServer::execute(QueuedJob job) {
   ServeResult outcome;
   try {
     outcome.result = serve(job.request.speeds, job.request.n,
-                           job.request.policy);
+                           job.request.policy, job.fingerprint);
   } catch (...) {
     // Engine rejections (unknown algorithm id, invalid policy) are caller
     // errors, not load: the request was admitted and the error surfaces
@@ -261,17 +261,17 @@ void PartitionServer::execute(QueuedJob job) {
 // ---------------------------------------------------------------------------
 
 std::optional<ServeResult> PartitionServer::try_degrade(
-    const BatchRequest& request) {
+    const BatchRequest& request, std::optional<std::uint64_t> fingerprint) {
   if (request.speeds.empty() || request.n < 1) return std::nullopt;
   // Observers expect a real search (their callbacks must fire per step);
   // bounded policies carry capacity constraints a rescaled distribution
   // would silently violate. Both fall through to a plain shed.
   if (request.policy.observer) return std::nullopt;
   if (request.policy.algorithm == kAlgorithmBounded) return std::nullopt;
-  const std::uint64_t fingerprint =
-      CompiledSpeedList::fingerprint_of(request.speeds);
+  if (!fingerprint)
+    fingerprint = CompiledSpeedList::fingerprint_of(request.speeds);
   const std::optional<SlopeHint> prev =
-      lookup_degradation(fingerprint, request.speeds.size());
+      lookup_degradation(*fingerprint, request.speeds.size());
   if (!prev) return std::nullopt;
   std::optional<DegradedAnswer> answer =
       degraded_answer(request.speeds, request.n, prev->counts, prev->n);
@@ -284,10 +284,12 @@ std::optional<ServeResult> PartitionServer::try_degrade(
   return outcome;
 }
 
-ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
-                                          ShedReason reason) {
+ServeResult PartitionServer::resolve_shed(
+    const BatchRequest& request, ShedReason reason,
+    std::optional<std::uint64_t> fingerprint) {
   if (request.slo.allow_degraded) {
-    if (std::optional<ServeResult> degraded = try_degrade(request)) {
+    if (std::optional<ServeResult> degraded =
+            try_degrade(request, fingerprint)) {
       degraded->shed_reason = reason;  // what the approximation averted
       return *std::move(degraded);
     }
@@ -299,7 +301,7 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
 }
 
 void PartitionServer::degrade_or_shed(QueuedJob&& job, ShedReason reason) {
-  ServeResult outcome = resolve_shed(job.request, reason);
+  ServeResult outcome = resolve_shed(job.request, reason, job.fingerprint);
   account(outcome, job.submitted, job.deadline, job.request.slo.priority);
   job.promise.set_value(std::move(outcome));
 }
@@ -449,6 +451,12 @@ PartitionResult PartitionServer::partition_with_hint(
 
 PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
                                        const PartitionPolicy& policy) {
+  return serve(speeds, n, policy, std::nullopt);
+}
+
+PartitionResult PartitionServer::serve(
+    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
+    std::optional<std::uint64_t> fingerprint) {
   obs::TimerSpan span(metrics_.serve_latency);
   if (policy.observer) {
     // The observer is a side effect the caller expects on every call; a
@@ -469,10 +477,10 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
     PrecompiledGuard guard(speeds, compiled);
     return partition_with_hint(speeds, n, policy, compiled.fingerprint());
   }
-  // Key via the allocation-free fingerprint: a hit must not pay for a
-  // compilation it will never use.
-  const std::uint64_t fingerprint = CompiledSpeedList::fingerprint_of(speeds);
-  const std::string key = PartitionCache::make_key(fingerprint, n, policy);
+  // Key via the allocation-free fingerprint (unless the caller already
+  // computed it): a hit must not pay for a compilation it will never use.
+  if (!fingerprint) fingerprint = CompiledSpeedList::fingerprint_of(speeds);
+  const std::string key = PartitionCache::make_key(*fingerprint, n, policy);
   PartitionResult result;
   if (cache_.lookup(key, result)) {
     metrics_.hits.add(1);
@@ -486,7 +494,7 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
   const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
   {
     PrecompiledGuard guard(speeds, compiled);
-    result = partition_with_hint(speeds, n, policy, fingerprint);
+    result = partition_with_hint(speeds, n, policy, *fingerprint);
   }
   if (cache_.insert(key, result)) metrics_.evictions.add(1);
   return result;
@@ -506,11 +514,14 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
   metrics_.slo_offered.add(1);
 
   BatchRequest request{speeds, n, policy, slo};
+  std::optional<std::uint64_t> fingerprint;
   if (slo.has_deadline()) {
     // A cache hit beats any deadline — probe before consulting the
     // estimate (peek: the miss will be re-counted by serve() if admitted).
     if (cache_.capacity() != 0 && !policy.observer) {
-      const std::string key = PartitionCache::make_key(speeds, n, policy);
+      fingerprint = CompiledSpeedList::fingerprint_of(speeds);
+      const std::string key =
+          PartitionCache::make_key(*fingerprint, n, policy);
       PartitionResult cached;
       if (cache_.peek(key, cached)) {
         metrics_.hits.add(1);
@@ -524,7 +535,8 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
     const double predicted =
         estimator_.service_estimate(slo.priority) * admission_slack_;
     if (predicted > slo.deadline_s) {
-      ServeResult outcome = resolve_shed(request, ShedReason::Admission);
+      ServeResult outcome =
+          resolve_shed(request, ShedReason::Admission, fingerprint);
       account(outcome, submitted, deadline, slo.priority);
       return outcome;
     }
@@ -532,7 +544,7 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
   const Clock::time_point start = Clock::now();
   ServeResult outcome;
   try {
-    outcome.result = serve(speeds, n, policy);
+    outcome.result = serve(speeds, n, policy, fingerprint);
   } catch (...) {
     // Count the admitted request before the engine error propagates, so
     // offered == admitted + degraded + shed survives caller errors.
@@ -568,8 +580,9 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
   // the queue state. peek() so the miss is not double-counted (the worker's
   // serve() will count it).
   if (cache_.capacity() != 0 && !job.request.policy.observer) {
+    job.fingerprint = CompiledSpeedList::fingerprint_of(job.request.speeds);
     const std::string key = PartitionCache::make_key(
-        job.request.speeds, job.request.n, job.request.policy);
+        *job.fingerprint, job.request.n, job.request.policy);
     PartitionResult cached;
     if (cache_.peek(key, cached)) {
       metrics_.hits.add(1);

@@ -289,16 +289,28 @@ class PartitionServer {
     std::promise<ServeResult> promise;
     Clock::time_point submitted{};
     Clock::time_point deadline{};  ///< time_point::max() when none
+    /// The request's model fingerprint, when submit() already computed it
+    /// for the cache peek; the worker and the degrade path reuse it.
+    std::optional<std::uint64_t> fingerprint{};
   };
+
+  /// serve() with the request's fingerprint when the caller already has it
+  /// (nullopt: computed here if needed). Every entry point lands here, so a
+  /// request walks its model list for the key at most once.
+  PartitionResult serve(const SpeedList& speeds, std::int64_t n,
+                        const PartitionPolicy& policy,
+                        std::optional<std::uint64_t> fingerprint);
 
   void worker_loop();
   void execute(QueuedJob job);
   /// Degraded (hint store permitting and slo.allow_degraded) or Shed
   /// outcome for a request that will not get a full solve; unaccounted.
-  ServeResult resolve_shed(const BatchRequest& request, ShedReason reason);
+  ServeResult resolve_shed(const BatchRequest& request, ShedReason reason,
+                           std::optional<std::uint64_t> fingerprint);
   /// Builds a degraded answer for the request from the hint store; nullopt
   /// when no usable previous solution exists.
-  std::optional<ServeResult> try_degrade(const BatchRequest& request);
+  std::optional<ServeResult> try_degrade(
+      const BatchRequest& request, std::optional<std::uint64_t> fingerprint);
   /// resolve_shed + account + fulfil, for a job leaving the queue.
   void degrade_or_shed(QueuedJob&& job, ShedReason reason);
   /// Removes and returns every queued job (caller fulfils the promises).

@@ -3,12 +3,17 @@
 // distribution with the LU makespan simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "apps/lu_app.hpp"
 #include "apps/striped_mm.hpp"
 #include "apps/vgb.hpp"
+#include "helpers.hpp"
 #include "linalg/kernels.hpp"
+#include "simcluster/cluster.hpp"
 #include "simcluster/presets.hpp"
 
 namespace fpm::apps {
@@ -240,6 +245,112 @@ TEST(Vgb, SingleNumberModeUsesReferenceSpeeds) {
   EXPECT_EQ(std::accumulate(d.group_sizes.begin(), d.group_sizes.end(),
                             std::int64_t{0}),
             d.total_blocks());
+}
+
+/// The Variable Group Block construction with one cold core::partition()
+/// per group, each compiling the models itself: step for step the loop of
+/// variable_group_block (Functional model) without its shared compilation.
+VgbDistribution cold_vgb(const core::SpeedList& models, std::int64_t n,
+                         const VgbOptions& opts) {
+  const std::size_t p = models.size();
+  const std::int64_t b = opts.block;
+  VgbDistribution dist;
+  dist.n = n;
+  dist.block = b;
+  std::int64_t remaining_cols = n;
+  while (remaining_cols > 0) {
+    const std::int64_t blocks_remaining = (remaining_cols + b - 1) / b;
+    const double m = static_cast<double>(remaining_cols);
+    const auto elements = static_cast<std::int64_t>(m * m);
+    const core::PartitionResult r =
+        core::partition(models, elements, opts.policy);
+    std::vector<double> shares(p);
+    for (std::size_t i = 0; i < p; ++i)
+      shares[i] = static_cast<double>(r.distribution.counts[i]);
+    double sum_shares = 0.0;
+    double min_share = std::numeric_limits<double>::infinity();
+    for (const double x : shares) {
+      sum_shares += x;
+      if (x >= 1.0) min_share = std::min(min_share, x);
+    }
+    if (!std::isfinite(min_share)) min_share = std::max(sum_shares, 1.0);
+    std::int64_t g =
+        std::max<std::int64_t>(1, std::llround(sum_shares / min_share));
+    if (g < 2 * static_cast<std::int64_t>(p)) g *= 2;
+    g = std::min(g, blocks_remaining);
+    std::vector<double> weights(shares);
+    for (double& w : weights) w = std::max(w, 1e-6);
+    const core::Distribution blocks_of =
+        core::partition_single_number(g, weights);
+    std::vector<std::size_t> order(p);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t c) {
+                       return shares[a] > shares[c];
+                     });
+    if (g == blocks_remaining) std::reverse(order.begin(), order.end());
+    for (const std::size_t i : order)
+      for (std::int64_t k = 0; k < blocks_of.counts[i]; ++k)
+        dist.block_owner.push_back(static_cast<int>(i));
+    dist.group_sizes.push_back(g);
+    remaining_cols -= std::min(remaining_cols, g * b);
+  }
+  return dist;
+}
+
+/// A piecewise ensemble in the style of the §3.1 built models.
+test::Ensemble piecewise_ensemble() {
+  test::Ensemble pw{"piecewise", {}};
+  for (int i = 0; i < 4; ++i) {
+    const double d = static_cast<double>(i);
+    std::vector<core::SpeedPoint> pts{{1e3, 180.0 + 20.0 * d},
+                                      {5e5, 160.0 + 20.0 * d},
+                                      {2e7, 90.0 + 10.0 * d},
+                                      {4e8, 12.0 + d}};
+    pw.owned.push_back(
+        std::make_shared<core::PiecewiseLinearSpeed>(std::move(pts)));
+  }
+  return pw;
+}
+
+TEST(Vgb, CompileOnceMatchesColdPerGroupSolves) {
+  auto cluster = sim::make_table2_cluster();
+  const sim::ClusterModels lu = sim::build_cluster_models(cluster, sim::kLu);
+  const test::Ensemble mixed = test::mixed_ensemble();
+  const test::Ensemble piecewise = piecewise_ensemble();
+  const std::vector<std::pair<const char*, core::SpeedList>> model_sets{
+      {"table2-lu", lu.list()},
+      {"mixed", mixed.list()},
+      {"piecewise", piecewise.list()}};
+  for (const auto& [name, models] : model_sets) {
+    const auto p = static_cast<std::int64_t>(models.size());
+    for (const std::int64_t n : {16000LL, 20011LL, 24576LL, 28999LL, 32000LL}) {
+      // Bounds that clamp every other processor to 90% of its first-group
+      // share: the bounded algorithm's residual rounds then solve sub-lists,
+      // which must compile on their own rather than match the guard.
+      core::PartitionPolicy bounded;
+      bounded.algorithm = core::kAlgorithmBounded;
+      const core::PartitionResult first = core::partition(models, n * n);
+      for (std::int64_t i = 0; i < p; ++i)
+        bounded.bounds.push_back(
+            i % 2 == 0 ? first.distribution.counts[i] * 9 / 10 : n * n);
+      core::PartitionPolicy modified;
+      modified.algorithm = core::kAlgorithmModified;
+      modified.options = core::ModifiedBisectionOptions{};
+      for (const core::PartitionPolicy& policy :
+           {core::PartitionPolicy{}, modified, bounded}) {
+        VgbOptions opts;
+        opts.block = 32;
+        opts.policy = policy;
+        const VgbDistribution got = variable_group_block(models, n, opts);
+        const VgbDistribution want = cold_vgb(models, n, opts);
+        EXPECT_EQ(got.group_sizes, want.group_sizes)
+            << name << " n=" << n << " " << policy.algorithm;
+        EXPECT_EQ(got.block_owner, want.block_owner)
+            << name << " n=" << n << " " << policy.algorithm;
+      }
+    }
+  }
 }
 
 TEST(LuSimulation, PositiveDeterministicAndCoversAllSteps) {

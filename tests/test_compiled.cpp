@@ -1,8 +1,8 @@
 // Equivalence tests for the compiled speed-model layer (core/compiled.*):
 // bit-identical speed() / intersect() per family, closed-form intersections
 // against the generic bisection, bit-identical distributions and stats for
-// every registry algorithm with the compiled path toggled on and off, and
-// content-hash fingerprint semantics.
+// every registry algorithm with the compiled path toggled on and off, the
+// exact-type classification table, and content-hash fingerprint semantics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -223,6 +223,59 @@ TEST(Compiled, BracketAndSizesMatchVirtualHelpers) {
   }
 }
 
+TEST(Compiled, BracketReturnsTheLinesItSolved) {
+  ScalarKernelsGuard scalar;
+  for (const test::Ensemble& e : equivalence_ensembles()) {
+    const core::SpeedList list = e.list();
+    const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+    for (const std::int64_t n : {100LL, 5000000LL}) {
+      std::vector<double> small_c, large_c, small_v, large_v;
+      const core::SlopeBracket a =
+          detect_bracket(compiled, n, nullptr, &small_c, &large_c);
+      const core::SlopeBracket b = detect_bracket(list, n, &small_v, &large_v);
+      EXPECT_EQ(small_c, sizes_at(compiled, a.hi_slope, nullptr)) << e.name;
+      EXPECT_EQ(large_c, sizes_at(compiled, a.lo_slope, nullptr)) << e.name;
+      EXPECT_EQ(small_v, sizes_at(list, b.hi_slope)) << e.name;
+      EXPECT_EQ(large_v, sizes_at(list, b.lo_slope)) << e.name;
+    }
+  }
+}
+
+TEST(Compiled, ColdSearchSolvesEachLineOnce) {
+  // A cold search solves the bracket's expansion tests, then one line per
+  // non-degenerate step — never the two bracket lines a second time — on
+  // the compiled and the virtual path alike.
+  ScalarKernelsGuard scalar;
+  for (const test::Ensemble& e : equivalence_ensembles()) {
+    const core::SpeedList list = e.list();
+    const auto p = static_cast<std::int64_t>(list.size());
+    for (const bool compiled_on : {true, false}) {
+      CompiledToggle toggle(compiled_on);
+      for (const std::int64_t n : {1000LL, 1000000LL}) {
+        core::EvalCounters bracket;
+        (void)detect_bracket(CompiledSpeedList::compile(list), n, &bracket);
+        for (const char* alg : {core::kAlgorithmBasic, core::kAlgorithmModified,
+                                core::kAlgorithmCombined,
+                                core::kAlgorithmInterpolation}) {
+          std::int64_t line_steps = 0;
+          core::PartitionPolicy policy;
+          policy.algorithm = alg;
+          policy.observer = [&](const core::SearchStep& step) {
+            if (step.kind != core::SearchStepKind::Bracket &&
+                step.kind != core::SearchStepKind::Degenerate)
+              ++line_steps;
+          };
+          const core::PartitionResult r = core::partition(list, n, policy);
+          EXPECT_EQ(r.stats.search_intersect_solves,
+                    bracket.intersect_solves + line_steps * p)
+              << e.name << " " << alg << " n=" << n
+              << " compiled=" << compiled_on;
+        }
+      }
+    }
+  }
+}
+
 TEST(Compiled, FingerprintIsContentHashForKnownFamilies) {
   const test::Ensemble a = test::power_ensemble(5);
   const test::Ensemble b = test::power_ensemble(5);  // distinct objects
@@ -297,6 +350,190 @@ TEST(Compiled, PrecompiledGuardReusesTheInstalledModel) {
     EXPECT_EQ(guarded.stats.intersect_solves, plain.stats.intersect_solves);
   }
   EXPECT_EQ(core::precompiled_match(list), nullptr);  // guard restored
+}
+
+/// One instance of every compiled family, with the Family it must compile
+/// to.
+struct FamilyCase {
+  const char* name;
+  std::shared_ptr<const core::SpeedFunction> f;
+  CompiledSpeedList::Family family;
+};
+
+std::vector<FamilyCase> family_cases() {
+  using Family = CompiledSpeedList::Family;
+  std::vector<core::SteppedSpeed::Step> steps{{5e5, 180.0, 2e5},
+                                              {1.2e8, 12.0, 8e6}};
+  std::vector<core::SpeedPoint> pts{
+      {1e3, 180.0}, {5e5, 160.0}, {2e7, 90.0}, {4e8, 12.0}};
+  return {
+      {"constant", std::make_shared<core::ConstantSpeed>(140.0, 1e9),
+       Family::Constant},
+      {"linear", std::make_shared<core::LinearDecaySpeed>(200.0, 5e8),
+       Family::LinearDecay},
+      {"power", std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9),
+       Family::PowerDecay},
+      {"exp", std::make_shared<core::ExpDecaySpeed>(150.0, 5e4, 2e6),
+       Family::ExpDecay},
+      {"unimodal",
+       std::make_shared<core::UnimodalSpeed>(60.0, 260.0, 2e6, 9e7, 2.5, 7e8),
+       Family::Unimodal},
+      {"stepped",
+       std::make_shared<core::SteppedSpeed>(230.0, std::move(steps), 9e8),
+       Family::Stepped},
+      {"piecewise",
+       std::make_shared<core::PiecewiseLinearSpeed>(std::move(pts)),
+       Family::Piecewise},
+  };
+}
+
+TEST(Compiled, ClassificationTablePinsExactTypeDispatch) {
+  using Wrap = CompiledSpeedList::Wrap;
+  for (const FamilyCase& c : family_cases()) {
+    const core::ScaledSpeed scaled(c.f, 0.75);
+    const core::GranularSpeed granular(c.f, 8.0);
+    const core::GranularSpeedView view(*c.f, 3.0);
+    const core::SpeedList list{c.f.get(), &scaled, &granular, &view};
+    const Wrap wraps[] = {Wrap::None, Wrap::Scaled, Wrap::Granular,
+                          Wrap::Granular};
+    const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+    EXPECT_TRUE(compiled.fully_compiled()) << c.name;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      EXPECT_EQ(compiled.family(i), c.family) << c.name << " form " << i;
+      EXPECT_EQ(compiled.wrap(i), wraps[i]) << c.name << " form " << i;
+      EXPECT_EQ(compiled.max_size(i), list[i]->max_size())
+          << c.name << " form " << i;
+      EXPECT_EQ(compiled.base(i), list[i]) << c.name << " form " << i;
+    }
+  }
+}
+
+TEST(Compiled, NestedWrappersAndOtherTypesCompileToGeneric) {
+  auto constant = std::make_shared<core::ConstantSpeed>(140.0, 1e9);
+  auto power = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9);
+  auto scaled = std::make_shared<core::ScaledSpeed>(constant, 0.5);
+  auto granular = std::make_shared<core::GranularSpeed>(power, 4.0);
+  const core::ScaledSpeed scaled_of_scaled(scaled, 0.5);
+  const core::GranularSpeed granular_of_scaled(scaled, 4.0);
+  const core::GranularSpeedView view_of_granular(*granular, 2.0);
+  const core::ScaledSpeed scaled_of_unknown(std::make_shared<OddSpeed>(), 2.0);
+  const CompiledSpeedList inner = CompiledSpeedList::compile({power.get()});
+  const core::CompiledEntryView entry_view(inner, 0);
+  const core::AggregateSpeed aggregate({constant.get(), power.get()});
+  const core::FixedParamSpeed fixed(
+      std::make_shared<core::ShapeInvariantSurface>(power), 100.0);
+  const OddSpeed odd;
+
+  const core::SpeedList list{&scaled_of_scaled, &granular_of_scaled,
+                             &view_of_granular, &scaled_of_unknown,
+                             &entry_view,       &aggregate,
+                             &fixed,            &odd};
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+  EXPECT_EQ(compiled.generic_entries(), list.size());
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    EXPECT_EQ(compiled.family(i), CompiledSpeedList::Family::Generic)
+        << "entry " << i;
+    EXPECT_EQ(compiled.wrap(i), CompiledSpeedList::Wrap::None)
+        << "entry " << i;
+    EXPECT_EQ(compiled.max_size(i), list[i]->max_size()) << "entry " << i;
+    for (double x = 10.0; x <= 1e8; x *= 7.3)
+      EXPECT_EQ(compiled.speed(i, x), list[i]->speed(x)) << "entry " << i;
+  }
+}
+
+/// The fingerprint of a one-entry list.
+std::uint64_t fingerprint_one(const core::SpeedFunction& f) {
+  return CompiledSpeedList::fingerprint_of({&f});
+}
+
+/// Builds a model from `params`, then checks that moving any one parameter
+/// to the next representable double changes the fingerprint.
+template <typename Make>
+void expect_every_param_hashed(const char* name, std::vector<double> params,
+                               Make make) {
+  const std::uint64_t base = fingerprint_one(*make(params));
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::vector<double> moved = params;
+    moved[i] = std::nextafter(moved[i], HUGE_VAL);
+    EXPECT_NE(fingerprint_one(*make(moved)), base)
+        << name << " parameter " << i;
+  }
+}
+
+TEST(Compiled, FingerprintSeesEveryParameterStepAndBreakpoint) {
+  using Ptr = std::shared_ptr<const core::SpeedFunction>;
+  using V = std::vector<double>;
+  expect_every_param_hashed("constant", {140.0, 1e9}, [](const V& v) -> Ptr {
+    return std::make_shared<core::ConstantSpeed>(v[0], v[1]);
+  });
+  expect_every_param_hashed("linear", {200.0, 5e8, 1e-3},
+                            [](const V& v) -> Ptr {
+                              return std::make_shared<core::LinearDecaySpeed>(
+                                  v[0], v[1], v[2]);
+                            });
+  expect_every_param_hashed(
+      "power", {170.0, 3e7, 1.1, 1e9}, [](const V& v) -> Ptr {
+        return std::make_shared<core::PowerDecaySpeed>(v[0], v[1], v[2], v[3]);
+      });
+  expect_every_param_hashed("exp", {150.0, 5e4, 2e6}, [](const V& v) -> Ptr {
+    return std::make_shared<core::ExpDecaySpeed>(v[0], v[1], v[2]);
+  });
+  expect_every_param_hashed(
+      "unimodal", {60.0, 260.0, 2e6, 9e7, 2.5, 7e8}, [](const V& v) -> Ptr {
+        return std::make_shared<core::UnimodalSpeed>(v[0], v[1], v[2], v[3],
+                                                     v[4], v[5]);
+      });
+  // s0, max_size, then (at, to, width) of each step.
+  expect_every_param_hashed(
+      "stepped", {230.0, 9e8, 5e5, 180.0, 2e5, 1.2e8, 12.0, 8e6},
+      [](const V& v) -> Ptr {
+        return std::make_shared<core::SteppedSpeed>(
+            v[0],
+            std::vector<core::SteppedSpeed::Step>{{v[2], v[3], v[4]},
+                                                  {v[5], v[6], v[7]}},
+            v[1]);
+      });
+  // (size, speed) of each breakpoint.
+  expect_every_param_hashed(
+      "piecewise", {1e3, 180.0, 5e5, 160.0, 2e7, 90.0, 4e8, 12.0},
+      [](const V& v) -> Ptr {
+        std::vector<core::SpeedPoint> pts;
+        for (std::size_t i = 0; i + 1 < v.size(); i += 2)
+          pts.push_back({v[i], v[i + 1]});
+        return std::make_shared<core::PiecewiseLinearSpeed>(std::move(pts));
+      });
+  // The wrapper parameter, and the wrapped model's.
+  expect_every_param_hashed("scaled", {0.75, 140.0}, [](const V& v) -> Ptr {
+    return std::make_shared<core::ScaledSpeed>(
+        std::make_shared<core::ConstantSpeed>(v[1], 1e9), v[0]);
+  });
+  expect_every_param_hashed("granular", {8.0, 140.0}, [](const V& v) -> Ptr {
+    return std::make_shared<core::GranularSpeed>(
+        std::make_shared<core::ConstantSpeed>(v[1], 1e9), v[0]);
+  });
+
+  // One step more or fewer, and the same parameters under another wrapper.
+  using Steps = std::vector<core::SteppedSpeed::Step>;
+  const core::SteppedSpeed one_step(230.0, Steps{{5e5, 180.0, 2e5}}, 9e8);
+  const core::SteppedSpeed two_steps(
+      230.0, Steps{{5e5, 180.0, 2e5}, {1.2e8, 12.0, 8e6}}, 9e8);
+  EXPECT_NE(fingerprint_one(one_step), fingerprint_one(two_steps));
+  auto constant = std::make_shared<core::ConstantSpeed>(140.0, 1e9);
+  EXPECT_NE(fingerprint_one(core::ScaledSpeed(constant, 2.0)),
+            fingerprint_one(core::GranularSpeed(constant, 2.0)));
+
+  // -0.0 and 0.0 are equal values with different bit patterns; a zero
+  // breakpoint speed is legal, and the two must key apart.
+  const core::PiecewiseLinearSpeed pos_zero(
+      std::vector<core::SpeedPoint>{{1e3, 100.0}, {1e5, 50.0}, {1e7, 0.0}});
+  const core::PiecewiseLinearSpeed neg_zero(
+      std::vector<core::SpeedPoint>{{1e3, 100.0}, {1e5, 50.0}, {1e7, -0.0}});
+  EXPECT_NE(fingerprint_one(pos_zero), fingerprint_one(neg_zero));
+
+  // Order matters: the same two models swapped are a different list.
+  auto power = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9);
+  EXPECT_NE(CompiledSpeedList::fingerprint_of({constant.get(), power.get()}),
+            CompiledSpeedList::fingerprint_of({power.get(), constant.get()}));
 }
 
 TEST(Compiled, CompiledEntryViewCountsAtTheBoundary) {
