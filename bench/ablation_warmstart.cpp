@@ -6,9 +6,10 @@
 // The headline counter is PartitionStats::search_speed_evals — the
 // search-phase speed evaluations, excluding the fine-tuning epilogue that
 // costs the same ~1.5p evaluations no matter how the search started (see
-// the field's doc comment). The warm bracket opens at 1 ± 2^-12 around the
-// hinted slope, so a near-exact hint collapses the search to a handful of
-// steps while the cold path pays the full Figure-18 bracket plus bisection.
+// the field's doc comment). The warm bracket refines the hinted slope with
+// a few secant steps and straddles n about 1/16 of an element either side,
+// so a near-exact hint collapses the search to a handful of line solves
+// while the cold path pays the full Figure-18 bracket plus bisection.
 //
 // Written to BENCH_warmstart.json: per-policy cold/warm counter totals,
 // wall-clock sweep times, warm-start hit/stale classification, and the

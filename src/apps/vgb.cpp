@@ -42,6 +42,12 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
   const core::CompiledSpeedList compiled =
       core::CompiledSpeedList::compile(models);
   const core::PrecompiledGuard guard(models, compiled);
+  // Successive groups solve the same models at a shrinking n, so each
+  // group's solve warm-starts from the previous group's slope (a hint
+  // changes only the search cost, never the distribution). A caller's own
+  // hint is left in charge, and an observer sees plain cold searches.
+  const bool chain_hints = !opts.policy.hint && !opts.policy.observer;
+  core::PartitionPolicy policy = opts.policy;
 
   std::int64_t remaining_cols = n;
   while (remaining_cols > 0) {
@@ -52,9 +58,22 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
     // Step 1: optimal shares (x_i) for the remaining sub-matrix.
     std::vector<double> shares(p);
     if (opts.model == VgbModel::Functional) {
-      core::PartitionResult r = core::partition(models, elements, opts.policy);
+      core::PartitionResult r = core::partition(models, elements, policy);
       for (std::size_t i = 0; i < p; ++i)
         shares[i] = static_cast<double>(r.distribution.counts[i]);
+      if (chain_hints) {
+        // The baseline stays the last cold solve's iteration count (as in
+        // the server's hint store), so iterations_saved compares warm
+        // group solves with cold ones.
+        const int baseline = r.stats.warmstart == core::WarmStart::Hit
+                                 ? policy.hint->baseline_iterations
+                                 : r.stats.iterations;
+        core::PartitionHint& hint = policy.hint.emplace();
+        hint.slope = r.stats.final_slope;
+        hint.n = elements;
+        hint.fingerprint = compiled.fingerprint();
+        hint.baseline_iterations = baseline;
+      }
     } else {
       const double ref = static_cast<double>(opts.reference_n) *
                          static_cast<double>(opts.reference_n);

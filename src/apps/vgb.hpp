@@ -40,6 +40,9 @@ struct VgbOptions {
   std::int64_t reference_n = 2000;
   /// Partitioner for the per-group optimal-share solve under
   /// VgbModel::Functional (default: combined); SingleNumber ignores it.
+  /// Without a hint or an observer here, each group's solve warm-starts
+  /// from the previous group's (same distribution, fewer line solves); a
+  /// hint given here is used as is for every group.
   core::PartitionPolicy policy{};
 };
 

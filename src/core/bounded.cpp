@@ -55,6 +55,7 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
     result.stats.search_intersect_solves +=
         sub_result.stats.search_intersect_solves;
     result.stats.bracket_saturations += sub_result.stats.bracket_saturations;
+    result.stats.warm_probes += sub_result.stats.warm_probes;
     result.stats.final_slope = sub_result.stats.final_slope;
     result.stats.switched_to_modified |= sub_result.stats.switched_to_modified;
 

@@ -610,12 +610,19 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   return list;
 }
 
-std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds) {
+std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds,
+                                                bool* generic) {
   // The hash compile() folds during its own walk, without the pools:
   // classification only reads the objects (no allocations), so the
   // server's cache-hit path keys requests without compiling them.
   std::uint64_t h = hash_start(speeds.size());
-  for (const SpeedFunction* f : speeds) h = hash_entry(h, f, classify_entry(f));
+  bool any_generic = false;
+  for (const SpeedFunction* f : speeds) {
+    const Classified cl = classify_entry(f);
+    any_generic |= cl.family == Family::Generic;
+    h = hash_entry(h, f, cl);
+  }
+  if (generic != nullptr) *generic = any_generic;
   return h;
 }
 

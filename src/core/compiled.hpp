@@ -124,9 +124,11 @@ class CompiledSpeedList {
   /// identity. Each field's 64-bit pattern is folded as one word through a
   /// SplitMix64-style finalizer, so lists differing in exactly one field
   /// (including -0.0 vs 0.0) never hash equal. Generic entries hash their
-  /// object address instead (identity semantics), which is safe for
-  /// caching within one process but means two structurally equal unknown
-  /// subclasses never share a cache line.
+  /// object address instead (identity semantics): two structurally equal
+  /// unknown subclasses never hash equal, and a model freed and replaced
+  /// by another at the same address hashes the same, so a fingerprint
+  /// with a Generic entry must not key a result cache (the partition
+  /// server skips its cache for such lists).
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }
 
   /// The fingerprint `compile(speeds)` would produce, computed without
@@ -134,8 +136,11 @@ class CompiledSpeedList {
   /// This is the cache-key fast path of core/server.hpp: a cache hit needs
   /// only the key, so it must not pay for a full compilation. compile()
   /// folds the same per-entry hash inside its own classification walk, so
-  /// the two cannot diverge.
-  static std::uint64_t fingerprint_of(const SpeedList& speeds);
+  /// the two cannot diverge. When `generic` is given it receives whether
+  /// any entry was Generic — hashed by address, so the fingerprint names
+  /// the objects rather than their content (see fingerprint()).
+  static std::uint64_t fingerprint_of(const SpeedList& speeds,
+                                      bool* generic = nullptr);
 
  private:
   struct Entry {

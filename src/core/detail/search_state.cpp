@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "core/detail/speed_kernels.hpp"
 
@@ -10,17 +11,35 @@ namespace fpm::core::detail {
 
 namespace {
 
-// Warm-bracket tuning. The first probes straddle the hinted slope at
-// 1 ± ~2^-12 (≈0.02%) — tight enough that a near-exact hint leaves only a
-// handful of integers inside the bracket and the bisection finishes in a
-// few steps. Each side that fails to straddle n widens quartically in log
-// space (2^-12 → 2^-10 → 2^-8 → ...), so percent-level drift costs two or
-// three extra line solves and the abandon threshold (spread 16x) is
-// reached after seven widenings. The budget caps the line solves a garbage
-// hint can burn before the search falls back to the cold bracket.
-constexpr double kWarmInitialSpread = 1.0 + 0x1p-12;
-constexpr double kWarmMaxSpread = 16.0;
+// Warm-bracket tuning. The hinted slope, rescaled by old n / new n (sizes
+// scale roughly like 1/slope), is refined by up to kWarmSecantSteps secant
+// steps on g(c) = ln N(c) - ln n over ln c, N(c) being the total size on
+// the line of slope c. The hint's own (slope, n) is the first secant point;
+// when it coincides with the centre (same n) the first step assumes the
+// log-log elasticity E = d ln N / d ln c of constant speeds, -1. Steps stop
+// once |N - n| < kWarmSecantTolerance elements, and stay inside the slopes
+// already known to straddle n. The centre's own line is then one side of
+// the bracket; the other side is probed at relative distance
+// eta = 1 / (16 n |E|) beyond the secant's remaining miss — a line about
+// 1/16 of an element away in total, so a converged bracket usually falls
+// out after zero or one bisection steps. A probed line within
+// kWarmReuseElements of n on the far side is reused instead. A far probe
+// that lands on the near side widens 4x. Every probe must stay within
+// kWarmWindow of the rescaled centre, and the attempt within
+// kWarmProbeBudget line solves; otherwise the hint is stale and the search
+// runs the cold bracket. Measured elasticities are clamped to
+// [kWarmMinElasticity, kWarmMaxElasticity] in magnitude, so a flat or
+// stepped stretch of the curves cannot throw a step out of all proportion.
+constexpr int kWarmSecantSteps = 3;
+constexpr double kWarmSecantTolerance = 0.01;
+constexpr double kWarmStraddleElements = 1.0 / 16.0;
+constexpr double kWarmMinStraddle = 0x1p-50;  // a few ULPs of the slope
+constexpr double kWarmReuseElements = 1.0;
+constexpr double kWarmWiden = 4.0;
+constexpr double kWarmWindow = 16.0;
 constexpr int kWarmProbeBudget = 12;
+constexpr double kWarmMinElasticity = 1.0 / 64.0;
+constexpr double kWarmMaxElasticity = 64.0;
 
 }  // namespace
 
@@ -95,52 +114,95 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
   if (!std::isfinite(center) || center <= 0.0) return false;
 
   const double nd = static_cast<double>(n);
+  const double log_n = std::log(nd);
+  const double window_lo = center / kWarmWindow;
+  const double window_hi = center * kWarmWindow;
   int budget = kWarmProbeBudget;
-  const auto solve = [&](double slope, std::vector<double>& sizes) {
+
+  // The tightest probed line on each side of n: steep (total <= n, the
+  // smallest such slope) and shallow (total > n, the largest). 0 = none.
+  double steep = 0.0, shallow = 0.0;
+  double steep_total = 0.0, shallow_total = 0.0;
+  std::vector<double> steep_sizes, shallow_sizes, sizes;
+  // Solves one line and files it by side; returns its total, or NaN when
+  // the slope leaves the window, the budget is spent, or the total is
+  // degenerate — each of which makes the hint stale.
+  const auto probe = [&](double slope) {
+    constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
+    if (!(slope >= window_lo && slope <= window_hi) || budget == 0)
+      return kStale;
     sizes = compiled_ != nullptr ? sizes_at(*compiled_, slope, &counters_)
                                  : sizes_at(speeds_, slope);
     --budget;
+    ++warm_probes_;
     double total = 0.0;
     for (const double x : sizes) total += x;
+    if (!(total > 0.0) || !std::isfinite(total)) return kStale;
+    if (total <= nd) {
+      if (steep == 0.0 || slope < steep) {
+        steep = slope;
+        steep_total = total;
+        steep_sizes.swap(sizes);
+      }
+    } else if (slope > shallow) {
+      shallow = slope;
+      shallow_total = total;
+      shallow_sizes.swap(sizes);
+    }
     return total;
   };
 
-  // Steep side: need total <= n at hi. A good hint verifies on the first
-  // probe; otherwise widen until it does or the spread says the optimum
-  // moved too far for the hint to be worth anything.
-  double f_hi = kWarmInitialSpread;
-  double hi = center * f_hi;
-  std::vector<double> hi_sizes;
-  double hi_total = solve(hi, hi_sizes);
-  while (hi_total > nd && budget > 0) {
-    f_hi *= f_hi;
-    f_hi *= f_hi;
-    if (f_hi > kWarmMaxSpread) return false;
-    hi = center * f_hi;
-    if (!std::isfinite(hi)) return false;
-    hi_total = solve(hi, hi_sizes);
+  // Refine the centre. (c_prev, g_prev) starts as the hint's own line.
+  double c = center;
+  double total = probe(c);
+  if (std::isnan(total)) return false;
+  double g = std::log(total) - log_n;
+  double c_prev = hint.slope;
+  double g_prev =
+      hint.n > 0 ? std::log(static_cast<double>(hint.n)) - log_n : 0.0;
+  double elasticity = -1.0;
+  const auto measure_elasticity = [&] {
+    if (c == c_prev) return;
+    const double e = (g - g_prev) / std::log(c / c_prev);
+    if (std::isfinite(e) && e < 0.0)
+      elasticity = std::clamp(e, -kWarmMaxElasticity, -kWarmMinElasticity);
+  };
+  for (int step = 0; step < kWarmSecantSteps &&
+                     std::abs(total - nd) >= kWarmSecantTolerance;
+       ++step) {
+    measure_elasticity();
+    c_prev = c;
+    g_prev = g;
+    c *= std::exp(-g / elasticity);
+    // Safeguard: once both sides are known the root lies between them.
+    if (steep != 0.0 && shallow != 0.0 && !(c > shallow && c < steep))
+      c = std::sqrt(shallow * steep);
+    total = probe(c);
+    if (std::isnan(total)) return false;
+    g = std::log(total) - log_n;
   }
-  if (hi_total > nd) return false;
+  measure_elasticity();
 
-  // Shallow side: need total >= n at lo.
-  double f_lo = kWarmInitialSpread;
-  double lo = center / f_lo;
-  std::vector<double> lo_sizes;
-  double lo_total = solve(lo, lo_sizes);
-  while (lo_total < nd && budget > 0) {
-    f_lo *= f_lo;
-    f_lo *= f_lo;
-    if (f_lo > kWarmMaxSpread) return false;
-    lo = center / f_lo;
-    if (!(lo > 0.0)) return false;
-    lo_total = solve(lo, lo_sizes);
+  // Straddle: the centre is one side; find the other.
+  const bool centre_steep = total <= nd;
+  const double far = centre_steep ? shallow : steep;
+  const double far_total = centre_steep ? shallow_total : steep_total;
+  if (far == 0.0 || std::abs(far_total - nd) > kWarmReuseElements) {
+    const double eta = std::max(
+        kWarmStraddleElements / (nd * -elasticity), kWarmMinStraddle);
+    for (double delta = eta + std::abs(g / elasticity);; delta *= kWarmWiden) {
+      const double far_probe = probe(centre_steep ? c / (1.0 + delta)
+                                                  : c * (1.0 + delta));
+      if (std::isnan(far_probe)) return false;
+      if ((far_probe <= nd) != centre_steep) break;
+    }
   }
-  if (lo_total < nd) return false;
+  if (!(shallow > 0.0 && shallow < steep)) return false;
 
-  bracket_.lo_slope = lo;
-  bracket_.hi_slope = hi;
-  small_ = std::move(hi_sizes);
-  large_ = std::move(lo_sizes);
+  bracket_.lo_slope = shallow;
+  bracket_.hi_slope = steep;
+  small_ = std::move(steep_sizes);
+  large_ = std::move(shallow_sizes);
   return true;
 }
 

@@ -96,6 +96,9 @@ class SearchState {
 
   /// What the constructor did with the warm-start hint.
   WarmStart warmstart() const noexcept { return warmstart_; }
+  /// Line solves (sweeps over all p processors) the constructor spent on
+  /// the warm bracket, whether it was adopted or the hint went stale.
+  int warm_probes() const noexcept { return warm_probes_; }
 
   /// The counting views over the caller's speeds, for running follow-up
   /// solves (e.g. fine-tuning) under the same counters. Valid only while
@@ -148,9 +151,11 @@ class SearchState {
   /// (the attempted slope is logged; the bracket is unchanged).
   void degenerate_step(double slope);
 
-  /// Attempts to open a verified bracket around the hinted slope; on
-  /// success fills bracket_/small_/large_ and returns true. On failure the
-  /// members are untouched and the caller runs the cold detection.
+  /// Attempts to open a verified bracket around the hinted slope: refines
+  /// the (rescaled) hinted slope with a few secant steps on the total size,
+  /// then straddles n tightly around it. On success fills
+  /// bracket_/small_/large_ and returns true. On failure the members are
+  /// untouched (bar warm_probes_) and the caller runs the cold detection.
   bool try_warm_bracket(const PartitionHint& hint, std::int64_t n,
                         const SpeedList& original);
 
@@ -179,6 +184,7 @@ class SearchState {
   std::int64_t saturation_base_ = 0;  ///< tally snapshot at construction
   const SearchObserver* observer_ = nullptr;
   WarmStart warmstart_ = WarmStart::None;
+  int warm_probes_ = 0;
 };
 
 }  // namespace fpm::core::detail

@@ -65,6 +65,7 @@ PartitionResult partition_interpolation(const SpeedList& speeds,
   result.stats.intersect_solves = state.intersect_solves();
   result.stats.bracket_saturations = state.bracket_saturations();
   result.stats.warmstart = state.warmstart();
+  result.stats.warm_probes = state.warm_probes();
   if (result.stats.warmstart == WarmStart::Hit)
     result.stats.iterations_saved = std::max(
         0, opts.hint->baseline_iterations - result.stats.iterations);

@@ -47,13 +47,17 @@ struct Distribution {
 };
 
 /// A warm-start hint carried between successive solves of nearly identical
-/// problems (Rebalancer rounds, server near-miss traffic, mpp recovery):
-/// the previous solution's slope, the n it solved, and the models it was
-/// computed against. The search opens a tight verified bracket around the
-/// hinted slope instead of the Figure-18 cold bracket; a stale hint (wrong
-/// models, garbage slope, optimum too far away) falls back to the cold
-/// bracket. Either way the returned distribution is bit-identical to a cold
-/// run — the hint can only change how many solves the search spends.
+/// problems (Rebalancer rounds, server near-miss traffic, mpp recovery, the
+/// group solves of one VGB distribution): the previous solution's slope,
+/// the n it solved, and the models it was computed against. The search
+/// rescales the hinted slope to the new n, refines it with a few secant
+/// steps on the total size, and opens a tight verified bracket around it
+/// instead of the Figure-18 cold bracket; a near-miss typically costs about
+/// four line solves. A stale hint (wrong models, garbage slope, optimum
+/// more than 16x from the rescaled slope, or a 12-solve budget spent)
+/// falls back to the cold bracket. Either way the returned distribution is
+/// bit-identical to a cold run — the hint can only change how many solves
+/// the search spends.
 struct PartitionHint {
   /// PartitionStats::final_slope of the previous solve; must be a positive
   /// finite number to be usable.
@@ -107,6 +111,12 @@ struct PartitionStats {
   /// Iterations below the hint's baseline_iterations (>= 0; only meaningful
   /// on a WarmStart::Hit with a caller-supplied baseline).
   int iterations_saved = 0;
+  /// Line solves (sweeps over all p processors) spent opening the warm
+  /// bracket — the secant refinement and the straddle probes — whether the
+  /// hint was adopted or went stale. With a good hint nearly all of a warm
+  /// search's cost is here rather than in `iterations`, which is why
+  /// iterations_saved alone cannot show it.
+  int warm_probes = 0;
   /// The search-phase portion of speed_evals/intersect_solves: everything
   /// up to (excluding) the fine-tuning epilogue. Fine-tuning costs the same
   /// ~1.5p evaluations whether the search started cold or warm, so these

@@ -192,6 +192,7 @@ struct PartitionCounters {
   obs::Counter& warmstart_hits;
   obs::Counter& warmstart_iterations_saved;
   obs::Counter& warmstart_stale;
+  obs::Counter& warmstart_probes;
 };
 
 const PartitionCounters& partition_counters() {
@@ -208,7 +209,8 @@ const PartitionCounters& partition_counters() {
         reg.counter(obs::names::kPartitionBracketSaturations),
         reg.counter(obs::names::kPartitionWarmstartHits),
         reg.counter(obs::names::kPartitionWarmstartIterationsSaved),
-        reg.counter(obs::names::kPartitionWarmstartStale)};
+        reg.counter(obs::names::kPartitionWarmstartStale),
+        reg.counter(obs::names::kPartitionWarmstartProbes)};
   }();
   return counters;
 }
@@ -243,6 +245,8 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
   } else if (result.stats.warmstart == WarmStart::Stale) {
     counters.warmstart_stale.add(1);
   }
+  if (result.stats.warm_probes != 0)
+    counters.warmstart_probes.add(result.stats.warm_probes);
   return result;
 }
 

@@ -240,7 +240,7 @@ void PartitionServer::execute(QueuedJob job) {
   ServeResult outcome;
   try {
     outcome.result = serve(job.request.speeds, job.request.n,
-                           job.request.policy, job.fingerprint);
+                           job.request.policy, job.key);
   } catch (...) {
     // Engine rejections (unknown algorithm id, invalid policy) are caller
     // errors, not load: the request was admitted and the error surfaces
@@ -261,17 +261,16 @@ void PartitionServer::execute(QueuedJob job) {
 // ---------------------------------------------------------------------------
 
 std::optional<ServeResult> PartitionServer::try_degrade(
-    const BatchRequest& request, std::optional<std::uint64_t> fingerprint) {
+    const BatchRequest& request, std::optional<ModelKey> key) {
   if (request.speeds.empty() || request.n < 1) return std::nullopt;
   // Observers expect a real search (their callbacks must fire per step);
   // bounded policies carry capacity constraints a rescaled distribution
   // would silently violate. Both fall through to a plain shed.
   if (request.policy.observer) return std::nullopt;
   if (request.policy.algorithm == kAlgorithmBounded) return std::nullopt;
-  if (!fingerprint)
-    fingerprint = CompiledSpeedList::fingerprint_of(request.speeds);
+  if (!key) key = model_key(request.speeds);
   const std::optional<SlopeHint> prev =
-      lookup_degradation(*fingerprint, request.speeds.size());
+      lookup_degradation(key->fingerprint, request.speeds.size());
   if (!prev) return std::nullopt;
   std::optional<DegradedAnswer> answer =
       degraded_answer(request.speeds, request.n, prev->counts, prev->n);
@@ -286,10 +285,9 @@ std::optional<ServeResult> PartitionServer::try_degrade(
 
 ServeResult PartitionServer::resolve_shed(
     const BatchRequest& request, ShedReason reason,
-    std::optional<std::uint64_t> fingerprint) {
+    std::optional<ModelKey> key) {
   if (request.slo.allow_degraded) {
-    if (std::optional<ServeResult> degraded =
-            try_degrade(request, fingerprint)) {
+    if (std::optional<ServeResult> degraded = try_degrade(request, key)) {
       degraded->shed_reason = reason;  // what the approximation averted
       return *std::move(degraded);
     }
@@ -301,7 +299,7 @@ ServeResult PartitionServer::resolve_shed(
 }
 
 void PartitionServer::degrade_or_shed(QueuedJob&& job, ShedReason reason) {
-  ServeResult outcome = resolve_shed(job.request, reason, job.fingerprint);
+  ServeResult outcome = resolve_shed(job.request, reason, job.key);
   account(outcome, job.submitted, job.deadline, job.request.slo.priority);
   job.promise.set_value(std::move(outcome));
 }
@@ -454,9 +452,17 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
   return serve(speeds, n, policy, std::nullopt);
 }
 
-PartitionResult PartitionServer::serve(
-    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
-    std::optional<std::uint64_t> fingerprint) {
+PartitionServer::ModelKey PartitionServer::model_key(const SpeedList& speeds) {
+  bool generic = false;
+  const std::uint64_t fingerprint =
+      CompiledSpeedList::fingerprint_of(speeds, &generic);
+  return ModelKey{fingerprint, !generic};
+}
+
+PartitionResult PartitionServer::serve(const SpeedList& speeds,
+                                       std::int64_t n,
+                                       const PartitionPolicy& policy,
+                                       std::optional<ModelKey> key) {
   obs::TimerSpan span(metrics_.serve_latency);
   if (policy.observer) {
     // The observer is a side effect the caller expects on every call; a
@@ -466,23 +472,26 @@ PartitionResult PartitionServer::serve(
     metrics_.uncacheable.add(1);
     return partition(speeds, n, policy);
   }
-  if (cache_.capacity() == 0) {
-    // Caching disabled: still count the request (as uncacheable) so the
-    // hit-rate denominator hits + misses + uncacheable matches the request
-    // count, and still compile once so the engine skips its own pass. The
-    // slope hints are independent of result caching and stay live.
+  // Key via the allocation-free fingerprint (unless the caller already
+  // computed it): a hit must not pay for a compilation it will never use.
+  if (cache_.capacity() != 0 && !key) key = model_key(speeds);
+  if (cache_.capacity() == 0 || !key->cacheable) {
+    // Caching disabled, or a Generic entry whose address-based fingerprint
+    // a later model may reuse: still count the request (as uncacheable) so
+    // the hit-rate denominator hits + misses + uncacheable matches the
+    // request count, and still compile once so the engine skips its own
+    // pass. The slope hints are independent of result caching and stay
+    // live.
     uncacheable_.fetch_add(1, std::memory_order_relaxed);
     metrics_.uncacheable.add(1);
     const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
     PrecompiledGuard guard(speeds, compiled);
     return partition_with_hint(speeds, n, policy, compiled.fingerprint());
   }
-  // Key via the allocation-free fingerprint (unless the caller already
-  // computed it): a hit must not pay for a compilation it will never use.
-  if (!fingerprint) fingerprint = CompiledSpeedList::fingerprint_of(speeds);
-  const std::string key = PartitionCache::make_key(*fingerprint, n, policy);
+  const std::string cache_key =
+      PartitionCache::make_key(key->fingerprint, n, policy);
   PartitionResult result;
-  if (cache_.lookup(key, result)) {
+  if (cache_.lookup(cache_key, result)) {
     metrics_.hits.add(1);
     return result;
   }
@@ -494,9 +503,9 @@ PartitionResult PartitionServer::serve(
   const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
   {
     PrecompiledGuard guard(speeds, compiled);
-    result = partition_with_hint(speeds, n, policy, *fingerprint);
+    result = partition_with_hint(speeds, n, policy, key->fingerprint);
   }
-  if (cache_.insert(key, result)) metrics_.evictions.add(1);
+  if (cache_.insert(cache_key, result)) metrics_.evictions.add(1);
   return result;
 }
 
@@ -514,16 +523,16 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
   metrics_.slo_offered.add(1);
 
   BatchRequest request{speeds, n, policy, slo};
-  std::optional<std::uint64_t> fingerprint;
+  std::optional<ModelKey> key;
   if (slo.has_deadline()) {
     // A cache hit beats any deadline — probe before consulting the
     // estimate (peek: the miss will be re-counted by serve() if admitted).
     if (cache_.capacity() != 0 && !policy.observer) {
-      fingerprint = CompiledSpeedList::fingerprint_of(speeds);
-      const std::string key =
-          PartitionCache::make_key(*fingerprint, n, policy);
+      key = model_key(speeds);
       PartitionResult cached;
-      if (cache_.peek(key, cached)) {
+      if (key->cacheable &&
+          cache_.peek(PartitionCache::make_key(key->fingerprint, n, policy),
+                      cached)) {
         metrics_.hits.add(1);
         ServeResult outcome;
         outcome.status = ServeStatus::Ok;
@@ -535,8 +544,7 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
     const double predicted =
         estimator_.service_estimate(slo.priority) * admission_slack_;
     if (predicted > slo.deadline_s) {
-      ServeResult outcome =
-          resolve_shed(request, ShedReason::Admission, fingerprint);
+      ServeResult outcome = resolve_shed(request, ShedReason::Admission, key);
       account(outcome, submitted, deadline, slo.priority);
       return outcome;
     }
@@ -544,7 +552,7 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
   const Clock::time_point start = Clock::now();
   ServeResult outcome;
   try {
-    outcome.result = serve(speeds, n, policy, fingerprint);
+    outcome.result = serve(speeds, n, policy, key);
   } catch (...) {
     // Count the admitted request before the engine error propagates, so
     // offered == admitted + degraded + shed survives caller errors.
@@ -580,11 +588,13 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
   // the queue state. peek() so the miss is not double-counted (the worker's
   // serve() will count it).
   if (cache_.capacity() != 0 && !job.request.policy.observer) {
-    job.fingerprint = CompiledSpeedList::fingerprint_of(job.request.speeds);
-    const std::string key = PartitionCache::make_key(
-        *job.fingerprint, job.request.n, job.request.policy);
+    job.key = model_key(job.request.speeds);
     PartitionResult cached;
-    if (cache_.peek(key, cached)) {
+    if (job.key->cacheable &&
+        cache_.peek(PartitionCache::make_key(job.key->fingerprint,
+                                             job.request.n,
+                                             job.request.policy),
+                    cached)) {
       metrics_.hits.add(1);
       ServeResult outcome;
       outcome.status = ServeStatus::Ok;

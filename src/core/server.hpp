@@ -106,9 +106,11 @@ struct CacheStats {
   std::int64_t misses = 0;
   std::int64_t evictions = 0;
   /// Requests that bypassed the cache: observer-carrying policies (their
-  /// step-trace side effects must fire on every call) and every request
-  /// served with caching disabled (cache_capacity = 0). Counted so that
-  /// hits + misses + uncacheable always equals the serve() call count.
+  /// step-trace side effects must fire on every call), model lists with a
+  /// Generic entry (keyed by object address, which a later model may
+  /// reuse), and every request served with caching disabled
+  /// (cache_capacity = 0). Counted so that hits + misses + uncacheable
+  /// always equals the serve() call count.
   std::int64_t uncacheable = 0;
   std::size_t entries = 0;  ///< currently cached results
   /// Warm-start hint store occupancy and LRU evictions (bounded by
@@ -219,8 +221,11 @@ class PartitionServer {
   /// traffic: same models, nearby n — carry the remembered slope into the
   /// engine as a PartitionHint, which narrows the search without changing
   /// the distribution. Policies carrying an observer always compute cold
-  /// (their callbacks must fire) and are never cached; with caching
-  /// disabled every request counts as uncacheable but still warm-starts.
+  /// (their callbacks must fire) and are never cached. Model lists with a
+  /// Generic entry (a SpeedFunction subclass the compiled layer does not
+  /// know) are never cached either — their fingerprint is an object
+  /// address — but still warm-start, as does every request with caching
+  /// disabled; both count as uncacheable.
   /// Every call records its latency in the serve-latency histogram.
   /// No SLO semantics: never shed, never degraded, not in slo_stats().
   PartitionResult serve(const SpeedList& speeds, std::int64_t n,
@@ -284,33 +289,45 @@ class PartitionServer {
   /// victim: lowest priority, latest deadline, newest.
   using JobKey = std::tuple<int, Clock::time_point, std::uint64_t>;
 
+  /// A request's model identity. The fingerprint keys the hint store and
+  /// the result cache; `cacheable` is false when some entry is Generic (a
+  /// model type the compiled layer does not know), whose fingerprint is its
+  /// object address. A freed model's address can be reused by a different
+  /// one, so such a key must not return cached answers. Hints stay keyed
+  /// by it: the search verifies every hint.
+  struct ModelKey {
+    std::uint64_t fingerprint = 0;
+    bool cacheable = true;
+  };
+  static ModelKey model_key(const SpeedList& speeds);
+
   struct QueuedJob {
     BatchRequest request;
     std::promise<ServeResult> promise;
     Clock::time_point submitted{};
     Clock::time_point deadline{};  ///< time_point::max() when none
-    /// The request's model fingerprint, when submit() already computed it
-    /// for the cache peek; the worker and the degrade path reuse it.
-    std::optional<std::uint64_t> fingerprint{};
+    /// The request's model key, when submit() already computed it for the
+    /// cache peek; the worker and the degrade path reuse it.
+    std::optional<ModelKey> key{};
   };
 
-  /// serve() with the request's fingerprint when the caller already has it
+  /// serve() with the request's model key when the caller already has it
   /// (nullopt: computed here if needed). Every entry point lands here, so a
   /// request walks its model list for the key at most once.
   PartitionResult serve(const SpeedList& speeds, std::int64_t n,
                         const PartitionPolicy& policy,
-                        std::optional<std::uint64_t> fingerprint);
+                        std::optional<ModelKey> key);
 
   void worker_loop();
   void execute(QueuedJob job);
   /// Degraded (hint store permitting and slo.allow_degraded) or Shed
   /// outcome for a request that will not get a full solve; unaccounted.
   ServeResult resolve_shed(const BatchRequest& request, ShedReason reason,
-                           std::optional<std::uint64_t> fingerprint);
+                           std::optional<ModelKey> key);
   /// Builds a degraded answer for the request from the hint store; nullopt
   /// when no usable previous solution exists.
-  std::optional<ServeResult> try_degrade(
-      const BatchRequest& request, std::optional<std::uint64_t> fingerprint);
+  std::optional<ServeResult> try_degrade(const BatchRequest& request,
+                                         std::optional<ModelKey> key);
   /// resolve_shed + account + fulfil, for a job leaving the queue.
   void degrade_or_shed(QueuedJob&& job, ShedReason reason);
   /// Removes and returns every queued job (caller fulfils the promises).

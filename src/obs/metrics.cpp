@@ -295,7 +295,7 @@ MetricsRegistry& metrics() {
 }
 
 std::span<const MetricInfo> metric_catalogue() {
-  static constexpr std::array<MetricInfo, 37> kCatalogue{{
+  static constexpr std::array<MetricInfo, 38> kCatalogue{{
       {"partition.invocations.<algorithm>", "counter",
        "core::partition() calls per registry algorithm (the paper's "
        "basic/modified/combined family, Figs. 7-15)"},
@@ -339,6 +339,10 @@ std::span<const MetricInfo> metric_catalogue() {
       {names::kPartitionWarmstartIterationsSaved, "counter",
        "bisection iterations saved versus each hint's cold baseline — the "
        "O(log2 n) vs O(log2 delta) gap on drifting inputs"},
+      {names::kPartitionWarmstartProbes, "counter",
+       "line solves (sweeps over all p processors) spent opening warm "
+       "brackets — secant refinement plus straddle probes, adopted or "
+       "stale; probes + iterations is a warm search's sweep count"},
       {names::kServerServeLatency, "histogram",
        "PartitionServer::serve wall time per request (partition cost the "
        "paper bounds by O(p^2 log2 n), Fig. 21)"},

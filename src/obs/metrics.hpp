@@ -227,14 +227,17 @@ inline constexpr const char* kPartitionBatchSimdEntriesAvx512 =
     "partition.batch.simd_entries.avx512";
 inline constexpr const char* kPartitionBatchSimdEntriesNeon =
     "partition.batch.simd_entries.neon";
-// Warm-start layer (PartitionHint): verified-hint hits, rejected hints, and
-// the iterations saved versus each hint's cold baseline.
+// Warm-start layer (PartitionHint): verified-hint hits, rejected hints, the
+// iterations saved versus each hint's cold baseline, and the line solves
+// spent opening warm brackets (adopted or stale).
 inline constexpr const char* kPartitionWarmstartHits =
     "partition.warmstart.hits";
 inline constexpr const char* kPartitionWarmstartStale =
     "partition.warmstart.stale";
 inline constexpr const char* kPartitionWarmstartIterationsSaved =
     "partition.warmstart.iterations_saved";
+inline constexpr const char* kPartitionWarmstartProbes =
+    "partition.warmstart.probes";
 // core::PartitionServer (aggregated over every server in the process).
 inline constexpr const char* kServerServeLatency =
     "server.serve_latency_seconds";

@@ -11,8 +11,10 @@
 #include "apps/lu_app.hpp"
 #include "apps/striped_mm.hpp"
 #include "apps/vgb.hpp"
+#include "core/compiled.hpp"
 #include "helpers.hpp"
 #include "linalg/kernels.hpp"
+#include "obs/metrics.hpp"
 #include "simcluster/cluster.hpp"
 #include "simcluster/presets.hpp"
 
@@ -322,6 +324,10 @@ TEST(Vgb, CompileOnceMatchesColdPerGroupSolves) {
       {"table2-lu", lu.list()},
       {"mixed", mixed.list()},
       {"piecewise", piecewise.list()}};
+  obs::Counter& warm_hits =
+      obs::metrics().counter(obs::names::kPartitionWarmstartHits);
+  obs::Counter& warm_stale =
+      obs::metrics().counter(obs::names::kPartitionWarmstartStale);
   for (const auto& [name, models] : model_sets) {
     const auto p = static_cast<std::int64_t>(models.size());
     for (const std::int64_t n : {16000LL, 20011LL, 24576LL, 28999LL, 32000LL}) {
@@ -337,17 +343,47 @@ TEST(Vgb, CompileOnceMatchesColdPerGroupSolves) {
       core::PartitionPolicy modified;
       modified.algorithm = core::kAlgorithmModified;
       modified.options = core::ModifiedBisectionOptions{};
+      // A caller-supplied hint (with a fingerprint no model list has, so
+      // every group solve rejects it before solving a line) and an observer
+      // policy both switch the group-to-group hint chaining off.
+      core::PartitionPolicy hinted;
+      hinted.hint.emplace();
+      hinted.hint->slope = first.stats.final_slope;
+      hinted.hint->n = n * n;
+      hinted.hint->fingerprint =
+          core::CompiledSpeedList::fingerprint_of(models) ^ 1;
+      std::int64_t observed_steps = 0;
+      core::PartitionPolicy observed;
+      observed.observer = [&](const core::SearchStep&) { ++observed_steps; };
       for (const core::PartitionPolicy& policy :
-           {core::PartitionPolicy{}, modified, bounded}) {
+           {core::PartitionPolicy{}, modified, bounded, hinted, observed}) {
         VgbOptions opts;
         opts.block = 32;
         opts.policy = policy;
+        const std::int64_t hits0 = warm_hits.value();
+        const std::int64_t stale0 = warm_stale.value();
         const VgbDistribution got = variable_group_block(models, n, opts);
+        const std::int64_t hits = warm_hits.value() - hits0;
+        const std::int64_t stale = warm_stale.value() - stale0;
         const VgbDistribution want = cold_vgb(models, n, opts);
         EXPECT_EQ(got.group_sizes, want.group_sizes)
             << name << " n=" << n << " " << policy.algorithm;
         EXPECT_EQ(got.block_owner, want.block_owner)
             << name << " n=" << n << " " << policy.algorithm;
+        const auto groups = static_cast<std::int64_t>(got.group_sizes.size());
+        if (policy.hint) {
+          EXPECT_EQ(hits, 0) << name << " n=" << n;
+          EXPECT_EQ(stale, groups) << name << " n=" << n;
+        } else if (policy.observer) {
+          EXPECT_EQ(hits + stale, 0) << name << " n=" << n;
+          EXPECT_GT(observed_steps, 0) << name << " n=" << n;
+        } else if (policy.algorithm != core::kAlgorithmBounded) {
+          // Every group after the first warm-starts from its predecessor.
+          // (A bounded solve reports its last residual round's slope, which
+          // need not bracket the next group's optimum.)
+          EXPECT_EQ(hits, groups - 1) << name << " n=" << n << " "
+                                      << policy.algorithm;
+        }
       }
     }
   }

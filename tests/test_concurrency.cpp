@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -216,6 +217,55 @@ TEST(PartitionServer, DisabledCacheCountsEveryRequestAsUncacheable) {
   EXPECT_EQ(cs.uncacheable, kRequests);
   EXPECT_EQ(cs.entries, 0u);
   EXPECT_EQ(cs.hits + cs.misses + cs.uncacheable, kRequests);
+}
+
+TEST(PartitionServer, GenericModelsAtAReusedAddressAreNeverServedStale) {
+  // A user-defined SpeedFunction compiles to a Generic entry, fingerprinted
+  // by its address. Free it and construct a different model in the same
+  // storage: a cache keyed on that address would hand back the first
+  // model's answer. Such lists bypass the result cache on every entry
+  // point (and count as uncacheable); answers equal direct partition().
+  struct UserSpeed final : core::SpeedFunction {
+    explicit UserSpeed(double peak_speed) : peak(peak_speed) {}
+    double speed(double x) const override { return peak / (1.0 + x / 4e5); }
+    double max_size() const override { return 1e9; }
+    double peak;
+  };
+  constexpr std::int64_t kN = 500'009;
+  const test::Ensemble others = test::linear_ensemble(3);
+  alignas(UserSpeed) unsigned char storage[sizeof(UserSpeed)];
+  core::PartitionServer server({.threads = 1});
+
+  const UserSpeed* first = new (storage) UserSpeed(100.0);
+  core::SpeedList speeds = others.list();
+  speeds.push_back(first);
+  const core::PartitionResult served_first = server.serve(speeds, kN);
+  EXPECT_EQ(served_first.distribution.counts,
+            core::partition(speeds, kN).distribution.counts);
+  first->~UserSpeed();
+
+  const UserSpeed* second = new (storage) UserSpeed(300.0);
+  ASSERT_EQ(static_cast<const void*>(second),
+            static_cast<const void*>(first));
+  speeds.back() = second;
+  const core::PartitionResult direct = core::partition(speeds, kN);
+  ASSERT_NE(direct.distribution.counts, served_first.distribution.counts);
+  EXPECT_EQ(server.serve(speeds, kN).distribution.counts,
+            direct.distribution.counts);
+  EXPECT_EQ(server.submit({speeds, kN, {}, {}}).get().result.distribution
+                .counts,
+            direct.distribution.counts);
+  core::Slo slo;
+  slo.deadline_s = 10.0;
+  EXPECT_EQ(server.serve_slo(speeds, kN, {}, slo).result.distribution.counts,
+            direct.distribution.counts);
+  second->~UserSpeed();
+
+  const core::CacheStats cs = server.cache_stats();
+  EXPECT_EQ(cs.hits, 0);
+  EXPECT_EQ(cs.misses, 0);
+  EXPECT_EQ(cs.uncacheable, 4);
+  EXPECT_EQ(cs.entries, 0u);
 }
 
 TEST(PartitionServer, ServeReportsIntoTheMetricsRegistry) {

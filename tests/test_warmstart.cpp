@@ -15,10 +15,12 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/compiled.hpp"
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "core/server.hpp"
 #include "helpers.hpp"
@@ -137,6 +139,98 @@ TEST(WarmStart, WrongHintsNeverChangeTheAnswer) {
   }
 }
 
+TEST(WarmStart, SecantStepLeavingTheWindowIsStale) {
+  // A hint whose slope is off by more than the 16x window: the first probe
+  // (the centre itself) lies inside the window, the secant step towards the
+  // optimum does not, and that step alone makes the hint stale — one probe
+  // spent, then the cold bracket. The same offsets inside the window are
+  // walked back to the optimum and adopted.
+  constexpr std::int64_t kN = 750'011;
+  const Ensemble e = fpm::test::mixed_ensemble();
+  const SpeedList speeds = e.list();
+  const std::uint64_t fp = CompiledSpeedList::fingerprint_of(speeds);
+  for (const std::string& id : partitioner_registry().ids()) {
+    PartitionPolicy cold_policy;
+    cold_policy.algorithm = id;
+    const PartitionResult cold = partition(speeds, kN, cold_policy);
+    for (const double factor : {20.0, 1.0 / 20.0, 4.0, 1.0 / 4.0}) {
+      PartitionHint hint;
+      hint.slope = cold.stats.final_slope * factor;
+      hint.n = kN;
+      hint.fingerprint = fp;
+      PartitionPolicy warm_policy = cold_policy;
+      warm_policy.hint = hint;
+      const PartitionResult warm = partition(speeds, kN, warm_policy);
+      EXPECT_EQ(warm.distribution.counts, cold.distribution.counts)
+          << id << " x" << factor;
+      const bool outside = factor > 16.0 || factor < 1.0 / 16.0;
+      EXPECT_EQ(warm.stats.warmstart,
+                outside ? WarmStart::Stale : WarmStart::Hit)
+          << id << " x" << factor;
+      if (outside) {
+        EXPECT_EQ(warm.stats.warm_probes, 1) << id << " x" << factor;
+      }
+    }
+  }
+}
+
+TEST(WarmStart, ServedTrafficShapeHitsBitIdenticallyAndCheaply) {
+  // The served near-miss shape: p = 64 synthetic fleets, each request
+  // hinted with its fleet's previous solve (slope, n, fingerprint), n
+  // drifting by -25% .. +100% from one request to the next (+100% is the
+  // step between a cache-hit workload's problem sizes). Every registry
+  // algorithm must answer bit-identically to a cold solve and adopt the
+  // hint; hinted combined searches must average at most 8 line sweeps
+  // (search_intersect_solves / p).
+  constexpr std::size_t kP = 64;
+  constexpr int kRequests = 24;
+  double combined_sweeps = 0.0;
+  int combined_solves = 0;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const SyntheticFleet fleet = make_synthetic_fleet(kP, 2004 + k);
+    const SpeedList speeds = fleet.list();
+    const std::uint64_t fp = CompiledSpeedList::fingerprint_of(speeds);
+    const auto base = static_cast<std::int64_t>(1'000'000 + 7919 * k);
+    std::mt19937_64 rng(k);
+    std::vector<std::int64_t> ns{base};
+    for (int r = 1; r < kRequests; ++r) {
+      // Drift uniformly in [-25%, +100%], downwards only once n has grown
+      // past 4x the base, so n stays within [base/4, 8 base].
+      const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+      const double drift =
+          ns.back() > 4 * base ? -0.25 * u : -0.25 + 1.25 * u;
+      ns.push_back(static_cast<std::int64_t>(
+          std::llround(static_cast<double>(ns.back()) * (1.0 + drift))));
+    }
+    for (const std::string& id : partitioner_registry().ids()) {
+      PartitionPolicy cold_policy;
+      cold_policy.algorithm = id;
+      PartitionResult prev = partition(speeds, ns[0], cold_policy);
+      for (int r = 1; r < kRequests; ++r) {
+        const std::int64_t n = ns[static_cast<std::size_t>(r)];
+        PartitionPolicy warm_policy = cold_policy;
+        warm_policy.hint = hint_from(prev, ns[static_cast<std::size_t>(r - 1)],
+                                     fp);
+        const PartitionResult warm = partition(speeds, n, warm_policy);
+        const PartitionResult cold = partition(speeds, n, cold_policy);
+        EXPECT_EQ(warm.distribution.counts, cold.distribution.counts)
+            << "fleet " << k << " " << id << " n=" << n;
+        EXPECT_EQ(warm.stats.warmstart, WarmStart::Hit)
+            << "fleet " << k << " " << id << " n=" << n;
+        if (id == kAlgorithmCombined) {
+          combined_sweeps += static_cast<double>(
+                                 warm.stats.search_intersect_solves) /
+                             static_cast<double>(kP);
+          ++combined_solves;
+        }
+        prev = warm;
+      }
+    }
+  }
+  ASSERT_GT(combined_solves, 0);
+  EXPECT_LE(combined_sweeps / combined_solves, 8.0);
+}
+
 TEST(WarmStart, GoodHintHitsAndCostsNoMoreEvals) {
   constexpr std::int64_t kN = 900'007;
   for (const Ensemble& e : hint_ensembles(6)) {
@@ -174,19 +268,27 @@ TEST(WarmStart, MetricsClassifyHitsAndStaleness) {
   auto& stale = obs::metrics().counter(obs::names::kPartitionWarmstartStale);
   auto& saved =
       obs::metrics().counter(obs::names::kPartitionWarmstartIterationsSaved);
+  auto& probes = obs::metrics().counter(obs::names::kPartitionWarmstartProbes);
 
   const PartitionResult cold = partition(speeds, kN);
+  EXPECT_EQ(cold.stats.warm_probes, 0);
   PartitionPolicy good;
   good.hint = hint_from(cold, kN, fp);
   const std::int64_t hits0 = hits.value();
   const std::int64_t stale0 = stale.value();
   const std::int64_t saved0 = saved.value();
+  const std::int64_t probes0 = probes.value();
   const PartitionResult warm = partition(speeds, kN + 17, good);
   EXPECT_EQ(warm.stats.warmstart, WarmStart::Hit);
   EXPECT_EQ(hits.value(), hits0 + 1);
   EXPECT_EQ(stale.value(), stale0);
   EXPECT_EQ(saved.value(), saved0 + warm.stats.iterations_saved);
+  // At least the centre and one straddle line; within the 12-solve budget.
+  EXPECT_GE(warm.stats.warm_probes, 2);
+  EXPECT_LE(warm.stats.warm_probes, 12);
+  EXPECT_EQ(probes.value(), probes0 + warm.stats.warm_probes);
 
+  // A fingerprint mismatch is rejected before any line is solved.
   PartitionPolicy bad = good;
   bad.hint->fingerprint = fp ^ 1;
   const PartitionResult stale_run = partition(speeds, kN + 17, bad);
@@ -194,6 +296,8 @@ TEST(WarmStart, MetricsClassifyHitsAndStaleness) {
   EXPECT_EQ(stale.value(), stale0 + 1);
   EXPECT_EQ(hits.value(), hits0 + 1);
   EXPECT_EQ(stale_run.distribution.counts, warm.distribution.counts);
+  EXPECT_EQ(stale_run.stats.warm_probes, 0);
+  EXPECT_EQ(probes.value(), probes0 + warm.stats.warm_probes);
 }
 
 TEST(WarmStart, ServerWarmStartsNearMissTraffic) {
