@@ -27,7 +27,10 @@
 //      agreement at the oracle's final slope within a 1e-12 relative
 //      tolerance, and a makespan within 1e-9 of the oracle's (fine-tune
 //      optimality carries over even when few-ULP slope differences break
-//      element-wise ties differently).
+//      element-wise ties differently),
+//  (f) the stepped lane (safeguarded Newton) is < 15x the per-entry scalar
+//      bisection on a stepped-only fleet at p = 4096 (same skip rule as
+//      (a)).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -46,6 +49,7 @@
 #include "core/detail/simd.hpp"
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
+#include "obs/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -67,6 +71,18 @@ core::FleetMix closed_form_mix() {
   mix.exp_decay = 0.40;
   mix.piecewise = 0.0;
   mix.stepped = 0.0;
+  return mix;
+}
+
+/// Stepped-only mix for the stepped-lane row. closed_form_mix() leaves
+/// stepped out on purpose: the stepped lane is an iterative solve costing
+/// several closed-form entries each, so a few stepped draws would move the
+/// closed-form speedups the other gates measure. It is measured on its own.
+core::FleetMix stepped_mix() {
+  core::FleetMix mix;
+  mix.constant = mix.linear_decay = mix.power_decay = mix.exp_decay = 0.0;
+  mix.piecewise = 0.0;
+  mix.stepped = 1.0;
   return mix;
 }
 
@@ -114,6 +130,55 @@ double measure_speedup(std::size_t p) {
     t_scalar = sweep_seconds(c, slopes, out, 5);
   }
   return t_scalar / t_simd;
+}
+
+struct SteppedRow {
+  std::size_t p = 0;
+  double speedup = 0.0;     ///< per-entry scalar time / vector lane time
+  double simd_ns = 0.0;     ///< vector lane, per entry and line
+  double scalar_ns = 0.0;   ///< per-entry scalar bisection, same unit
+  double punt_share = 0.0;  ///< entries the lane handed back to scalar
+};
+
+/// The stepped lane against the per-entry scalar bisection (scalar mode)
+/// on a stepped-only fleet: 64 lines within a factor sqrt(2) of the final
+/// slope of a solve at n = 1e4 per machine, small enough that nearly every
+/// crossing falls inside max_size (the lane punts the rest to the scalar
+/// bisection; punt_share reports how many).
+SteppedRow measure_stepped(std::size_t p) {
+  const core::SyntheticFleet fleet =
+      core::make_synthetic_fleet(p, kSeed, stepped_mix());
+  const core::SpeedList list = fleet.list();
+  const auto c = core::CompiledSpeedList::compile(list);
+  const double slope =
+      core::partition(list, 10'000 * static_cast<std::int64_t>(p))
+          .stats.final_slope;
+  std::vector<double> slopes;
+  for (int i = 0; i < 64; ++i)
+    slopes.push_back(slope * std::pow(2.0, i / 63.0 - 0.5));
+  std::vector<double> out(p);
+  SteppedRow row;
+  row.p = p;
+  double t_simd = 0.0, t_scalar = 0.0;
+  {
+    SimdToggle on(true);
+    obs::Counter& scalar_entries = obs::metrics().counter(
+        obs::names::kPartitionBatchScalarEntries);
+    const std::int64_t before = scalar_entries.value();
+    constexpr int kReps = 9;  // the vector side is short and noise-prone
+    t_simd = sweep_seconds(c, slopes, out, kReps);
+    row.punt_share = static_cast<double>(scalar_entries.value() - before) /
+                     static_cast<double>(kReps * slopes.size() * p);
+  }
+  {
+    SimdToggle off(false);
+    t_scalar = sweep_seconds(c, slopes, out, 3);
+  }
+  const double per = 1e9 / static_cast<double>(slopes.size() * p);
+  row.speedup = t_scalar / t_simd;
+  row.simd_ns = t_simd * per;
+  row.scalar_ns = t_scalar * per;
+  return row;
 }
 
 /// Per-backend vector-over-scalar speedup on one closed-form-heavy fleet.
@@ -455,6 +520,29 @@ int main(int argc, char** argv) {
   }
   bench::emit(t_epi);
 
+  // --- Stepped lane vs the per-entry scalar bisection. -----------------
+  std::vector<SteppedRow> stepped_rows;
+  util::Table t_stepped(
+      "stepped lane vs per-entry scalar (stepped-only fleets, n = 1e4 p)",
+      {"p", "simd ns/entry", "scalar ns/entry", "speedup", "punts", "gate"});
+  for (const std::size_t p : {std::size_t{64}, std::size_t{4096}}) {
+    stepped_rows.push_back(measure_stepped(p));
+    const SteppedRow& r = stepped_rows.back();
+    const bool gated = available && p == 4096;
+    const bool pass = !gated || r.speedup >= 15.0;
+    t_stepped.add_row(
+        {util::fmt(static_cast<std::int64_t>(p)), util::fmt(r.simd_ns, 1),
+         util::fmt(r.scalar_ns, 1), util::fmt(r.speedup, 2) + "x",
+         util::fmt(100.0 * r.punt_share, 2) + "%",
+         !gated ? "-" : (pass ? "pass (>= 15x)" : "FAIL (< 15x)")});
+    if (!pass) {
+      std::cerr << "GATE FAIL: stepped lane " << util::fmt(r.speedup, 2)
+                << "x < 15x at p = " << p << "\n";
+      ok = false;
+    }
+  }
+  bench::emit(t_stepped);
+
   // --- Per-p solve trajectory (the BENCH_solve.json sweep). ------------
   util::Table t_sweep("single-solve scaling sweep (n = " + util::fmt(kN) +
                           ")",
@@ -521,6 +609,16 @@ int main(int argc, char** argv) {
        << core::to_string(core::active_simd_backend())
        << "\", \"simd_speedup\": " << util::fmt(min_speedup, 6)
        << ", \"epilogue_speedup\": " << util::fmt(min_epilogue, 6) << ",\n"
+       << "   \"stepped\": [\n";
+  for (std::size_t i = 0; i < stepped_rows.size(); ++i) {
+    const SteppedRow& r = stepped_rows[i];
+    json << "    {\"p\": " << r.p << ", \"speedup\": " << util::fmt(r.speedup, 6)
+         << ", \"simd_ns\": " << util::fmt(r.simd_ns, 3)
+         << ", \"scalar_ns\": " << util::fmt(r.scalar_ns, 3)
+         << ", \"punt_share\": " << util::fmt(r.punt_share, 6) << "}"
+         << (i + 1 < stepped_rows.size() ? ", " : "") << "\n";
+  }
+  json << "  ],\n"
        << "   \"backends\": [\n";
   for (std::size_t i = 0; i < backend_rows.size(); ++i) {
     const BackendSpeedup& b = backend_rows[i];

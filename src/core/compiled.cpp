@@ -475,7 +475,7 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   list.fingerprint_ = h;
   // Batch plan for intersect_all(): group the unwrapped closed-form
   // families into SoA parameter lanes, vetted unwrapped Unimodal/Stepped
-  // entries into the bisection lanes; everything else (wrapped entries,
+  // entries into the iterative lanes; everything else (wrapped entries,
   // irregular pool-backed entries, Piecewise, Generic) keeps the per-entry
   // dispatch. Vetting admits only parameters squarely inside the vector
   // kernels' vexp/vlog domains — anything exotic (non-normal scales,
@@ -770,7 +770,7 @@ double CompiledSpeedList::intersect(std::size_t i, double slope) const {
 }
 
 /// One batch task of intersect_all: a closed-form lane (lane 0..3, with its
-/// BatchLane), a bisection lane (4=unimodal with its BatchLane, 5=stepped
+/// BatchLane), an iterative lane (4=unimodal with its BatchLane, 5=stepped
 /// with the SteppedLane) or the per-entry fallback list (lane 6). `count`
 /// is the real (unpadded) element count; chunks address element ranges.
 struct CompiledSpeedList::LaneSweep {
@@ -824,7 +824,7 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
   }
   const std::size_t m = end - begin;
   if (sweep.lane >= 4) {
-    // Bisection lanes. These families have no scalar *batch* kernel, so
+    // Iterative lanes. These families have no scalar *batch* kernel, so
     // scalar mode is the per-entry generic bisection — bit-identical to
     // the pre-lane behaviour, where these entries sat in batch_other_.
     const std::vector<std::uint32_t>& idx =
@@ -856,9 +856,10 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
     for (std::size_t j = 0; j < m; ++j) {
       double x = block[j];
       if (std::isnan(x)) {
-        // Crossing at/beyond max_size: rerun the scalar bisection so the
-        // bracket expansion and its saturation tally happen exactly as on
-        // the per-entry path.
+        // Crossing at/beyond max_size (or a stepped lane past its
+        // iteration cap): rerun the scalar bisection so the bracket
+        // expansion and its saturation tally happen exactly as on the
+        // per-entry path.
         x = entry_intersect(entries_[idx[begin + j]], slope);
         ++scalar_fixups;
       }
@@ -1047,10 +1048,13 @@ void CompiledSpeedList::speed_all(std::span<const double> xs,
   const auto scalar_lane = [&](const std::vector<std::uint32_t>& idx) {
     for (const std::uint32_t i : idx) out[i] = entry_speed(entries_[i], xs[i]);
   };
-  // Constant/linear/bisection-lane entries are cheap per-entry scalar
-  // evaluations (a select, a division, a couple of multiplies); the libm
-  // pow/exp of the power/exp lanes is where the sweep's time goes, so those
-  // two lanes take the vector speed kernels when a backend is active.
+  // Constant/linear entries are cheap per-entry scalar evaluations (a
+  // select, a division, a couple of multiplies). Unimodal and stepped
+  // entries are not cheap — a libm pow, or up to kMaxVecSteps libm tanh
+  // calls — but they are rare in the fleets measured so far, so they stay
+  // scalar too; the libm pow/exp of the power/exp lanes is where the
+  // sweep's time goes, so those two lanes take the vector speed kernels
+  // when a backend is active.
   scalar_lane(lane_constant_.idx);
   scalar_lane(lane_linear_.idx);
   scalar_lane(lane_unimodal_.idx);

@@ -97,8 +97,9 @@ class CompiledSpeedList {
   /// must equal size(). With set_simd_kernels(false) (or FPM_SIMD=OFF)
   /// this is bit-identical to calling intersect(i, slope) per entry;
   /// with SIMD on, Constant/LinearDecay lanes and the piecewise scan stay
-  /// bit-identical while PowerDecay/ExpDecay roots and the Unimodal/
-  /// Stepped bisections may differ by a few ULP (decision boundaries are
+  /// bit-identical while PowerDecay/ExpDecay roots, the Unimodal
+  /// bisection and the Stepped Newton solve may differ by a few ULP from
+  /// the scalar bisection's fixpoint (decision boundaries are
   /// punted to the exact scalar kernels — see SimdBackend below and
   /// docs/performance.md).
   void intersect_all(double slope, std::span<double> out) const;
@@ -211,7 +212,7 @@ class CompiledSpeedList {
 
   std::vector<Entry> entries_;
   // Batch plan for intersect_all(), grouped at compile time: one lane per
-  // closed-form family (unwrapped entries only), bisection lanes for the
+  // closed-form family (unwrapped entries only), iterative lanes for the
   // vetted unimodal/stepped entries, and an index list for everything else.
   BatchLane lane_constant_;
   BatchLane lane_linear_;

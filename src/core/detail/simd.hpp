@@ -3,9 +3,9 @@
 //
 // The scalar batch kernels in speed_kernels.hpp walk one lane entry at a
 // time; at p in the thousands the per-line candidate evaluation is the whole
-// solve, so the closed-form lanes, the unimodal/stepped bisection lanes, the
-// fine-tune speed sweep, and the piecewise segment scan get a vector path
-// here. The implementation uses GCC/Clang vector extensions
+// solve, so the closed-form lanes, the unimodal bisection lane, the stepped
+// Newton lane, the fine-tune speed sweep, and the piecewise segment scan get
+// a vector path here. The implementation uses GCC/Clang vector extensions
 // (double __attribute__((vector_size(8·W)))) rather than raw intrinsics or
 // std::experimental::simd: one kernel body (simd_kernels.inc) is compiled
 // once per code-generation variant — portable 4-wide (SSE2, or NEON on
@@ -17,17 +17,21 @@
 // Numerics contract (identical on every backend): the constant and
 // linear-decay kernels are pure rational arithmetic evaluated in the same
 // order as the scalar kernels and are bit-identical to them. The power/exp
-// intersect kernels, the unimodal/stepped bisection kernels, and the
-// power/exp speed kernels replace libm exp/log/pow/tanh with W-wide
-// polynomial implementations (vexp_/vlog_ in the .inc) that agree with libm
-// to a few ULPs but not bitwise; they are gated by the toleranced-
-// equivalence tests in tests/test_simd.cpp, and any lane whose result could
-// be *decision*-sensitive to those ULPs — near exp-decay's underflow floor,
+// intersect kernels, the unimodal bisection kernel, and the power/exp speed
+// kernels replace libm exp/log/pow/tanh with W-wide polynomial
+// implementations (vexp/vlog in the .inc) that agree with libm to a few
+// ULPs but not bitwise. The stepped kernel solves the same equation as the
+// scalar bisection by a safeguarded Newton iteration instead (~4 iterations
+// against ~60) and lands within a few ULPs of the bisection's fixpoint. All
+// of them are gated by the toleranced-equivalence tests in
+// tests/test_simd.cpp, and any lane whose result could be
+// *decision*-sensitive to those ULPs — near exp-decay's underflow floor,
 // near power-decay's 2^256 delegation threshold, outside the vexp clamp
 // range, non-normal inputs, or a unimodal/stepped crossing beyond max_size
 // (where the scalar bracket expansion and its saturation tally must run) —
-// is punted back to the scalar kernel by writing a NaN sentinel that the
-// caller resolves (see scalar-fixup handling in compiled.cpp).
+// or that misses its iteration cap is punted back to the scalar kernel by
+// writing a NaN sentinel that the caller resolves (see scalar-fixup
+// handling in compiled.cpp).
 // set_simd_kernels(false) (declared in core/compiled.hpp) restores the
 // bit-exact scalar batch path process-wide.
 #pragma once
@@ -84,11 +88,13 @@ struct SimdKernels {
   void (*unimodal_batch)(const double* a, const double* b, const double* c,
                          const double* d, const double* e, const double* f,
                          std::size_t m, double slope, double* res);
-  /// Stepped intersect by W-wide bisection. `a`=s0 and `f`=max_size are
+  /// Stepped intersect by W-wide safeguarded Newton in ln x, started from
+  /// the plateau crossings (see the .inc). `a`=s0 and `f`=max_size are
   /// per-entry columns; `at`/`ratio`/`width_col` are slot-major slabs of
   /// `nslots` columns with `stride` doubles between slots (slot s of entry
   /// j lives at [s·stride + j]); unused slots are padded to the identity
-  /// step (at=+inf, ratio=1, width=1). Same beyond-max_size punt rule.
+  /// step (at=+inf, ratio=1, width=1). Same beyond-max_size punt rule as
+  /// the unimodal lane; lanes not converged after 16 iterations punt too.
   void (*stepped_batch)(const double* a, const double* f, const double* at,
                         const double* ratio, const double* width_col,
                         std::size_t m, std::size_t stride, std::size_t nslots,

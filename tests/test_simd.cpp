@@ -9,8 +9,11 @@
 //    1e-280 underflow floor plateau, power-decay's beyond-2^256 delegation
 //    to generic_intersect (and its bracket-saturation tally), piecewise
 //    tail intersects across rising / flat / falling final segments,
+//  * the stepped Newton lane on plateau, sharp-transition and near-max_size
+//    crossings, with punts limited to beyond-max_size crossings,
 //  * the registry-wide equivalence gate (exact sum to n, makespan within
-//    fine-tune tolerance) for every algorithm with SIMD on,
+//    fine-tune tolerance) for every algorithm with SIMD on, and identical
+//    distributions on the benchmark's fleets,
 //  * the O(p)-parallel intersect_all path and the synthetic fleet
 //    generator's determinism.
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include "core/detail/search_state.hpp"
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
+#include "obs/metrics.hpp"
 
 namespace fpm {
 namespace {
@@ -396,10 +400,11 @@ TEST(Simd, EveryCompiledBackendMatchesScalarOracle) {
 }
 
 TEST(Simd, UnimodalAndSteppedLanesMatchOracleOnEveryBackend) {
-  // A fleet made purely of the new bisection lanes: 24 unimodal curves, 24
-  // stepped curves with 1..4 steps, plus one stepped curve with more steps
-  // than kMaxVecSteps (compile-time punt to the per-entry path). Shallow
-  // slopes push some crossings to max_size, exercising the runtime punt.
+  // A fleet made purely of the iterative lanes (unimodal bisection, stepped
+  // Newton): 24 unimodal curves, 24 stepped curves with 1..4 steps, plus
+  // one stepped curve with more steps than kMaxVecSteps (compile-time punt
+  // to the per-entry path). Shallow slopes push some crossings to
+  // max_size, exercising the runtime punt.
   std::vector<std::shared_ptr<const core::SpeedFunction>> owned;
   for (int i = 0; i < 24; ++i)
     owned.push_back(std::make_shared<core::UnimodalSpeed>(
@@ -452,6 +457,189 @@ TEST(Simd, UnimodalAndSteppedLanesMatchOracleOnEveryBackend) {
     EXPECT_GT(tally, before) << "saturating brackets must be tallied";
     for (std::size_t i = 0; i < list.size(); ++i)
       EXPECT_EQ(xs[i], list[i]->intersect(1e-300)) << "entry " << i;
+  }
+}
+
+/// Entries the last intersect_all sweeps handed to an exact scalar kernel.
+std::int64_t scalar_entries() {
+  return obs::metrics()
+      .counter(obs::names::kPartitionBatchScalarEntries)
+      .value();
+}
+
+/// Whether the stepped lane must punt `f` at `slope`: the line is not
+/// clearly above the curve at max_size (the kernel's 1e-10 margin), so the
+/// crossing needs the scalar bracket expansion.
+bool beyond_max_size(const core::SpeedFunction& f, double slope) {
+  const double b = f.max_size();
+  return !(f.speed(b) * (1.0 + 1e-10) < slope * b);
+}
+
+/// Runs intersect_all at each slope on every runnable backend: lanes that
+/// must punt equal the per-entry scalar answer exactly, every other lane is
+/// within kUlpTolerance of it, and the lane punts nothing else — the
+/// partition.batch.scalar_entries delta counts the punts, so a lane that
+/// failed to converge shows up there.
+void expect_stepped_lane_matches_oracle(const CompiledSpeedList& c,
+                                        const core::SpeedList& list,
+                                        const std::vector<double>& slopes) {
+  ASSERT_EQ(c.batched_entries(), list.size());  // everything rides the lane
+  std::vector<std::vector<double>> oracle(slopes.size());
+  std::vector<std::int64_t> punts(slopes.size(), 0);
+  {
+    SimdToggle off(false);
+    for (std::size_t s = 0; s < slopes.size(); ++s) {
+      oracle[s].resize(list.size());
+      c.intersect_all(slopes[s], oracle[s]);
+      for (const core::SpeedFunction* f : list)
+        punts[s] += beyond_max_size(*f, slopes[s]);
+    }
+  }
+  std::vector<double> xs(list.size());
+  BackendGuard restore;
+  for (const auto* k : runnable_variants()) {
+    SCOPED_TRACE(k->name);
+    core::force_simd_backend(k->name);
+    for (std::size_t s = 0; s < slopes.size(); ++s) {
+      const std::int64_t before = scalar_entries();
+      c.intersect_all(slopes[s], xs);
+      EXPECT_EQ(scalar_entries() - before, punts[s]) << "slope " << slopes[s];
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        if (beyond_max_size(*list[i], slopes[s]))
+          EXPECT_EQ(xs[i], oracle[s][i])
+              << "entry " << i << " slope " << slopes[s];
+        else
+          EXPECT_LE(rel_diff(xs[i], oracle[s][i]), kUlpTolerance)
+              << "entry " << i << " slope " << slopes[s];
+      }
+    }
+  }
+}
+
+TEST(Simd, SteppedLaneSolvesPlateauTransitionAndMaxSizeCrossings) {
+  // Stepped curves shaped like make_synthetic_fleet's (log-uniform s0 and
+  // capacity, plateaus falling by 0.1-0.5x per step) over the lane's whole
+  // range: 1..8 steps, width/at log-uniform over [0.005, 0.5].
+  std::uint64_t state = 0x2545f4914f6cdd1dull;
+  const auto rnd = [&state] {  // uniform in [0, 1)
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  const auto log_uniform = [&rnd](double lo, double hi) {
+    return lo * std::pow(hi / lo, rnd());
+  };
+  std::vector<std::shared_ptr<const core::SteppedSpeed>> owned;
+  for (int nsteps = 1; nsteps <= 8; ++nsteps) {
+    for (int curve = 0; curve < 8; ++curve) {
+      const double s0 = log_uniform(50.0, 5000.0);
+      const double cap = log_uniform(1e6, 1e9);
+      std::vector<core::SteppedSpeed::Step> steps;
+      double level = s0;
+      for (int j = 0; j < nsteps; ++j) {
+        // One centre per log-spaced slice of [1e-4, 0.5]·cap keeps the
+        // steps ordered.
+        const double at =
+            cap * 1e-4 * std::pow(5000.0, (j + 0.1 + 0.8 * rnd()) / nsteps);
+        level *= 0.1 + 0.4 * rnd();
+        steps.push_back({at, level, at * log_uniform(0.005, 0.5)});
+      }
+      owned.push_back(
+          std::make_shared<core::SteppedSpeed>(s0, std::move(steps), cap));
+    }
+  }
+  core::SpeedList list;
+  for (const auto& f : owned) list.push_back(f.get());
+  // Four lines per curve, through a point on one of its plateaus, inside
+  // its sharpest transition, just below max_size, and beyond it (a punt).
+  // Each line meets the other 63 curves wherever it happens to.
+  std::vector<double> slopes;
+  for (std::size_t i = 0; i < owned.size(); ++i) {
+    const core::SteppedSpeed& f = *owned[i];
+    const std::vector<core::SteppedSpeed::Step>& st = f.steps();
+    const std::size_t k = i % (st.size() + 1);
+    const double plateau =
+        k == 0           ? 0.1 * st[0].at
+        : k == st.size() ? std::min(10.0 * st.back().at, 0.5 * f.max_size())
+                         : std::sqrt(st[k - 1].at * st[k].at);
+    std::size_t sharp = 0;
+    for (std::size_t j = 1; j < st.size(); ++j)
+      if (st[j].width / st[j].at < st[sharp].width / st[sharp].at) sharp = j;
+    for (const double x :
+         {plateau, st[sharp].at + 0.25 * st[sharp].width,
+          f.max_size() * (1.0 - 1e-6), f.max_size() * 4.0})
+      slopes.push_back(f.speed(x) / x);
+  }
+  expect_stepped_lane_matches_oracle(CompiledSpeedList::compile(list), list,
+                                     slopes);
+}
+
+TEST(Simd, SteppedLanePuntsOnlyBeyondMaxSizeOnStepOnlyFleet) {
+  // The p = 4096 fleet shape of the solve benchmark with every machine
+  // stepped: at the solve's final slope and the two lines of its initial
+  // bracket, the only punts are crossings beyond max_size.
+  core::FleetMix stepped_only;
+  stepped_only.constant = stepped_only.linear_decay = 0.0;
+  stepped_only.power_decay = stepped_only.exp_decay = 0.0;
+  stepped_only.piecewise = 0.0;
+  stepped_only.stepped = 1.0;
+  const core::SyntheticFleet fleet =
+      core::make_synthetic_fleet(4096, 1, stepped_only);
+  const core::SpeedList list = fleet.list();
+  constexpr std::int64_t n = 1'000'000'000;
+  const core::SlopeBracket bracket = core::detect_bracket(list, n);
+  const double final_slope = core::partition(list, n).stats.final_slope;
+  ASSERT_GT(final_slope, 0.0);
+  expect_stepped_lane_matches_oracle(
+      CompiledSpeedList::compile(list), list,
+      {bracket.lo_slope, final_slope, bracket.hi_slope});
+}
+
+TEST(Simd, DistributionsEqualScalarOnBenchmarkFleets) {
+  // The fleets bench/perf solves — p = 64 from seeds 2004 + k (the serve
+  // workloads) and p = 4096 from seed 1 (solve_p4096) — give the same
+  // integer allocation with SIMD on, on every backend, as in scalar mode.
+  struct Problem {
+    std::size_t fleet;
+    std::int64_t n;
+    const char* algorithm;
+  };
+  std::vector<core::SyntheticFleet> fleets;
+  std::vector<Problem> problems;
+  const auto& algorithms = core::partitioner_registry().entries();
+  for (std::size_t k = 0; k < 32; ++k) {
+    fleets.push_back(core::make_synthetic_fleet(64, 2004 + k));
+    for (const std::int64_t j : {0, 1, 2, 5}) {
+      const auto n = static_cast<std::int64_t>(1'000'000 + 7919 * k +
+                                               1'000'000 * j + 48'611 * j);
+      for (const core::PartitionerInfo& info : algorithms)
+        problems.push_back({k, n, info.id.c_str()});
+    }
+  }
+  fleets.push_back(core::make_synthetic_fleet(4096, 1));
+  for (const char* algorithm : {core::kAlgorithmCombined,
+                                core::kAlgorithmInterpolation,
+                                core::kAlgorithmBounded})
+    for (const std::int64_t n : {1'000'000'000LL, 1'061'803'398LL})
+      problems.push_back({fleets.size() - 1, n, algorithm});
+  const auto solve = [&fleets](const Problem& problem) {
+    core::PartitionPolicy policy;
+    policy.algorithm = problem.algorithm;
+    return core::partition(fleets[problem.fleet].list(), problem.n, policy)
+        .distribution.counts;
+  };
+  std::vector<std::vector<std::int64_t>> oracle;
+  {
+    SimdToggle off(false);
+    for (const Problem& problem : problems) oracle.push_back(solve(problem));
+  }
+  BackendGuard restore;
+  for (const auto* k : runnable_variants()) {
+    SCOPED_TRACE(k->name);
+    core::force_simd_backend(k->name);
+    for (std::size_t i = 0; i < problems.size(); ++i)
+      EXPECT_EQ(solve(problems[i]), oracle[i])
+          << problems[i].algorithm << " fleet " << problems[i].fleet
+          << " n " << problems[i].n;
   }
 }
 

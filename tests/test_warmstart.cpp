@@ -388,7 +388,7 @@ TEST(WarmStart, BatchedKernelToggleIsBitIdentical) {
 TEST(WarmStart, BatchPlanCoversClosedFormFamilies) {
   // Unwrapped constant/linear/power/exp entries ride the SoA lanes, and the
   // mixed ensemble's well-behaved unimodal and stepped members now ride the
-  // vector bisection lanes too — the whole ensemble is batched.
+  // iterative vector lanes too — the whole ensemble is batched.
   const Ensemble closed = fpm::test::power_ensemble(5);
   const CompiledSpeedList compiled_closed =
       CompiledSpeedList::compile(closed.list());
