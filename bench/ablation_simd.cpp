@@ -86,13 +86,16 @@ core::FleetMix stepped_mix() {
   return mix;
 }
 
-/// RAII around the global SIMD toggle.
+/// Scoped SIMD on/off through the backend selector: on keeps the selected
+/// vector backend (or picks "auto" from scalar mode), off is "off"; the
+/// previous selection is restored on exit.
 struct SimdToggle {
-  explicit SimdToggle(bool on) : prev(core::simd_kernels_enabled()) {
-    core::set_simd_kernels(on);
+  explicit SimdToggle(bool on)
+      : prev(core::to_string(core::active_simd_backend())) {
+    core::force_simd_backend(!on ? "off" : prev == "off" ? "auto" : prev);
   }
-  ~SimdToggle() { core::set_simd_kernels(prev); }
-  bool prev;
+  ~SimdToggle() { core::force_simd_backend(prev); }
+  std::string prev;
 };
 
 /// Best-of-reps seconds for one full intersect_all sweep over `slopes`.

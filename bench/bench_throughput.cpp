@@ -5,10 +5,12 @@
 //   1. kernel   — closed-form intersections (compiled layer) against the
 //                 generic bisection of SpeedFunction::intersect on the same
 //                 slope workload; expected well above 2x.
-//   2. partition — full partition() runs with the compiled path toggled on
-//                 vs. off (set_compiled_partitioning); the virtual path
-//                 already uses the closed-form kernels, so this isolates the
-//                 devirtualization + SoA win and must never regress.
+//   2. partition — full partition() runs on the known families against the
+//                 same models behind a forwarding subclass that compiles to
+//                 Generic entries, so every solve is a virtual call; the
+//                 virtual calls already use the closed-form kernels, so this
+//                 isolates the devirtualization + SoA win and must never
+//                 regress.
 //   3. server   — PartitionServer::run_batch on an all-distinct (cache-miss)
 //                 request batch at increasing thread counts.
 //   4. serve_hit — the cache-hit path: keying via the allocation-free
@@ -105,6 +107,33 @@ double best_of(int reps, int inner, Fn&& fn) {
   return best;
 }
 
+/// Forwards to a wrapped model. compile() does not know this type, so
+/// every entry is Generic and each solve is a virtual call into the
+/// wrapped model: the virtual-dispatch baseline of measurement 2.
+class VirtualOnly final : public core::SpeedFunction {
+ public:
+  explicit VirtualOnly(const core::SpeedFunction& base) : base_(&base) {}
+  double speed(double x) const override { return base_->speed(x); }
+  double max_size() const override { return base_->max_size(); }
+  double intersect(double slope) const override {
+    return base_->intersect(slope);
+  }
+
+ private:
+  const core::SpeedFunction* base_;
+};
+
+/// `list`'s models behind VirtualOnly (owning; `list` must outlive it).
+struct VirtualEnsemble {
+  explicit VirtualEnsemble(const core::SpeedList& list) {
+    wrapped.reserve(list.size());
+    for (const core::SpeedFunction* f : list) wrapped.emplace_back(*f);
+    for (const VirtualOnly& f : wrapped) speeds.push_back(&f);
+  }
+  std::vector<VirtualOnly> wrapped;
+  core::SpeedList speeds;
+};
+
 /// The partition workload: every registry algorithm that needs no bounds,
 /// over a mixed analytic ensemble, at two problem sizes.
 double run_partitions(const core::SpeedList& list) {
@@ -144,9 +173,8 @@ BENCHMARK(BM_KernelCompiled)->Unit(benchmark::kMillisecond);
 void BM_PartitionVirtual(benchmark::State& state) {
   const bench::OwnedEnsemble e = bench::exp_family(64);
   const core::SpeedList list = e.list();
-  core::set_compiled_partitioning(false);
-  for (auto _ : state) benchmark::DoNotOptimize(run_partitions(list));
-  core::set_compiled_partitioning(true);
+  const VirtualEnsemble virt(list);
+  for (auto _ : state) benchmark::DoNotOptimize(run_partitions(virt.speeds));
 }
 BENCHMARK(BM_PartitionVirtual)->Unit(benchmark::kMillisecond);
 
@@ -246,12 +274,12 @@ int main(int argc, char** argv) {
       best_of(5, 3, [&] { return run_kernel_compiled(compiled, w); });
   const double kernel_speedup = t_generic / t_closed;
 
-  // --- 2. partition: compiled path vs virtual path ----------------------
+  // --- 2. partition: known families vs virtual calls --------------------
   const bench::OwnedEnsemble e = bench::exp_family(64);
   const core::SpeedList list = e.list();
-  core::set_compiled_partitioning(false);
-  const double t_virtual = best_of(5, 1, [&] { return run_partitions(list); });
-  core::set_compiled_partitioning(true);
+  const VirtualEnsemble virt(list);
+  const double t_virtual =
+      best_of(5, 1, [&] { return run_partitions(virt.speeds); });
   const double t_compiled = best_of(5, 1, [&] { return run_partitions(list); });
   const double partition_speedup = t_virtual / t_compiled;
 

@@ -52,8 +52,10 @@ int main() {
     const bool moved = rebalancer.step(cell_seconds);
 
     std::string layout;
-    for (int r = 0; r < p; ++r)
-      layout += (r ? "/" : "") + util::fmt(d.counts[r]);
+    for (int r = 0; r < p; ++r) {
+      if (r) layout += '/';
+      layout += util::fmt(d.counts[r]);
+    }
     t.add_row({util::fmt(e), layout, util::fmt(wall, 3),
                moved ? "yes" : "no"});
   }

@@ -40,34 +40,71 @@ inline std::uint64_t hash_mix(std::uint64_t h, double v) {
   return hash_mix(h, std::bit_cast<std::uint64_t>(v));
 }
 
-std::atomic<bool> g_compiled_enabled{true};
-std::atomic<bool> g_batched_enabled{true};
-std::atomic<bool> g_simd_enabled{true};
 std::atomic<std::size_t> g_parallel_threshold{1024};
 
-/// One-time application of the FPM_SIMD_BACKEND environment override. A
-/// valid value behaves exactly like force_simd_backend(value); an invalid
-/// one is ignored here (the library keeps auto dispatch) and surfaced as a
-/// hard error by fpmtool, which validates the variable explicitly.
-inline void apply_env_backend_once() noexcept {
-  static const bool applied = [] {
+/// The SIMD backend selector: the vector kernel table every sweep runs on,
+/// or nullptr for the bit-exact scalar mode ("off", or an FPM_SIMD=OFF
+/// build). One atomic, written by force_simd_backend and read once per
+/// sweep.
+std::atomic<const detail::simd::SimdKernels*> g_kernels{nullptr};
+
+/// The selector value a backend name stands for: "auto" is the best
+/// variant this CPU supports, "off" the scalar mode. Throws
+/// std::invalid_argument for a variant that is not compiled in or that
+/// this CPU cannot run.
+const detail::simd::SimdKernels* kernels_for(std::string_view name) {
+  if (name == "auto") return detail::simd::resolved_simd_kernels();
+  if (name == "off") return nullptr;
+  const detail::simd::SimdKernels* k = detail::simd::find_simd_variant(name);
+  if (k == nullptr) {
+    std::string msg = "simd backend '";
+    msg += name;
+    msg += "' is not compiled into this build (available:";
+    for (const detail::simd::SimdKernels* v :
+         detail::simd::compiled_simd_variants()) {
+      msg += ' ';
+      msg += v->name;
+    }
+    msg += " auto off)";
+    throw std::invalid_argument(msg);
+  }
+  if (!detail::simd::simd_variant_supported(*k)) {
+    std::string msg = "simd backend '";
+    msg += name;
+    msg += "' is compiled in but not supported by this CPU";
+    throw std::invalid_argument(msg);
+  }
+  return k;
+}
+
+/// Sets the selector's initial value exactly once, before its first read
+/// or write: the FPM_SIMD_BACKEND environment value when it names a usable
+/// backend, auto dispatch otherwise. An invalid value is ignored here (the
+/// library keeps auto dispatch) and rejected loudly by fpmtool, which
+/// validates the variable itself. force_simd_backend runs this before it
+/// stores, so an explicit call overrides the environment whichever comes
+/// first; the initialisation calls kernels_for, never force_simd_backend,
+/// so it cannot recurse into itself.
+inline void init_backend_once() noexcept {
+  static const bool done = [] {
+    const detail::simd::SimdKernels* k = detail::simd::resolved_simd_kernels();
     if (const char* env = std::getenv("FPM_SIMD_BACKEND")) {
       try {
-        force_simd_backend(env);
+        k = kernels_for(env);
       } catch (const std::exception&) {
       }
     }
+    g_kernels.store(k, std::memory_order_relaxed);
     return true;
   }();
-  (void)applied;
+  (void)done;
 }
 
-/// The vector kernel table intersect_all should use right now, or nullptr
-/// for the bit-exact scalar batch path (toggle off or FPM_SIMD=OFF build).
+/// The vector kernel table the sweeps should use right now, or nullptr
+/// for the bit-exact scalar batch path.
 inline const detail::simd::SimdKernels* active_kernels() noexcept {
-  apply_env_backend_once();
-  if (!g_simd_enabled.load(std::memory_order_relaxed)) return nullptr;
-  return detail::simd::resolved_simd_kernels();
+  init_backend_once();
+  return g_kernels.load(std::memory_order_relaxed);
 }
 
 /// Thread-local precompiled hint installed by PrecompiledGuard.
@@ -314,30 +351,6 @@ const CompiledSpeedList* precompiled_match(const SpeedList& speeds) noexcept {
   return g_precompiled_list;
 }
 
-bool compiled_partitioning_enabled() noexcept {
-  return g_compiled_enabled.load(std::memory_order_relaxed);
-}
-
-void set_compiled_partitioning(bool enabled) noexcept {
-  g_compiled_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool batched_kernels_enabled() noexcept {
-  return g_batched_enabled.load(std::memory_order_relaxed);
-}
-
-void set_batched_kernels(bool enabled) noexcept {
-  g_batched_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool simd_kernels_enabled() noexcept {
-  return g_simd_enabled.load(std::memory_order_relaxed);
-}
-
-void set_simd_kernels(bool enabled) noexcept {
-  g_simd_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 bool simd_kernels_available() noexcept {
   return detail::simd::resolved_simd_kernels() != nullptr;
 }
@@ -376,37 +389,9 @@ const char* to_string(SimdBackend backend) noexcept {
 }
 
 void force_simd_backend(std::string_view name) {
-  if (name == "auto") {
-    detail::simd::set_forced_simd_variant(nullptr);
-    set_simd_kernels(true);
-    return;
-  }
-  if (name == "off") {
-    detail::simd::set_forced_simd_variant(nullptr);
-    set_simd_kernels(false);
-    return;
-  }
-  const detail::simd::SimdKernels* k = detail::simd::find_simd_variant(name);
-  if (k == nullptr) {
-    std::string msg = "simd backend '";
-    msg += name;
-    msg += "' is not compiled into this build (available:";
-    for (const detail::simd::SimdKernels* v :
-         detail::simd::compiled_simd_variants()) {
-      msg += ' ';
-      msg += v->name;
-    }
-    msg += " auto off)";
-    throw std::invalid_argument(msg);
-  }
-  if (!detail::simd::simd_variant_supported(*k)) {
-    std::string msg = "simd backend '";
-    msg += name;
-    msg += "' is compiled in but not supported by this CPU";
-    throw std::invalid_argument(msg);
-  }
-  detail::simd::set_forced_simd_variant(k);
-  set_simd_kernels(true);
+  const detail::simd::SimdKernels* k = kernels_for(name);
+  init_backend_once();
+  g_kernels.store(k, std::memory_order_relaxed);
 }
 
 std::size_t parallel_intersect_threshold() noexcept {
@@ -1100,12 +1085,7 @@ std::vector<double> speeds_at(const CompiledSpeedList& speeds,
                               std::span<const double> xs,
                               EvalCounters* counters) {
   std::vector<double> out(speeds.size());
-  if (batched_kernels_enabled()) {
-    speeds.speed_all(xs, out);
-  } else {
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      out[i] = speeds.speed(i, xs[i]);
-  }
+  speeds.speed_all(xs, out);
   if (counters)
     counters->speed_evals += static_cast<std::int64_t>(speeds.size());
   return out;
@@ -1113,16 +1093,11 @@ std::vector<double> speeds_at(const CompiledSpeedList& speeds,
 
 namespace {
 
-/// Solves one line into `xs` (batched or per entry, as the toggle says) and
-/// counts it. Every compiled line solve goes through here.
+/// Solves one line into `xs` and counts it. Every compiled line solve
+/// goes through here.
 void solve_line(const CompiledSpeedList& speeds, double slope,
                 std::span<double> xs, EvalCounters* counters) {
-  if (batched_kernels_enabled()) {
-    speeds.intersect_all(slope, xs);
-  } else {
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      xs[i] = speeds.intersect(i, slope);
-  }
+  speeds.intersect_all(slope, xs);
   if (counters)
     counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
 }
@@ -1156,9 +1131,8 @@ double total_size_at(const CompiledSpeedList& speeds, double slope,
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
                             EvalCounters* counters, std::vector<double>* small,
                             std::vector<double>* large) {
-  // Line-for-line the SpeedList overload in partition.cpp (including its
-  // counting profile: one speed probe per processor, one solve batch per
-  // expansion test) so that the two paths report identical stats.
+  // Counting profile: one speed probe per processor, one solve batch per
+  // expansion test. The SpeedList overload in partition.cpp forwards here.
   if (speeds.size() == 0)
     throw std::invalid_argument("detect_bracket: no speeds");
   if (n < 1) throw std::invalid_argument("detect_bracket: n must be >= 1");
@@ -1174,9 +1148,15 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
   if (counters)
     counters->speed_evals += static_cast<std::int64_t>(speeds.size());
   SlopeBracket br;
-  br.hi_slope = s_max / probe;
-  br.lo_slope = s_min / probe;
+  br.hi_slope = s_max / probe;  // line 1 of Figure 18
+  br.lo_slope = s_min / probe;  // line 2 of Figure 18
   if (br.lo_slope <= 0.0) br.lo_slope = br.hi_slope * 1e-12;
+  // Figure 18's construction guarantees the bracket under the shape
+  // requirement; the expansion loops below make the function total for any
+  // inputs. Intersections extend beyond the modelled ranges (see
+  // SpeedFunction::intersect), so the total size is unbounded as the slope
+  // approaches zero and the shallow expansion always terminates. Each test
+  // keeps its solved sizes, so the final lines come back without a re-solve.
   const double nd = static_cast<double>(n);
   std::vector<double> hi_local, lo_local;
   std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;

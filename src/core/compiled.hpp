@@ -8,14 +8,17 @@
 // lookup), and one level of ScaledSpeed / GranularSpeed / GranularSpeedView
 // wrapping around them. Anything else falls back to a Generic entry that
 // forwards to the original virtual object, so compilation is total: every
-// SpeedList compiles, and the result is bit-identical to the virtual path
-// because both sides evaluate the shared kernels of
-// detail/speed_kernels.hpp (asserted in tests).
+// SpeedList compiles, and in scalar mode the result is bit-identical to
+// the virtual models because both sides evaluate the shared kernels of
+// detail/speed_kernels.hpp (asserted in tests against a list wrapped so
+// that every entry compiles to Generic).
 //
-// detail::SearchState compiles its input once per search (toggled by
-// set_compiled_partitioning()), which makes all five registry algorithms
-// benefit transparently; the batch/server layer (core/server.hpp) reuses
-// the fingerprint() content hash as its cache key.
+// detail::SearchState compiles its input once per search and runs every
+// line solve through intersect_all, so all five registry algorithms search
+// on compiled models; the batch/server layer (core/server.hpp) reuses the
+// fingerprint() content hash as its cache key. force_simd_backend() is the
+// one runtime switch: it picks the vector backend of the batch lanes, or
+// "off" for the bit-exact scalar mode.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +35,7 @@ namespace fpm::core {
 /// Counters incremented at the SpeedFunction boundary: one per speed(x)
 /// evaluation and one per c·x = s(x) solve, exactly the accounting of
 /// PartitionStats::speed_evals / intersect_solves. Evaluations *inside* a
-/// solve (e.g. the probes of a generic bisection) are not counted, matching
-/// the virtual CountingSpeedView semantics.
+/// solve (e.g. the probes of a generic bisection) are not counted.
 struct EvalCounters {
   std::int64_t speed_evals = 0;
   std::int64_t intersect_solves = 0;
@@ -91,16 +93,16 @@ class CompiledSpeedList {
   /// pass: the closed-form families (Constant, LinearDecay, PowerDecay,
   /// ExpDecay, unwrapped) plus parameter-vetted unwrapped Unimodal/Stepped
   /// entries run out of contiguous parameter lanes built at compile time —
-  /// through the vector kernels (detail/simd.hpp) when SIMD is enabled,
-  /// the scalar batch kernels / per-entry bisection otherwise — and the
-  /// remaining entries fall back to the per-entry dispatch. out.size()
-  /// must equal size(). With set_simd_kernels(false) (or FPM_SIMD=OFF)
-  /// this is bit-identical to calling intersect(i, slope) per entry;
-  /// with SIMD on, Constant/LinearDecay lanes and the piecewise scan stay
-  /// bit-identical while PowerDecay/ExpDecay roots, the Unimodal
+  /// through the vector kernels (detail/simd.hpp) when a SIMD backend is
+  /// active, the scalar batch kernels / per-entry bisection otherwise — and
+  /// the remaining entries fall back to the per-entry dispatch. out.size()
+  /// must equal size(). In scalar mode (force_simd_backend("off"), or
+  /// FPM_SIMD=OFF) this is bit-identical to calling intersect(i, slope) per
+  /// entry; with SIMD on, Constant/LinearDecay lanes and the piecewise
+  /// scan stay bit-identical while PowerDecay/ExpDecay roots, the Unimodal
   /// bisection and the Stepped Newton solve may differ by a few ULP from
-  /// the scalar bisection's fixpoint (decision boundaries are
-  /// punted to the exact scalar kernels — see SimdBackend below and
+  /// the scalar bisection's fixpoint (decision boundaries are punted to
+  /// the exact scalar kernels — see force_simd_backend below and
   /// docs/performance.md).
   void intersect_all(double slope, std::span<double> out) const;
 
@@ -110,8 +112,8 @@ class CompiledSpeedList {
   /// gather their sizes and run the vector speed kernels (NaN punts fixed
   /// up scalar, same contract as intersect_all); every other entry takes
   /// the per-entry dispatch, which is bit-identical to speed(i, xs[i]).
-  /// With SIMD off (or set_batched_kernels(false)) the whole sweep is the
-  /// per-entry loop, bit-identical to calling speed() yourself.
+  /// In scalar mode the whole sweep is the per-entry loop, bit-identical to
+  /// calling speed() yourself.
   void speed_all(std::span<const double> xs, std::span<double> out) const;
 
   /// How many entries run through a batch lane (the rest take the
@@ -234,37 +236,12 @@ class CompiledSpeedList {
   std::uint64_t fingerprint_ = 0;
 };
 
-/// Non-owning SpeedFunction adaptor over one compiled entry, so compiled
-/// models can flow through any API expecting a SpeedList (fine-tuning, the
-/// makespan helpers, tests). When `counters` is non-null every call is
-/// counted at the same boundary as detail::CountingSpeedView.
-class CompiledEntryView final : public SpeedFunction {
- public:
-  CompiledEntryView(const CompiledSpeedList& list, std::size_t index,
-                    EvalCounters* counters = nullptr)
-      : list_(&list), index_(index), counters_(counters) {}
-
-  double speed(double x) const override {
-    if (counters_) ++counters_->speed_evals;
-    return list_->speed(index_, x);
-  }
-  double max_size() const override { return list_->max_size(index_); }
-  double intersect(double slope) const override {
-    if (counters_) ++counters_->intersect_solves;
-    return list_->intersect(index_, slope);
-  }
-
- private:
-  const CompiledSpeedList* list_;
-  std::size_t index_;
-  EvalCounters* counters_;
-};
-
-/// Compiled counterparts of the SpeedList helpers in core/partition.hpp —
-/// same loops, same numbers, optional counting (pass nullptr to skip it).
-/// `counters` is deliberately not defaulted: two-argument calls must keep
-/// resolving to the SpeedList overloads (e.g. detect_bracket({}, n)).
-/// detect_bracket's optional `small`/`large` receive the sizes at the
+/// Compiled counterparts of the SpeedList helpers in core/partition.hpp:
+/// one intersect_all sweep per line, optional counting (pass nullptr to
+/// skip it). In scalar mode the sizes are bit-identical to solving each
+/// virtual model in turn. `counters` is deliberately not defaulted:
+/// two-argument calls must keep resolving to the SpeedList overloads (e.g.
+/// detect_bracket({}, n)). detect_bracket's optional `small`/`large` receive the sizes at the
 /// returned hi/lo slopes, exactly as sizes_at would compute them.
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
                              EvalCounters* counters);
@@ -282,23 +259,9 @@ std::vector<double> speeds_at(const CompiledSpeedList& speeds,
                               std::span<const double> xs,
                               EvalCounters* counters);
 
-/// Process-wide switch (default on) selecting whether detail::SearchState
-/// runs on compiled models or on the original virtual objects. The two
-/// paths are bit-identical; the switch exists for benchmarks (measuring the
-/// virtual-dispatch baseline) and for the equivalence tests.
-bool compiled_partitioning_enabled() noexcept;
-void set_compiled_partitioning(bool enabled) noexcept;
-
-/// Process-wide switch (default on) selecting whether the compiled
-/// sizes_at/total_size_at helpers evaluate a candidate line through
-/// CompiledSpeedList::intersect_all (the SoA batch plan) or entry by entry.
-/// Bit-identical either way; off measures the per-entry dispatch baseline.
-bool batched_kernels_enabled() noexcept;
-void set_batched_kernels(bool enabled) noexcept;
-
 /// Which vector implementation intersect_all's batch lanes are running on.
 enum class SimdBackend : std::uint8_t {
-  Disabled,  ///< FPM_SIMD=OFF build, or set_simd_kernels(false)
+  Disabled,  ///< scalar mode: force_simd_backend("off"), or FPM_SIMD=OFF
   Portable,  ///< GCC vector-extension codegen under the baseline flags
   Avx2,      ///< AVX2+FMA 4-wide variant (runtime-dispatched or -march)
   Avx512,    ///< AVX-512F/DQ 8-wide variant (runtime-dispatched or -march)
@@ -309,35 +272,34 @@ enum class SimdBackend : std::uint8_t {
 /// "avx2", "avx512", "neon".
 const char* to_string(SimdBackend backend) noexcept;
 
-/// Forces intersect_all's vector dispatch onto one backend at runtime.
-/// Accepts "auto" (clear any override, re-enable SIMD), "off"
-/// (set_simd_kernels(false)), or a backend name ("portable", "avx2",
-/// "avx512", "neon"). Throws std::invalid_argument when the name is not a
-/// variant compiled into this build or the CPU lacks the instruction set —
-/// the mechanism behind `fpmtool partition --simd=...` and the
-/// FPM_SIMD_BACKEND environment override (read once, at the first batch
-/// dispatch; invalid environment values are ignored by the library and
-/// rejected loudly by fpmtool).
+/// Selects the backend of the batch sweeps (intersect_all, speed_all and
+/// the piecewise scan) for the whole process. Accepts "auto" (the best
+/// variant this CPU supports — the default), "off" (the bit-exact scalar
+/// mode), or a backend name ("portable", "avx2", "avx512", "neon"). Throws
+/// std::invalid_argument when the name is not a variant compiled into this
+/// build or the CPU lacks the instruction set; the selection is then
+/// unchanged. The FPM_SIMD_BACKEND environment variable sets the initial
+/// selection, read once at the first sweep or the first call here,
+/// whichever comes first (invalid values are ignored by the library and
+/// rejected loudly by fpmtool). An explicit call always overrides the
+/// environment, whatever the order — the mechanism behind
+/// `fpmtool partition --simd=...`.
+///
+/// Scalar mode is the oracle: per-entry intersect(i, slope) and every
+/// sweep in scalar mode are bit-identical to the virtual models. The
+/// vector backends are not bit-neutral: the power/exp kernels replace libm
+/// with polynomial exp/log and may differ in the last ULPs (the
+/// constant/linear lanes and the piecewise scan stay bit-identical); they
+/// are gated by toleranced equivalence plus exact optimality invariants in
+/// tests/test_simd.cpp.
 void force_simd_backend(std::string_view name);
 
-/// Process-wide switch (default on) selecting whether the batch lanes of
-/// intersect_all run the vector kernels of detail/simd.hpp or the scalar
-/// batch kernels. Unlike the two toggles above this one is NOT bit-neutral:
-/// the vector power/exp kernels replace libm with polynomial exp/log and
-/// may differ from the scalar path in the last ULPs (the constant/linear
-/// lanes and the piecewise scan stay bit-identical). set_simd_kernels(false)
-/// is the bit-exact scalar mode; the SIMD mode is gated by toleranced
-/// equivalence plus exact optimality invariants in tests/test_simd.cpp.
-/// Per-entry intersect(i, slope) is always scalar and bit-identical to the
-/// virtual path regardless of this switch.
-bool simd_kernels_enabled() noexcept;
-void set_simd_kernels(bool enabled) noexcept;
-
 /// True when the build carries the vector kernels at all (FPM_SIMD=ON),
-/// independent of the runtime toggle.
+/// whichever backend is selected.
 bool simd_kernels_available() noexcept;
 
-/// The backend intersect_all would use right now.
+/// The backend intersect_all would use right now; SimdBackend::Disabled
+/// in scalar mode.
 SimdBackend active_simd_backend() noexcept;
 
 /// Entry-count threshold (default 1024) above which intersect_all splits

@@ -46,46 +46,25 @@ constexpr double kWarmMaxElasticity = 64.0;
 SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
                          const SearchObserver* observer,
                          const PartitionHint* hint)
-    : n_(static_cast<double>(n)),
+    : n_(n),
       saturation_base_(bracket_saturation_tally()),
-      observer_(observer) {
-  speeds_.reserve(speeds.size());
-  if (compiled_partitioning_enabled()) {
-    // Compiled mode: flatten once, then run the bracket detection and both
-    // initial line solves on the devirtualized kernels. The entry views only
-    // exist so counted_speeds() keeps its SpeedList shape for fine-tuning.
-    // A PrecompiledGuard hint for this exact list (the batch server compiles
-    // each request once up front) short-circuits the compilation entirely.
-    if (const CompiledSpeedList* pre = precompiled_match(speeds)) {
-      compiled_ = pre;
-    } else {
-      compiled_storage_.emplace(CompiledSpeedList::compile(speeds));
-      compiled_ = &*compiled_storage_;
-    }
-    entry_views_.reserve(speeds.size());
-    for (std::size_t i = 0; i < speeds.size(); ++i) {
-      entry_views_.emplace_back(*compiled_, i, &counters_);
-      speeds_.push_back(&entry_views_.back());
-    }
+      observer_(observer),
+      hint_(hint) {
+  // A PrecompiledGuard hint for this exact list (the batch server compiles
+  // each request once up front) short-circuits the compilation entirely.
+  if (const CompiledSpeedList* pre = precompiled_match(speeds)) {
+    compiled_ = pre;
   } else {
-    views_.reserve(speeds.size());
-    for (const SpeedFunction* f : speeds) {
-      views_.emplace_back(*f, &counters_.speed_evals,
-                          &counters_.intersect_solves);
-      speeds_.push_back(&views_.back());
-    }
+    compiled_storage_.emplace(CompiledSpeedList::compile(speeds));
+    compiled_ = &*compiled_storage_;
   }
   if (hint != nullptr && hint->usable())
-    warmstart_ =
-        try_warm_bracket(*hint, n, speeds) ? WarmStart::Hit : WarmStart::Stale;
-  if (warmstart_ != WarmStart::Hit) {
-    // The bracket's last expansion tests already solved both lines; keep
-    // those sizes instead of solving the lines again.
-    bracket_ = compiled_ != nullptr
-                   ? detect_bracket(*compiled_, n, &counters_, &small_, &large_)
-                   : detect_bracket(speeds_, n, &small_, &large_);
-  }
-  intersections_ += static_cast<int>(2 * speeds_.size());
+    warmstart_ = try_warm_bracket(*hint, n) ? WarmStart::Hit : WarmStart::Stale;
+  // The bracket's last expansion tests already solved both lines; keep
+  // those sizes instead of solving the lines again.
+  if (warmstart_ != WarmStart::Hit)
+    bracket_ = detect_bracket(*compiled_, n, &counters_, &small_, &large_);
+  intersections_ += static_cast<int>(2 * compiled_->size());
   if (observing())
     emit(SearchStepKind::Bracket, bracket_.hi_slope, false, kNoProcessor);
 }
@@ -94,18 +73,14 @@ std::int64_t SearchState::bracket_saturations() const noexcept {
   return bracket_saturation_tally() - saturation_base_;
 }
 
-bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
-                                   const SpeedList& original) {
+bool SearchState::try_warm_bracket(const PartitionHint& hint,
+                                   std::int64_t n) {
   // A hint computed against different models is stale by definition; the
   // fingerprint check catches silent model swaps behind an unchanged call
   // site. fingerprint == 0 opts out (callers whose curves legitimately
   // change every round rely on the bracket verification below instead).
-  if (hint.fingerprint != 0) {
-    const std::uint64_t fp = compiled_ != nullptr
-                                 ? compiled_->fingerprint()
-                                 : CompiledSpeedList::fingerprint_of(original);
-    if (fp != hint.fingerprint) return false;
-  }
+  if (hint.fingerprint != 0 && compiled_->fingerprint() != hint.fingerprint)
+    return false;
   // When n drifted, rescale: sizes at a slope scale roughly like 1/slope,
   // so the new optimum sits near slope·(old n / new n).
   double center = hint.slope;
@@ -131,8 +106,7 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
     constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
     if (!(slope >= window_lo && slope <= window_hi) || budget == 0)
       return kStale;
-    sizes = compiled_ != nullptr ? sizes_at(*compiled_, slope, &counters_)
-                                 : sizes_at(speeds_, slope);
+    sizes = sizes_at(*compiled_, slope, &counters_);
     --budget;
     ++warm_probes_;
     double total = 0.0;
@@ -206,6 +180,24 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint, std::int64_t n,
   return true;
 }
 
+void SearchState::finish(PartitionResult& result) {
+  PartitionStats& stats = result.stats;
+  stats.iterations = iterations_;
+  stats.intersections = intersections_;
+  stats.final_slope = bracket_.hi_slope;
+  stats.search_speed_evals = counters_.speed_evals;
+  stats.search_intersect_solves = counters_.intersect_solves;
+  result.distribution = fine_tune(*compiled_, n_, small_, &counters_);
+  stats.speed_evals = counters_.speed_evals;
+  stats.intersect_solves = counters_.intersect_solves;
+  stats.bracket_saturations = bracket_saturations();
+  stats.warmstart = warmstart_;
+  stats.warm_probes = warm_probes_;
+  if (warmstart_ == WarmStart::Hit)
+    stats.iterations_saved =
+        std::max(0, hint_->baseline_iterations - iterations_);
+}
+
 std::int64_t SearchState::interior_count(std::size_t i) const {
   // Integers k with small[i] < k <= large[i].
   const double lo = small_[i];
@@ -217,7 +209,7 @@ std::int64_t SearchState::interior_count(std::size_t i) const {
 
 std::int64_t SearchState::total_interior() const {
   std::int64_t total = 0;
-  for (std::size_t i = 0; i < speeds_.size(); ++i) total += interior_count(i);
+  for (std::size_t i = 0; i < small_.size(); ++i) total += interior_count(i);
   return total;
 }
 
@@ -225,7 +217,7 @@ bool SearchState::converged() const {
   // No integer strictly inside (small[i], large[i]) for any processor. A
   // candidate equal to a bracket endpoint is already represented by that
   // line, so strict interiority is the right test.
-  for (std::size_t i = 0; i < speeds_.size(); ++i) {
+  for (std::size_t i = 0; i < small_.size(); ++i) {
     double k = std::floor(large_[i]);
     if (k == large_[i]) k -= 1.0;  // want strictly below the shallow line
     if (k > small_[i]) return false;
@@ -250,14 +242,12 @@ void SearchState::emit(SearchStepKind kind, double slope, bool kept_low,
 void SearchState::split_at(double slope, SearchStepKind kind,
                            std::size_t processor) {
   ++iterations_;
-  std::vector<double> sizes = compiled_
-                                  ? sizes_at(*compiled_, slope, &counters_)
-                                  : sizes_at(speeds_, slope);
-  intersections_ += static_cast<int>(speeds_.size());
+  std::vector<double> sizes = sizes_at(*compiled_, slope, &counters_);
+  intersections_ += static_cast<int>(sizes.size());
   double sum = 0.0;
   for (const double x : sizes) sum += x;
   bool kept_low;
-  if (sum < n_) {
+  if (sum < static_cast<double>(n_)) {
     // Line too steep: the optimum lies in the shallower (lower) region.
     bracket_.hi_slope = slope;
     small_ = std::move(sizes);
@@ -311,7 +301,7 @@ void SearchState::step_modified() {
   // Processor whose graph carries the most candidate solutions.
   std::size_t best = 0;
   std::int64_t best_count = -1;
-  for (std::size_t i = 0; i < speeds_.size(); ++i) {
+  for (std::size_t i = 0; i < small_.size(); ++i) {
     const std::int64_t c = interior_count(i);
     if (c > best_count) {
       best_count = c;
@@ -319,7 +309,11 @@ void SearchState::step_modified() {
     }
   }
   const double m = 0.5 * (small_[best] + large_[best]);
-  double slope = m > 0.0 ? speeds_[best]->speed(m) / m : 0.0;
+  double slope = 0.0;
+  if (m > 0.0) {
+    ++counters_.speed_evals;
+    slope = compiled_->speed(best, m) / m;
+  }
   // m lies strictly between the two intersections of graph `best`, so by the
   // decreasing-ratio property the new slope lies strictly inside the slope
   // interval; re-bisect on tangents if round-off breaks that.

@@ -1,6 +1,6 @@
 // Internal shared state for the bracketing line search used by the basic,
-// modified, and combined partitioning algorithms. Not part of the public
-// API; include only from core/*.cpp.
+// modified, combined and interpolation partitioning algorithms. Not part of
+// the public API; include only from core/*.cpp.
 #pragma once
 
 #include <cstdint>
@@ -14,45 +14,15 @@
 
 namespace fpm::core::detail {
 
-/// Non-owning wrapper that counts every speed() evaluation and intersect()
-/// solve made through it, forwarding both to the wrapped function so the
-/// numerics (including closed-form intersects) are bit-identical. The
-/// counters live in the owning SearchState and outlive the view.
-class CountingSpeedView final : public SpeedFunction {
- public:
-  CountingSpeedView(const SpeedFunction& base, std::int64_t* speed_evals,
-                    std::int64_t* intersect_solves)
-      : base_(&base),
-        speed_evals_(speed_evals),
-        intersect_solves_(intersect_solves) {}
-
-  double speed(double x) const override {
-    ++*speed_evals_;
-    return base_->speed(x);
-  }
-  double max_size() const override { return base_->max_size(); }
-  double intersect(double slope) const override {
-    ++*intersect_solves_;
-    return base_->intersect(slope);
-  }
-
- private:
-  const SpeedFunction* base_;
-  std::int64_t* speed_evals_;
-  std::int64_t* intersect_solves_;
-};
-
 /// The region between two lines through the origin, tracked as the slope
 /// interval together with the per-processor intersection coordinates.
 ///
-/// When compiled_partitioning_enabled() (the default) the constructor
-/// flattens the input through CompiledSpeedList once, and every hot-path
-/// solve (bracket detection, line splits) runs on the compiled kernels with
-/// no virtual dispatch; counted_speeds() then exposes CompiledEntryView
-/// adaptors feeding the same counters, so fine-tuning stays accounted. With
-/// the toggle off the legacy CountingSpeedView path runs instead. Both
-/// paths execute the shared kernels of detail/speed_kernels.hpp and are
-/// bit-identical, counters included.
+/// The constructor flattens the input through CompiledSpeedList once (or
+/// adopts the model a PrecompiledGuard installed for this list), and every
+/// solve — bracket detection, warm probes, line splits and the fine-tune
+/// epilogue — runs on the compiled sweeps. Each speed evaluation and each
+/// per-processor intersect solve is counted once, at the boundary the
+/// SpeedFunction interface would see it.
 class SearchState {
  public:
   /// Initializes from the Figure-18 bracket and solves both lines. The
@@ -66,7 +36,7 @@ class SearchState {
               const SearchObserver* observer = nullptr,
               const PartitionHint* hint = nullptr);
 
-  // speeds_ holds pointers into views_, so shallow copies would dangle.
+  // compiled_ may point into compiled_storage_, so copies would dangle.
   SearchState(const SearchState&) = delete;
   SearchState& operator=(const SearchState&) = delete;
 
@@ -100,20 +70,12 @@ class SearchState {
   /// the warm bracket, whether it was adopted or the hint went stale.
   int warm_probes() const noexcept { return warm_probes_; }
 
-  /// The counting views over the caller's speeds, for running follow-up
-  /// solves (e.g. fine-tuning) under the same counters. Valid only while
-  /// this SearchState is alive.
-  const SpeedList& counted_speeds() const noexcept { return speeds_; }
-
-  /// The Figure-9 fine-tune over this search's steep line: the batched
-  /// compiled overload (one speeds_at sweep seeds the award heap) when the
-  /// search ran on a compiled model, the counted virtual views otherwise.
-  /// Both paths feed the same counters and are bit-identical with the
-  /// scalar kernels.
-  Distribution fine_tune_epilogue(std::int64_t n) {
-    return compiled_ != nullptr ? fine_tune(*compiled_, n, small_, &counters_)
-                                : fine_tune(speeds_, n, small_);
-  }
+  /// The shared search epilogue: records the search-phase stats into
+  /// `result`, runs the Figure-9 fine-tune over the steep line (one
+  /// speeds_at sweep seeds the award heap), then records the totals and
+  /// the warm-start outcome. The search counters are read before the
+  /// fine-tune, so search_speed_evals/search_intersect_solves exclude it.
+  void finish(PartitionResult& result);
 
   /// Count of integers k with small[i] < k <= large[i]: the candidate
   /// solutions the i-th graph still contributes to the solution space.
@@ -156,25 +118,18 @@ class SearchState {
   /// then straddles n tightly around it. On success fills
   /// bracket_/small_/large_ and returns true. On failure the members are
   /// untouched (bar warm_probes_) and the caller runs the cold detection.
-  bool try_warm_bracket(const PartitionHint& hint, std::int64_t n,
-                        const SpeedList& original);
+  bool try_warm_bracket(const PartitionHint& hint, std::int64_t n);
 
   bool observing() const { return observer_ && *observer_; }
   void emit(SearchStepKind kind, double slope, bool kept_low,
             std::size_t processor) const;
 
-  // Exactly one of the two view vectors is populated, depending on the
-  // compiled-partitioning toggle at construction; speeds_ points into it.
-  // Both kinds of view feed counters_, so the accessors are mode-agnostic.
-  // In compiled mode compiled_ points either at compiled_storage_ (we
-  // compiled here) or at a caller-owned model installed via
-  // PrecompiledGuard (the batch server's once-per-request compilation).
+  // compiled_ points either at compiled_storage_ (we compiled here) or at
+  // a caller-owned model installed via PrecompiledGuard (the batch server's
+  // once-per-request compilation).
   std::optional<CompiledSpeedList> compiled_storage_;
-  const CompiledSpeedList* compiled_ = nullptr;  // set in compiled mode
-  std::vector<CompiledEntryView> entry_views_;   // compiled mode
-  std::vector<CountingSpeedView> views_;        // legacy (virtual) mode
-  SpeedList speeds_;                            // pointers into a view vector
-  double n_;
+  const CompiledSpeedList* compiled_ = nullptr;
+  std::int64_t n_;
   SlopeBracket bracket_;
   std::vector<double> small_;
   std::vector<double> large_;
@@ -183,6 +138,7 @@ class SearchState {
   EvalCounters counters_;
   std::int64_t saturation_base_ = 0;  ///< tally snapshot at construction
   const SearchObserver* observer_ = nullptr;
+  const PartitionHint* hint_ = nullptr;
   WarmStart warmstart_ = WarmStart::None;
   int warm_probes_ = 0;
 };

@@ -32,7 +32,7 @@
 // or that misses its iteration cap is punted back to the scalar kernel by
 // writing a NaN sentinel that the caller resolves (see scalar-fixup
 // handling in compiled.cpp).
-// set_simd_kernels(false) (declared in core/compiled.hpp) restores the
+// force_simd_backend("off") (declared in core/compiled.hpp) restores the
 // bit-exact scalar batch path process-wide.
 #pragma once
 
@@ -120,12 +120,11 @@ struct SimdKernels {
   std::size_t width;  ///< vector width in doubles (4 or 8)
 };
 
-/// The vector implementation this process runs right now: the forced
-/// variant when one is installed, otherwise the best supported variant
-/// (avx512 > avx2 > portable/neon), chosen once at first use. Returns
-/// nullptr when the build was configured with FPM_SIMD=OFF — callers then
-/// use the scalar batch path. Independent of the runtime toggle:
-/// compiled.cpp consults simd_kernels_enabled() first.
+/// The best variant this CPU supports (avx512 > avx2 > portable/neon),
+/// chosen once at first use: what force_simd_backend("auto") selects.
+/// Returns nullptr when the build was configured with FPM_SIMD=OFF. Which
+/// variant the sweeps actually run — this one, a forced one, or none in
+/// scalar mode — is the selector's decision in core/compiled.cpp.
 const SimdKernels* resolved_simd_kernels() noexcept;
 
 /// Every variant compiled into this build, best-first. Empty under
@@ -139,10 +138,5 @@ bool simd_variant_supported(const SimdKernels& k) noexcept;
 
 /// The compiled-in variant with this name, or nullptr.
 const SimdKernels* find_simd_variant(std::string_view name) noexcept;
-
-/// Overrides the runtime dispatch (nullptr restores auto). The caller is
-/// responsible for checking simd_variant_supported first — this is the
-/// mechanism under core::force_simd_backend, which validates.
-void set_forced_simd_variant(const SimdKernels* k) noexcept;
 
 }  // namespace fpm::core::detail::simd

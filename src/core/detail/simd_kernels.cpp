@@ -1,7 +1,7 @@
 // Compiles the vector kernels of simd_kernels.inc once per code-generation
-// variant (each at its own FPM_SIMD_WIDTH) and resolves the active one for
-// this process at first use, with a test/CLI-visible registry and a forcing
-// hook on top.
+// variant (each at its own FPM_SIMD_WIDTH) and resolves the best supported
+// one for this process at first use, with a test/CLI-visible registry on
+// top.
 //
 //  - `portable`: built with the translation unit's baseline flags at 4
 //    doubles per vector. On a default x86-64 build that means SSE2 codegen
@@ -18,9 +18,10 @@
 //    the baseline already carries both features (-march=x86-64-v4) the
 //    pragma is skipped and the 8-wide variant compiles under the baseline.
 //
-// Runtime dispatch prefers avx512 > avx2 > portable among the variants the
-// CPU supports; set_forced_simd_variant (driven by core::force_simd_backend
-// and the FPM_SIMD_BACKEND environment override) pins one explicitly.
+// Auto dispatch prefers avx512 > avx2 > portable among the variants the
+// CPU supports; core::force_simd_backend (and the FPM_SIMD_BACKEND
+// environment override it shares a selector with, in core/compiled.cpp)
+// pins one explicitly or selects the scalar mode.
 //
 // FPM_SIMD=OFF defines FPM_SIMD_DISABLED and strips every variant: the
 // resolver returns nullptr, the registry is empty, and core/compiled.*
@@ -28,7 +29,6 @@
 
 #include "core/detail/simd.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #ifndef FPM_SIMD_DISABLED
@@ -111,8 +111,6 @@ const SimdKernels* const kVariants[] = {
     &portable::kKernels,
 };
 
-std::atomic<const SimdKernels*> g_forced{nullptr};
-
 }  // namespace
 
 std::span<const SimdKernels* const> compiled_simd_variants() noexcept {
@@ -139,13 +137,7 @@ const SimdKernels* find_simd_variant(std::string_view name) noexcept {
   return nullptr;
 }
 
-void set_forced_simd_variant(const SimdKernels* k) noexcept {
-  g_forced.store(k, std::memory_order_relaxed);
-}
-
 const SimdKernels* resolved_simd_kernels() noexcept {
-  if (const SimdKernels* f = g_forced.load(std::memory_order_relaxed))
-    return f;
   static const SimdKernels* const chosen = [] {
     for (const SimdKernels* k : kVariants)
       if (simd_variant_supported(*k)) return k;
@@ -171,8 +163,6 @@ bool simd_variant_supported(const SimdKernels&) noexcept { return false; }
 const SimdKernels* find_simd_variant(std::string_view) noexcept {
   return nullptr;
 }
-
-void set_forced_simd_variant(const SimdKernels*) noexcept {}
 
 }  // namespace fpm::core::detail::simd
 

@@ -34,41 +34,14 @@ void award_greedily(const SpeedList& speeds, Distribution& d,
 
 Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes) {
-  if (speeds.size() != small_sizes.size())
-    throw std::invalid_argument("fine_tune: size mismatch");
-  Distribution d;
-  d.counts.resize(speeds.size());
-  std::int64_t assigned = 0;
-  for (std::size_t i = 0; i < speeds.size(); ++i) {
-    d.counts[i] = std::max<std::int64_t>(
-        0, static_cast<std::int64_t>(std::floor(small_sizes[i])));
-    assigned += d.counts[i];
-  }
-  if (assigned > n) {
-    // Defensive: the steep line should under-fill, but round-off can leave
-    // an excess of a few elements; shed them from the slowest finishers.
-    using Entry = std::pair<double, std::size_t>;
-    std::priority_queue<Entry> heap;  // max by current completion time
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      if (d.counts[i] > 0) heap.emplace(time_at(*speeds[i], d.counts[i]), i);
-    for (std::int64_t excess = assigned - n; excess > 0; --excess) {
-      assert(!heap.empty());
-      const auto [t, i] = heap.top();
-      heap.pop();
-      --d.counts[i];
-      if (d.counts[i] > 0) heap.emplace(time_at(*speeds[i], d.counts[i]), i);
-    }
-    return d;
-  }
-  award_greedily(speeds, d, n - assigned);
-  return d;
+  return fine_tune(CompiledSpeedList::compile(speeds), n, small_sizes,
+                   nullptr);
 }
 
 namespace {
 
-/// time(x) over one compiled entry, counted at the same boundary as
-/// CountingSpeedView / CompiledEntryView (one speed eval per call; x >= 1
-/// here, so the time() zero-guard never fires).
+/// time(x) over one compiled entry, counted as one speed evaluation (x >= 1
+/// here, so the time() zero-guard of SpeedFunction::time never fires).
 double compiled_time_at(const CompiledSpeedList& speeds,
                         EvalCounters* counters, std::size_t i,
                         std::int64_t x) {
@@ -94,8 +67,9 @@ Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
   }
   using Entry = std::pair<double, std::size_t>;
   if (assigned > n) {
-    // Defensive shed, as in the SpeedList overload: rare (round-off only),
-    // so it stays per-entry.
+    // Defensive: the steep line should under-fill, but round-off can leave
+    // an excess of a few elements; shed them from the slowest finishers.
+    // Rare, so it stays per-entry.
     std::priority_queue<Entry> heap;  // max by current completion time
     for (std::size_t i = 0; i < speeds.size(); ++i)
       if (d.counts[i] > 0)
@@ -112,8 +86,9 @@ Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
   }
   // Seed the award heap from one batched sweep over the post-award sizes
   // (counts + 1 >= 1, all in-domain). The heap sees the same (time, index)
-  // pairs in the same i-ascending push order as award_greedily, so with the
-  // scalar kernels the pop sequence — and the allocation — is bit-identical.
+  // pairs in the same i-ascending push order as award_greedily over the
+  // virtual models, so with the scalar kernels the pop sequence — and the
+  // allocation — is bit-identical to it.
   std::vector<double> xs(speeds.size());
   for (std::size_t i = 0; i < speeds.size(); ++i)
     xs[i] = static_cast<double>(d.counts[i] + 1);

@@ -23,18 +23,18 @@ namespace fpm::core {
 
 /// Completes a fractional bracket into an integer allocation summing to n.
 /// `small_sizes` are the intersections with the steep line (sum <= n); they
-/// seed the floor allocation. O((p + deficit)·log p).
+/// seed the floor allocation. O((p + deficit)·log p). Compiles `speeds` and
+/// runs the compiled overload below, uncounted.
 Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes);
 
 /// Compiled-model overload: the award heap is seeded from ONE batched
 /// speeds_at() sweep (the p-wide hot loop of the epilogue, vectorized for
 /// the power/exp lanes) instead of p virtual calls; the award/shed
-/// iterations stay per-entry, exactly as the virtual path orders them.
-/// With SIMD off this is bit-identical — same values, same heap push
-/// sequence — to fine_tune over CompiledEntryView adaptors. Evaluations
-/// land in `counters` at the same boundary the counting views use
-/// (pass nullptr to skip).
+/// iterations stay per-entry. In scalar mode (force_simd_backend("off"))
+/// every value, and the heap's push sequence, is bit-identical to the same
+/// greedy run over the virtual models. Each speed evaluation adds one to
+/// `counters->speed_evals` (pass nullptr to skip).
 Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes,
                        EvalCounters* counters);

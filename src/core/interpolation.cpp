@@ -1,12 +1,10 @@
 #include "core/interpolation.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/detail/search_state.hpp"
-#include "core/finetune.hpp"
 
 namespace fpm::core {
 
@@ -55,20 +53,7 @@ PartitionResult partition_interpolation(const SpeedList& speeds,
     }
     state.step_custom(std::exp(lc));
   }
-  result.stats.iterations = state.iterations();
-  result.stats.intersections = state.intersections();
-  result.stats.final_slope = state.hi_slope();
-  result.stats.search_speed_evals = state.speed_evals();
-  result.stats.search_intersect_solves = state.intersect_solves();
-  result.distribution = state.fine_tune_epilogue(n);
-  result.stats.speed_evals = state.speed_evals();
-  result.stats.intersect_solves = state.intersect_solves();
-  result.stats.bracket_saturations = state.bracket_saturations();
-  result.stats.warmstart = state.warmstart();
-  result.stats.warm_probes = state.warm_probes();
-  if (result.stats.warmstart == WarmStart::Hit)
-    result.stats.iterations_saved = std::max(
-        0, opts.hint->baseline_iterations - result.stats.iterations);
+  state.finish(result);
   return result;
 }
 

@@ -7,6 +7,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/compiled.hpp"
+
 namespace fpm::core {
 
 std::int64_t Distribution::total() const noexcept {
@@ -29,52 +31,8 @@ double total_size_at(const SpeedList& speeds, double slope) {
 SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n,
                             std::vector<double>* small,
                             std::vector<double>* large) {
-  if (speeds.empty()) throw std::invalid_argument("detect_bracket: no speeds");
-  if (n < 1) throw std::invalid_argument("detect_bracket: n must be >= 1");
-  const double p = static_cast<double>(speeds.size());
-  const double probe = static_cast<double>(n) / p;
-  double s_min = std::numeric_limits<double>::infinity();
-  double s_max = 0.0;
-  for (const SpeedFunction* f : speeds) {
-    const double s = f->speed(std::min(probe, f->max_size()));
-    s_min = std::min(s_min, s);
-    s_max = std::max(s_max, s);
-  }
-  SlopeBracket br;
-  br.hi_slope = s_max / probe;  // line 1 of Figure 18
-  br.lo_slope = s_min / probe;  // line 2 of Figure 18
-  if (br.lo_slope <= 0.0) br.lo_slope = br.hi_slope * 1e-12;
-  // Figure 18's construction guarantees the bracket under the shape
-  // requirement; the expansion loops below make the function total for any
-  // inputs. Intersections extend beyond the modelled ranges (see
-  // SpeedFunction::intersect), so total_size_at is unbounded as the slope
-  // approaches zero and the shallow expansion always terminates. Each test
-  // keeps its solved sizes, so the final lines come back without a re-solve.
-  const double nd = static_cast<double>(n);
-  std::vector<double> hi_local, lo_local;
-  std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;
-  std::vector<double>& lo_sizes = large != nullptr ? *large : lo_local;
-  const auto total_at = [&](double slope, std::vector<double>& xs) {
-    xs = sizes_at(speeds, slope);
-    double sum = 0.0;
-    for (const double x : xs) sum += x;
-    return sum;
-  };
-  double hi_total = total_at(br.hi_slope, hi_sizes);
-  for (int i = 0; i < 256 && hi_total > nd; ++i) {
-    br.hi_slope *= 2.0;
-    hi_total = total_at(br.hi_slope, hi_sizes);
-  }
-  double lo_total = total_at(br.lo_slope, lo_sizes);
-  for (int i = 0; i < 256 && lo_total < nd; ++i) {
-    br.lo_slope *= 0.5;
-    lo_total = total_at(br.lo_slope, lo_sizes);
-  }
-  if (br.lo_slope > br.hi_slope) {
-    std::swap(br.lo_slope, br.hi_slope);
-    hi_sizes.swap(lo_sizes);
-  }
-  return br;
+  return detect_bracket(CompiledSpeedList::compile(speeds), n, nullptr, small,
+                        large);
 }
 
 Distribution partition_even(std::int64_t n, std::size_t p) {

@@ -160,8 +160,9 @@ struct SlopeBracket {
 /// (n/p, min speed) has sum >= n. A geometric expansion loop guards against
 /// degenerate inputs (e.g. sizes beyond every curve's range).
 /// Requires n >= 1 and a non-empty speed list. When given, `small` and
-/// `large` receive sizes_at() of the returned hi and lo slopes — the last
+/// `large` receive the sizes on the returned hi and lo slopes — the last
 /// lines the expansion loops solved, so no further solve is needed.
+/// Compiles `speeds` and runs the CompiledSpeedList overload (compiled.hpp).
 SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n,
                             std::vector<double>* small = nullptr,
                             std::vector<double>* large = nullptr);

@@ -46,7 +46,7 @@ CliArgs::CliArgs(int argc, const char* const* argv,
     const bool is_switch =
         std::find(switches_.begin(), switches_.end(), key) != switches_.end();
     if (is_switch) {
-      values_[key] = "1";
+      values_.insert_or_assign(key, std::string(1, '1'));
     } else {
       if (i + 1 >= argc)
         throw std::invalid_argument("missing value for " + key);

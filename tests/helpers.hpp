@@ -1,11 +1,13 @@
 // Shared fixtures for the fpmlib test suite: canonical heterogeneous curve
-// families covering every shape class of the paper (Figure 5), plus
-// optimality checking helpers.
+// families covering every shape class of the paper (Figure 5), the virtual
+// reference the compiled search is compared against, and a scoped SIMD
+// backend selection.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fpm.hpp"
@@ -25,6 +27,56 @@ struct Ensemble {
     for (const auto& f : owned) l.push_back(f.get());
     return l;
   }
+};
+
+/// Forwards every call to the wrapped model. CompiledSpeedList::compile
+/// does not know this type, so it classifies each entry as Generic, and a
+/// search over a wrapped list runs on the wrapped models' own virtual
+/// speed() and intersect() — the reference the compiled families must
+/// match bit for bit in scalar mode.
+class VirtualOnly final : public core::SpeedFunction {
+ public:
+  explicit VirtualOnly(const core::SpeedFunction& base) : base_(&base) {}
+  double speed(double x) const override { return base_->speed(x); }
+  double max_size() const override { return base_->max_size(); }
+  double intersect(double slope) const override {
+    return base_->intersect(slope);
+  }
+
+ private:
+  const core::SpeedFunction* base_;
+};
+
+/// A list's models, each wrapped in VirtualOnly. `list` must outlive the
+/// result's list().
+struct VirtualOnlyList {
+  explicit VirtualOnlyList(const core::SpeedList& list) {
+    wrapped.reserve(list.size());
+    for (const core::SpeedFunction* f : list) wrapped.emplace_back(*f);
+  }
+  core::SpeedList list() const {
+    core::SpeedList l;
+    for (const VirtualOnly& f : wrapped) l.push_back(&f);
+    return l;
+  }
+  std::vector<VirtualOnly> wrapped;
+};
+
+/// Selects a SIMD backend (force_simd_backend) for one scope and restores
+/// the previous selection on exit. The default, "off", is the bit-exact
+/// scalar mode the equivalence tests run in.
+class BackendScope {
+ public:
+  explicit BackendScope(std::string_view backend = "off")
+      : previous_(core::to_string(core::active_simd_backend())) {
+    core::force_simd_backend(backend);
+  }
+  ~BackendScope() { core::force_simd_backend(previous_); }
+  BackendScope(const BackendScope&) = delete;
+  BackendScope& operator=(const BackendScope&) = delete;
+
+ private:
+  std::string previous_;
 };
 
 /// p constant speeds 100, 150, 200, ... (the degenerate single-number case).

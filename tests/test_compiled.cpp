@@ -1,12 +1,16 @@
 // Equivalence tests for the compiled speed-model layer (core/compiled.*):
 // bit-identical speed() / intersect() per family, closed-form intersections
 // against the generic bisection, bit-identical distributions and stats for
-// every registry algorithm with the compiled path toggled on and off, the
-// exact-type classification table, and content-hash fingerprint semantics.
+// every registry algorithm against the same models wrapped in
+// test::VirtualOnly (every entry Generic, so the search runs on the
+// virtual calls), the exact-type classification table, and content-hash
+// fingerprint semantics. The bit-identity checks run in scalar mode: the
+// SIMD lanes are only ULP-equivalent (tests/test_simd.cpp owns that gate).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fpm.hpp"
@@ -17,32 +21,8 @@ namespace {
 
 using core::CompiledSpeedList;
 
-/// RAII guard pinning the bit-exact scalar batch kernels: the SIMD lanes
-/// are only ULP-equivalent to the virtual path (tests/test_simd.cpp owns
-/// that gate), so the bit-identity assertions below run in scalar mode.
-class ScalarKernelsGuard {
- public:
-  ScalarKernelsGuard() : old_(core::simd_kernels_enabled()) {
-    core::set_simd_kernels(false);
-  }
-  ~ScalarKernelsGuard() { core::set_simd_kernels(old_); }
-
- private:
-  bool old_;
-};
-
-/// RAII guard flipping the process-wide compiled-partitioning switch.
-class CompiledToggle {
- public:
-  explicit CompiledToggle(bool enabled)
-      : old_(core::compiled_partitioning_enabled()) {
-    core::set_compiled_partitioning(enabled);
-  }
-  ~CompiledToggle() { core::set_compiled_partitioning(old_); }
-
- private:
-  bool old_;
-};
+using test::BackendScope;
+using test::VirtualOnlyList;
 
 /// Every ensemble the suite knows, plus mixed and a piecewise curve set.
 std::vector<test::Ensemble> equivalence_ensembles() {
@@ -164,79 +144,82 @@ TEST(Compiled, ExpDecayClosedFormMatchesBisection) {
 }
 
 TEST(Compiled, AllAlgorithmsBitIdenticalAcrossToggle) {
-  ScalarKernelsGuard scalar;
-  std::vector<test::Ensemble> ensembles = equivalence_ensembles();
-  for (const test::Ensemble& e : ensembles) {
+  // The toggle is between the known-family compiled entries and the same
+  // models wrapped in VirtualOnly (every entry Generic, so each line is
+  // solved through the models' own virtual calls).
+  BackendScope scalar;
+  for (const test::Ensemble& e : equivalence_ensembles()) {
     const core::SpeedList list = e.list();
+    const VirtualOnlyList wrapped(list);
+    ASSERT_EQ(CompiledSpeedList::compile(wrapped.list()).generic_entries(),
+              list.size());
     for (const std::string& alg : core::partitioner_registry().ids()) {
       core::PartitionPolicy policy;
       policy.algorithm = alg;
-      for (const std::int64_t n : {1000LL, 1000000LL}) {
-        core::PartitionResult on, off;
-        {
-          CompiledToggle guard(true);
-          on = core::partition(list, n, policy);
-        }
-        {
-          CompiledToggle guard(false);
-          off = core::partition(list, n, policy);
-        }
-        EXPECT_EQ(on.distribution.counts, off.distribution.counts)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.iterations, off.stats.iterations)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.intersections, off.stats.intersections)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.final_slope, off.stats.final_slope)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.speed_evals, off.stats.speed_evals)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.intersect_solves, off.stats.intersect_solves)
-            << e.name << " " << alg << " n=" << n;
-        EXPECT_EQ(on.stats.switched_to_modified, off.stats.switched_to_modified)
-            << e.name << " " << alg << " n=" << n;
+      for (const std::int64_t n : {1000LL, 1000003LL, 1000000LL}) {
+        const core::PartitionResult known = core::partition(list, n, policy);
+        const core::PartitionResult virt =
+            core::partition(wrapped.list(), n, policy);
+        const std::string where =
+            e.name + "/" + std::to_string(list.size()) + " " + alg +
+            " n=" + std::to_string(n);
+        EXPECT_EQ(known.distribution.counts, virt.distribution.counts)
+            << where;
+        EXPECT_EQ(known.stats.iterations, virt.stats.iterations) << where;
+        EXPECT_EQ(known.stats.intersections, virt.stats.intersections)
+            << where;
+        EXPECT_EQ(known.stats.final_slope, virt.stats.final_slope) << where;
+        EXPECT_EQ(known.stats.speed_evals, virt.stats.speed_evals) << where;
+        EXPECT_EQ(known.stats.intersect_solves, virt.stats.intersect_solves)
+            << where;
+        EXPECT_EQ(known.stats.switched_to_modified,
+                  virt.stats.switched_to_modified)
+            << where;
       }
     }
   }
 }
 
 TEST(Compiled, BracketAndSizesMatchVirtualHelpers) {
-  ScalarKernelsGuard scalar;
+  BackendScope scalar;
   for (const test::Ensemble& e : equivalence_ensembles()) {
     const core::SpeedList list = e.list();
     const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+    const VirtualOnlyList wrapped(list);
     for (const std::int64_t n : {100LL, 5000000LL}) {
       core::EvalCounters counters;
       const core::SlopeBracket a = detect_bracket(compiled, n, &counters);
-      const core::SlopeBracket b = detect_bracket(list, n);
+      const core::SlopeBracket b = detect_bracket(wrapped.list(), n);
       EXPECT_EQ(a.lo_slope, b.lo_slope) << e.name << " n=" << n;
       EXPECT_EQ(a.hi_slope, b.hi_slope) << e.name << " n=" << n;
       EXPECT_GT(counters.speed_evals, 0) << e.name;
       EXPECT_GT(counters.intersect_solves, 0) << e.name;
       EXPECT_EQ(sizes_at(compiled, a.lo_slope, nullptr),
-                sizes_at(list, b.lo_slope))
+                sizes_at(wrapped.list(), b.lo_slope))
           << e.name << " n=" << n;
       EXPECT_EQ(total_size_at(compiled, a.hi_slope, nullptr),
-                total_size_at(list, b.hi_slope))
+                total_size_at(wrapped.list(), b.hi_slope))
           << e.name << " n=" << n;
     }
   }
 }
 
 TEST(Compiled, BracketReturnsTheLinesItSolved) {
-  ScalarKernelsGuard scalar;
+  BackendScope scalar;
   for (const test::Ensemble& e : equivalence_ensembles()) {
     const core::SpeedList list = e.list();
     const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+    const VirtualOnlyList wrapped(list);
     for (const std::int64_t n : {100LL, 5000000LL}) {
       std::vector<double> small_c, large_c, small_v, large_v;
       const core::SlopeBracket a =
           detect_bracket(compiled, n, nullptr, &small_c, &large_c);
-      const core::SlopeBracket b = detect_bracket(list, n, &small_v, &large_v);
+      const core::SlopeBracket b =
+          detect_bracket(wrapped.list(), n, &small_v, &large_v);
       EXPECT_EQ(small_c, sizes_at(compiled, a.hi_slope, nullptr)) << e.name;
       EXPECT_EQ(large_c, sizes_at(compiled, a.lo_slope, nullptr)) << e.name;
-      EXPECT_EQ(small_v, sizes_at(list, b.hi_slope)) << e.name;
-      EXPECT_EQ(large_v, sizes_at(list, b.lo_slope)) << e.name;
+      EXPECT_EQ(small_v, sizes_at(wrapped.list(), b.hi_slope)) << e.name;
+      EXPECT_EQ(large_v, sizes_at(wrapped.list(), b.lo_slope)) << e.name;
     }
   }
 }
@@ -244,13 +227,13 @@ TEST(Compiled, BracketReturnsTheLinesItSolved) {
 TEST(Compiled, ColdSearchSolvesEachLineOnce) {
   // A cold search solves the bracket's expansion tests, then one line per
   // non-degenerate step — never the two bracket lines a second time — on
-  // the compiled and the virtual path alike.
-  ScalarKernelsGuard scalar;
+  // the known families and on the virtual reference alike.
+  BackendScope scalar;
   for (const test::Ensemble& e : equivalence_ensembles()) {
-    const core::SpeedList list = e.list();
-    const auto p = static_cast<std::int64_t>(list.size());
-    for (const bool compiled_on : {true, false}) {
-      CompiledToggle toggle(compiled_on);
+    const VirtualOnlyList wrapped(e.list());
+    for (const bool virtual_only : {false, true}) {
+      const core::SpeedList list = virtual_only ? wrapped.list() : e.list();
+      const auto p = static_cast<std::int64_t>(list.size());
       for (const std::int64_t n : {1000LL, 1000000LL}) {
         core::EvalCounters bracket;
         (void)detect_bracket(CompiledSpeedList::compile(list), n, &bracket);
@@ -269,7 +252,7 @@ TEST(Compiled, ColdSearchSolvesEachLineOnce) {
           EXPECT_EQ(r.stats.search_intersect_solves,
                     bracket.intersect_solves + line_steps * p)
               << e.name << " " << alg << " n=" << n
-              << " compiled=" << compiled_on;
+              << " virtual_only=" << virtual_only;
         }
       }
     }
@@ -417,8 +400,6 @@ TEST(Compiled, NestedWrappersAndOtherTypesCompileToGeneric) {
   const core::GranularSpeed granular_of_scaled(scaled, 4.0);
   const core::GranularSpeedView view_of_granular(*granular, 2.0);
   const core::ScaledSpeed scaled_of_unknown(std::make_shared<OddSpeed>(), 2.0);
-  const CompiledSpeedList inner = CompiledSpeedList::compile({power.get()});
-  const core::CompiledEntryView entry_view(inner, 0);
   const core::AggregateSpeed aggregate({constant.get(), power.get()});
   const core::FixedParamSpeed fixed(
       std::make_shared<core::ShapeInvariantSurface>(power), 100.0);
@@ -426,8 +407,8 @@ TEST(Compiled, NestedWrappersAndOtherTypesCompileToGeneric) {
 
   const core::SpeedList list{&scaled_of_scaled, &granular_of_scaled,
                              &view_of_granular, &scaled_of_unknown,
-                             &entry_view,       &aggregate,
-                             &fixed,            &odd};
+                             &aggregate,        &fixed,
+                             &odd};
   const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
   EXPECT_EQ(compiled.generic_entries(), list.size());
   for (std::size_t i = 0; i < list.size(); ++i) {
@@ -534,19 +515,6 @@ TEST(Compiled, FingerprintSeesEveryParameterStepAndBreakpoint) {
   auto power = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9);
   EXPECT_NE(CompiledSpeedList::fingerprint_of({constant.get(), power.get()}),
             CompiledSpeedList::fingerprint_of({power.get(), constant.get()}));
-}
-
-TEST(Compiled, CompiledEntryViewCountsAtTheBoundary) {
-  const test::Ensemble e = test::power_ensemble(3);
-  const core::SpeedList list = e.list();
-  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
-  core::EvalCounters counters;
-  core::CompiledEntryView view(compiled, 1, &counters);
-  EXPECT_EQ(view.speed(1e6), list[1]->speed(1e6));
-  EXPECT_EQ(view.max_size(), list[1]->max_size());
-  EXPECT_EQ(view.intersect(1e-3), list[1]->intersect(1e-3));
-  EXPECT_EQ(counters.speed_evals, 1);
-  EXPECT_EQ(counters.intersect_solves, 1);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST(MatmulNaive, RejectsMismatchedShapes) {
 }
 
 TEST(MatmulBlocked, MatchesNaiveOnRandomRectangles) {
-  for (const auto [m, k, n] :
+  for (const auto& [m, k, n] :
        {std::tuple{5, 7, 3}, {48, 48, 48}, {50, 33, 65}, {1, 100, 1}}) {
     const MatrixD a = random_matrix(m, k, 1);
     const MatrixD b = random_matrix(k, n, 2);
@@ -66,7 +66,7 @@ TEST(LuFactor, ReconstructsPA) {
 }
 
 TEST(LuFactor, RectangularTallAndWide) {
-  for (const auto [m, n] : {std::pair{12u, 5u}, {5u, 12u}}) {
+  for (const auto& [m, n] : {std::pair{12u, 5u}, {5u, 12u}}) {
     MatrixD a = random_matrix(m, n, 55);
     const MatrixD original = a;
     std::vector<std::size_t> pivots;
@@ -160,8 +160,11 @@ TEST(RandomMatrix, DeterministicAndInRange) {
   const MatrixD b = random_matrix(6, 6, 42);
   EXPECT_DOUBLE_EQ(util::max_abs_diff(a, b), 0.0);
   for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 6; ++j)
-      if (i != j) EXPECT_LE(std::abs(a(i, j)), 1.0);
+    for (std::size_t j = 0; j < 6; ++j) {
+      if (i != j) {
+        EXPECT_LE(std::abs(a(i, j)), 1.0);
+      }
+    }
 }
 
 TEST(RealSource, MeasuresPositiveSpeeds) {

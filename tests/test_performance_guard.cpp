@@ -91,9 +91,10 @@ TEST(PerformanceGuard, BasicBeatsModifiedOnPolynomialCurves) {
     const PartitionResult modified = partition_modified(e.list(), n);
     EXPECT_LE(basic.stats.intersect_solves, modified.stats.intersect_solves)
         << "n=" << n;
-    if (n >= 100'000'000)
+    if (n >= 100'000'000) {
       EXPECT_LT(basic.stats.intersect_solves, modified.stats.intersect_solves)
           << "n=" << n;
+    }
     EXPECT_EQ(basic.distribution.total(), n);
     EXPECT_EQ(modified.distribution.total(), n);
   }

@@ -24,7 +24,7 @@ class Rect2dSweep : public ::testing::TestWithParam<int> {};
 TEST_P(Rect2dSweep, TilesExactlyForEveryFamily) {
   const int p = GetParam();
   for (const auto& e : fpm::test::all_ensembles(p)) {
-    for (const auto [rows, cols] :
+    for (const auto& [rows, cols] :
          {std::pair<std::int64_t, std::int64_t>{64, 64},
           {100, 37},
           {1, 1000},

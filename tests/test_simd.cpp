@@ -3,8 +3,8 @@
 //
 //  * the ULP-toleranced SIMD-vs-scalar gate on intersect_all, with the
 //    virtual SpeedFunction path as the oracle,
-//  * bit-identity guarantees that survive the toggle (per-entry intersect,
-//    scalar batch mode, the piecewise vector scan),
+//  * bit-identity guarantees that hold on every backend (per-entry
+//    intersect, scalar mode, the piecewise vector scan),
 //  * speed_kernels.hpp edge cases near the punt boundaries: exp-decay's
 //    1e-280 underflow floor plateau, power-decay's beyond-2^256 delegation
 //    to generic_intersect (and its bracket-saturation tally), piecewise
@@ -30,6 +30,7 @@
 #include "core/detail/search_state.hpp"
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 
 namespace fpm {
@@ -37,19 +38,7 @@ namespace {
 
 using core::CompiledSpeedList;
 
-/// RAII guard that restores auto backend dispatch (and the SIMD toggle it
-/// re-enables) when a test forced a specific variant.
-class BackendGuard {
- public:
-  BackendGuard() : was_enabled_(core::simd_kernels_enabled()) {}
-  ~BackendGuard() {
-    core::force_simd_backend("auto");
-    core::set_simd_kernels(was_enabled_);
-  }
-
- private:
-  bool was_enabled_;
-};
+using test::BackendScope;
 
 /// The compiled-in variants this CPU can actually run.
 std::vector<const core::detail::simd::SimdKernels*> runnable_variants() {
@@ -58,18 +47,6 @@ std::vector<const core::detail::simd::SimdKernels*> runnable_variants() {
     if (core::detail::simd::simd_variant_supported(*k)) out.push_back(k);
   return out;
 }
-
-/// RAII guard around the process-wide SIMD kernel toggle.
-class SimdToggle {
- public:
-  explicit SimdToggle(bool enabled) : old_(core::simd_kernels_enabled()) {
-    core::set_simd_kernels(enabled);
-  }
-  ~SimdToggle() { core::set_simd_kernels(old_); }
-
- private:
-  bool old_;
-};
 
 /// RAII guard around the parallel-sweep threshold.
 class ThresholdGuard {
@@ -115,7 +92,7 @@ TEST(Simd, IntersectAllMatchesVirtualOracleWithinTolerance) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  SimdToggle simd(true);
+  BackendScope vector_mode("auto");
   for (const double slope : sweep_slopes()) {
     c.intersect_all(slope, xs);
     for (std::size_t i = 0; i < list.size(); ++i) {
@@ -130,7 +107,7 @@ TEST(Simd, ScalarToggleRestoresBitIdentity) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  SimdToggle scalar(false);
+  BackendScope scalar;
   for (const double slope : sweep_slopes()) {
     c.intersect_all(slope, xs);
     for (std::size_t i = 0; i < list.size(); ++i)
@@ -144,7 +121,7 @@ TEST(Simd, PerEntryIntersectBitIdenticalRegardlessOfToggle) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   for (const bool enabled : {true, false}) {
-    SimdToggle toggle(enabled);
+    BackendScope backend(enabled ? "auto" : "off");
     for (const double slope : sweep_slopes())
       for (std::size_t i = 0; i < list.size(); ++i)
         EXPECT_EQ(c.intersect(i, slope), list[i]->intersect(slope))
@@ -169,7 +146,7 @@ TEST(Simd, ExpDecayUnderflowFloorPlateau) {
   // Slopes shallow enough that the root lands far beyond the floor
   // crossing (s0·e^-x/lambda < 1e-280 at the line), plus one regular one.
   for (const double slope : {1e-290, 1e-300, 0.5}) {
-    SimdToggle simd(true);
+    BackendScope vector_mode("auto");
     c.intersect_all(slope, xs);
     for (std::size_t i = 0; i < list.size(); ++i) {
       const double oracle = list[i]->intersect(slope);
@@ -202,7 +179,7 @@ TEST(Simd, PowerDecayBeyondDelegationThreshold) {
 
   std::int64_t& tally = core::detail::bracket_saturation_tally();
   const std::int64_t before = tally;
-  SimdToggle simd(true);
+  BackendScope vector_mode("auto");
   c.intersect_all(slope, xs);
   EXPECT_GT(tally, before) << "delegated brackets should saturate";
   for (std::size_t i = 0; i < list.size(); ++i)
@@ -236,7 +213,7 @@ TEST(Simd, PiecewiseTailIntersectAcrossFinalSegmentShapes) {
   std::vector<double> xs(list.size());
   for (const double slope : {1.0, 1e-2, 1e-4, 1e-6, 1e-9}) {
     for (const bool enabled : {true, false}) {
-      SimdToggle toggle(enabled);
+      BackendScope backend(enabled ? "auto" : "off");
       c.intersect_all(slope, xs);
       for (std::size_t i = 0; i < list.size(); ++i) {
         // The vector scan picks the same segment as the binary search and
@@ -271,11 +248,11 @@ TEST(Simd, EveryRegistryAlgorithmEquivalentToScalarOracle) {
     policy.algorithm = info.id;
     core::PartitionResult oracle, simd;
     {
-      SimdToggle off(false);
+      BackendScope scalar;
       oracle = core::partition(list, n, policy);
     }
     {
-      SimdToggle on(true);
+      BackendScope vector_mode("auto");
       simd = core::partition(list, n, policy);
     }
     EXPECT_EQ(simd.distribution.total(), n) << info.id;
@@ -298,7 +275,7 @@ TEST(Simd, ParallelSweepMatchesSerialSweep) {
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> serial(list.size()), parallel(list.size());
   for (const bool enabled : {true, false}) {
-    SimdToggle toggle(enabled);
+    BackendScope backend(enabled ? "auto" : "off");
     for (const double slope : sweep_slopes()) {
       {
         ThresholdGuard serial_only(100'000);  // above p: serial path
@@ -344,9 +321,9 @@ TEST(Simd, SearchStateSnapshotsSaturationTally) {
   for (const auto& f : owned) list.push_back(f.get());
   core::detail::SearchState state(list, 1000);
   EXPECT_EQ(state.bracket_saturations(), 0);
-  // A follow-up solve under the same counters (the fine-tuning pattern)
+  // A follow-up solve on the constructing thread (the fine-tuning pattern)
   // that saturates must be visible in the snapshot delta.
-  state.counted_speeds()[0]->intersect(1e-80);
+  (void)list[0]->intersect(1e-80);
   EXPECT_EQ(state.bracket_saturations(), 1);
 }
 
@@ -386,10 +363,9 @@ TEST(Simd, EveryCompiledBackendMatchesScalarOracle) {
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : variants) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     for (const double slope : sweep_slopes()) {
       c.intersect_all(slope, xs);
       for (std::size_t i = 0; i < list.size(); ++i)
@@ -437,10 +413,9 @@ TEST(Simd, UnimodalAndSteppedLanesMatchOracleOnEveryBackend) {
   const auto c = CompiledSpeedList::compile(list);
   EXPECT_EQ(c.batched_entries(), list.size() - 1);  // the 12-step curve punts
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     for (const double slope : {1e3, 1.0, 1e-2, 1e-5, 1e-9}) {
       c.intersect_all(slope, xs);
       for (std::size_t i = 0; i < list.size(); ++i)
@@ -487,7 +462,7 @@ void expect_stepped_lane_matches_oracle(const CompiledSpeedList& c,
   std::vector<std::vector<double>> oracle(slopes.size());
   std::vector<std::int64_t> punts(slopes.size(), 0);
   {
-    SimdToggle off(false);
+    BackendScope scalar;
     for (std::size_t s = 0; s < slopes.size(); ++s) {
       oracle[s].resize(list.size());
       c.intersect_all(slopes[s], oracle[s]);
@@ -496,10 +471,9 @@ void expect_stepped_lane_matches_oracle(const CompiledSpeedList& c,
     }
   }
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     for (std::size_t s = 0; s < slopes.size(); ++s) {
       const std::int64_t before = scalar_entries();
       c.intersect_all(slopes[s], xs);
@@ -629,13 +603,12 @@ TEST(Simd, DistributionsEqualScalarOnBenchmarkFleets) {
   };
   std::vector<std::vector<std::int64_t>> oracle;
   {
-    SimdToggle off(false);
+    BackendScope scalar;
     for (const Problem& problem : problems) oracle.push_back(solve(problem));
   }
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     for (std::size_t i = 0; i < problems.size(); ++i)
       EXPECT_EQ(solve(problems[i]), oracle[i])
           << problems[i].algorithm << " fleet " << problems[i].fleet
@@ -666,10 +639,9 @@ TEST(Simd, EightWidePuntBoundaryFuzz) {
   for (const auto& f : owned) list.push_back(f.get());
   const auto c = CompiledSpeedList::compile(list);
   std::vector<double> xs(list.size());
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     for (const double slope :
          {1e2, 1.0, 1e-30, 1e-120, 1e-200, 1e-285, 1e-295, 1e-305}) {
       c.intersect_all(slope, xs);
@@ -686,7 +658,7 @@ TEST(Simd, RegistryAlgorithmsEquivalentOnEveryBackend) {
   const std::int64_t n = 40'000'000;
   std::vector<core::PartitionResult> oracle;
   {
-    SimdToggle off(false);
+    BackendScope scalar;
     for (const core::PartitionerInfo& info :
          core::partitioner_registry().entries()) {
       core::PartitionPolicy policy;
@@ -694,10 +666,9 @@ TEST(Simd, RegistryAlgorithmsEquivalentOnEveryBackend) {
       oracle.push_back(core::partition(list, n, policy));
     }
   }
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     std::size_t a = 0;
     for (const core::PartitionerInfo& info :
          core::partitioner_registry().entries()) {
@@ -726,7 +697,7 @@ TEST(Simd, SpeedsAtMatchesPerEntrySpeeds) {
   // Scalar mode: the batched sweep is the same per-entry arithmetic in a
   // different loop — bit-identical.
   {
-    SimdToggle off(false);
+    BackendScope scalar;
     core::EvalCounters counters;
     const std::vector<double> got = core::speeds_at(c, xs, &counters);
     EXPECT_EQ(counters.speed_evals, static_cast<std::int64_t>(list.size()));
@@ -735,10 +706,9 @@ TEST(Simd, SpeedsAtMatchesPerEntrySpeeds) {
   }
   // Vector mode, every backend: power/exp lanes run the polynomial kernels,
   // everything else stays bit-identical.
-  BackendGuard restore;
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);
-    core::force_simd_backend(k->name);
+    BackendScope backend(k->name);
     const std::vector<double> got = core::speeds_at(c, xs, nullptr);
     for (std::size_t i = 0; i < list.size(); ++i)
       EXPECT_LE(rel_diff(got[i], list[i]->speed(xs[i])), kUlpTolerance)
@@ -753,7 +723,7 @@ TEST(Simd, SizesAtBitIdenticalPerAlgorithmSlopesInScalarMode) {
   const core::SyntheticFleet fleet = core::make_synthetic_fleet(128, 29);
   const core::SpeedList list = fleet.list();
   const auto c = CompiledSpeedList::compile(list);
-  SimdToggle off(false);
+  BackendScope scalar;
   for (const core::PartitionerInfo& info :
        core::partitioner_registry().entries()) {
     core::PartitionPolicy policy;
@@ -762,9 +732,9 @@ TEST(Simd, SizesAtBitIdenticalPerAlgorithmSlopesInScalarMode) {
     const double slope = r.stats.final_slope;
     if (!(slope > 0.0)) continue;  // bounded may finish outside the bracket
     const std::vector<double> batched = core::sizes_at(c, slope, nullptr);
-    core::set_batched_kernels(false);
-    const std::vector<double> per_entry = core::sizes_at(c, slope, nullptr);
-    core::set_batched_kernels(true);
+    std::vector<double> per_entry(list.size());
+    for (std::size_t i = 0; i < list.size(); ++i)
+      per_entry[i] = c.intersect(i, slope);
     EXPECT_EQ(batched, per_entry) << info.id;
   }
 }
@@ -772,7 +742,7 @@ TEST(Simd, SizesAtBitIdenticalPerAlgorithmSlopesInScalarMode) {
 // --- Backend forcing / rejection. ---------------------------------------
 
 TEST(Simd, ForceBackendRoundTripsAndRejectsUnknownNames) {
-  BackendGuard restore;
+  BackendScope restore("auto");
   EXPECT_THROW(core::force_simd_backend("bogus"), std::invalid_argument);
   EXPECT_THROW(core::force_simd_backend(""), std::invalid_argument);
   for (const auto* k : core::detail::simd::compiled_simd_variants()) {
@@ -782,7 +752,7 @@ TEST(Simd, ForceBackendRoundTripsAndRejectsUnknownNames) {
       continue;
     }
     core::force_simd_backend(k->name);
-    EXPECT_TRUE(core::simd_kernels_enabled());
+    EXPECT_NE(core::active_simd_backend(), core::SimdBackend::Disabled);
     EXPECT_STREQ(core::to_string(core::active_simd_backend()), k->name);
   }
   core::force_simd_backend("off");
@@ -801,9 +771,9 @@ TEST(Simd, BackendIntrospectionIsConsistent) {
   if (!available) {
     EXPECT_EQ(backend, core::SimdBackend::Disabled);
   } else {
-    SimdToggle on(true);
+    BackendScope vector_mode("auto");
     EXPECT_NE(core::active_simd_backend(), core::SimdBackend::Disabled);
-    SimdToggle off(false);
+    BackendScope scalar;
     EXPECT_EQ(core::active_simd_backend(), core::SimdBackend::Disabled);
   }
 }

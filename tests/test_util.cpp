@@ -307,7 +307,7 @@ TEST(CliArgs, IntegerParsingStrictWithFallback) {
 TEST(Timer, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(t.seconds(), 0.0);
   EXPECT_GT(t.micros(), t.seconds());  // unit sanity
 }

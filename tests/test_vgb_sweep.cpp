@@ -63,8 +63,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::int64_t>(64, 577, 2048, 10000),
                        ::testing::Values<std::int64_t>(1, 32, 100)),
     [](const auto& suffix) {
-      return "n" + std::to_string(std::get<0>(suffix.param)) + "_b" +
-             std::to_string(std::get<1>(suffix.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(suffix.param));
+      name += "_b";
+      name += std::to_string(std::get<1>(suffix.param));
+      return name;
     });
 
 TEST(VgbStructure, FigureSeventeenExampleShape) {

@@ -2,8 +2,9 @@
 // only the search cost. Covers bit-identity for every registry algorithm
 // across drifting n, perturbed models, and deliberately wrong hints; the
 // hit/stale classification and its metrics; the cost advantage of a good
-// hint; the server's per-fingerprint hint store; and the batched SoA
-// kernel toggle.
+// hint; the server's per-fingerprint hint store; the batched SoA kernels
+// against the per-entry virtual reference; and the batch plan's lane
+// coverage.
 //
 // The constant ensemble is deliberately absent from the hint sweeps: with
 // piecewise-constant speeds the optimum can land exactly on an integer, and
@@ -354,35 +355,41 @@ TEST(WarmStart, CallerSuppliedHintWinsOverTheServerStore) {
 }
 
 TEST(WarmStart, BatchedKernelToggleIsBitIdentical) {
-  constexpr std::int64_t kN = 1'000'003;
-  ASSERT_TRUE(batched_kernels_enabled());
-  // Scalar batch mode: the SIMD lanes are only ULP-equivalent (the
-  // equivalence gate lives in tests/test_simd.cpp); this test pins the
-  // batched-vs-per-entry bit-identity contract of the scalar kernels.
-  const bool simd_was = simd_kernels_enabled();
-  set_simd_kernels(false);
+  // The toggle is between the batched SoA lanes of the known families and
+  // the same models wrapped in VirtualOnly, whose Generic entries are
+  // solved one virtual call at a time. Scalar batch mode: the SIMD lanes are
+  // only ULP-equivalent (the equivalence gate lives in tests/test_simd.cpp).
+  const fpm::test::BackendScope scalar;
   std::vector<Ensemble> ensembles = fpm::test::all_ensembles(6);
   ensembles.push_back(fpm::test::mixed_ensemble());
   for (const Ensemble& e : ensembles) {
     const SpeedList speeds = e.list();
+    const fpm::test::VirtualOnlyList wrapped(speeds);
+    ASSERT_EQ(CompiledSpeedList::compile(wrapped.list()).generic_entries(),
+              speeds.size());
     for (const std::string& id : partitioner_registry().ids()) {
       PartitionPolicy policy;
       policy.algorithm = id;
-      const PartitionResult batched = partition(speeds, kN, policy);
-      set_batched_kernels(false);
-      const PartitionResult scalar = partition(speeds, kN, policy);
-      set_batched_kernels(true);
-      EXPECT_EQ(batched.distribution.counts, scalar.distribution.counts)
-          << e.name << " " << id;
-      EXPECT_EQ(batched.stats.iterations, scalar.stats.iterations)
-          << e.name << " " << id;
-      EXPECT_EQ(batched.stats.speed_evals, scalar.stats.speed_evals)
-          << e.name << " " << id;
-      EXPECT_EQ(batched.stats.final_slope, scalar.stats.final_slope)
-          << e.name << " " << id;
+      for (const std::int64_t n : {1'000LL, 1'000'003LL, 1'000'000LL}) {
+        const PartitionResult batched = partition(speeds, n, policy);
+        const PartitionResult virt = partition(wrapped.list(), n, policy);
+        const std::string where =
+            e.name + " " + id + " n=" + std::to_string(n);
+        EXPECT_EQ(batched.distribution.counts, virt.distribution.counts)
+            << where;
+        EXPECT_EQ(batched.stats.iterations, virt.stats.iterations) << where;
+        EXPECT_EQ(batched.stats.intersections, virt.stats.intersections)
+            << where;
+        EXPECT_EQ(batched.stats.final_slope, virt.stats.final_slope) << where;
+        EXPECT_EQ(batched.stats.speed_evals, virt.stats.speed_evals) << where;
+        EXPECT_EQ(batched.stats.intersect_solves, virt.stats.intersect_solves)
+            << where;
+        EXPECT_EQ(batched.stats.switched_to_modified,
+                  virt.stats.switched_to_modified)
+            << where;
+      }
     }
   }
-  set_simd_kernels(simd_was);
 }
 
 TEST(WarmStart, BatchPlanCoversClosedFormFamilies) {

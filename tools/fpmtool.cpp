@@ -330,11 +330,12 @@ int cmd_partition(const util::CliArgs& args) {
   if (const auto bounds = args.get("--bounds"))
     policy.bounds = parse_bounds_csv(*bounds);
 
-  // SIMD backend selection for the batch kernels: --simd wins; with the
-  // flag absent, an FPM_SIMD_BACKEND environment value is validated here so
-  // a typo fails the run loudly (the library alone would silently ignore
-  // it and keep auto dispatch). Bad names/unsupported ISAs throw
-  // std::invalid_argument -> exit status 1.
+  // SIMD backend selection for the batch kernels: --simd wins (an explicit
+  // force_simd_backend call overrides the environment the library reads at
+  // its first sweep); with the flag absent, an FPM_SIMD_BACKEND environment
+  // value is validated here so a typo fails the run loudly (the library
+  // alone would silently ignore it and keep auto dispatch). Bad
+  // names/unsupported ISAs throw std::invalid_argument -> exit status 1.
   if (const auto simd = args.get("--simd"))
     core::force_simd_backend(*simd);
   else if (const char* env = std::getenv("FPM_SIMD_BACKEND"))
