@@ -1,10 +1,11 @@
 // Synthetic heterogeneous fleet generator: builds a p-machine SpeedList
 // from a seed and a family mix, with no hand-written spec files. This is
-// how the thousand-rank scaling studies (bench/ablation_simd, the p=4096
-// tests, `fpmtool gen-fleet`) get realistic-shaped model populations: every
-// machine draws a family, a baseline speed, and a capacity from a
-// deterministic SplitMix64 stream, so (p, seed, mix) fully reproduces the
-// fleet on any platform — results can be compared across runs and CI legs.
+// how the thousand-rank scaling studies (bench/gates, bench/perf, the
+// p=4096 tests, `fpmtool gen-fleet`) get realistic-shaped model
+// populations: every machine draws a family, a baseline speed, and a
+// capacity from a deterministic SplitMix64 stream, so (p, seed, mix) fully
+// reproduces the fleet on any platform — results can be compared across
+// runs and CI legs.
 #pragma once
 
 #include <cstddef>

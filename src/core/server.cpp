@@ -10,6 +10,13 @@
 namespace fpm::core {
 namespace {
 
+/// EWMA weight of the newest service-time sample in the queue-delay
+/// estimator.
+constexpr double kEwmaAlpha = 0.2;
+/// Safety factor on the predicted completion time during admission: a
+/// request is shed when predicted * slack exceeds its deadline budget.
+constexpr double kAdmissionSlack = 1.0;
+
 void append_hex64(std::string& out, std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
   for (int shift = 60; shift >= 0; shift -= 4)
@@ -160,9 +167,7 @@ PartitionServer::PartitionServer(ServerOptions options)
               hint_shards_.size() - 1) /
                  hint_shards_.size())),
       max_queue_depth_(options.max_queue_depth),
-      admission_slack_(options.admission_slack > 0.0 ? options.admission_slack
-                                                     : 1.0),
-      estimator_(options.ewma_alpha) {
+      estimator_(kEwmaAlpha) {
   workers_.reserve(threads_);
   for (unsigned i = 0; i < threads_; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -542,7 +547,7 @@ ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
       }
     }
     const double predicted =
-        estimator_.service_estimate(slo.priority) * admission_slack_;
+        estimator_.service_estimate(slo.priority) * kAdmissionSlack;
     if (predicted > slo.deadline_s) {
       ServeResult outcome = resolve_shed(request, ShedReason::Admission, key);
       account(outcome, submitted, deadline, slo.priority);
@@ -622,7 +627,7 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
       wait_estimate = estimator_.queue_delay(priority, ahead, threads_);
       const double predicted =
           (wait_estimate + estimator_.service_estimate(priority)) *
-          admission_slack_;
+          kAdmissionSlack;
       if (job.request.slo.has_deadline() &&
           predicted > job.request.slo.deadline_s) {
         reject = ShedReason::Admission;

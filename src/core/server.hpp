@@ -90,14 +90,6 @@ struct ServerOptions {
   /// When the queue is full, a submission displaces the lowest-priority,
   /// latest-deadline request — which is degraded or shed.
   std::size_t max_queue_depth = 0;
-  /// EWMA weight of the newest service-time sample in the queue-delay
-  /// estimator (0 < alpha <= 1).
-  double ewma_alpha = 0.2;
-  /// Safety factor on the predicted completion time during admission; a
-  /// request is shed when predicted * admission_slack exceeds its budget.
-  /// > 1 sheds earlier (protects the deadline against estimate error),
-  /// < 1 gambles on the estimate being pessimistic.
-  double admission_slack = 1.0;
 };
 
 /// Aggregate cache counters (monotonic except `entries`/`hint_entries`).
@@ -405,7 +397,6 @@ class PartitionServer {
   bool warm_start_;
   std::size_t hint_shard_capacity_;
   std::size_t max_queue_depth_;
-  double admission_slack_;
   QueueDelayEstimator estimator_;
   std::array<HintShard, 16> hint_shards_;
   std::atomic<std::int64_t> uncacheable_{0};

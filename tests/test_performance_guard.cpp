@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "helpers.hpp"
 #include "util/timer.hpp"
@@ -76,6 +78,15 @@ TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
       EXPECT_EQ(r.distribution.total(), n);
     }
   }
+  // The thousand-rank regime: the default (combined) policy on the p = 4096
+  // seed-42 synthetic fleet at n = 1e9, under the same bound.
+  constexpr std::int64_t kN = 1'000'000'000;
+  const SyntheticFleet fleet = make_synthetic_fleet(4096, 42);
+  const PartitionResult r = partition(fleet.list(), kN);
+  const double bound =
+      kC * 4096.0 * 4096.0 * std::log2(static_cast<double>(kN));
+  EXPECT_LE(static_cast<double>(r.stats.intersect_solves), bound) << "p=4096";
+  EXPECT_EQ(r.distribution.total(), kN);
 }
 
 TEST(PerformanceGuard, BasicBeatsModifiedOnPolynomialCurves) {

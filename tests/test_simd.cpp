@@ -21,7 +21,9 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/detail/parallel.hpp"
@@ -359,18 +361,38 @@ TEST(Simd, FleetGeneratorScalesToLargeP) {
 TEST(Simd, EveryCompiledBackendMatchesScalarOracle) {
   const auto variants = runnable_variants();
   if (variants.empty()) GTEST_SKIP() << "no vector variants in this build";
-  const core::SyntheticFleet fleet = core::make_synthetic_fleet(512, 17);
-  const core::SpeedList list = fleet.list();
-  const auto c = CompiledSpeedList::compile(list);
-  std::vector<double> xs(list.size());
-  for (const auto* k : variants) {
-    SCOPED_TRACE(k->name);
-    BackendScope backend(k->name);
-    for (const double slope : sweep_slopes()) {
-      c.intersect_all(slope, xs);
-      for (std::size_t i = 0; i < list.size(); ++i)
-        EXPECT_LE(rel_diff(xs[i], list[i]->intersect(slope)), kUlpTolerance)
-            << "entry " << i << " slope " << slope;
+  // The seed-17 fleet over the slope sweep, and the seed-42 fleet at the
+  // final slope of each registry algorithm's scalar solve of n = 1e9: the
+  // lines the search actually converges to.
+  const core::SyntheticFleet sweep_fleet = core::make_synthetic_fleet(512, 17);
+  const core::SyntheticFleet solve_fleet = core::make_synthetic_fleet(512, 42);
+  std::vector<double> final_slopes;
+  {
+    BackendScope scalar;
+    for (const core::PartitionerInfo& info :
+         core::partitioner_registry().entries()) {
+      core::PartitionPolicy policy;
+      policy.algorithm = info.id;
+      final_slopes.push_back(
+          core::partition(solve_fleet.list(), 1'000'000'000, policy)
+              .stats.final_slope);
+    }
+  }
+  const std::pair<const core::SyntheticFleet*, std::vector<double>> cases[] = {
+      {&sweep_fleet, sweep_slopes()}, {&solve_fleet, final_slopes}};
+  for (const auto& [fleet, slopes] : cases) {
+    const core::SpeedList list = fleet->list();
+    const auto c = CompiledSpeedList::compile(list);
+    std::vector<double> xs(list.size());
+    for (const auto* k : variants) {
+      SCOPED_TRACE(k->name);
+      BackendScope backend(k->name);
+      for (const double slope : slopes) {
+        c.intersect_all(slope, xs);
+        for (std::size_t i = 0; i < list.size(); ++i)
+          EXPECT_LE(rel_diff(xs[i], list[i]->intersect(slope)), kUlpTolerance)
+              << "entry " << i << " slope " << slope;
+      }
     }
   }
 }
@@ -570,8 +592,10 @@ TEST(Simd, SteppedLanePuntsOnlyBeyondMaxSizeOnStepOnlyFleet) {
 
 TEST(Simd, DistributionsEqualScalarOnBenchmarkFleets) {
   // The fleets bench/perf solves — p = 64 from seeds 2004 + k (the serve
-  // workloads) and p = 4096 from seed 1 (solve_p4096) — give the same
-  // integer allocation with SIMD on, on every backend, as in scalar mode.
+  // workloads) and p = 4096 from seed 1 (solve_p4096) — and the p = 512
+  // seed-42 fleet at n = 1e9 under every registry algorithm give the same
+  // integer allocation with SIMD on, on every backend, as in scalar mode,
+  // and the scalar allocation sums to n.
   struct Problem {
     std::size_t fleet;
     std::int64_t n;
@@ -595,6 +619,9 @@ TEST(Simd, DistributionsEqualScalarOnBenchmarkFleets) {
                                 core::kAlgorithmBounded})
     for (const std::int64_t n : {1'000'000'000LL, 1'061'803'398LL})
       problems.push_back({fleets.size() - 1, n, algorithm});
+  fleets.push_back(core::make_synthetic_fleet(512, 42));
+  for (const core::PartitionerInfo& info : algorithms)
+    problems.push_back({fleets.size() - 1, 1'000'000'000LL, info.id.c_str()});
   const auto solve = [&fleets](const Problem& problem) {
     core::PartitionPolicy policy;
     policy.algorithm = problem.algorithm;
@@ -604,7 +631,13 @@ TEST(Simd, DistributionsEqualScalarOnBenchmarkFleets) {
   std::vector<std::vector<std::int64_t>> oracle;
   {
     BackendScope scalar;
-    for (const Problem& problem : problems) oracle.push_back(solve(problem));
+    for (const Problem& problem : problems) {
+      oracle.push_back(solve(problem));
+      EXPECT_EQ(std::accumulate(oracle.back().begin(), oracle.back().end(),
+                                std::int64_t{0}),
+                problem.n)
+          << problem.algorithm << " fleet " << problem.fleet;
+    }
   }
   for (const auto* k : runnable_variants()) {
     SCOPED_TRACE(k->name);

@@ -2,9 +2,10 @@
 // only the search cost. Covers bit-identity for every registry algorithm
 // across drifting n, perturbed models, and deliberately wrong hints; the
 // hit/stale classification and its metrics; the cost advantage of a good
-// hint; the server's per-fingerprint hint store; the batched SoA kernels
-// against the per-entry virtual reference; and the batch plan's lane
-// coverage.
+// hint, down to the 3x search-phase cut on served near-miss traffic and on
+// the rebalancer's drift sweep; the server's per-fingerprint hint store;
+// the batched SoA kernels against the per-entry virtual reference; and the
+// batch plan's lane coverage.
 //
 // The constant ensemble is deliberately absent from the hint sweeps: with
 // piecewise-constant speeds the optimum can land exactly on an integer, and
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -338,6 +340,88 @@ TEST(WarmStart, ServerWarmStartsNearMissTraffic) {
   EXPECT_EQ(cold_served.stats.warmstart, WarmStart::None);
   EXPECT_EQ(cold_served.distribution.counts,
             partition(speeds, kBase + 19).distribution.counts);
+}
+
+TEST(WarmStart, ServerNearMissCutsSearchEvalsThreeFold) {
+  // Near-miss traffic on one model list: 200 requests at drifting n, every
+  // one a result-cache miss. The server's per-fingerprint slope hint must
+  // cut the search-phase speed evaluations at least 3x against cold solves
+  // (a direct partition() is what a warm_start = false server runs), and
+  // never cost more evaluations in total.
+  constexpr int kRequests = 200;
+  const Ensemble e = fpm::test::power_ensemble(16);
+  const SpeedList speeds = e.list();
+  PartitionServer server(ServerOptions{.threads = 1});
+  std::int64_t cold_search = 0, cold_total = 0;
+  std::int64_t warm_search = 0, warm_total = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::int64_t n = 1'000'000 + 37LL * i;
+    const PartitionResult cold = partition(speeds, n);
+    const PartitionResult warm = server.serve(speeds, n);
+    EXPECT_EQ(warm.distribution.counts, cold.distribution.counts) << n;
+    cold_search += cold.stats.search_speed_evals;
+    cold_total += cold.stats.speed_evals;
+    warm_search += warm.stats.search_speed_evals;
+    warm_total += warm.stats.speed_evals;
+  }
+  ASSERT_GT(warm_search, 0);
+  EXPECT_GE(static_cast<double>(cold_search) /
+                static_cast<double>(warm_search),
+            3.0)
+      << "cold " << cold_search << " warm " << warm_search;
+  EXPECT_LE(warm_total, cold_total);
+}
+
+TEST(WarmStart, DriftSweepCutsSearchEvalsThreeFold) {
+  // The rebalancer's loop: 30 rounds of a p = 16 power fleet whose speeds
+  // wobble by 0.1% while n creeps, each round hinted with the previous
+  // round's slope under fingerprint 0 (only the bracket check decides).
+  // Every hinted round must match its cold solve bit for bit, the modified
+  // policy must spend at least 3x fewer search-phase speed evaluations, and
+  // no policy may spend more evaluations in total than cold.
+  constexpr int kRounds = 30;
+  constexpr double kWobble = 0.001;
+  for (const char* algorithm : {kAlgorithmModified, kAlgorithmCombined}) {
+    std::int64_t cold_search = 0, cold_total = 0;
+    std::int64_t warm_search = 0, warm_total = 0;
+    std::optional<PartitionHint> hint;
+    for (int r = 0; r < kRounds; ++r) {
+      const double wob = 1.0 + kWobble * std::sin(0.7 * r);
+      Ensemble round{"drift", {}};
+      for (int i = 0; i < 16; ++i) {
+        const double d = static_cast<double>(i);
+        round.owned.push_back(std::make_shared<PowerDecaySpeed>(
+            (90.0 + 60.0 * d) * wob, 2e7 * (1.0 + d), 0.8 + 0.3 * (i % 3),
+            1e9));
+      }
+      const SpeedList speeds = round.list();
+      const std::int64_t n = 1'000'000 + 37LL * r;
+      PartitionPolicy cold_policy;
+      cold_policy.algorithm = algorithm;
+      const PartitionResult cold = partition(speeds, n, cold_policy);
+      PartitionPolicy warm_policy = cold_policy;
+      warm_policy.hint = hint;
+      const PartitionResult warm = partition(speeds, n, warm_policy);
+      EXPECT_EQ(warm.distribution.counts, cold.distribution.counts)
+          << algorithm << " round " << r;
+      cold_search += cold.stats.search_speed_evals;
+      cold_total += cold.stats.speed_evals;
+      warm_search += warm.stats.search_speed_evals;
+      warm_total += warm.stats.speed_evals;
+      hint = PartitionHint{};
+      hint->slope = warm.stats.final_slope;
+      hint->n = n;
+      hint->baseline_iterations = cold.stats.iterations;
+    }
+    if (std::string(algorithm) == kAlgorithmModified) {
+      ASSERT_GT(warm_search, 0);
+      EXPECT_GE(static_cast<double>(cold_search) /
+                    static_cast<double>(warm_search),
+                3.0)
+          << "cold " << cold_search << " warm " << warm_search;
+    }
+    EXPECT_LE(warm_total, cold_total) << algorithm;
+  }
 }
 
 TEST(WarmStart, CallerSuppliedHintWinsOverTheServerStore) {
