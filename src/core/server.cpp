@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <utility>
 
 #include "core/compiled.hpp"
@@ -16,6 +17,17 @@ constexpr double kEwmaAlpha = 0.2;
 /// Safety factor on the predicted completion time during admission: a
 /// request is shed when predicted * slack exceeds its deadline budget.
 constexpr double kAdmissionSlack = 1.0;
+/// Lock shards of the server's result cache and of its hint store.
+constexpr std::size_t kShards = 16;
+/// Registry counters mirroring the per-server tallies, in
+/// PartitionServer::Tally order.
+constexpr const char* kTallyNames[] = {
+    obs::names::kServerSloOffered,       obs::names::kServerSloAdmitted,
+    obs::names::kServerSloDegraded,      obs::names::kServerSloShedAdmission,
+    obs::names::kServerSloShedQueueFull, obs::names::kServerSloShedExpired,
+    obs::names::kServerSloShedShutdown,  obs::names::kServerSloDeadlineMisses,
+    obs::names::kServerCacheUncacheable, obs::names::kServerHintsEvicted,
+};
 
 void append_hex64(std::string& out, std::uint64_t v) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -35,12 +47,7 @@ double seconds_between(std::chrono::steady_clock::time_point from,
 // ---------------------------------------------------------------------------
 
 PartitionCache::PartitionCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity), shards_(std::max<std::size_t>(1, shards)) {
-  // Ceiling division so the shard sum never undercuts the requested total;
-  // a zero capacity keeps every shard empty (lookups all miss).
-  per_shard_capacity_ =
-      capacity_ == 0 ? 0 : (capacity_ + shards_.size() - 1) / shards_.size();
-}
+    : lru_(capacity, shards) {}
 
 std::string PartitionCache::make_key(const SpeedList& speeds, std::int64_t n,
                                      const PartitionPolicy& policy) {
@@ -65,73 +72,33 @@ std::string PartitionCache::make_key(std::uint64_t fingerprint, std::int64_t n,
   return key;
 }
 
-PartitionCache::Shard& PartitionCache::shard_for(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
 bool PartitionCache::find(const std::string& key, PartitionResult& out,
                           bool count_miss) {
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(key);
-  if (it == sh.index.end()) {
-    if (count_miss) ++sh.misses;
-    return false;
-  }
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // move to front (MRU)
-  ++sh.hits;
-  out = it->second->second;
-  return true;
-}
-
-bool PartitionCache::lookup(const std::string& key, PartitionResult& out) {
-  return find(key, out, /*count_miss=*/true);
-}
-
-bool PartitionCache::peek(const std::string& key, PartitionResult& out) {
-  return find(key, out, /*count_miss=*/false);
+  const bool hit = lru_.find(key, [&out](const PartitionResult& cached) {
+    out = cached;
+    return true;
+  });
+  if (hit) hits_.fetch_add(1, std::memory_order_relaxed);
+  if (!hit && count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+  return hit;
 }
 
 bool PartitionCache::insert(const std::string& key,
                             const PartitionResult& value) {
-  if (per_shard_capacity_ == 0) return false;
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(key);
-  if (it != sh.index.end()) {
-    // A concurrent miss on the same key already computed and stored the
-    // (identical) result; refresh recency and keep the incumbent.
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    return false;
-  }
-  sh.lru.emplace_front(key, value);
-  sh.index.emplace(key, sh.lru.begin());
-  if (sh.lru.size() > per_shard_capacity_) {
-    sh.index.erase(sh.lru.back().first);
-    sh.lru.pop_back();
-    ++sh.evictions;
-    return true;
-  }
-  return false;
-}
-
-void PartitionCache::clear() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.lru.clear();
-    sh.index.clear();
-  }
+  // A concurrent miss on the same key already computed and stored the
+  // (identical) result; keep the incumbent.
+  const bool evicted =
+      lru_.put(key, value, [](PartitionResult&, PartitionResult&) {});
+  if (evicted) evictions_.fetch_add(1, std::memory_order_relaxed);
+  return evicted;
 }
 
 CacheStats PartitionCache::stats() const {
   CacheStats s;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    s.hits += sh.hits;
-    s.misses += sh.misses;
-    s.evictions += sh.evictions;
-    s.entries += sh.lru.size();
-  }
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.entries = lru_.size();
   return s;
 }
 
@@ -143,31 +110,21 @@ PartitionServer::PartitionServer(ServerOptions options)
     : threads_(options.threads != 0
                    ? options.threads
                    : std::max(1u, std::thread::hardware_concurrency())),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kShards),
       metrics_{
           obs::metrics().histogram(obs::names::kServerServeLatency),
           obs::metrics().gauge(obs::names::kServerQueueDepth),
           obs::metrics().counter(obs::names::kServerCacheHits),
           obs::metrics().counter(obs::names::kServerCacheMisses),
           obs::metrics().counter(obs::names::kServerCacheEvictions),
-          obs::metrics().counter(obs::names::kServerCacheUncacheable),
-          obs::metrics().counter(obs::names::kServerHintsEvicted),
-          obs::metrics().counter(obs::names::kServerSloOffered),
-          obs::metrics().counter(obs::names::kServerSloAdmitted),
-          obs::metrics().counter(obs::names::kServerSloDegraded),
-          obs::metrics().counter(obs::names::kServerSloShedAdmission),
-          obs::metrics().counter(obs::names::kServerSloShedQueueFull),
-          obs::metrics().counter(obs::names::kServerSloShedExpired),
-          obs::metrics().counter(obs::names::kServerSloShedShutdown),
-          obs::metrics().counter(obs::names::kServerSloDeadlineMisses),
           obs::metrics().gauge(obs::names::kServerSloQueueDelayMicros)},
       warm_start_(options.warm_start),
-      hint_shard_capacity_(std::max<std::size_t>(
-          1, (std::max<std::size_t>(1, options.hint_capacity) +
-              hint_shards_.size() - 1) /
-                 hint_shards_.size())),
       max_queue_depth_(options.max_queue_depth),
-      estimator_(kEwmaAlpha) {
+      estimator_(kEwmaAlpha),
+      hints_(std::max<std::size_t>(1, options.hint_capacity), kShards) {
+  static_assert(std::size(kTallyNames) == kTallies);
+  for (std::size_t i = 0; i < kTallies; ++i)
+    tally_counters_[i] = &obs::metrics().counter(kTallyNames[i]);
   workers_.reserve(threads_);
   for (unsigned i = 0; i < threads_; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -185,11 +142,8 @@ PartitionServer::~PartitionServer() {
   // leave a broken promise behind. No degradation here — teardown should
   // not spend solves; callers who want best-effort answers call drain().
   for (QueuedJob& job : orphans) {
-    ServeResult outcome;
-    outcome.status = ServeStatus::Shed;
-    outcome.shed_reason = ShedReason::Shutdown;
-    account(outcome, job.submitted, job.deadline, job.request.slo.priority);
-    job.promise.set_value(std::move(outcome));
+    job.request.slo.allow_degraded = false;
+    degrade_or_shed(std::move(job), ShedReason::Shutdown);
   }
   for (std::thread& t : workers_) t.join();
 }
@@ -234,217 +188,125 @@ void PartitionServer::worker_loop() {
 }
 
 void PartitionServer::execute(QueuedJob job) {
-  const Priority priority = job.request.slo.priority;
-  const Clock::time_point start = Clock::now();
-  if (start >= job.deadline) {
+  if (Clock::now() >= job.arrival.deadline) {
     // The deadline passed while the request waited in the queue; do not
     // spend a solve that is already late.
     degrade_or_shed(std::move(job), ShedReason::Expired);
     return;
   }
-  ServeResult outcome;
   try {
-    outcome.result = serve(job.request.speeds, job.request.n,
-                           job.request.policy, job.key);
+    job.promise.set_value(solve_admitted(job.request, job.arrival));
   } catch (...) {
-    // Engine rejections (unknown algorithm id, invalid policy) are caller
-    // errors, not load: the request was admitted and the error surfaces
-    // through the future exactly as the synchronous API would throw it.
-    slo_admitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.slo_admitted.add(1);
+    // The error surfaces through the future exactly as the synchronous API
+    // would throw it.
     job.promise.set_exception(std::current_exception());
-    return;
   }
-  estimator_.record(priority, seconds_between(start, Clock::now()));
-  outcome.status = ServeStatus::Ok;
-  account(outcome, job.submitted, job.deadline, priority);
-  job.promise.set_value(std::move(outcome));
 }
 
 // ---------------------------------------------------------------------------
-// Degradation and shedding
+// Degradation, shedding and accounting
 // ---------------------------------------------------------------------------
 
-std::optional<ServeResult> PartitionServer::try_degrade(
-    const BatchRequest& request, std::optional<ModelKey> key) {
-  if (request.speeds.empty() || request.n < 1) return std::nullopt;
-  // Observers expect a real search (their callbacks must fire per step);
-  // bounded policies carry capacity constraints a rescaled distribution
-  // would silently violate. Both fall through to a plain shed.
-  if (request.policy.observer) return std::nullopt;
-  if (request.policy.algorithm == kAlgorithmBounded) return std::nullopt;
-  if (!key) key = model_key(request.speeds);
-  const std::optional<SlopeHint> prev =
-      lookup_degradation(key->fingerprint, request.speeds.size());
-  if (!prev) return std::nullopt;
-  std::optional<DegradedAnswer> answer =
-      degraded_answer(request.speeds, request.n, prev->counts, prev->n);
-  if (!answer) return std::nullopt;
-  ServeResult outcome;
-  outcome.status = ServeStatus::Degraded;
-  outcome.result.distribution = std::move(answer->distribution);
-  outcome.result.stats.algorithm = kAlgorithmDegraded;
-  outcome.error_bound = answer->error_bound;
-  return outcome;
-}
-
-ServeResult PartitionServer::resolve_shed(
-    const BatchRequest& request, ShedReason reason,
-    std::optional<ModelKey> key) {
-  if (request.slo.allow_degraded) {
-    if (std::optional<ServeResult> degraded = try_degrade(request, key)) {
-      degraded->shed_reason = reason;  // what the approximation averted
-      return *std::move(degraded);
-    }
-  }
+ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
+                                          ShedReason reason,
+                                          const Arrival& arrival) {
   ServeResult outcome;
   outcome.status = ServeStatus::Shed;
-  outcome.shed_reason = reason;
-  return outcome;
+  outcome.shed_reason = reason;  // for a degraded answer: what it averted
+  // Observers expect a real search (their callbacks must fire per step);
+  // bounded policies carry capacity constraints a rescaled distribution
+  // would silently violate. Both get a plain shed.
+  std::optional<SlopeHint> prev;
+  if (request.slo.allow_degraded && !request.speeds.empty() &&
+      request.n >= 1 && !request.policy.observer &&
+      request.policy.algorithm != kAlgorithmBounded) {
+    const std::uint64_t fingerprint =
+        arrival.key ? arrival.key->fingerprint
+                    : model_key(request.speeds).fingerprint;
+    hints_.find(fingerprint, [&](const SlopeHint& stored) {
+      if (stored.counts.size() != request.speeds.size()) return false;
+      prev = stored;  // touched only when usable for this request
+      return true;
+    });
+  }
+  std::optional<DegradedAnswer> answer;
+  if (prev)
+    answer = degraded_answer(request.speeds, request.n, prev->counts, prev->n);
+  if (answer) {
+    outcome.status = ServeStatus::Degraded;
+    outcome.result.distribution = std::move(answer->distribution);
+    outcome.result.stats.algorithm = kAlgorithmDegraded;
+    outcome.error_bound = answer->error_bound;
+  }
+  return account(std::move(outcome), arrival);
 }
 
 void PartitionServer::degrade_or_shed(QueuedJob&& job, ShedReason reason) {
-  ServeResult outcome = resolve_shed(job.request, reason, job.key);
-  account(outcome, job.submitted, job.deadline, job.request.slo.priority);
-  job.promise.set_value(std::move(outcome));
+  job.promise.set_value(resolve_shed(job.request, reason, job.arrival));
 }
 
-void PartitionServer::account(ServeResult& outcome,
-                              Clock::time_point submitted,
-                              Clock::time_point deadline, Priority priority) {
-  (void)priority;
+ServeResult PartitionServer::account(ServeResult outcome,
+                                     const Arrival& arrival) {
   const Clock::time_point now = Clock::now();
-  outcome.latency_s = seconds_between(submitted, now);
-  const bool had_deadline = deadline != Clock::time_point::max();
-  outcome.deadline_met = !had_deadline || now <= deadline;
-  switch (outcome.status) {
-    case ServeStatus::Ok:
-      slo_admitted_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.slo_admitted.add(1);
-      break;
-    case ServeStatus::Degraded:
-      slo_degraded_.fetch_add(1, std::memory_order_relaxed);
-      metrics_.slo_degraded.add(1);
-      break;
-    case ServeStatus::Shed:
-      switch (outcome.shed_reason) {
-        case ShedReason::Admission:
-          slo_shed_admission_.fetch_add(1, std::memory_order_relaxed);
-          metrics_.slo_shed_admission.add(1);
-          break;
-        case ShedReason::QueueFull:
-          slo_shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
-          metrics_.slo_shed_queue_full.add(1);
-          break;
-        case ShedReason::Expired:
-          slo_shed_expired_.fetch_add(1, std::memory_order_relaxed);
-          metrics_.slo_shed_expired.add(1);
-          break;
-        case ShedReason::Shutdown:
-        case ShedReason::None:  // unreachable; bucket with shutdown
-          slo_shed_shutdown_.fetch_add(1, std::memory_order_relaxed);
-          metrics_.slo_shed_shutdown.add(1);
-          break;
-      }
-      break;
-  }
-  if (outcome.answered() && !outcome.deadline_met) {
-    slo_deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.slo_deadline_misses.add(1);
-  }
+  outcome.latency_s = seconds_between(arrival.submitted, now);
+  outcome.deadline_met =
+      arrival.deadline == Clock::time_point::max() || now <= arrival.deadline;
+  // A shed outcome always carries a reason; None would bucket with Shutdown.
+  bump(outcome.status == ServeStatus::Ok         ? Tally::Admitted
+       : outcome.status == ServeStatus::Degraded ? Tally::Degraded
+       : outcome.shed_reason == ShedReason::Admission ? Tally::ShedAdmission
+       : outcome.shed_reason == ShedReason::QueueFull ? Tally::ShedQueueFull
+       : outcome.shed_reason == ShedReason::Expired   ? Tally::ShedExpired
+                                                      : Tally::ShedShutdown);
+  if (outcome.answered() && !outcome.deadline_met)
+    bump(Tally::DeadlineMisses);
+  return outcome;
 }
 
 // ---------------------------------------------------------------------------
 // Hint store (warm starts + degradation source)
 // ---------------------------------------------------------------------------
 
-std::optional<PartitionHint> PartitionServer::lookup_hint(
-    std::uint64_t fingerprint) {
-  HintShard& sh = hint_shards_[fingerprint % hint_shards_.size()];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(fingerprint);
-  if (it == sh.index.end()) return std::nullopt;
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-  PartitionHint hint;
-  hint.slope = it->second->second.slope;
-  hint.n = it->second->second.n;
-  hint.fingerprint = fingerprint;
-  hint.baseline_iterations = it->second->second.baseline_iterations;
-  return hint;
-}
-
-std::optional<PartitionServer::SlopeHint> PartitionServer::lookup_degradation(
-    std::uint64_t fingerprint, std::size_t p) {
-  HintShard& sh = hint_shards_[fingerprint % hint_shards_.size()];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.index.find(fingerprint);
-  if (it == sh.index.end()) return std::nullopt;
-  const SlopeHint& hint = it->second->second;
-  if (hint.counts.size() != p) return std::nullopt;
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-  return hint;
-}
-
-void PartitionServer::update_hint(std::uint64_t fingerprint, std::int64_t n,
-                                  const PartitionResult& result) {
-  if (n <= 0) return;
-  if (!std::isfinite(result.stats.final_slope) ||
-      result.stats.final_slope <= 0.0)
-    return;
-  // The bounded algorithm reports the slope of its last residual round — a
-  // sub-problem over the unclamped processors, not the full list — and its
+PartitionResult PartitionServer::partition_with_hint(
+    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy) {
+  // Compile once here and hand the model to the engine through the
+  // thread-local guard, so SearchState does not compile a second time.
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
+  PrecompiledGuard guard(speeds, compiled);
+  if (!warm_start_) return partition(speeds, n, policy);
+  PartitionPolicy hinted = policy;
+  if (!policy.hint) {  // a caller's own hint is honoured untouched
+    hints_.find(compiled.fingerprint(), [&](const SlopeHint& stored) {
+      hinted.hint.emplace();
+      hinted.hint->slope = stored.slope;
+      hinted.hint->n = stored.n;
+      hinted.hint->fingerprint = compiled.fingerprint();
+      hinted.hint->baseline_iterations = stored.baseline_iterations;
+      return true;
+    });
+  }
+  PartitionResult result = partition(speeds, n, hinted);
+  // Results whose final_slope does not describe the full problem leave the
+  // store alone. The bounded algorithm reports the slope of its last
+  // residual round — a sub-problem over the unclamped processors — and its
   // clamped distribution is the wrong degradation source for unbounded
   // requests of the same models.
-  if (result.stats.algorithm == kAlgorithmBounded) return;
-  HintShard& sh = hint_shards_[fingerprint % hint_shards_.size()];
-  std::size_t evicted = 0;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    const auto it = sh.index.find(fingerprint);
-    if (it == sh.index.end()) {
-      sh.lru.emplace_front(
-          fingerprint,
-          SlopeHint{result.stats.final_slope, n, result.stats.iterations,
-                    result.distribution.counts});
-      sh.index.emplace(fingerprint, sh.lru.begin());
-      while (sh.lru.size() > hint_shard_capacity_) {
-        sh.index.erase(sh.lru.back().first);
-        sh.lru.pop_back();
-        ++evicted;
-      }
-    } else {
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-      SlopeHint& hint = it->second->second;
-      hint.slope = result.stats.final_slope;
-      hint.n = n;
-      hint.counts = result.distribution.counts;
-      // A warm run's low iteration count is not a cold baseline; keep the
-      // last cold figure so iterations_saved keeps measuring warm vs cold.
-      if (result.stats.warmstart != WarmStart::Hit)
-        hint.baseline_iterations = result.stats.iterations;
-    }
-  }
-  if (evicted > 0) {
-    hint_evictions_.fetch_add(static_cast<std::int64_t>(evicted),
-                              std::memory_order_relaxed);
-    metrics_.hint_evictions.add(static_cast<std::int64_t>(evicted));
-  }
-}
-
-PartitionResult PartitionServer::partition_with_hint(
-    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
-    std::uint64_t fingerprint) {
-  if (!warm_start_) return partition(speeds, n, policy);
-  PartitionResult result;
-  if (policy.hint) {
-    // The caller brought their own hint; honour it untouched.
-    result = partition(speeds, n, policy);
-  } else {
-    PartitionPolicy hinted = policy;
-    hinted.hint = lookup_hint(fingerprint);
-    result = partition(speeds, n, hinted);
-  }
-  update_hint(fingerprint, n, result);
+  if (n <= 0 || !std::isfinite(result.stats.final_slope) ||
+      result.stats.final_slope <= 0.0 ||
+      result.stats.algorithm == kAlgorithmBounded)
+    return result;
+  const bool cold = result.stats.warmstart != WarmStart::Hit;
+  const bool evicted = hints_.put(
+      compiled.fingerprint(),
+      SlopeHint{result.stats.final_slope, n, result.stats.iterations,
+                result.distribution.counts},
+      [cold](SlopeHint& stored, SlopeHint& fresh) {
+        // A warm run's low iteration count is not a cold baseline; keep the
+        // last cold figure so iterations_saved keeps measuring warm vs cold.
+        if (!cold) fresh.baseline_iterations = stored.baseline_iterations;
+        stored = std::move(fresh);
+      });
+  if (evicted) bump(Tally::HintEvictions);
   return result;
 }
 
@@ -473,8 +335,7 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds,
     // The observer is a side effect the caller expects on every call; a
     // cached answer would silently swallow the step trace, and a hint would
     // change the trace's bracket shape — run cold, leave hints alone.
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.uncacheable.add(1);
+    bump(Tally::Uncacheable);
     return partition(speeds, n, policy);
   }
   // Key via the allocation-free fingerprint (unless the caller already
@@ -484,14 +345,10 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds,
     // Caching disabled, or a Generic entry whose address-based fingerprint
     // a later model may reuse: still count the request (as uncacheable) so
     // the hit-rate denominator hits + misses + uncacheable matches the
-    // request count, and still compile once so the engine skips its own
-    // pass. The slope hints are independent of result caching and stay
-    // live.
-    uncacheable_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.uncacheable.add(1);
-    const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
-    PrecompiledGuard guard(speeds, compiled);
-    return partition_with_hint(speeds, n, policy, compiled.fingerprint());
+    // request count. The slope hints are independent of result caching and
+    // stay live.
+    bump(Tally::Uncacheable);
+    return partition_with_hint(speeds, n, policy);
   }
   const std::string cache_key =
       PartitionCache::make_key(key->fingerprint, n, policy);
@@ -501,114 +358,98 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds,
     return result;
   }
   metrics_.misses.add(1);
-  // Miss: compile once here and hand the model to the engine through the
-  // thread-local guard, so SearchState does not compile a second time. A
-  // near-miss (fingerprint seen before under a different n) warm-starts
+  // A near-miss (fingerprint seen before under a different n) warm-starts
   // from the remembered slope.
-  const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
-  {
-    PrecompiledGuard guard(speeds, compiled);
-    result = partition_with_hint(speeds, n, policy, key->fingerprint);
-  }
+  result = partition_with_hint(speeds, n, policy);
   if (cache_.insert(cache_key, result)) metrics_.evictions.add(1);
   return result;
+}
+
+std::optional<ServeResult> PartitionServer::arrive(const BatchRequest& request,
+                                                   bool probe_cache,
+                                                   Arrival& arrival) {
+  arrival.submitted = Clock::now();
+  arrival.deadline =
+      request.slo.has_deadline()
+          ? arrival.submitted +
+                std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(request.slo.deadline_s))
+          : Clock::time_point::max();
+  bump(Tally::Offered);
+  // A cached answer is microseconds: it beats any deadline and any queue.
+  if (!probe_cache || cache_.capacity() == 0 || request.policy.observer)
+    return std::nullopt;
+  arrival.key = model_key(request.speeds);
+  PartitionResult cached;
+  if (!arrival.key->cacheable ||
+      !cache_.peek(PartitionCache::make_key(arrival.key->fingerprint,
+                                            request.n, request.policy),
+                   cached))
+    return std::nullopt;
+  metrics_.hits.add(1);
+  ServeResult outcome;
+  outcome.result = std::move(cached);
+  return account(std::move(outcome), arrival);
+}
+
+ServeResult PartitionServer::solve_admitted(const BatchRequest& request,
+                                            const Arrival& arrival) {
+  const Clock::time_point start = Clock::now();
+  ServeResult outcome;
+  try {
+    outcome.result =
+        serve(request.speeds, request.n, request.policy, arrival.key);
+  } catch (...) {
+    // Engine rejections (unknown algorithm id, invalid policy) are caller
+    // errors, not load: count the request admitted before the error
+    // propagates, so offered == admitted + degraded + shed survives them.
+    bump(Tally::Admitted);
+    throw;
+  }
+  estimator_.record(request.slo.priority,
+                    seconds_between(start, Clock::now()));
+  return account(std::move(outcome), arrival);
 }
 
 ServeResult PartitionServer::serve_slo(const SpeedList& speeds,
                                        std::int64_t n,
                                        const PartitionPolicy& policy,
                                        Slo slo) {
-  const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      slo.has_deadline()
-          ? submitted + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(slo.deadline_s))
-          : Clock::time_point::max();
-  slo_offered_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.slo_offered.add(1);
+  const BatchRequest request{speeds, n, policy, slo};
+  Arrival arrival;
+  // Only deadline calls probe: a no-deadline call goes through serve()'s
+  // counted lookup and its serve-latency sample, hit or miss.
+  if (std::optional<ServeResult> hit =
+          arrive(request, slo.has_deadline(), arrival))
+    return *std::move(hit);
+  // No queue is involved: admission consults the service estimate only.
+  if (slo.has_deadline() &&
+      estimator_.service_estimate(slo.priority) * kAdmissionSlack >
+          slo.deadline_s)
+    return resolve_shed(request, ShedReason::Admission, arrival);
+  return solve_admitted(request, arrival);
+}
 
-  BatchRequest request{speeds, n, policy, slo};
-  std::optional<ModelKey> key;
-  if (slo.has_deadline()) {
-    // A cache hit beats any deadline — probe before consulting the
-    // estimate (peek: the miss will be re-counted by serve() if admitted).
-    if (cache_.capacity() != 0 && !policy.observer) {
-      key = model_key(speeds);
-      PartitionResult cached;
-      if (key->cacheable &&
-          cache_.peek(PartitionCache::make_key(key->fingerprint, n, policy),
-                      cached)) {
-        metrics_.hits.add(1);
-        ServeResult outcome;
-        outcome.status = ServeStatus::Ok;
-        outcome.result = std::move(cached);
-        account(outcome, submitted, deadline, slo.priority);
-        return outcome;
-      }
-    }
-    const double predicted =
-        estimator_.service_estimate(slo.priority) * kAdmissionSlack;
-    if (predicted > slo.deadline_s) {
-      ServeResult outcome = resolve_shed(request, ShedReason::Admission, key);
-      account(outcome, submitted, deadline, slo.priority);
-      return outcome;
-    }
-  }
-  const Clock::time_point start = Clock::now();
-  ServeResult outcome;
-  try {
-    outcome.result = serve(speeds, n, policy, key);
-  } catch (...) {
-    // Count the admitted request before the engine error propagates, so
-    // offered == admitted + degraded + shed survives caller errors.
-    slo_admitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.slo_admitted.add(1);
-    throw;
-  }
-  estimator_.record(slo.priority, seconds_between(start, Clock::now()));
-  outcome.status = ServeStatus::Ok;
-  account(outcome, submitted, deadline, slo.priority);
-  return outcome;
+std::size_t PartitionServer::jobs_ahead_locked(Priority priority) const {
+  // Everything at its class or above (pessimistic within the class — it
+  // joins at the back of it).
+  std::size_t ahead = 0;
+  for (std::size_t cls = static_cast<std::size_t>(priority);
+       cls < kPriorityClasses; ++cls)
+    ahead += queued_per_class_[cls];
+  return ahead;
 }
 
 std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
-  const Clock::time_point submitted = Clock::now();
-  const Clock::time_point deadline =
-      request.slo.has_deadline()
-          ? submitted +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(request.slo.deadline_s))
-          : Clock::time_point::max();
-  slo_offered_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.slo_offered.add(1);
-
   QueuedJob job;
   job.request = std::move(request);
-  job.submitted = submitted;
-  job.deadline = deadline;
   std::future<ServeResult> future = job.promise.get_future();
-  const Priority priority = job.request.slo.priority;
-
-  // Fast path: a cached answer is microseconds — serve it inline no matter
-  // the queue state. peek() so the miss is not double-counted (the worker's
-  // serve() will count it).
-  if (cache_.capacity() != 0 && !job.request.policy.observer) {
-    job.key = model_key(job.request.speeds);
-    PartitionResult cached;
-    if (job.key->cacheable &&
-        cache_.peek(PartitionCache::make_key(job.key->fingerprint,
-                                             job.request.n,
-                                             job.request.policy),
-                    cached)) {
-      metrics_.hits.add(1);
-      ServeResult outcome;
-      outcome.status = ServeStatus::Ok;
-      outcome.result = std::move(cached);
-      account(outcome, submitted, deadline, priority);
-      job.promise.set_value(std::move(outcome));
-      return future;
-    }
+  if (std::optional<ServeResult> hit =
+          arrive(job.request, /*probe_cache=*/true, job.arrival)) {
+    job.promise.set_value(*std::move(hit));
+    return future;
   }
+  const Priority priority = job.request.slo.priority;
 
   ShedReason reject = ShedReason::None;  // None = enqueued
   std::optional<QueuedJob> victim;
@@ -618,13 +459,8 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
     if (stopping_) {
       reject = ShedReason::Shutdown;
     } else {
-      // Jobs this one must wait behind: everything at its class or above
-      // (pessimistic within the class — it joins at the back of it).
-      std::size_t ahead = 0;
-      for (std::size_t cls = static_cast<std::size_t>(priority);
-           cls < kPriorityClasses; ++cls)
-        ahead += queued_per_class_[cls];
-      wait_estimate = estimator_.queue_delay(priority, ahead, threads_);
+      wait_estimate = estimator_.queue_delay(
+          priority, jobs_ahead_locked(priority), threads_);
       const double predicted =
           (wait_estimate + estimator_.service_estimate(priority)) *
           kAdmissionSlack;
@@ -632,7 +468,8 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
           predicted > job.request.slo.deadline_s) {
         reject = ShedReason::Admission;
       } else {
-        const JobKey key{-static_cast<int>(priority), deadline, next_seq_++};
+        const JobKey key{-static_cast<int>(priority), job.arrival.deadline,
+                         next_seq_++};
         if (max_queue_depth_ != 0 && queue_.size() >= max_queue_depth_) {
           const auto worst = std::prev(queue_.end());
           if (key < worst->first) {
@@ -727,40 +564,32 @@ bool PartitionServer::drain(std::chrono::nanoseconds timeout) {
 
 CacheStats PartitionServer::cache_stats() const {
   CacheStats s = cache_.stats();
-  s.uncacheable = uncacheable_.load(std::memory_order_relaxed);
-  for (const HintShard& sh : hint_shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    s.hint_entries += sh.lru.size();
-  }
-  s.hint_evictions = hint_evictions_.load(std::memory_order_relaxed);
+  s.uncacheable = tally(Tally::Uncacheable);
+  s.hint_entries = hints_.size();
+  s.hint_evictions = tally(Tally::HintEvictions);
   return s;
 }
 
 SloStats PartitionServer::slo_stats() const {
   SloStats s;
-  s.offered = slo_offered_.load(std::memory_order_relaxed);
-  s.admitted = slo_admitted_.load(std::memory_order_relaxed);
-  s.degraded = slo_degraded_.load(std::memory_order_relaxed);
-  s.shed_admission = slo_shed_admission_.load(std::memory_order_relaxed);
-  s.shed_queue_full = slo_shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_expired = slo_shed_expired_.load(std::memory_order_relaxed);
-  s.shed_shutdown = slo_shed_shutdown_.load(std::memory_order_relaxed);
+  s.offered = tally(Tally::Offered);
+  s.admitted = tally(Tally::Admitted);
+  s.degraded = tally(Tally::Degraded);
+  s.shed_admission = tally(Tally::ShedAdmission);
+  s.shed_queue_full = tally(Tally::ShedQueueFull);
+  s.shed_expired = tally(Tally::ShedExpired);
+  s.shed_shutdown = tally(Tally::ShedShutdown);
   s.shed = s.shed_admission + s.shed_queue_full + s.shed_expired +
            s.shed_shutdown;
-  s.deadline_misses = slo_deadline_misses_.load(std::memory_order_relaxed);
+  s.deadline_misses = tally(Tally::DeadlineMisses);
   s.queue_delay_estimate_s = predicted_delay(Priority::Normal);
   return s;
 }
 
 double PartitionServer::predicted_delay(Priority priority) const {
-  std::size_t ahead = 0;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    for (std::size_t cls = static_cast<std::size_t>(priority);
-         cls < kPriorityClasses; ++cls)
-      ahead += queued_per_class_[cls];
-  }
-  return estimator_.queue_delay(priority, ahead, threads_) +
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  return estimator_.queue_delay(priority, jobs_ahead_locked(priority),
+                                threads_) +
          estimator_.service_estimate(priority);
 }
 

@@ -8,14 +8,16 @@
 // recurring (model, n, policy) triples. PartitionServer answers repeats
 // from a thread-safe cache keyed by the CompiledSpeedList content
 // fingerprint and fans cache misses out over a fixed pool of worker
-// threads. Full answers are bit-identical to calling core::partition()
-// directly: the cache stores exactly what the engine returned.
+// threads; a hint store keeps the last solve of each fingerprint for warm
+// starts and degraded answers. Both stores are one detail::ShardedLru (16
+// lock shards, LRU per shard). Full answers are bit-identical to calling
+// core::partition() directly: the cache stores what the engine returned.
 //
 // When offered load exceeds capacity the server degrades deliberately
 // instead of letting the queue grow without bound:
 //   - a QueueDelayEstimator (EWMA of observed service times per priority
-//     class, times the queue depth ahead of the newcomer) predicts each
-//     request's completion time at submission;
+//     class, times the queued jobs ahead of the newcomer per worker)
+//     predicts each request's completion time at submission;
 //   - the admission controller sheds requests that cannot meet their
 //     deadline — and a bounded queue displaces the lowest-priority,
 //     latest-deadline request first;
@@ -37,16 +39,15 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
+#include "core/detail/sharded_lru.hpp"
 #include "core/policy.hpp"
 #include "core/slo.hpp"
 #include "obs/metrics.hpp"
@@ -70,10 +71,9 @@ struct BatchRequest {
 struct ServerOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency() (min 1).
   unsigned threads = 0;
-  /// Total cached results across all shards; 0 disables caching.
+  /// Total cached results across the server's 16 cache shards (LRU per
+  /// shard, rounded up per shard); 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Lock shards; more shards = less contention, slightly coarser LRU.
-  std::size_t cache_shards = 16;
   /// Keep a per-fingerprint slope hint beside the result cache and install
   /// it as a PartitionHint on cache misses, so near-miss traffic (same
   /// models, nearby n or different tuning) warm-starts instead of solving
@@ -130,30 +130,34 @@ struct SloStats {
   double queue_delay_estimate_s = 0.0;
 };
 
-/// Sharded, thread-safe LRU map from partition-request keys to results.
-/// Each shard is an independently locked list+index pair, so concurrent
-/// lookups of different keys rarely contend; eviction is LRU per shard.
+/// Sharded, thread-safe LRU map from partition-request keys to results
+/// (a detail::ShardedLru plus hit/miss/eviction counts). Concurrent lookups
+/// of different keys rarely contend; eviction is LRU per shard.
 class PartitionCache {
  public:
   PartitionCache(std::size_t capacity, std::size_t shards);
 
   /// True plus a copy of the cached result on a hit (the entry becomes the
   /// shard's most recently used); false on a miss. Counts either way.
-  bool lookup(const std::string& key, PartitionResult& out);
+  bool lookup(const std::string& key, PartitionResult& out) {
+    return find(key, out, /*count_miss=*/true);
+  }
 
   /// Like lookup(), but a miss is not counted — for opportunistic probes
   /// (the admission fast path) whose miss will be followed by a counted
   /// lookup or an explicit miss on the serving path.
-  bool peek(const std::string& key, PartitionResult& out);
+  bool peek(const std::string& key, PartitionResult& out) {
+    return find(key, out, /*count_miss=*/false);
+  }
 
   /// Inserts or refreshes `key`, evicting the shard's least recently used
   /// entry beyond capacity. Concurrent same-key inserts keep one winner.
   /// Returns true when the insert displaced an existing entry.
   bool insert(const std::string& key, const PartitionResult& value);
 
-  void clear();
+  void clear() { lru_.clear(); }
   CacheStats stats() const;
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return lru_.capacity(); }
 
   /// The canonical cache key: compiled-model fingerprint | n | formatted
   /// policy | capacity bounds. Policies with equal fingerprints, n, and
@@ -166,25 +170,12 @@ class PartitionCache {
                               const PartitionPolicy& policy);
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used; pairs of (key, result).
-    std::list<std::pair<std::string, PartitionResult>> lru;
-    std::unordered_map<
-        std::string,
-        std::list<std::pair<std::string, PartitionResult>>::iterator>
-        index;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::int64_t evictions = 0;
-  };
-
   bool find(const std::string& key, PartitionResult& out, bool count_miss);
-  Shard& shard_for(const std::string& key);
 
-  std::size_t capacity_;
-  std::size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
+  detail::ShardedLru<std::string, PartitionResult> lru_;
+  std::atomic<std::int64_t> hits_{0};
+  std::atomic<std::int64_t> misses_{0};
+  std::atomic<std::int64_t> evictions_{0};
 };
 
 /// A long-lived partitioning service: serve() for synchronous calls on the
@@ -293,14 +284,19 @@ class PartitionServer {
   };
   static ModelKey model_key(const SpeedList& speeds);
 
+  /// What arrive() records about an SLO request.
+  struct Arrival {
+    Clock::time_point submitted{};
+    Clock::time_point deadline{};  ///< time_point::max() when none
+    /// The request's model key, when the cache probe already computed it;
+    /// the solve and the degrade path reuse it.
+    std::optional<ModelKey> key{};
+  };
+
   struct QueuedJob {
     BatchRequest request;
     std::promise<ServeResult> promise;
-    Clock::time_point submitted{};
-    Clock::time_point deadline{};  ///< time_point::max() when none
-    /// The request's model key, when submit() already computed it for the
-    /// cache peek; the worker and the degrade path reuse it.
-    std::optional<ModelKey> key{};
+    Arrival arrival;
   };
 
   /// serve() with the request's model key when the caller already has it
@@ -310,17 +306,29 @@ class PartitionServer {
                         const PartitionPolicy& policy,
                         std::optional<ModelKey> key);
 
+  /// The prologue of serve_slo() and submit(): stamps `arrival`, counts
+  /// the request offered and, when `probe_cache`, answers it from the cache
+  /// — peek(), since a miss is counted later by serve(). Returns the
+  /// accounted answer on a hit.
+  std::optional<ServeResult> arrive(const BatchRequest& request,
+                                    bool probe_cache, Arrival& arrival);
+  /// Solves an admitted request on the calling thread, feeds the service
+  /// time to the estimator, and accounts the answer. An engine exception
+  /// counts as admitted and propagates.
+  ServeResult solve_admitted(const BatchRequest& request,
+                             const Arrival& arrival);
+  /// Queued jobs a newcomer of `priority` waits behind. Caller holds
+  /// queue_mu_.
+  std::size_t jobs_ahead_locked(Priority priority) const;
+
   void worker_loop();
   void execute(QueuedJob job);
-  /// Degraded (hint store permitting and slo.allow_degraded) or Shed
-  /// outcome for a request that will not get a full solve; unaccounted.
+  /// The accounted Degraded (slo.allow_degraded and a usable previous
+  /// solution in the hint store permitting) or Shed outcome for a request
+  /// that will not get a full solve.
   ServeResult resolve_shed(const BatchRequest& request, ShedReason reason,
-                           std::optional<ModelKey> key);
-  /// Builds a degraded answer for the request from the hint store; nullopt
-  /// when no usable previous solution exists.
-  std::optional<ServeResult> try_degrade(const BatchRequest& request,
-                                         std::optional<ModelKey> key);
-  /// resolve_shed + account + fulfil, for a job leaving the queue.
+                           const Arrival& arrival);
+  /// resolve_shed + fulfil, for a job leaving the queue.
   void degrade_or_shed(QueuedJob&& job, ShedReason reason);
   /// Removes and returns every queued job (caller fulfils the promises).
   /// Adjusts the per-class counts and the queue-depth gauge.
@@ -334,18 +342,24 @@ class PartitionServer {
     obs::Counter& hits;
     obs::Counter& misses;
     obs::Counter& evictions;
-    obs::Counter& uncacheable;
-    obs::Counter& hint_evictions;
-    obs::Counter& slo_offered;
-    obs::Counter& slo_admitted;
-    obs::Counter& slo_degraded;
-    obs::Counter& slo_shed_admission;
-    obs::Counter& slo_shed_queue_full;
-    obs::Counter& slo_shed_expired;
-    obs::Counter& slo_shed_shutdown;
-    obs::Counter& slo_deadline_misses;
     obs::Gauge& slo_queue_delay_us;
   };
+
+  /// The per-server tallies, each mirrored by one registry counter (which
+  /// aggregates all servers). Indexes tally_ and tally_counters_.
+  enum class Tally : std::size_t {
+    Offered, Admitted, Degraded, ShedAdmission, ShedQueueFull, ShedExpired,
+    ShedShutdown, DeadlineMisses, Uncacheable, HintEvictions, Count
+  };
+  static constexpr std::size_t kTallies =
+      static_cast<std::size_t>(Tally::Count);
+  void bump(Tally t) noexcept {
+    tally_[static_cast<std::size_t>(t)].fetch_add(1, std::memory_order_relaxed);
+    tally_counters_[static_cast<std::size_t>(t)]->add(1);
+  }
+  std::int64_t tally(Tally t) const noexcept {
+    return tally_[static_cast<std::size_t>(t)].load(std::memory_order_relaxed);
+  }
 
   /// The remembered previous solution for one model fingerprint: the slope
   /// that warm-starts the search, plus the distribution the degraded-
@@ -358,59 +372,28 @@ class PartitionServer {
     int baseline_iterations = 0;
     std::vector<std::int64_t> counts;
   };
-  /// LRU-bounded hint shard (mirrors the result cache's structure):
-  /// fingerprint churn evicts the least recently touched hint and bumps
-  /// the server.hints.evicted counter.
-  struct HintShard {
-    mutable std::mutex mu;
-    std::list<std::pair<std::uint64_t, SlopeHint>> lru;
-    std::unordered_map<
-        std::uint64_t,
-        std::list<std::pair<std::uint64_t, SlopeHint>>::iterator>
-        index;
-  };
 
-  /// The stored hint for `fingerprint`, packaged for PartitionPolicy.
-  std::optional<PartitionHint> lookup_hint(std::uint64_t fingerprint);
-  /// The stored previous distribution for `fingerprint` (degradation
-  /// source), when one exists for exactly `p` processors.
-  std::optional<SlopeHint> lookup_degradation(std::uint64_t fingerprint,
-                                              std::size_t p);
-  /// Refreshes the stored hint from a just-computed result (no-op for
-  /// results whose final_slope does not describe the full problem).
-  void update_hint(std::uint64_t fingerprint, std::int64_t n,
-                   const PartitionResult& result);
-  /// Runs the engine under `guard` semantics with the per-fingerprint hint
-  /// installed (when warm-starting is on) and refreshes the hint after.
+  /// Compiles `speeds` once and runs the engine under a PrecompiledGuard;
+  /// with warm_start on, installs the stored hint for the fingerprint and
+  /// refreshes the store from the result.
   PartitionResult partition_with_hint(const SpeedList& speeds, std::int64_t n,
-                                      const PartitionPolicy& policy,
-                                      std::uint64_t fingerprint);
+                                      const PartitionPolicy& policy);
 
-  /// Shared bookkeeping for an SLO answer: latency, deadline verdict, the
-  /// outcome counters, and the estimator sample (full solves only).
-  void account(ServeResult& outcome, Clock::time_point submitted,
-               Clock::time_point deadline, Priority priority);
+  /// Shared bookkeeping for an SLO answer: stamps latency and the deadline
+  /// verdict, bumps the outcome tallies, and returns the answer.
+  ServeResult account(ServeResult outcome, const Arrival& arrival);
 
   unsigned threads_;
   PartitionCache cache_;
   Metrics metrics_;
   bool warm_start_;
-  std::size_t hint_shard_capacity_;
   std::size_t max_queue_depth_;
   QueueDelayEstimator estimator_;
-  std::array<HintShard, 16> hint_shards_;
-  std::atomic<std::int64_t> uncacheable_{0};
-  std::atomic<std::int64_t> hint_evictions_{0};
-
-  // SLO accounting (per server; the obs registry aggregates all servers).
-  std::atomic<std::int64_t> slo_offered_{0};
-  std::atomic<std::int64_t> slo_admitted_{0};
-  std::atomic<std::int64_t> slo_degraded_{0};
-  std::atomic<std::int64_t> slo_shed_admission_{0};
-  std::atomic<std::int64_t> slo_shed_queue_full_{0};
-  std::atomic<std::int64_t> slo_shed_expired_{0};
-  std::atomic<std::int64_t> slo_shed_shutdown_{0};
-  std::atomic<std::int64_t> slo_deadline_misses_{0};
+  /// LRU-bounded, 16 shards picked by fingerprint % 16: fingerprint churn
+  /// evicts the least recently touched hint.
+  detail::ShardedLru<std::uint64_t, SlopeHint> hints_;
+  std::array<std::atomic<std::int64_t>, kTallies> tally_{};
+  std::array<obs::Counter*, kTallies> tally_counters_{};
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;  ///< work available / stopping

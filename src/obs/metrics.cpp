@@ -356,8 +356,8 @@ std::span<const MetricInfo> metric_catalogue() {
       {names::kServerCacheEvictions, "counter",
        "LRU evictions under cache-capacity pressure"},
       {names::kServerCacheUncacheable, "counter",
-       "requests that bypassed the cache (observer-carrying policies, or "
-       "caching disabled)"},
+       "requests that bypassed the cache (observer-carrying policies, model "
+       "lists with a Generic entry, or caching disabled)"},
       {names::kServerHintsEvicted, "counter",
        "warm-start hints LRU-evicted under fingerprint churn "
        "(ServerOptions::hint_capacity)"},

@@ -95,25 +95,38 @@ TEST(PartitionServer, PartitionBatchConvenienceMatchesDirectCalls) {
               core::partition(list, batch[i].n).distribution.counts);
 }
 
-TEST(PartitionServer, LruEvictsLeastRecentlyUsed) {
+TEST(PartitionCache, LruEvictsLeastRecentlyUsed) {
   const test::Ensemble e = test::constant_ensemble(3);
   const core::SpeedList list = e.list();
-  core::ServerOptions opts;
-  opts.threads = 1;
-  opts.cache_capacity = 4;
-  opts.cache_shards = 1;
-  core::PartitionServer server(opts);
-  for (int i = 0; i < 8; ++i) (void)server.serve(list, 1000 + i, {});
-  core::CacheStats stats = server.cache_stats();
+  core::PartitionCache cache(4, 1);
+  const auto key = [&list](std::int64_t n) {
+    return core::PartitionCache::make_key(list, n, {});
+  };
+  core::PartitionResult out;
+  // The serving pattern: a counted lookup, then the insert on a miss.
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_FALSE(cache.lookup(key(1000 + i), out));
+    (void)cache.insert(key(1000 + i), core::partition(list, 1000 + i));
+  }
+  core::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 8);
   EXPECT_EQ(stats.entries, 4);
   EXPECT_EQ(stats.evictions, 4);
   // The four most recent keys are hits; the four oldest were evicted.
-  for (int i = 4; i < 8; ++i) (void)server.serve(list, 1000 + i, {});
-  stats = server.cache_stats();
+  for (int i = 4; i < 8; ++i) {
+    EXPECT_TRUE(cache.lookup(key(1000 + i), out));
+    EXPECT_EQ(out.distribution.total(), 1000 + i);
+  }
+  stats = cache.stats();
   EXPECT_EQ(stats.hits, 4);
-  (void)server.serve(list, 1000, {});  // evicted earlier: a miss again
-  EXPECT_EQ(server.cache_stats().misses, 9);
+  EXPECT_FALSE(cache.lookup(key(1000), out));  // evicted earlier: a miss
+  EXPECT_EQ(cache.stats().misses, 9);
+  // Recency, not insertion order, picks the victim: touch the oldest key,
+  // insert one more, and the second-oldest goes instead.
+  EXPECT_TRUE(cache.lookup(key(1004), out));
+  EXPECT_TRUE(cache.insert(key(1008), core::partition(list, 1008)));
+  EXPECT_TRUE(cache.peek(key(1004), out));
+  EXPECT_FALSE(cache.peek(key(1005), out));
 }
 
 TEST(PartitionServer, ObserverPoliciesBypassTheCache) {

@@ -344,6 +344,35 @@ TEST(HintStore, FingerprintChurnEvictsLruAndCounts) {
             s.hint_evictions);
 }
 
+TEST(HintStore, RecentlyUsedHintSurvivesEviction) {
+  core::ServerOptions opts;
+  opts.threads = 1;
+  opts.hint_capacity = 32;  // two hints per shard
+  core::PartitionServer server(opts);
+  // Three model lists in one hint shard (equal fingerprints mod 16): the
+  // same curves under different max_size, so only the fingerprint differs.
+  std::vector<test::Ensemble> fleets;
+  std::uint64_t shard = 0;
+  for (int k = 0; fleets.size() < 3 && k < 1000; ++k) {
+    test::Ensemble e = test::power_ensemble(6, 1e9 + 1e6 * k);
+    const std::uint64_t fp = core::CompiledSpeedList::fingerprint_of(e.list());
+    if (fleets.empty()) shard = fp % 16;
+    if (fp % 16 == shard) fleets.push_back(std::move(e));
+  }
+  ASSERT_EQ(fleets.size(), 3u);
+  const core::SpeedList a = fleets[0].list();
+  const core::SpeedList b = fleets[1].list();
+  const core::SpeedList c = fleets[2].list();
+  (void)server.serve(a, 820'001);
+  (void)server.serve(b, 820'001);
+  // Re-serving A at a new n uses its hint and makes it the most recent.
+  EXPECT_EQ(server.serve(a, 820'013).stats.warmstart, core::WarmStart::Hit);
+  (void)server.serve(c, 820'001);  // evicts B, the least recently used
+  EXPECT_EQ(server.serve(a, 820'029).stats.warmstart, core::WarmStart::Hit);
+  EXPECT_EQ(server.serve(b, 820'029).stats.warmstart, core::WarmStart::None);
+  EXPECT_GT(server.cache_stats().hint_evictions, 0);
+}
+
 // ---------------------------------------------------------------------------
 // drain
 // ---------------------------------------------------------------------------
