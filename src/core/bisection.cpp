@@ -1,7 +1,6 @@
 #include "core/bisection.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "core/detail/search_state.hpp"
 
@@ -18,21 +17,13 @@ bool bracket_converged(std::span<const double> small,
 }
 
 PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
-                                const BasicBisectionOptions& opts) {
-  if (speeds.empty())
-    throw std::invalid_argument("partition_basic: no speeds");
-  PartitionResult result;
-  result.stats.algorithm = kAlgorithmBasic;
-  if (n <= 0) {
-    result.distribution.counts.assign(speeds.size(), 0);
-    return result;
-  }
-  detail::SearchState state(speeds, n, &opts.observer,
-                            opts.hint ? &*opts.hint : nullptr);
-  while (!state.converged() && state.iterations() < opts.max_iterations)
-    state.step_basic(opts.bisect_angles);
-  state.finish(result);
-  return result;
+                                const PartitionPolicy& policy) {
+  const int cap = policy.max_iterations.value_or(kSearchIterationCap);
+  return detail::run_search(
+      kAlgorithmBasic, speeds, n, policy, [&](detail::SearchState& state) {
+        while (!state.converged() && state.iterations() < cap)
+          state.step_basic(policy.bisect_angles);
+      });
 }
 
 }  // namespace fpm::core

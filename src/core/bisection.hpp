@@ -5,36 +5,24 @@
 // needs O(log n) steps (total O(p·log n)), but an exponentially decaying
 // optimal slope degrades it to O(n) steps — the motivation for the modified
 // algorithm.
+//
+// Reads PartitionPolicy::bisect_angles, max_iterations (default
+// kSearchIterationCap), observer and hint.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 
-#include "core/observer.hpp"
 #include "core/partition.hpp"
+#include "core/policy.hpp"
 
 namespace fpm::core {
-
-struct BasicBisectionOptions {
-  /// Bisect true angles (atan of the slopes) as in the paper's description,
-  /// or the tangents directly (the paper's suggested practical shortcut).
-  bool bisect_angles = true;
-  /// Hard iteration cap; on hitting it the current bracket is fine-tuned
-  /// as-is (the result is still a valid distribution, possibly sub-optimal).
-  int max_iterations = 1 << 20;
-  /// Optional per-step trace callback (see core/observer.hpp). Empty
-  /// disables instrumentation.
-  SearchObserver observer{};
-  /// Optional warm-start hint from a previous solve of a nearby problem
-  /// (see PartitionHint); never changes the distribution, only the cost.
-  std::optional<PartitionHint> hint{};
-};
 
 /// Partitions n elements over speeds.size() processors with the basic
 /// angle-bisection algorithm followed by fine-tuning.
 /// Requires n >= 0 and a non-empty speed list.
 PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
-                                const BasicBisectionOptions& opts = {});
+                                const PartitionPolicy& policy = {});
 
 /// True when no integer lies strictly inside any processor's size bracket —
 /// the paper's stopping criterion. `small`/`large` are the per-processor

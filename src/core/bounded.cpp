@@ -10,9 +10,25 @@
 
 namespace fpm::core {
 
+namespace {
+
+std::vector<std::int64_t> bounds_or_capacity(const PartitionPolicy& policy,
+                                             const SpeedList& speeds) {
+  if (!policy.bounds.empty()) return policy.bounds;
+  // Default capacity: the modelled range end of each curve (the paper's
+  // point b — the size at which the processor pages itself to a halt).
+  std::vector<std::int64_t> bounds;
+  bounds.reserve(speeds.size());
+  for (const SpeedFunction* f : speeds)
+    bounds.push_back(static_cast<std::int64_t>(std::ceil(f->max_size())));
+  return bounds;
+}
+
+}  // namespace
+
 PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
-                                  std::span<const std::int64_t> bounds,
-                                  const BoundedOptions& opts) {
+                                  const PartitionPolicy& policy) {
+  const std::vector<std::int64_t> bounds = bounds_or_capacity(policy, speeds);
   if (speeds.size() != bounds.size())
     throw std::invalid_argument("partition_bounded: size mismatch");
   std::int64_t capacity = 0;
@@ -31,7 +47,7 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
   std::iota(active.begin(), active.end(), std::size_t{0});
   std::int64_t remaining = n;
 
-  CombinedOptions inner = opts.inner;
+  PartitionPolicy inner = policy;
   bool first_round = true;
   while (remaining > 0 && !active.empty()) {
     SpeedList sub;

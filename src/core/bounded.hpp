@@ -9,28 +9,25 @@
 #include <cstdint>
 #include <span>
 
-#include "core/combined.hpp"
 #include "core/partition.hpp"
+#include "core/policy.hpp"
 
 namespace fpm::core {
 
-struct BoundedOptions {
-  /// Options (including the trace observer) applied to the combined-search
-  /// solve of every clamp-and-resolve round.
-  CombinedOptions inner{};
-};
-
 /// Partitions n unit-weight elements subject to per-processor capacity
 /// bounds: counts[i] <= bounds[i] and sum == n, minimizing the makespan.
+/// The bounds are policy.bounds; when empty, each curve's capacity
+/// ceil(max_size()) (the paper's point b).
 ///
 /// Strategy: solve the unbounded problem (combined algorithm); clamp every
 /// processor that exceeded its bound to the bound; re-solve the residual
 /// problem over the remaining processors. Each round fixes at least one
-/// processor, so at most p rounds run. Throws std::invalid_argument when
-/// sum(bounds) < n (infeasible).
+/// processor, so at most p rounds run. Every round's combined solve gets
+/// the policy's knobs and observer; only the first gets its hint. Throws
+/// std::invalid_argument when sum(bounds) < n (infeasible), a bound is
+/// negative, or the bound count differs from the processor count.
 PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
-                                  std::span<const std::int64_t> bounds,
-                                  const BoundedOptions& opts = {});
+                                  const PartitionPolicy& policy = {});
 
 /// Exact bounded integer optimum via makespan bisection with capped
 /// capacities — the oracle used to test partition_bounded.

@@ -6,34 +6,21 @@
 // the candidate-solution count shrinks; when the shrink rate falls below
 // what a well-behaved search would achieve, it switches to the modified
 // strategy for the remainder of the search.
+//
+// Reads PartitionPolicy::stall_window, bisect_angles, max_iterations
+// (default kGuaranteedIterationCap), observer and hint.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "core/observer.hpp"
 #include "core/partition.hpp"
+#include "core/policy.hpp"
 
 namespace fpm::core {
-
-struct CombinedOptions {
-  /// Number of consecutive basic steps over which the candidate count must
-  /// at least halve; otherwise the search switches to the modified steps.
-  int stall_window = 8;
-  /// See BasicBisectionOptions::bisect_angles.
-  bool bisect_angles = true;
-  int max_iterations = 1 << 22;
-  /// Optional per-step trace callback (see core/observer.hpp). Empty
-  /// disables instrumentation.
-  SearchObserver observer{};
-  /// Optional warm-start hint from a previous solve of a nearby problem
-  /// (see PartitionHint); never changes the distribution, only the cost.
-  std::optional<PartitionHint> hint{};
-};
 
 /// Partitions n elements with the combined basic/modified strategy followed
 /// by fine-tuning. Requires a non-empty speed list.
 PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
-                                   const CombinedOptions& opts = {});
+                                   const PartitionPolicy& policy = {});
 
 }  // namespace fpm::core

@@ -3,14 +3,18 @@
 // the public API; include only from core/*.cpp.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/compiled.hpp"
 #include "core/finetune.hpp"
 #include "core/observer.hpp"
 #include "core/partition.hpp"
+#include "core/policy.hpp"
 
 namespace fpm::core::detail {
 
@@ -142,5 +146,38 @@ class SearchState {
   WarmStart warmstart_ = WarmStart::None;
   int warm_probes_ = 0;
 };
+
+/// The modified algorithm's guaranteed step count: each p steps halve the
+/// candidate count of at most p·n lines, so p·log2(p·n) steps suffice;
+/// slack covers the bracket setup.
+inline int guaranteed_steps(std::size_t p, std::int64_t n) {
+  const double pd = static_cast<double>(p);
+  return static_cast<int>(pd * (std::log2(static_cast<double>(n) * pd) + 4.0)) +
+         64;
+}
+
+/// The shared frame of the line-search entry points: rejects an empty
+/// speed list, answers n <= 0 with all-zero counts, otherwise builds the
+/// SearchState from the policy's observer and hint, lets `search` step it,
+/// and runs the shared epilogue. `algorithm` is the reported registry id.
+template <typename Search>
+PartitionResult run_search(const char* algorithm, const SpeedList& speeds,
+                           std::int64_t n, const PartitionPolicy& policy,
+                           Search&& search) {
+  if (speeds.empty())
+    throw std::invalid_argument(std::string("partition_") + algorithm +
+                                ": no speeds");
+  PartitionResult result;
+  result.stats.algorithm = algorithm;
+  if (n <= 0) {
+    result.distribution.counts.assign(speeds.size(), 0);
+    return result;
+  }
+  SearchState state(speeds, n, &policy.observer,
+                    policy.hint ? &*policy.hint : nullptr);
+  search(state);
+  state.finish(result);
+  return result;
+}
 
 }  // namespace fpm::core::detail

@@ -19,33 +19,22 @@
 // This does not settle the theoretical challenge (no O(p·log n) worst-case
 // proof), but it is measurably shape-insensitive in practice — see
 // bench/ablation_algorithms.
+//
+// Reads PartitionPolicy::safeguard_margin, max_iterations (default
+// kSearchIterationCap), observer and hint.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "core/observer.hpp"
 #include "core/partition.hpp"
+#include "core/policy.hpp"
 
 namespace fpm::core {
-
-struct InterpolationOptions {
-  /// Fraction of the log-slope bracket the interpolated point must stay
-  /// inside; outside, the step is replaced by a bisection.
-  double safeguard_margin = 0.01;
-  int max_iterations = 1 << 20;
-  /// Optional per-step trace callback (see core/observer.hpp). Empty
-  /// disables instrumentation.
-  SearchObserver observer{};
-  /// Optional warm-start hint from a previous solve of a nearby problem
-  /// (see PartitionHint); never changes the distribution, only the cost.
-  std::optional<PartitionHint> hint{};
-};
 
 /// Partitions n elements with the safeguarded log-log regula-falsi search
 /// followed by the standard fine-tuning.
 PartitionResult partition_interpolation(const SpeedList& speeds,
                                         std::int64_t n,
-                                        const InterpolationOptions& opts = {});
+                                        const PartitionPolicy& policy = {});
 
 }  // namespace fpm::core

@@ -6,31 +6,22 @@
 // drawing the line through the midpoint of its size bracket. After p steps
 // the total candidate count is at least halved, giving the guaranteed
 // O(p²·log₂ n) complexity regardless of the curve shapes.
+//
+// Reads PartitionPolicy::max_iterations (default kGuaranteedIterationCap;
+// the p·log₂(p·n) bound plus slack is applied on top of it), observer and
+// hint.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
-#include "core/observer.hpp"
 #include "core/partition.hpp"
+#include "core/policy.hpp"
 
 namespace fpm::core {
-
-struct ModifiedBisectionOptions {
-  /// Hard iteration cap; the p·log₂(n) bound plus slack is applied on top
-  /// of this automatically.
-  int max_iterations = 1 << 22;
-  /// Optional per-step trace callback (see core/observer.hpp). Empty
-  /// disables instrumentation.
-  SearchObserver observer{};
-  /// Optional warm-start hint from a previous solve of a nearby problem
-  /// (see PartitionHint); never changes the distribution, only the cost.
-  std::optional<PartitionHint> hint{};
-};
 
 /// Partitions n elements with the modified (space-of-solutions) algorithm
 /// followed by fine-tuning. Requires a non-empty speed list.
 PartitionResult partition_modified(const SpeedList& speeds, std::int64_t n,
-                                   const ModifiedBisectionOptions& opts = {});
+                                   const PartitionPolicy& policy = {});
 
 }  // namespace fpm::core

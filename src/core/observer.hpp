@@ -72,7 +72,7 @@ class StepTrace {
  public:
   explicit StepTrace(std::size_t max_steps = 4096) : max_steps_(max_steps) {}
 
-  /// The callback to install in a policy or options struct. The trace must
+  /// The callback to install in PartitionPolicy::observer. The trace must
   /// outlive the partitioning call.
   SearchObserver observer() {
     return [this](const SearchStep& step) { record(step); };

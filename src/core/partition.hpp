@@ -75,9 +75,6 @@ struct PartitionHint {
   /// Iteration count of the solve that produced the hint (or of the last
   /// cold solve), used to report PartitionStats::iterations_saved.
   int baseline_iterations = 0;
-  /// The previous distribution, for diagnostics and callers that want to
-  /// diff allocations across rounds; not consulted by the search.
-  std::vector<std::int64_t> counts;
 
   /// True when the slope can seed a bracket at all.
   bool usable() const noexcept { return std::isfinite(slope) && slope > 0.0; }

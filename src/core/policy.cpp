@@ -1,130 +1,132 @@
 #include "core/policy.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
+#include "core/bisection.hpp"
+#include "core/bounded.hpp"
+#include "core/combined.hpp"
+#include "core/interpolation.hpp"
+#include "core/modified.hpp"
 #include "obs/metrics.hpp"
 
 namespace fpm::core {
 
 namespace {
 
-/// Extracts the options struct matching the dispatched algorithm: defaults
-/// on monostate, the held value on a match, invalid_argument otherwise.
-template <typename Opts>
-Opts options_for(const PartitionPolicy& policy, const char* id) {
-  if (std::holds_alternative<std::monostate>(policy.options)) return Opts{};
-  if (const Opts* held = std::get_if<Opts>(&policy.options)) return *held;
-  throw std::invalid_argument(
-      std::string("partition: options variant does not match algorithm '") +
-      id + "'");
+/// One key of the policy grammar: its spelling, the PartitionPolicy member
+/// it sets, the ids that accept it, and the closed range its value must lie
+/// in (ignored for booleans).
+struct PolicyKey {
+  using Member =
+      std::variant<bool PartitionPolicy::*, int PartitionPolicy::*,
+                   double PartitionPolicy::*,
+                   std::optional<int> PartitionPolicy::*>;
+  const char* name;
+  Member member;
+  std::vector<std::string_view> ids;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+const std::vector<PolicyKey>& policy_keys() {
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  static const std::vector<PolicyKey> keys{
+      {"stall_window", &PartitionPolicy::stall_window,
+       {kAlgorithmCombined, kAlgorithmBounded}, 1.0, kIntMax},
+      {"bisect_angles", &PartitionPolicy::bisect_angles,
+       {kAlgorithmBasic, kAlgorithmCombined, kAlgorithmBounded}},
+      {"safeguard_margin", &PartitionPolicy::safeguard_margin,
+       {kAlgorithmInterpolation}, 0.0, 0.5},
+      {"max_iterations", &PartitionPolicy::max_iterations,
+       {kAlgorithmBasic, kAlgorithmModified, kAlgorithmCombined,
+        kAlgorithmInterpolation, kAlgorithmBounded},
+       0.0, kIntMax},
+  };
+  return keys;
 }
 
-std::vector<std::int64_t> bounds_or_capacity(const PartitionPolicy& policy,
-                                             const SpeedList& speeds) {
-  if (!policy.bounds.empty()) return policy.bounds;
-  // Default capacity: the modelled range end of each curve (the paper's
-  // point b — the size at which the processor pages itself to a halt).
-  std::vector<std::int64_t> bounds;
-  bounds.reserve(speeds.size());
-  for (const SpeedFunction* f : speeds)
-    bounds.push_back(static_cast<std::int64_t>(std::ceil(f->max_size())));
-  return bounds;
+bool accepts(const PolicyKey& key, std::string_view id) {
+  return std::ranges::find(key.ids, id) != key.ids.end();
 }
 
-PartitionerRegistry build_registry() {
-  PartitionerRegistry reg;
-  reg.add({kAlgorithmBasic,
-           "angle/tangent bisection of the slope interval (paper Fig. 7-8)",
-           "O(p*log n) on polynomial slopes, O(p*n) worst case", false},
-          [](const SpeedList& speeds, std::int64_t n,
-             const PartitionPolicy& policy) {
-            auto opts = options_for<BasicBisectionOptions>(policy,
-                                                          kAlgorithmBasic);
-            if (policy.observer) opts.observer = policy.observer;
-            if (policy.hint) opts.hint = policy.hint;
-            return partition_basic(speeds, n, opts);
-          });
-  reg.add({kAlgorithmModified,
-           "space-of-solutions bisection (paper Fig. 10-12)",
-           "O(p^2*log2 n) guaranteed, shape-insensitive", false},
-          [](const SpeedList& speeds, std::int64_t n,
-             const PartitionPolicy& policy) {
-            auto opts = options_for<ModifiedBisectionOptions>(
-                policy, kAlgorithmModified);
-            if (policy.observer) opts.observer = policy.observer;
-            if (policy.hint) opts.hint = policy.hint;
-            return partition_modified(speeds, n, opts);
-          });
-  reg.add({kAlgorithmCombined,
-           "basic bisection with stall-triggered switch to modified "
-           "(paper Fig. 15)",
-           "O(p*log n) typical, O(p^2*log2 n) after the switch", false},
-          [](const SpeedList& speeds, std::int64_t n,
-             const PartitionPolicy& policy) {
-            auto opts = options_for<CombinedOptions>(policy,
-                                                     kAlgorithmCombined);
-            if (policy.observer) opts.observer = policy.observer;
-            if (policy.hint) opts.hint = policy.hint;
-            return partition_combined(speeds, n, opts);
-          });
-  reg.add({kAlgorithmInterpolation,
-           "safeguarded log-log regula-falsi on the total-size curve",
-           "superlinear in practice, <= 2x basic worst case", false},
-          [](const SpeedList& speeds, std::int64_t n,
-             const PartitionPolicy& policy) {
-            auto opts = options_for<InterpolationOptions>(
-                policy, kAlgorithmInterpolation);
-            if (policy.observer) opts.observer = policy.observer;
-            if (policy.hint) opts.hint = policy.hint;
-            return partition_interpolation(speeds, n, opts);
-          });
-  reg.add({kAlgorithmBounded,
-           "clamp-and-resolve under per-processor capacity bounds",
-           "<= p combined solves", true},
-          [](const SpeedList& speeds, std::int64_t n,
-             const PartitionPolicy& policy) {
-            auto opts = options_for<BoundedOptions>(policy, kAlgorithmBounded);
-            if (policy.observer) opts.inner.observer = policy.observer;
-            if (policy.hint) opts.inner.hint = policy.hint;
-            const std::vector<std::int64_t> bounds =
-                bounds_or_capacity(policy, speeds);
-            return partition_bounded(speeds, n, bounds, opts);
-          });
-  return reg;
-}
-
-bool parse_bool(const std::string& key, const std::string& value) {
-  if (value == "true" || value == "1") return true;
-  if (value == "false" || value == "0") return false;
-  throw std::invalid_argument("parse_policy: key '" + key +
-                              "' expects true/false/1/0, got '" + value + "'");
-}
-
-int parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("parse_policy: key '" + key +
-                                "' expects an integer, got '" + value + "'");
+/// Shortest %g text (at least the stream default of 6 significant digits)
+/// that parses back to exactly `value`.
+std::string format_number(double value) {
+  char buf[32];
+  for (int precision = 6;; ++precision) {
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                         std::chars_format::general, precision);
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back == value || precision >= 17) return std::string(buf, end);
   }
 }
 
-double parse_double(const std::string& key, const std::string& value) {
+/// Parses an int or a double, then checks it is finite and inside the
+/// key's range.
+template <typename T>
+T parse_number(const PolicyKey& key, const std::string& text) {
+  T value{};
   try {
     std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
+    if constexpr (std::is_same_v<T, int>)
+      value = std::stoi(text, &used);
+    else
+      value = std::stod(text, &used);
+    if (used != text.size()) throw std::invalid_argument(text);
   } catch (const std::exception&) {
-    throw std::invalid_argument("parse_policy: key '" + key +
-                                "' expects a number, got '" + value + "'");
+    throw std::invalid_argument(
+        "parse_policy: key '" + std::string(key.name) + "' expects " +
+        (std::is_same_v<T, int> ? "an integer" : "a number") + ", got '" +
+        text + "'");
   }
+  const double v = static_cast<double>(value);
+  if (!std::isfinite(v) || v < key.min || v > key.max)
+    throw std::invalid_argument(
+        "parse_policy: key '" + std::string(key.name) +
+        "' expects a value in [" + format_number(key.min) + ", " +
+        format_number(key.max) + "], got '" + text + "'");
+  return value;
 }
+
+// Parsing and printing per member type, picked by overload resolution.
+void read_value(const PolicyKey& key, const std::string& text, bool& field) {
+  if (text == "true" || text == "1")
+    field = true;
+  else if (text == "false" || text == "0")
+    field = false;
+  else
+    throw std::invalid_argument("parse_policy: key '" +
+                                std::string(key.name) +
+                                "' expects true/false/1/0, got '" + text + "'");
+}
+template <typename T>
+void read_value(const PolicyKey& key, const std::string& text, T& field) {
+  field = parse_number<T>(key, text);
+}
+void read_value(const PolicyKey& key, const std::string& text,
+                std::optional<int>& field) {
+  field = parse_number<int>(key, text);
+}
+
+/// The value an algorithm runs with: an unset cap means `default_cap`.
+template <typename T>
+T effective(const T& value, int /*default_cap*/) {
+  return value;
+}
+int effective(const std::optional<int>& value, int default_cap) {
+  return value.value_or(default_cap);
+}
+
+std::string value_text(bool value) { return value ? "true" : "false"; }
+std::string value_text(int value) { return std::to_string(value); }
+std::string value_text(double value) { return format_number(value); }
 
 [[noreturn]] void throw_unknown_key(const std::string& algorithm,
                                     const std::string& key) {
@@ -133,14 +135,6 @@ double parse_double(const std::string& key, const std::string& value) {
 }
 
 }  // namespace
-
-void PartitionerRegistry::add(PartitionerInfo info, Runner runner) {
-  if (find(info.id) != nullptr)
-    throw std::logic_error("PartitionerRegistry: duplicate id '" + info.id +
-                           "'");
-  infos_.push_back(std::move(info));
-  runners_.push_back(std::move(runner));
-}
 
 std::vector<std::string> PartitionerRegistry::ids() const {
   std::vector<std::string> out;
@@ -167,15 +161,36 @@ const PartitionerInfo* PartitionerRegistry::find(std::string_view id) const {
 PartitionResult PartitionerRegistry::run(const SpeedList& speeds,
                                          std::int64_t n,
                                          const PartitionPolicy& policy) const {
-  for (std::size_t i = 0; i < infos_.size(); ++i)
-    if (infos_[i].id == policy.algorithm) return runners_[i](speeds, n, policy);
+  if (const PartitionerInfo* info = find(policy.algorithm))
+    return info->run(speeds, n, policy);
   throw std::invalid_argument("partition: unknown algorithm '" +
                               policy.algorithm + "' (valid: " + joined_ids() +
                               ")");
 }
 
 const PartitionerRegistry& partitioner_registry() {
-  static const PartitionerRegistry registry = build_registry();
+  static const PartitionerRegistry registry({
+      {kAlgorithmBasic,
+       "angle/tangent bisection of the slope interval (paper Fig. 7-8)",
+       "O(p*log n) on polynomial slopes, O(p*n) worst case", false,
+       kSearchIterationCap, &partition_basic},
+      {kAlgorithmModified, "space-of-solutions bisection (paper Fig. 10-12)",
+       "O(p^2*log2 n) guaranteed, shape-insensitive", false,
+       kGuaranteedIterationCap, &partition_modified},
+      {kAlgorithmCombined,
+       "basic bisection with stall-triggered switch to modified "
+       "(paper Fig. 15)",
+       "O(p*log n) typical, O(p^2*log2 n) after the switch", false,
+       kGuaranteedIterationCap, &partition_combined},
+      {kAlgorithmInterpolation,
+       "safeguarded log-log regula-falsi on the total-size curve",
+       "superlinear in practice, <= 2x basic worst case", false,
+       kSearchIterationCap, &partition_interpolation},
+      {kAlgorithmBounded,
+       "clamp-and-resolve under per-processor capacity bounds",
+       "<= p combined solves", true, kGuaranteedIterationCap,
+       &partition_bounded},
+  });
   return registry;
 }
 
@@ -254,8 +269,7 @@ PartitionPolicy parse_policy(std::string_view algorithm,
                              std::span<const std::string> tokens) {
   PartitionPolicy policy;
   policy.algorithm = std::string(algorithm);
-  const PartitionerInfo* info = partitioner_registry().find(policy.algorithm);
-  if (info == nullptr)
+  if (!partitioner_registry().contains(policy.algorithm))
     throw std::invalid_argument(
         "parse_policy: unknown algorithm '" + policy.algorithm +
         "' (valid: " + partitioner_registry().joined_ids() + ")");
@@ -263,104 +277,40 @@ PartitionPolicy parse_policy(std::string_view algorithm,
     throw std::invalid_argument("parse_policy: key '" + tokens.back() +
                                 "' is missing its value");
 
-  // Materialize the matching options struct so parsed keys land somewhere
-  // even when every value equals the default.
-  if (policy.algorithm == kAlgorithmBasic)
-    policy.options = BasicBisectionOptions{};
-  else if (policy.algorithm == kAlgorithmModified)
-    policy.options = ModifiedBisectionOptions{};
-  else if (policy.algorithm == kAlgorithmCombined)
-    policy.options = CombinedOptions{};
-  else if (policy.algorithm == kAlgorithmInterpolation)
-    policy.options = InterpolationOptions{};
-  else if (policy.algorithm == kAlgorithmBounded)
-    policy.options = BoundedOptions{};
-
   for (std::size_t i = 0; i + 1 < tokens.size(); i += 2) {
-    const std::string& key = tokens[i];
+    const std::string& name = tokens[i];
     const std::string& value = tokens[i + 1];
-    if (auto* basic = std::get_if<BasicBisectionOptions>(&policy.options)) {
-      if (key == "bisect_angles")
-        basic->bisect_angles = parse_bool(key, value);
-      else if (key == "max_iterations")
-        basic->max_iterations = parse_int(key, value);
-      else
-        throw_unknown_key(policy.algorithm, key);
-    } else if (auto* modified =
-                   std::get_if<ModifiedBisectionOptions>(&policy.options)) {
-      if (key == "max_iterations")
-        modified->max_iterations = parse_int(key, value);
-      else
-        throw_unknown_key(policy.algorithm, key);
-    } else if (auto* combined = std::get_if<CombinedOptions>(&policy.options)) {
-      if (key == "stall_window")
-        combined->stall_window = parse_int(key, value);
-      else if (key == "bisect_angles")
-        combined->bisect_angles = parse_bool(key, value);
-      else if (key == "max_iterations")
-        combined->max_iterations = parse_int(key, value);
-      else
-        throw_unknown_key(policy.algorithm, key);
-    } else if (auto* interp =
-                   std::get_if<InterpolationOptions>(&policy.options)) {
-      if (key == "safeguard_margin")
-        interp->safeguard_margin = parse_double(key, value);
-      else if (key == "max_iterations")
-        interp->max_iterations = parse_int(key, value);
-      else
-        throw_unknown_key(policy.algorithm, key);
-    } else if (auto* bounded = std::get_if<BoundedOptions>(&policy.options)) {
-      if (key == "stall_window")
-        bounded->inner.stall_window = parse_int(key, value);
-      else if (key == "bisect_angles")
-        bounded->inner.bisect_angles = parse_bool(key, value);
-      else if (key == "max_iterations")
-        bounded->inner.max_iterations = parse_int(key, value);
-      else
-        throw_unknown_key(policy.algorithm, key);
-    }
+    const PolicyKey* key = nullptr;
+    for (const PolicyKey& candidate : policy_keys())
+      if (candidate.name == name && accepts(candidate, policy.algorithm))
+        key = &candidate;
+    if (key == nullptr) throw_unknown_key(policy.algorithm, name);
+    std::visit([&](auto member) { read_value(*key, value, policy.*member); },
+               key->member);
   }
   return policy;
 }
 
 std::string format_policy(const PartitionPolicy& policy) {
-  std::ostringstream out;
-  out << policy.algorithm;
-  const auto emit_combined_keys = [&out](const CombinedOptions& opts) {
-    const CombinedOptions defaults;
-    if (opts.stall_window != defaults.stall_window)
-      out << " stall_window " << opts.stall_window;
-    if (opts.bisect_angles != defaults.bisect_angles)
-      out << " bisect_angles " << (opts.bisect_angles ? "true" : "false");
-    if (opts.max_iterations != defaults.max_iterations)
-      out << " max_iterations " << opts.max_iterations;
-  };
-  if (const auto* basic = std::get_if<BasicBisectionOptions>(&policy.options)) {
-    const BasicBisectionOptions defaults;
-    if (basic->bisect_angles != defaults.bisect_angles)
-      out << " bisect_angles " << (basic->bisect_angles ? "true" : "false");
-    if (basic->max_iterations != defaults.max_iterations)
-      out << " max_iterations " << basic->max_iterations;
-  } else if (const auto* modified =
-                 std::get_if<ModifiedBisectionOptions>(&policy.options)) {
-    const ModifiedBisectionOptions defaults;
-    if (modified->max_iterations != defaults.max_iterations)
-      out << " max_iterations " << modified->max_iterations;
-  } else if (const auto* combined =
-                 std::get_if<CombinedOptions>(&policy.options)) {
-    emit_combined_keys(*combined);
-  } else if (const auto* interp =
-                 std::get_if<InterpolationOptions>(&policy.options)) {
-    const InterpolationOptions defaults;
-    if (interp->safeguard_margin != defaults.safeguard_margin)
-      out << " safeguard_margin " << interp->safeguard_margin;
-    if (interp->max_iterations != defaults.max_iterations)
-      out << " max_iterations " << interp->max_iterations;
-  } else if (const auto* bounded =
-                 std::get_if<BoundedOptions>(&policy.options)) {
-    emit_combined_keys(bounded->inner);
+  std::string out = policy.algorithm;
+  const PartitionerInfo* info = partitioner_registry().find(policy.algorithm);
+  if (info == nullptr) return out;
+  const PartitionPolicy defaults;
+  const int cap = info->max_iterations;
+  for (const PolicyKey& key : policy_keys()) {
+    if (!accepts(key, policy.algorithm)) continue;
+    std::visit(
+        [&](auto member) {
+          const auto value = effective(policy.*member, cap);
+          if (value == effective(defaults.*member, cap)) return;
+          out += ' ';
+          out += key.name;
+          out += ' ';
+          out += value_text(value);
+        },
+        key.member);
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace fpm::core

@@ -1,62 +1,75 @@
 // The unified partitioner engine: every member of the partitioning family
 // (basic, modified, combined, interpolation, bounded) is registered under a
-// string id in a process-wide registry, and consumers select one at runtime
-// through a PartitionPolicy value instead of hard-coding a call. The policy
-// carries the algorithm id, an options variant, an optional step-trace
-// observer, and (for the bounded algorithm) per-processor capacity bounds —
-// everything a layer needs to delegate the "which partitioner, tuned how"
-// decision to its caller, a spec file, or a CLI flag.
+// string id in a constant registry table, and consumers select one at
+// runtime through a PartitionPolicy value instead of hard-coding a call.
+// The policy is the family's only options type: the algorithm id, the
+// tuning knobs (each algorithm reads the ones it uses), an optional
+// step-trace observer, an optional warm-start hint, and (for the bounded
+// algorithm) per-processor capacity bounds — everything a layer needs to
+// delegate the "which partitioner, tuned how" decision to its caller, a
+// spec file, or a CLI flag.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
-#include "core/bisection.hpp"
-#include "core/bounded.hpp"
-#include "core/combined.hpp"
-#include "core/interpolation.hpp"
-#include "core/modified.hpp"
 #include "core/observer.hpp"
 #include "core/partition.hpp"
 
 namespace fpm::core {
 
-/// Per-algorithm tuning knobs. std::monostate selects the algorithm's
-/// defaults; a non-matching alternative is rejected at dispatch with
-/// std::invalid_argument.
-using AlgorithmOptions =
-    std::variant<std::monostate, BasicBisectionOptions,
-                 ModifiedBisectionOptions, CombinedOptions,
-                 InterpolationOptions, BoundedOptions>;
+/// Default iteration caps used when PartitionPolicy::max_iterations is
+/// unset: the open-ended searches (basic, interpolation) stop at 2^20 steps;
+/// the searches with the modified algorithm's guaranteed bound (modified,
+/// combined, and bounded's inner combined solves) at 2^22.
+inline constexpr int kSearchIterationCap = 1 << 20;
+inline constexpr int kGuaranteedIterationCap = 1 << 22;
 
 /// A value describing which partitioner to run and how. The default policy
-/// (combined algorithm, default options, no observer) reproduces
-/// partition_combined(speeds, n) bit for bit.
+/// (combined algorithm, default knobs, no observer) reproduces
+/// partition_combined(speeds, n) bit for bit. Every entry point of the
+/// family takes it and reads only the fields it uses; `algorithm` matters
+/// only to partition().
 struct PartitionPolicy {
   /// Registry id (see partitioner_registry().ids()).
   std::string algorithm = kAlgorithmCombined;
-  /// Tuning knobs; monostate = the algorithm's defaults.
-  AlgorithmOptions options{};
-  /// When non-empty, installed into the dispatched options so every
-  /// bracket/slope decision of the search is reported (core/observer.hpp).
+  /// basic, combined, bounded: bisect true angles (atan of the slopes) as
+  /// in the paper's description, or the tangents directly (the paper's
+  /// suggested practical shortcut).
+  bool bisect_angles = true;
+  /// combined, bounded: number of consecutive basic steps over which the
+  /// candidate count must at least halve; otherwise the search switches to
+  /// the modified steps.
+  int stall_window = 8;
+  /// interpolation: fraction of the log-slope bracket the interpolated
+  /// point must stay inside; outside, the step is replaced by a bisection.
+  double safeguard_margin = 0.01;
+  /// Hard iteration cap; on hitting it the current bracket is fine-tuned
+  /// as-is (still a valid distribution, possibly sub-optimal). Unset: the
+  /// algorithm's default (kSearchIterationCap or kGuaranteedIterationCap).
+  /// Modified and combined also apply the p·log₂(p·n) guaranteed bound.
+  std::optional<int> max_iterations{};
+  /// When non-empty, every bracket/slope decision of the search is
+  /// reported (core/observer.hpp).
   SearchObserver observer{};
   /// Per-processor capacity bounds, used by the "bounded" algorithm only.
   /// Empty: derived from each curve's max_size() (the paper's point b, the
   /// size at which the processor is effectively paging to a halt).
   std::vector<std::int64_t> bounds{};
-  /// Warm-start hint from a previous solve of a nearby problem, installed
-  /// into the dispatched options like the observer. The result stays
-  /// bit-identical with or without it (a hint only narrows the search
-  /// bracket), which is why format_policy() deliberately ignores it — two
-  /// policies differing only in the hint are the same cache key.
+  /// Warm-start hint from a previous solve of a nearby problem. The result
+  /// stays bit-identical with or without it (a hint only narrows the
+  /// search bracket), which is why format_policy() deliberately ignores it
+  /// — two policies differing only in the hint are the same cache key.
   std::optional<PartitionHint> hint{};
 };
+
+/// The signature every family entry point shares.
+using PartitionFn = PartitionResult (*)(const SpeedList&, std::int64_t,
+                                        const PartitionPolicy&);
 
 /// Static description of a registered algorithm.
 struct PartitionerInfo {
@@ -64,22 +77,21 @@ struct PartitionerInfo {
   std::string summary;     ///< one-line description for CLIs
   std::string complexity;  ///< asymptotic cost in intersection solves
   bool needs_bounds = false;  ///< consumes PartitionPolicy::bounds
+  int max_iterations = 0;     ///< cap applied when the policy sets none
+  PartitionFn run = nullptr;  ///< the entry point
 };
 
-/// String-keyed dispatch table over the partitioner family.
+/// String-keyed dispatch over the constant table of the partitioner family.
 class PartitionerRegistry {
  public:
-  using Runner = std::function<PartitionResult(
-      const SpeedList&, std::int64_t, const PartitionPolicy&)>;
+  explicit PartitionerRegistry(std::vector<PartitionerInfo> infos)
+      : infos_(std::move(infos)) {}
 
-  /// Registers an algorithm; ids must be unique.
-  void add(PartitionerInfo info, Runner runner);
-
-  /// All registered algorithms, in registration order.
+  /// All registered algorithms, in table order.
   const std::vector<PartitionerInfo>& entries() const noexcept {
     return infos_;
   }
-  /// The registered ids, in registration order.
+  /// The registered ids, in table order.
   std::vector<std::string> ids() const;
   /// Comma-separated id list, for error messages and usage text.
   std::string joined_ids() const;
@@ -88,14 +100,12 @@ class PartitionerRegistry {
   bool contains(std::string_view id) const { return find(id) != nullptr; }
 
   /// Dispatches to the algorithm named by policy.algorithm. Throws
-  /// std::invalid_argument naming the valid ids when the id is unknown, or
-  /// when policy.options holds a different algorithm's options.
+  /// std::invalid_argument naming the valid ids when the id is unknown.
   PartitionResult run(const SpeedList& speeds, std::int64_t n,
                       const PartitionPolicy& policy) const;
 
  private:
   std::vector<PartitionerInfo> infos_;
-  std::vector<Runner> runners_;
 };
 
 /// The process-wide registry holding the five family members:
@@ -116,13 +126,17 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
 ///   combined       stall_window, bisect_angles, max_iterations
 ///   interpolation  safeguard_margin, max_iterations
 ///   bounded        stall_window, bisect_angles, max_iterations (inner solve)
-/// Throws std::invalid_argument on an unknown id (naming the valid ids),
-/// unknown key, dangling key, or malformed value.
+/// Value ranges: safeguard_margin finite in [0, 0.5], stall_window >= 1,
+/// max_iterations >= 0. Throws std::invalid_argument on an unknown id
+/// (naming the valid ids), unknown key, dangling key, malformed value, or
+/// a value out of range (naming the key).
 PartitionPolicy parse_policy(std::string_view algorithm,
                              std::span<const std::string> tokens = {});
 
-/// Inverse of parse_policy: the id followed by the keys that differ from
-/// the algorithm's defaults (round-trips through parse_policy).
+/// Inverse of parse_policy: the id followed by the keys it accepts whose
+/// values differ from the defaults. Doubles print in the shortest %g form
+/// (at least 6 significant digits) that parses back to the same value, so
+/// the text round-trips exactly through parse_policy.
 std::string format_policy(const PartitionPolicy& policy);
 
 }  // namespace fpm::core

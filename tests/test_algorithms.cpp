@@ -162,7 +162,7 @@ TEST(PartitionBasic, ConstantSpeedsReduceToProportional) {
 }
 
 TEST(PartitionBasic, TangentOptionConverges) {
-  BasicBisectionOptions opts;
+  PartitionPolicy opts;
   opts.bisect_angles = false;  // the paper's practical shortcut
   const auto e = fpm::test::power_ensemble(6);
   const PartitionResult r = partition_basic(e.list(), 999983, opts);
@@ -172,7 +172,7 @@ TEST(PartitionBasic, TangentOptionConverges) {
 
 TEST(PartitionBasic, AngleAndTangentVariantsAgree) {
   const auto e = fpm::test::unimodal_ensemble(4);
-  BasicBisectionOptions tangent;
+  PartitionPolicy tangent;
   tangent.bisect_angles = false;
   const double ta =
       makespan(e.list(), partition_basic(e.list(), 777777).distribution);

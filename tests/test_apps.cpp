@@ -342,7 +342,6 @@ TEST(Vgb, CompileOnceMatchesColdPerGroupSolves) {
             i % 2 == 0 ? first.distribution.counts[i] * 9 / 10 : n * n);
       core::PartitionPolicy modified;
       modified.algorithm = core::kAlgorithmModified;
-      modified.options = core::ModifiedBisectionOptions{};
       // A caller-supplied hint (with a fingerprint no model list has, so
       // every group solve rejects it before solving a line) and an observer
       // policy both switch the group-to-group hint chaining off.

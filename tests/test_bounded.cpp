@@ -13,7 +13,8 @@ TEST(PartitionBounded, UnbindingBoundsMatchUnbounded) {
   const auto e = fpm::test::power_ensemble(4);
   const std::int64_t n = 100000;
   const std::vector<std::int64_t> loose(4, n);
-  const PartitionResult bounded = partition_bounded(e.list(), n, loose);
+  const PartitionResult bounded =
+      partition_bounded(e.list(), n, {.bounds = loose});
   const Distribution plain = exact_optimum(e.list(), n);
   EXPECT_EQ(bounded.distribution.total(), n);
   EXPECT_NEAR(makespan(e.list(), bounded.distribution),
@@ -25,7 +26,7 @@ TEST(PartitionBounded, RespectsEveryBound) {
   const auto e = fpm::test::linear_ensemble(5);
   const std::int64_t n = 50000;
   const std::vector<std::int64_t> bounds{5000, 8000, 30000, 20000, 50000};
-  const PartitionResult r = partition_bounded(e.list(), n, bounds);
+  const PartitionResult r = partition_bounded(e.list(), n, {.bounds = bounds});
   EXPECT_EQ(r.distribution.total(), n);
   for (std::size_t i = 0; i < bounds.size(); ++i)
     EXPECT_LE(r.distribution.counts[i], bounds[i]) << i;
@@ -34,17 +35,18 @@ TEST(PartitionBounded, RespectsEveryBound) {
 TEST(PartitionBounded, TightBoundsForceExactFill) {
   const auto e = fpm::test::constant_ensemble(3);
   const std::vector<std::int64_t> bounds{10, 20, 30};
-  const PartitionResult r = partition_bounded(e.list(), 60, bounds);
+  const PartitionResult r = partition_bounded(e.list(), 60, {.bounds = bounds});
   EXPECT_EQ(r.distribution.counts, (std::vector<std::int64_t>{10, 20, 30}));
 }
 
 TEST(PartitionBounded, ThrowsWhenInfeasible) {
   const auto e = fpm::test::constant_ensemble(2);
   const std::vector<std::int64_t> bounds{3, 4};
-  EXPECT_THROW(partition_bounded(e.list(), 8, bounds), std::invalid_argument);
-  EXPECT_THROW(partition_bounded(e.list(), 8, std::vector<std::int64_t>{-1, 20}),
+  EXPECT_THROW(partition_bounded(e.list(), 8, {.bounds = bounds}),
                std::invalid_argument);
-  EXPECT_THROW(partition_bounded(e.list(), 8, std::vector<std::int64_t>{5}),
+  EXPECT_THROW(partition_bounded(e.list(), 8, {.bounds = {-1, 20}}),
+               std::invalid_argument);
+  EXPECT_THROW(partition_bounded(e.list(), 8, {.bounds = {5}}),
                std::invalid_argument);
 }
 
@@ -54,7 +56,8 @@ TEST(PartitionBounded, NearOptimalAgainstBoundedOracle) {
     const std::int64_t n = 20000;
     // Bind the two fastest-looking processors tightly.
     std::vector<std::int64_t> bounds{1000, 2000, 20000, 20000};
-    const PartitionResult got = partition_bounded(speeds, n, bounds);
+    const PartitionResult got =
+        partition_bounded(speeds, n, {.bounds = bounds});
     const Distribution best = exact_optimum_bounded(speeds, n, bounds);
     EXPECT_EQ(got.distribution.total(), n) << e.name;
     for (std::size_t i = 0; i < bounds.size(); ++i)

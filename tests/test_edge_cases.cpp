@@ -104,7 +104,8 @@ TEST(EdgeCases, BoundsAllZeroExceptOne) {
   }();
   const SpeedList speeds = make_speed_list(curves);
   const std::vector<std::int64_t> bounds{0, 0, 1000, 0};
-  const PartitionResult r = partition_bounded(speeds, 1000, bounds);
+  const PartitionResult r =
+      partition_bounded(speeds, 1000, {.bounds = bounds});
   EXPECT_EQ(r.distribution.counts[2], 1000);
   EXPECT_EQ(r.distribution.counts[0], 0);
 }

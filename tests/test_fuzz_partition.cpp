@@ -110,7 +110,8 @@ TEST_P(FuzzPartition, BoundedRespectsRandomBounds) {
   if (capacity < inst.n) {
     bounds.back() += inst.n - capacity;  // ensure feasibility
   }
-  const PartitionResult r = partition_bounded(inst.speeds, inst.n, bounds);
+  const PartitionResult r =
+      partition_bounded(inst.speeds, inst.n, {.bounds = bounds});
   EXPECT_EQ(r.distribution.total(), inst.n) << " seed=" << GetParam();
   for (std::size_t i = 0; i < bounds.size(); ++i)
     EXPECT_LE(r.distribution.counts[i], bounds[i])

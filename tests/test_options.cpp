@@ -11,7 +11,7 @@ namespace {
 
 TEST(Options, BasicIterationCapStillYieldsValidDistribution) {
   const auto e = fpm::test::power_ensemble(5);
-  BasicBisectionOptions opts;
+  PartitionPolicy opts;
   opts.max_iterations = 3;  // far too few to converge
   const PartitionResult r = partition_basic(e.list(), 10'000'019, opts);
   EXPECT_EQ(r.distribution.total(), 10'000'019);
@@ -30,7 +30,7 @@ TEST(Options, CombinedStallWindowForcesEarlySwitch) {
   // (a single basic step cannot halve the candidate count reliably); the
   // result must stay near-optimal regardless.
   const auto e = fpm::test::stepped_ensemble(4);
-  CombinedOptions opts;
+  PartitionPolicy opts;
   opts.stall_window = 1;
   const PartitionResult r = partition_combined(e.list(), 5'000'011, opts);
   EXPECT_EQ(r.distribution.total(), 5'000'011);
@@ -43,7 +43,7 @@ TEST(Options, InterpolationSafeguardZeroStillConverges) {
   // Margin 0 lets the secant land on the bracket boundary; the step_custom
   // guard must keep the search sound.
   const auto e = fpm::test::linear_ensemble(4);
-  InterpolationOptions opts;
+  PartitionPolicy opts;
   opts.safeguard_margin = 0.0;
   const PartitionResult r =
       partition_interpolation(e.list(), 1'000'003, opts);
@@ -57,7 +57,7 @@ TEST(Options, InterpolationHugeSafeguardDegradesToBisection) {
   // Margin 0.5 rejects every secant step: pure log-space bisection. Still
   // correct, just more iterations than the default.
   const auto e = fpm::test::power_ensemble(4);
-  InterpolationOptions tight;
+  PartitionPolicy tight;
   tight.safeguard_margin = 0.5;
   const PartitionResult r = partition_interpolation(e.list(), 777'777, tight);
   EXPECT_EQ(r.distribution.total(), 777'777);
@@ -65,7 +65,7 @@ TEST(Options, InterpolationHugeSafeguardDegradesToBisection) {
 
 TEST(Options, ModifiedIterationCapRespected) {
   const auto e = fpm::test::unimodal_ensemble(4);
-  ModifiedBisectionOptions opts;
+  PartitionPolicy opts;
   opts.max_iterations = 2;
   const PartitionResult r = partition_modified(e.list(), 999'983, opts);
   EXPECT_LE(r.stats.iterations, 2);

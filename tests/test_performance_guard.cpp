@@ -87,6 +87,23 @@ TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
       kC * 4096.0 * 4096.0 * std::log2(static_cast<double>(kN));
   EXPECT_LE(static_cast<double>(r.stats.intersect_solves), bound) << "p=4096";
   EXPECT_EQ(r.distribution.total(), kN);
+  // The paper bound sits ~26,000x above the measured count, so it cannot
+  // see a wrong default policy. Pin the default search's cost too:
+  // 151,552 solves (37 per processor), measured alike with the scalar
+  // sweeps and the portable, AVX2 and AVX-512 backends. The pin allows 10%
+  // either way: a stall window of 1 or 2 costs 21-27% more, and a cost far
+  // below the measurement means an iteration cap stopped the search early.
+  constexpr std::int64_t kMeasured = 151'552;
+  constexpr std::int64_t kMargin = kMeasured / 10;
+  EXPECT_LE(r.stats.intersect_solves, kMeasured + kMargin)
+      << "backend " << to_string(active_simd_backend());
+  EXPECT_GE(r.stats.intersect_solves, kMeasured - kMargin)
+      << "backend " << to_string(active_simd_backend());
+  const fpm::test::BackendScope scalar;
+  const PartitionResult off = partition(fleet.list(), kN);
+  EXPECT_LE(off.stats.intersect_solves, kMeasured + kMargin) << "backend off";
+  EXPECT_GE(off.stats.intersect_solves, kMeasured - kMargin) << "backend off";
+  EXPECT_EQ(off.distribution.total(), kN);
 }
 
 TEST(PerformanceGuard, BasicBeatsModifiedOnPolynomialCurves) {

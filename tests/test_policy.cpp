@@ -72,7 +72,8 @@ TEST(PartitionEngine, EveryIdMatchesItsDirectEntryPoint) {
     else if (info.id == kAlgorithmInterpolation)
       direct = partition_interpolation(speeds, n);
     else
-      direct = partition_bounded(speeds, n, capacity_bounds(speeds));
+      direct =
+          partition_bounded(speeds, n, {.bounds = capacity_bounds(speeds)});
     EXPECT_EQ(engine.distribution.counts, direct.distribution.counts)
         << info.id;
     EXPECT_EQ(engine.stats.iterations, direct.stats.iterations) << info.id;
@@ -82,11 +83,9 @@ TEST(PartitionEngine, EveryIdMatchesItsDirectEntryPoint) {
 
 TEST(PartitionEngine, OptionsVariantIsHonoured) {
   const Ensemble e = fpm::test::power_ensemble(5);
-  CombinedOptions tuned;
+  PartitionPolicy tuned;
   tuned.stall_window = 2;
-  PartitionPolicy policy;
-  policy.options = tuned;
-  const PartitionResult engine = partition(e.list(), 10'000'019, policy);
+  const PartitionResult engine = partition(e.list(), 10'000'019, tuned);
   const PartitionResult direct = partition_combined(e.list(), 10'000'019,
                                                     tuned);
   EXPECT_EQ(engine.distribution.counts, direct.distribution.counts);
@@ -108,14 +107,6 @@ TEST(PartitionEngine, UnknownIdNamesTheValidOnes) {
   }
 }
 
-TEST(PartitionEngine, MismatchedOptionsVariantThrows) {
-  const Ensemble e = fpm::test::power_ensemble(3);
-  PartitionPolicy policy;
-  policy.algorithm = kAlgorithmBasic;
-  policy.options = CombinedOptions{};
-  EXPECT_THROW(partition(e.list(), 1000, policy), std::invalid_argument);
-}
-
 TEST(PartitionEngine, BoundedDerivesBoundsFromCurveCapacity) {
   // Exponential curves have max_size 2e6 each: 6 of them hold 1.2e7.
   const Ensemble e = fpm::test::exponential_ensemble(6);
@@ -123,8 +114,8 @@ TEST(PartitionEngine, BoundedDerivesBoundsFromCurveCapacity) {
   policy.algorithm = kAlgorithmBounded;
   const std::int64_t feasible = 6'000'000;
   const PartitionResult engine = partition(e.list(), feasible, policy);
-  const PartitionResult direct =
-      partition_bounded(e.list(), feasible, capacity_bounds(e.list()));
+  const PartitionResult direct = partition_bounded(
+      e.list(), feasible, {.bounds = capacity_bounds(e.list())});
   EXPECT_EQ(engine.distribution.counts, direct.distribution.counts);
   for (std::size_t i = 0; i < e.owned.size(); ++i)
     EXPECT_LE(engine.distribution.counts[i],
@@ -217,10 +208,8 @@ TEST(PolicyGrammar, ParsesKeysIntoTheMatchingOptions) {
   const std::vector<std::string> tokens{"stall_window", "7", "bisect_angles",
                                         "false"};
   const PartitionPolicy policy = parse_policy(kAlgorithmCombined, tokens);
-  const auto* opts = std::get_if<CombinedOptions>(&policy.options);
-  ASSERT_NE(opts, nullptr);
-  EXPECT_EQ(opts->stall_window, 7);
-  EXPECT_FALSE(opts->bisect_angles);
+  EXPECT_EQ(policy.stall_window, 7);
+  EXPECT_FALSE(policy.bisect_angles);
 }
 
 TEST(PolicyGrammar, FormatRoundTrips) {
@@ -232,6 +221,61 @@ TEST(PolicyGrammar, FormatRoundTrips) {
   // Defaults collapse to the bare id.
   EXPECT_EQ(format_policy(parse_policy(kAlgorithmModified, {})), "modified");
   EXPECT_EQ(format_policy(PartitionPolicy{}), "combined");
+  // Doubles round-trip exactly, not at the stream default of 6 digits;
+  // values with at most 6 significant digits keep their short form.
+  const std::vector<std::string> fine{"safeguard_margin", "0.0123456789"};
+  const PartitionPolicy precise = parse_policy(kAlgorithmInterpolation, fine);
+  EXPECT_EQ(format_policy(precise),
+            "interpolation safeguard_margin 0.0123456789");
+  for (const double margin : {0.0123456789, 1.0 / 3.0, 0.1 + 0.2, 1e-300}) {
+    PartitionPolicy exact;
+    exact.algorithm = kAlgorithmInterpolation;
+    exact.safeguard_margin = margin;
+    const std::string printed = format_policy(exact);
+    const std::vector<std::string> back{
+        "safeguard_margin", printed.substr(printed.rfind(' ') + 1)};
+    EXPECT_EQ(parse_policy(kAlgorithmInterpolation, back).safeguard_margin,
+              margin)
+        << printed;
+  }
+  const std::vector<std::string> close{"safeguard_margin", "0.01234568"};
+  EXPECT_EQ(format_policy(parse_policy(kAlgorithmInterpolation, close)),
+            "interpolation safeguard_margin 0.01234568");
+  const std::vector<std::string> short_form{"safeguard_margin", "0.0001"};
+  EXPECT_EQ(format_policy(parse_policy(kAlgorithmInterpolation, short_form)),
+            "interpolation safeguard_margin 0.0001");
+}
+
+TEST(PolicyGrammar, DefaultIterationCapFormatsAsTheBareId) {
+  // Each algorithm's documented default cap is the value an unset
+  // max_iterations stands for, so spelling it out changes nothing.
+  const std::vector<std::pair<std::string, int>> caps{
+      {kAlgorithmBasic, 1 << 20},
+      {kAlgorithmModified, 1 << 22},
+      {kAlgorithmCombined, 1 << 22},
+      {kAlgorithmInterpolation, 1 << 20},
+      {kAlgorithmBounded, 1 << 22}};
+  for (const auto& [id, cap] : caps) {
+    const std::vector<std::string> tokens{"max_iterations",
+                                          std::to_string(cap)};
+    EXPECT_EQ(format_policy(parse_policy(id, tokens)), id);
+    const std::vector<std::string> other{"max_iterations",
+                                         std::to_string(cap - 1)};
+    EXPECT_EQ(format_policy(parse_policy(id, other)),
+              id + " max_iterations " + std::to_string(cap - 1));
+  }
+}
+
+TEST(PolicyGrammar, CacheKeysKeepEveryDigit) {
+  // Two margins that agree to 6 significant digits are different
+  // policies and must not share a server cache entry.
+  const std::vector<std::string> a{"safeguard_margin", "0.0123456789"};
+  const std::vector<std::string> b{"safeguard_margin", "0.01234568"};
+  EXPECT_NE(
+      PartitionCache::make_key(42, 1000,
+                               parse_policy(kAlgorithmInterpolation, a)),
+      PartitionCache::make_key(42, 1000,
+                               parse_policy(kAlgorithmInterpolation, b)));
 }
 
 TEST(PolicyGrammar, RejectsMalformedInput) {
@@ -248,14 +292,39 @@ TEST(PolicyGrammar, RejectsMalformedInput) {
   const std::vector<std::string> trailing_junk{"max_iterations", "3x"};
   EXPECT_THROW(parse_policy(kAlgorithmModified, trailing_junk),
                std::invalid_argument);
+  // Out-of-range tuning values fail naming the key.
+  const std::vector<std::vector<std::string>> out_of_range{
+      {"safeguard_margin", "nan"}, {"safeguard_margin", "inf"},
+      {"safeguard_margin", "-3"},  {"safeguard_margin", "0.500001"},
+      {"stall_window", "0"},       {"stall_window", "-5"},
+      {"max_iterations", "-1"}};
+  for (const std::vector<std::string>& tokens : out_of_range) {
+    const std::string id = tokens[0] == "safeguard_margin"
+                               ? kAlgorithmInterpolation
+                               : kAlgorithmCombined;
+    try {
+      parse_policy(id, tokens);
+      ADD_FAILURE() << tokens[0] << " " << tokens[1] << " was accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find(tokens[0]), std::string::npos)
+          << err.what();
+    }
+  }
+  // The ends of each range are accepted.
+  const std::vector<std::string> zero_margin{"safeguard_margin", "0"};
+  EXPECT_NO_THROW(parse_policy(kAlgorithmInterpolation, zero_margin));
+  const std::vector<std::string> half_margin{"safeguard_margin", "0.5"};
+  EXPECT_NO_THROW(parse_policy(kAlgorithmInterpolation, half_margin));
+  const std::vector<std::string> unit_window{"stall_window", "1"};
+  EXPECT_NO_THROW(parse_policy(kAlgorithmCombined, unit_window));
+  const std::vector<std::string> no_iterations{"max_iterations", "0"};
+  EXPECT_NO_THROW(parse_policy(kAlgorithmBasic, no_iterations));
 }
 
 TEST(PolicyGrammar, BoundedKeysTuneTheInnerSolve) {
   const std::vector<std::string> tokens{"stall_window", "9"};
   const PartitionPolicy policy = parse_policy(kAlgorithmBounded, tokens);
-  const auto* opts = std::get_if<BoundedOptions>(&policy.options);
-  ASSERT_NE(opts, nullptr);
-  EXPECT_EQ(opts->inner.stall_window, 9);
+  EXPECT_EQ(policy.stall_window, 9);
   EXPECT_EQ(format_policy(policy), "bounded stall_window 9");
 }
 

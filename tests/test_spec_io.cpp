@@ -147,6 +147,14 @@ TEST(SpecIo, PolicyLineErrorsCarryLineNumbers) {
   expect_error("policy\n", "missing policy algorithm");
   expect_error("policy combined\npolicy basic\n", "duplicate 'policy'");
   expect_error("machine a\npolicy combined\n", "'policy' inside machine");
+  expect_error("policy interpolation safeguard_margin nan\n",
+               "'safeguard_margin' expects a value in [0, 0.5]");
+  expect_error("policy interpolation safeguard_margin -3\n",
+               "'safeguard_margin' expects a value in [0, 0.5]");
+  expect_error("policy combined stall_window 0\n",
+               "'stall_window' expects a value in [1, ");
+  expect_error("policy basic max_iterations -1\n",
+               "'max_iterations' expects a value in [0, ");
 }
 
 TEST(SpecIo, SaveRejectsBadNames) {

@@ -50,7 +50,6 @@ PartitionHint hint_from(const PartitionResult& result, std::int64_t n,
   hint.n = n;
   hint.fingerprint = fingerprint;
   hint.baseline_iterations = result.stats.iterations;
-  hint.counts = result.distribution.counts;
   return hint;
 }
 
