@@ -1,11 +1,14 @@
 // Ablation A: the partitioner family across curve families and problem
 // sizes — the design-space study behind DESIGN.md §5. Every algorithm in
 // core::partitioner_registry() is benchmarked through the policy engine,
-// so a newly registered partitioner joins the ablation without edits here.
-// Reports wall time (google-benchmark) and the iteration/intersection
-// counts that drive the paper's complexity discussion: basic wins on
-// polynomial-slope families, collapses on the exponential family; the
-// combined algorithm tracks the winner on both.
+// from both bracket starts (the paper's Figure 18, and Figure 18 narrowed
+// by the secant probes), so a newly registered partitioner joins the
+// ablation without edits here. Reports wall time (google-benchmark) and
+// the iteration/intersection counts that drive the paper's complexity
+// discussion: from Figure 18, basic wins on polynomial-slope families,
+// collapses on the exponential family, and the combined algorithm tracks
+// the winner on both. The secant probes are line solves but not
+// iterations, so the starts compare in sweeps (line solves per processor).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -52,7 +55,15 @@ bool capacity_holds(const core::SpeedList& speeds, std::int64_t n) {
   return capacity >= n;
 }
 
-void run_bench(benchmark::State& state, const std::string& algorithm) {
+const char* start_name(core::Bracket start) {
+  return start == core::Bracket::Secant ? "secant" : "figure18";
+}
+
+constexpr core::Bracket kStarts[] = {core::Bracket::Figure18,
+                                     core::Bracket::Secant};
+
+void run_bench(benchmark::State& state, const std::string& algorithm,
+               core::Bracket start) {
   const int family = static_cast<int>(state.range(0));
   const auto p = static_cast<std::size_t>(state.range(1));
   const std::int64_t n = state.range(2);
@@ -60,6 +71,7 @@ void run_bench(benchmark::State& state, const std::string& algorithm) {
   const core::SpeedList speeds = e.list();
   core::PartitionPolicy policy;
   policy.algorithm = algorithm;
+  policy.bracket = start;
   const bool needs_bounds =
       core::partitioner_registry().find(algorithm)->needs_bounds;
   if (needs_bounds && !capacity_holds(speeds, n)) {
@@ -71,11 +83,12 @@ void run_bench(benchmark::State& state, const std::string& algorithm) {
   for (auto _ : state) {
     const core::PartitionResult r = core::partition(speeds, n, policy);
     iterations = r.stats.iterations;
-    solves = r.stats.intersect_solves;
+    solves = r.stats.search_intersect_solves;
     benchmark::DoNotOptimize(r.distribution.counts.data());
   }
   state.counters["search_iters"] = iterations;
-  state.counters["intersect_solves"] = static_cast<double>(solves);
+  state.counters["search_sweeps"] =
+      static_cast<double>(solves) / static_cast<double>(p);
   state.SetLabel(family_name(family));
 }
 
@@ -92,54 +105,79 @@ void configure(benchmark::internal::Benchmark* b) {
 int main(int argc, char** argv) {
   for (const core::PartitionerInfo& info :
        core::partitioner_registry().entries()) {
-    benchmark::RegisterBenchmark(
-        ("BM_" + info.id).c_str(),
-        [id = info.id](benchmark::State& state) { run_bench(state, id); })
-        ->Apply(configure);
+    for (const core::Bracket start : kStarts)
+      benchmark::RegisterBenchmark(
+          ("BM_" + info.id + "/" + start_name(start)).c_str(),
+          [id = info.id, start](benchmark::State& state) {
+            run_bench(state, id, start);
+          })
+          ->Apply(configure);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Iteration-count summary (the paper's complexity story at a glance),
-  // one column per registered algorithm. '-' marks infeasible cells
-  // (bounded when the curves cannot hold n).
-  std::vector<std::string> columns{"family", "n"};
+  // Summary (the paper's complexity story at a glance), one column per
+  // registered algorithm: search iterations from Figure 18, then search
+  // sweeps from each start. '-' marks infeasible cells (bounded when the
+  // curves cannot hold n).
+  std::vector<std::string> iteration_columns{"family", "n"};
+  std::vector<std::string> sweep_columns{"family", "n"};
   for (const core::PartitionerInfo& info :
-       core::partitioner_registry().entries())
-    columns.push_back(info.id);
-  columns.push_back("combined_switched");
-  util::Table t("Ablation A - search iterations by family and algorithm",
-                columns);
+       core::partitioner_registry().entries()) {
+    iteration_columns.push_back(info.id);
+    for (const core::Bracket start : kStarts)
+      sweep_columns.push_back(info.id + " " + start_name(start));
+  }
+  iteration_columns.push_back("combined_switched");
+  util::Table iterations_table(
+      "Ablation A - search iterations by family and algorithm (Figure 18)",
+      iteration_columns);
+  util::Table sweeps_table(
+      "Ablation A - search sweeps (line solves per processor) by start",
+      sweep_columns);
+  constexpr std::size_t kP = 12;
   for (const int family : {0, 1, 2}) {
     for (const std::int64_t n : {1000000LL, 100000000LL}) {
-      const bench::OwnedEnsemble e = make_family(family, 12);
+      const bench::OwnedEnsemble e = make_family(family, kP);
       const core::SpeedList speeds = e.list();
-      std::vector<std::string> row{family_name(family),
-                                   util::fmt(static_cast<long long>(n))};
+      std::vector<std::string> iteration_row{
+          family_name(family), util::fmt(static_cast<long long>(n))};
+      std::vector<std::string> sweep_row = iteration_row;
       bool switched = false;
       for (const core::PartitionerInfo& info :
            core::partitioner_registry().entries()) {
         if (info.needs_bounds && !capacity_holds(speeds, n)) {
-          row.push_back("-");
+          iteration_row.push_back("-");
+          sweep_row.insert(sweep_row.end(), std::size(kStarts), "-");
           continue;
         }
-        core::PartitionPolicy policy;
-        policy.algorithm = info.id;
-        const auto r = core::partition(speeds, n, policy);
-        row.push_back(util::fmt(r.stats.iterations));
-        if (info.id == core::kAlgorithmCombined)
-          switched = r.stats.switched_to_modified;
+        for (const core::Bracket start : kStarts) {
+          core::PartitionPolicy policy;
+          policy.algorithm = info.id;
+          policy.bracket = start;
+          const auto r = core::partition(speeds, n, policy);
+          sweep_row.push_back(util::fmt(
+              static_cast<long long>(r.stats.search_intersect_solves /
+                                     static_cast<std::int64_t>(kP))));
+          if (start != core::Bracket::Figure18) continue;
+          iteration_row.push_back(util::fmt(r.stats.iterations));
+          if (info.id == core::kAlgorithmCombined)
+            switched = r.stats.switched_to_modified;
+        }
       }
-      row.push_back(switched ? "yes" : "no");
-      t.add_row(row);
+      iteration_row.push_back(switched ? "yes" : "no");
+      iterations_table.add_row(iteration_row);
+      sweeps_table.add_row(sweep_row);
     }
   }
-  bench::emit(t);
-  std::cout << "Expected shape: basic ~ O(log n) iterations on power/stepped "
-               "but blowing up on exp;\nmodified flat everywhere; combined "
-               "tracking the better of the two; the\ninterpolation search "
-               "(our candidate for the paper's open challenge) flat "
-               "everywhere.\n";
+  bench::emit(iterations_table);
+  bench::emit(sweeps_table);
+  std::cout << "Expected shape: from Figure 18, basic ~ O(log n) iterations "
+               "on power/stepped\nbut blowing up on exp; modified flat "
+               "everywhere; combined tracking the better\nof the two; the "
+               "interpolation search (our candidate for the paper's open\n"
+               "challenge) flat everywhere. The secant start cuts the "
+               "sweeps and leaves every\ndistribution as it was.\n";
   return 0;
 }

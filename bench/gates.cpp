@@ -348,14 +348,18 @@ void simd_gates(Report& report) {
 
 // --- Open-loop load on the SLO-aware server --------------------------------
 
-// The run: a closed-loop calibration of the service time, then 2 s of
+// The run: a calibration of the capacity on the request mix, then 2 s of
 // Poisson arrivals at 0.8x capacity and 2 s of bursty arrivals at 2x, each
 // request a draw from 32 Zipf-popular model lists with a 20 ms deadline.
+// The lists are bench/perf's serve_overload fleets (p = 64): a solve costs
+// tens of microseconds, so one sender can offer more than two workers
+// answer, and the 2x phase overloads the server. A list of a few curves
+// solves in a few microseconds, too fast for one sender to pass capacity.
 constexpr double kPhaseS = 2.0;
 constexpr double kDeadlineMs = 20.0;
 constexpr int kFingerprints = 32;
 constexpr double kZipf = 1.1;
-constexpr double kMaxRate = 250000.0;  // offered-rate ceiling, requests/s
+constexpr std::size_t kInFlight = 32;  // calibration requests outstanding
 constexpr std::uint64_t kLoadSeed = 42;
 
 using Clock = std::chrono::steady_clock;
@@ -366,7 +370,7 @@ double since(Clock::time_point start) {
 
 /// One model list of the Zipf universe (owning).
 struct LoadModels {
-  bench::OwnedEnsemble ensemble;
+  core::SyntheticFleet fleet;
   core::SpeedList list;
   std::int64_t base_n = 0;
 };
@@ -375,12 +379,8 @@ std::vector<LoadModels> make_load_models() {
   std::vector<LoadModels> out(kFingerprints);
   for (int k = 0; k < kFingerprints; ++k) {
     LoadModels& m = out[static_cast<std::size_t>(k)];
-    const double scale = 1.0 + 0.07 * k;
-    for (int i = 0; i < 6; ++i)
-      m.ensemble.owned.push_back(std::make_shared<core::PowerDecaySpeed>(
-          (90.0 + 60.0 * i) * scale, 2e7 * (1.0 + i), 0.8 + 0.3 * (i % 3),
-          1e9));
-    m.list = m.ensemble.list();
+    m.fleet = core::make_synthetic_fleet(64, 2004 + k);
+    m.list = m.fleet.list();
     m.base_n = 1000000 + 7919LL * k;
   }
   return out;
@@ -393,6 +393,33 @@ struct DegradedSample {
   std::vector<std::int64_t> counts;
   double bound = 0.0;
 };
+
+/// One request of the load: a Zipf-popular model list (its index in `mk`)
+/// and the SLO mix, a 20 ms deadline, 20/60/20 low/normal/high priority,
+/// 10% refusing degradation.
+core::BatchRequest draw_request(const std::vector<LoadModels>& models,
+                                const std::vector<double>& zipf_cdf,
+                                std::mt19937_64& rng, std::size_t& mk) {
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  const auto k = static_cast<std::size_t>(
+      std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), uni(rng)) -
+      zipf_cdf.begin());
+  mk = std::min(k, models.size() - 1);
+  const std::int64_t base = models[mk].base_n;
+  core::BatchRequest req;
+  req.speeds = models[mk].list;
+  // 30% ask one of 8 hot sizes (cache hits); the rest drift n across a
+  // wide range: near-miss solves, warm-started off the fingerprint hint.
+  req.n = uni(rng) < 0.3 ? base + 1000 * static_cast<std::int64_t>(rng() % 8)
+                         : base + static_cast<std::int64_t>(rng() % 250000);
+  req.slo.deadline_s = kDeadlineMs * 1e-3;
+  const double pu = uni(rng);
+  req.slo.priority = pu < 0.2   ? core::Priority::Low
+                     : pu < 0.8 ? core::Priority::Normal
+                                : core::Priority::High;
+  req.slo.allow_degraded = uni(rng) >= 0.1;
+  return req;
+}
 
 struct PhaseOutcome {
   std::int64_t submitted = 0;
@@ -435,7 +462,6 @@ PhaseOutcome run_phase(core::PartitionServer& server,
   });
 
   std::mt19937_64 rng(kLoadSeed ^ (bursty ? 2 : 1));
-  std::uniform_real_distribution<double> uni(0.0, 1.0);
   std::exponential_distribution<double> gap(1.0);
   const Clock::time_point start = Clock::now();
   double next = 0.0;  // seconds from the phase start
@@ -444,24 +470,8 @@ PhaseOutcome run_phase(core::PartitionServer& server,
       std::this_thread::sleep_for(std::chrono::microseconds(std::min<int>(
           500, static_cast<int>((next - since(start)) * 1e6) + 1)));
     for (const double now = since(start); next <= now && next < kPhaseS;) {
-      const auto k = static_cast<std::size_t>(
-          std::lower_bound(zipf_cdf.begin(), zipf_cdf.end(), uni(rng)) -
-          zipf_cdf.begin());
-      const std::size_t mk = std::min(k, models.size() - 1);
-      const std::int64_t base = models[mk].base_n;
-      core::BatchRequest req;
-      req.speeds = models[mk].list;
-      // 30% ask one of 8 hot sizes (cache hits); the rest drift n across a
-      // wide range: near-miss solves, warm-started off the fingerprint hint.
-      req.n = uni(rng) < 0.3
-                  ? base + 1000 * static_cast<std::int64_t>(rng() % 8)
-                  : base + static_cast<std::int64_t>(rng() % 250000);
-      req.slo.deadline_s = kDeadlineMs * 1e-3;
-      const double pu = uni(rng);
-      req.slo.priority = pu < 0.2   ? core::Priority::Low
-                         : pu < 0.8 ? core::Priority::Normal
-                                    : core::Priority::High;
-      req.slo.allow_degraded = uni(rng) >= 0.1;  // 10% refuse degradation
+      std::size_t mk = 0;
+      core::BatchRequest req = draw_request(models, zipf_cdf, rng, mk);
       const std::int64_t n = req.n;
       std::future<core::ServeResult> f = server.submit(std::move(req));
       ++out.submitted;
@@ -523,19 +533,25 @@ void load_gates(Report& report) {
   // One exact solve per list seeds the hint store, so degradation has a
   // previous answer to rescale from the first overloaded second.
   for (const LoadModels& m : models) (void)server.serve(m.list, m.base_n);
-  // Closed-loop calibration: the server learns the mean service time of a
-  // cache-missing solve; capacity = threads / service time.
+  // Capacity calibration: answers per second on the phases' request mix
+  // with the workers never idle — kInFlight requests always outstanding,
+  // fewer than the queue holds and far inside the deadline, so none is
+  // shed or degraded.
   std::mt19937_64 rng(kLoadSeed);
-  for (const Clock::time_point t0 = Clock::now(); since(t0) < 0.25;) {
-    const LoadModels& m = models[rng() % models.size()];
-    (void)server.serve_slo(
-        m.list, m.base_n + 17 + static_cast<std::int64_t>(rng() % 100000), {},
-        {60.0});
+  std::deque<std::future<core::ServeResult>> in_flight;
+  std::int64_t answered = 0;
+  const Clock::time_point t0 = Clock::now();
+  while (since(t0) < 0.25) {
+    if (in_flight.size() == kInFlight) {
+      (void)in_flight.front().get();
+      in_flight.pop_front();
+      ++answered;
+    }
+    std::size_t mk = 0;
+    in_flight.push_back(server.submit(draw_request(models, zipf_cdf, rng, mk)));
   }
-  const double learned = server.predicted_delay(core::Priority::Normal);
-  const double service_s = learned > 0.0 ? learned : 1e-4;
-  const double capacity =
-      std::min(kMaxRate, static_cast<double>(threads) / service_s);
+  const double capacity = static_cast<double>(answered) / since(t0);
+  for (std::future<core::ServeResult>& f : in_flight) (void)f.get();
 
   std::vector<DegradedSample> samples;
   const PhaseOutcome sustainable =
@@ -545,12 +561,14 @@ void load_gates(Report& report) {
 
   const auto accounting = [&report](const char* name, const PhaseOutcome& o) {
     const std::int64_t offered = o.after.offered - o.before.offered;
-    const std::int64_t resolved = (o.after.admitted - o.before.admitted) +
-                                  (o.after.degraded - o.before.degraded) +
-                                  (o.after.shed - o.before.shed);
+    const std::int64_t admitted = o.after.admitted - o.before.admitted;
+    const std::int64_t degraded = o.after.degraded - o.before.degraded;
+    const std::int64_t shed = o.after.shed - o.before.shed;
+    const std::int64_t resolved = admitted + degraded + shed;
     report.exact(std::string("load accounting, ") + name,
                  util::fmt(offered) + " / " + util::fmt(o.submitted) + " / " +
-                     util::fmt(resolved),
+                     util::fmt(resolved) + " (" + util::fmt(degraded) +
+                     " degraded, " + util::fmt(shed) + " shed)",
                  "offered == submitted == admitted+degraded+shed",
                  offered == o.submitted && offered == resolved);
   };

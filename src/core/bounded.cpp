@@ -48,6 +48,7 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
   std::int64_t remaining = n;
 
   PartitionPolicy inner = policy;
+  inner.bracket = bracket_for(policy, kAlgorithmBounded);
   bool first_round = true;
   while (remaining > 0 && !active.empty()) {
     SpeedList sub;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "core/detail/speed_kernels.hpp"
 
@@ -11,42 +10,49 @@ namespace fpm::core::detail {
 
 namespace {
 
-// Warm-bracket tuning. The hinted slope, rescaled by old n / new n (sizes
-// scale roughly like 1/slope), is refined by up to kWarmSecantSteps secant
-// steps on g(c) = ln N(c) - ln n over ln c, N(c) being the total size on
-// the line of slope c. The hint's own (slope, n) is the first secant point;
-// when it coincides with the centre (same n) the first step assumes the
-// log-log elasticity E = d ln N / d ln c of constant speeds, -1. Steps stop
-// once |N - n| < kWarmSecantTolerance elements, and stay inside the slopes
-// already known to straddle n. The centre's own line is then one side of
-// the bracket; the other side is probed at relative distance
-// eta = 1 / (16 n |E|) beyond the secant's remaining miss — a line about
-// 1/16 of an element away in total, so a converged bracket usually falls
-// out after zero or one bisection steps. A probed line within
-// kWarmReuseElements of n on the far side is reused instead. A far probe
-// that lands on the near side widens 4x. Every probe must stay within
-// kWarmWindow of the rescaled centre, and the attempt within
-// kWarmProbeBudget line solves; otherwise the hint is stale and the search
-// runs the cold bracket. Measured elasticities are clamped to
-// [kWarmMinElasticity, kWarmMaxElasticity] in magnitude, so a flat or
-// stepped stretch of the curves cannot throw a step out of all proportion.
-constexpr int kWarmSecantSteps = 3;
-constexpr double kWarmSecantTolerance = 0.01;
-constexpr double kWarmStraddleElements = 1.0 / 16.0;
-constexpr double kWarmMinStraddle = 0x1p-50;  // a few ULPs of the slope
-constexpr double kWarmReuseElements = 1.0;
-constexpr double kWarmWiden = 4.0;
+// Secant-bracket tuning, shared by the warm and the cold start. The secant
+// runs on g(c) = ln N(c) - ln n over ln c (see SearchState::secant_slope)
+// for up to kSecantSteps + 1 probes, and stops once |N - n| <
+// kSecantTolerance elements. Once both sides are known every step stays
+// strictly between them. The last probe is then one side of the bracket;
+// the other side is probed at relative distance eta = 1 / (16 n |E|)
+// beyond the secant's remaining miss — a line about 1/16 of an element away
+// in total, so a converged bracket usually falls out after zero or one
+// bisection steps. A solved line within kReuseElements of n on the far side
+// is reused instead. A far probe that lands on the near side widens 4x, and
+// a far probe that would pass the far side's known line is not needed. The
+// whole attempt gets kProbeBudget line solves. A warm start confines its
+// probes to kWarmWindow around the rescaled hint and goes stale when a
+// probe would leave it; a cold start's window is the Figure-18 bracket.
+// Until both sides are known, the elasticity a step uses is clamped to
+// [kMinElasticity, kMaxElasticity] in magnitude, so a flat or stepped
+// stretch of the curves cannot throw it out of all proportion; after that
+// the known sides bound every step, and the measured elasticity is used as
+// is (the exponential family's is far below 1/64).
+constexpr int kSecantSteps = 8;  // leaves 3 probes of the budget to straddle
+constexpr double kSecantTolerance = 0.01;
+constexpr double kStraddleElements = 1.0 / 16.0;
+constexpr double kMinStraddle = 0x1p-50;  // a few ULPs of the slope
+constexpr double kReuseElements = 1.0;
+constexpr double kWiden = 4.0;
 constexpr double kWarmWindow = 16.0;
-constexpr int kWarmProbeBudget = 12;
-constexpr double kWarmMinElasticity = 1.0 / 64.0;
-constexpr double kWarmMaxElasticity = 64.0;
+constexpr int kProbeBudget = 12;
+constexpr double kMinElasticity = 1.0 / 64.0;
+constexpr double kMaxElasticity = 64.0;
+
+double line_sum(const std::vector<double>& xs) {
+  double total = 0.0;
+  for (const double x : xs) total += x;
+  return total;
+}
 
 }  // namespace
 
 SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
                          const SearchObserver* observer,
-                         const PartitionHint* hint)
+                         const PartitionHint* hint, Bracket start)
     : n_(n),
+      log_n_(std::log(static_cast<double>(n))),
       saturation_base_(bracket_saturation_tally()),
       observer_(observer),
       hint_(hint) {
@@ -59,11 +65,23 @@ SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
     compiled_ = &*compiled_storage_;
   }
   if (hint != nullptr && hint->usable())
-    warmstart_ = try_warm_bracket(*hint, n) ? WarmStart::Hit : WarmStart::Stale;
-  // The bracket's last expansion tests already solved both lines; keep
-  // those sizes instead of solving the lines again.
-  if (warmstart_ != WarmStart::Hit)
+    warmstart_ = try_warm_bracket(*hint) ? WarmStart::Hit : WarmStart::Stale;
+  if (warmstart_ != WarmStart::Hit) {
+    // The bracket's last expansion tests already solved both lines; keep
+    // those sizes instead of solving the lines again.
     bracket_ = detect_bracket(*compiled_, n, &counters_, &small_, &large_);
+    const SecantPoint steep{bracket_.hi_slope,
+                            std::log(line_sum(small_)) - log_n_};
+    const SecantPoint shallow{bracket_.lo_slope,
+                              std::log(line_sum(large_)) - log_n_};
+    // The line nearer n in total goes last: the secant's next step leans
+    // on the newer line.
+    if (std::abs(steep.g) < std::abs(shallow.g))
+      restart_secant(shallow, steep);
+    else
+      restart_secant(steep, shallow);
+    if (start == Bracket::Secant) narrow_cold_bracket();
+  }
   intersections_ += static_cast<int>(2 * compiled_->size());
   if (observing())
     emit(SearchStepKind::Bracket, bracket_.hi_slope, false, kNoProcessor);
@@ -73,8 +91,92 @@ std::int64_t SearchState::bracket_saturations() const noexcept {
   return bracket_saturation_tally() - saturation_base_;
 }
 
-bool SearchState::try_warm_bracket(const PartitionHint& hint,
-                                   std::int64_t n) {
+void SearchState::restart_secant(SecantPoint older, SecantPoint newer) {
+  elasticity_ = -1.0;
+  last_ = older;
+  remember(newer);
+}
+
+void SearchState::remember(SecantPoint line) {
+  const SecantPoint prev = last_;
+  last_ = line;
+  if (line.slope == prev.slope) return;
+  const double e = (line.g - prev.g) / std::log(line.slope / prev.slope);
+  if (std::isfinite(e) && e < 0.0) elasticity_ = e;
+}
+
+SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
+                                                       double window_hi,
+                                                       Side& steep,
+                                                       Side& shallow) {
+  const double nd = static_cast<double>(n_);
+  SecantOutcome out;
+  double total = 0.0;  // of the last probe
+  std::vector<double> sizes;
+  // Solves one line, files it by side and feeds it to the secant; false
+  // when the slope leaves the window, the budget is spent, or the total is
+  // degenerate.
+  const auto probe = [&](double slope) {
+    if (!(slope >= window_lo && slope <= window_hi) ||
+        out.probes == kProbeBudget)
+      return false;
+    sizes = sizes_at(*compiled_, slope, &counters_);
+    ++out.probes;
+    total = line_sum(sizes);
+    if (!(total > 0.0) || !std::isfinite(total)) return false;
+    const bool is_steep = total <= nd;
+    Side& side = is_steep ? steep : shallow;
+    if (side.slope == 0.0 ||
+        (is_steep ? slope < side.slope : slope > side.slope)) {
+      side.slope = slope;
+      side.total = total;
+      side.sizes.swap(sizes);
+    }
+    remember({slope, std::log(total) - log_n_});
+    return true;
+  };
+  const auto straddled = [&] {
+    return shallow.slope > 0.0 && shallow.slope < steep.slope;
+  };
+  // Until both sides are known nothing bounds a step but the clamp.
+  const auto elasticity = [&] {
+    return straddled() ? elasticity_
+                       : std::clamp(elasticity_, -kMaxElasticity,
+                                    -kMinElasticity);
+  };
+
+  // Refine: secant steps from the current pair.
+  for (int step = 0; step <= kSecantSteps; ++step) {
+    double c = secant_step(elasticity());
+    // Safeguard: once both sides are known the root lies between them.
+    if (straddled() && !(c > shallow.slope && c < steep.slope))
+      c = std::sqrt(shallow.slope * steep.slope);
+    if (!probe(c)) return out;
+    if (std::abs(total - nd) < kSecantTolerance) break;
+  }
+
+  // Straddle: the last probe is one side; find the other.
+  const double c = last_.slope;
+  const bool centre_steep = total <= nd;
+  const Side& far = centre_steep ? shallow : steep;
+  if (far.slope == 0.0 || std::abs(far.total - nd) > kReuseElements) {
+    const double e = elasticity();
+    const double eta = std::max(kStraddleElements / (nd * -e), kMinStraddle);
+    for (double delta = eta + std::abs(last_.g / e);; delta *= kWiden) {
+      const double target =
+          centre_steep ? c / (1.0 + delta) : c * (1.0 + delta);
+      if (far.slope != 0.0 &&
+          !(centre_steep ? target > far.slope : target < far.slope))
+        break;  // the known far line is tighter already
+      if (!probe(target)) return out;
+      if ((total <= nd) != centre_steep) break;
+    }
+  }
+  out.straddled = straddled();
+  return out;
+}
+
+bool SearchState::try_warm_bracket(const PartitionHint& hint) {
   // A hint computed against different models is stale by definition; the
   // fingerprint check catches silent model swaps behind an unchanged call
   // site. fingerprint == 0 opts out (callers whose curves legitimately
@@ -82,102 +184,38 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint,
   if (hint.fingerprint != 0 && compiled_->fingerprint() != hint.fingerprint)
     return false;
   // When n drifted, rescale: sizes at a slope scale roughly like 1/slope,
-  // so the new optimum sits near slope·(old n / new n).
+  // so the new optimum sits near slope·(old n / new n) — the secant's
+  // first step from the hint's own line, at elasticity -1.
   double center = hint.slope;
-  if (hint.n > 0 && hint.n != n)
-    center *= static_cast<double>(hint.n) / static_cast<double>(n);
+  if (hint.n > 0 && hint.n != n_)
+    center *= static_cast<double>(hint.n) / static_cast<double>(n_);
   if (!std::isfinite(center) || center <= 0.0) return false;
+  const SecantPoint line{
+      hint.slope,
+      hint.n > 0 ? std::log(static_cast<double>(hint.n)) - log_n_ : 0.0};
+  restart_secant(line, line);
 
-  const double nd = static_cast<double>(n);
-  const double log_n = std::log(nd);
-  const double window_lo = center / kWarmWindow;
-  const double window_hi = center * kWarmWindow;
-  int budget = kWarmProbeBudget;
-
-  // The tightest probed line on each side of n: steep (total <= n, the
-  // smallest such slope) and shallow (total > n, the largest). 0 = none.
-  double steep = 0.0, shallow = 0.0;
-  double steep_total = 0.0, shallow_total = 0.0;
-  std::vector<double> steep_sizes, shallow_sizes, sizes;
-  // Solves one line and files it by side; returns its total, or NaN when
-  // the slope leaves the window, the budget is spent, or the total is
-  // degenerate — each of which makes the hint stale.
-  const auto probe = [&](double slope) {
-    constexpr double kStale = std::numeric_limits<double>::quiet_NaN();
-    if (!(slope >= window_lo && slope <= window_hi) || budget == 0)
-      return kStale;
-    sizes = sizes_at(*compiled_, slope, &counters_);
-    --budget;
-    ++warm_probes_;
-    double total = 0.0;
-    for (const double x : sizes) total += x;
-    if (!(total > 0.0) || !std::isfinite(total)) return kStale;
-    if (total <= nd) {
-      if (steep == 0.0 || slope < steep) {
-        steep = slope;
-        steep_total = total;
-        steep_sizes.swap(sizes);
-      }
-    } else if (slope > shallow) {
-      shallow = slope;
-      shallow_total = total;
-      shallow_sizes.swap(sizes);
-    }
-    return total;
-  };
-
-  // Refine the centre. (c_prev, g_prev) starts as the hint's own line.
-  double c = center;
-  double total = probe(c);
-  if (std::isnan(total)) return false;
-  double g = std::log(total) - log_n;
-  double c_prev = hint.slope;
-  double g_prev =
-      hint.n > 0 ? std::log(static_cast<double>(hint.n)) - log_n : 0.0;
-  double elasticity = -1.0;
-  const auto measure_elasticity = [&] {
-    if (c == c_prev) return;
-    const double e = (g - g_prev) / std::log(c / c_prev);
-    if (std::isfinite(e) && e < 0.0)
-      elasticity = std::clamp(e, -kWarmMaxElasticity, -kWarmMinElasticity);
-  };
-  for (int step = 0; step < kWarmSecantSteps &&
-                     std::abs(total - nd) >= kWarmSecantTolerance;
-       ++step) {
-    measure_elasticity();
-    c_prev = c;
-    g_prev = g;
-    c *= std::exp(-g / elasticity);
-    // Safeguard: once both sides are known the root lies between them.
-    if (steep != 0.0 && shallow != 0.0 && !(c > shallow && c < steep))
-      c = std::sqrt(shallow * steep);
-    total = probe(c);
-    if (std::isnan(total)) return false;
-    g = std::log(total) - log_n;
-  }
-  measure_elasticity();
-
-  // Straddle: the centre is one side; find the other.
-  const bool centre_steep = total <= nd;
-  const double far = centre_steep ? shallow : steep;
-  const double far_total = centre_steep ? shallow_total : steep_total;
-  if (far == 0.0 || std::abs(far_total - nd) > kWarmReuseElements) {
-    const double eta = std::max(
-        kWarmStraddleElements / (nd * -elasticity), kWarmMinStraddle);
-    for (double delta = eta + std::abs(g / elasticity);; delta *= kWarmWiden) {
-      const double far_probe = probe(centre_steep ? c / (1.0 + delta)
-                                                  : c * (1.0 + delta));
-      if (std::isnan(far_probe)) return false;
-      if ((far_probe <= nd) != centre_steep) break;
-    }
-  }
-  if (!(shallow > 0.0 && shallow < steep)) return false;
-
-  bracket_.lo_slope = shallow;
-  bracket_.hi_slope = steep;
-  small_ = std::move(steep_sizes);
-  large_ = std::move(shallow_sizes);
+  Side steep, shallow;
+  const SecantOutcome out = secant_bracket(
+      center / kWarmWindow, center * kWarmWindow, steep, shallow);
+  warm_probes_ += out.probes;
+  if (!out.straddled) return false;
+  adopt(steep, shallow);
   return true;
+}
+
+void SearchState::narrow_cold_bracket() {
+  Side steep{bracket_.hi_slope, line_sum(small_), std::move(small_)};
+  Side shallow{bracket_.lo_slope, line_sum(large_), std::move(large_)};
+  (void)secant_bracket(bracket_.lo_slope, bracket_.hi_slope, steep, shallow);
+  adopt(steep, shallow);
+}
+
+void SearchState::adopt(Side& steep, Side& shallow) {
+  bracket_.lo_slope = shallow.slope;
+  bracket_.hi_slope = steep.slope;
+  small_ = std::move(steep.sizes);
+  large_ = std::move(shallow.sizes);
 }
 
 void SearchState::finish(PartitionResult& result) {
@@ -244,8 +282,8 @@ void SearchState::split_at(double slope, SearchStepKind kind,
   ++iterations_;
   std::vector<double> sizes = sizes_at(*compiled_, slope, &counters_);
   intersections_ += static_cast<int>(sizes.size());
-  double sum = 0.0;
-  for (const double x : sizes) sum += x;
+  const double sum = line_sum(sizes);
+  remember({slope, std::log(sum) - log_n_});
   bool kept_low;
   if (sum < static_cast<double>(n_)) {
     // Line too steep: the optimum lies in the shallower (lower) region.

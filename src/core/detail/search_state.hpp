@@ -23,22 +23,24 @@ namespace fpm::core::detail {
 ///
 /// The constructor flattens the input through CompiledSpeedList once (or
 /// adopts the model a PrecompiledGuard installed for this list), and every
-/// solve — bracket detection, warm probes, line splits and the fine-tune
+/// solve — bracket detection, secant probes, line splits and the fine-tune
 /// epilogue — runs on the compiled sweeps. Each speed evaluation and each
 /// per-processor intersect solve is counted once, at the boundary the
 /// SpeedFunction interface would see it.
 class SearchState {
  public:
-  /// Initializes from the Figure-18 bracket and solves both lines. The
-  /// observer pointer, when non-null and pointing at a non-empty function,
-  /// receives one SearchStep per bracket/slope decision; it must outlive
-  /// this object. A usable `hint` replaces the cold bracket with a tight
-  /// verified one around the hinted slope (see PartitionHint); verification
-  /// failure falls back to the cold bracket, so the search result is
-  /// bit-identical with or without the hint.
+  /// Initializes from the Figure-18 bracket and solves both lines;
+  /// `start` == Bracket::Secant then narrows it with the secant bracket.
+  /// The observer pointer, when non-null and pointing at a non-empty
+  /// function, receives one SearchStep per bracket/slope decision; it must
+  /// outlive this object. A usable `hint` replaces the cold bracket with a
+  /// tight verified one around the hinted slope (see PartitionHint);
+  /// verification failure falls back to the cold bracket, so the search
+  /// result is bit-identical with or without the hint.
   SearchState(const SpeedList& speeds, std::int64_t n,
               const SearchObserver* observer = nullptr,
-              const PartitionHint* hint = nullptr);
+              const PartitionHint* hint = nullptr,
+              Bracket start = Bracket::Figure18);
 
   // compiled_ may point into compiled_storage_, so copies would dangle.
   SearchState(const SearchState&) = delete;
@@ -107,7 +109,42 @@ class SearchState {
   /// bisection.
   void step_custom(double slope);
 
+  /// The log-log secant step: the slope where the secant through the last
+  /// two solved lines predicts a total size of n. The secant runs on
+  /// g(c) = ln N(c) - ln n over ln c, N(c) being the total size on the line
+  /// of slope c; its elasticity E = d ln N / d ln c is the last finite
+  /// negative one measured, -1 (constant speeds) until then. Not confined
+  /// to the bracket.
+  double secant_slope() const noexcept { return secant_step(elasticity_); }
+
  private:
+  /// A line the secant has seen: its slope and g = ln N - ln n.
+  struct SecantPoint {
+    double slope = 0.0;
+    double g = 0.0;
+  };
+  /// A solved line on one side of n.
+  struct Side {
+    double slope = 0.0;  ///< 0 = none yet
+    double total = 0.0;
+    std::vector<double> sizes;
+  };
+
+  /// What secant_bracket spent and whether it straddled n.
+  struct SecantOutcome {
+    int probes = 0;  ///< line solves
+    bool straddled = false;
+  };
+
+  /// Restarts the secant from the pair (older, newer); a pair of one
+  /// slope is a single line.
+  void restart_secant(SecantPoint older, SecantPoint newer);
+  /// Appends a solved line to the secant.
+  void remember(SecantPoint line);
+  /// The secant step from the last line at the given elasticity.
+  double secant_step(double elasticity) const noexcept {
+    return last_.slope * std::exp(-last_.g / elasticity);
+  }
   /// Evaluates the line of slope `c`, then assigns it to the steep or
   /// shallow side depending on whether its total size is below n.
   void split_at(double slope, SearchStepKind kind,
@@ -117,12 +154,31 @@ class SearchState {
   /// (the attempted slope is logged; the bracket is unchanged).
   void degenerate_step(double slope);
 
-  /// Attempts to open a verified bracket around the hinted slope: refines
-  /// the (rescaled) hinted slope with a few secant steps on the total size,
-  /// then straddles n tightly around it. On success fills
+  /// The secant bracket both starts share. From the secant's current
+  /// pair of lines, takes a few secant steps on the total size, then
+  /// straddles n tightly around the last one, keeping the tightest solved
+  /// line on each side in `steep` (total <= n) and `shallow` (total > n).
+  /// Every probe stays inside [window_lo, window_hi], inside the lines
+  /// already known to straddle n, and within one shared probe budget. The
+  /// attempt ends without a straddle when a probe would leave the window
+  /// or the budget, or solves to a degenerate total.
+  SecantOutcome secant_bracket(double window_lo, double window_hi,
+                               Side& steep, Side& shallow);
+
+  /// Warm start: the secant from the hint's line, in a window 16x around
+  /// the hinted slope rescaled to n. On success fills
   /// bracket_/small_/large_ and returns true. On failure the members are
-  /// untouched (bar warm_probes_) and the caller runs the cold detection.
-  bool try_warm_bracket(const PartitionHint& hint, std::int64_t n);
+  /// untouched (bar warm_probes_ and the secant) and the caller runs the
+  /// cold start.
+  bool try_warm_bracket(const PartitionHint& hint);
+
+  /// Cold start with Bracket::Secant: the secant from the two Figure-18
+  /// lines, in the Figure-18 window. Only ever narrows bracket_, and keeps
+  /// the narrowed bracket when the budget runs out.
+  void narrow_cold_bracket();
+
+  /// Adopts the sides as the bracket.
+  void adopt(Side& steep, Side& shallow);
 
   bool observing() const { return observer_ && *observer_; }
   void emit(SearchStepKind kind, double slope, bool kept_low,
@@ -134,6 +190,7 @@ class SearchState {
   std::optional<CompiledSpeedList> compiled_storage_;
   const CompiledSpeedList* compiled_ = nullptr;
   std::int64_t n_;
+  double log_n_;
   SlopeBracket bracket_;
   std::vector<double> small_;
   std::vector<double> large_;
@@ -145,6 +202,9 @@ class SearchState {
   const PartitionHint* hint_ = nullptr;
   WarmStart warmstart_ = WarmStart::None;
   int warm_probes_ = 0;
+  // The secant's last line and its current elasticity.
+  SecantPoint last_;
+  double elasticity_ = -1.0;
 };
 
 /// The modified algorithm's guaranteed step count: each p steps halve the
@@ -158,8 +218,9 @@ inline int guaranteed_steps(std::size_t p, std::int64_t n) {
 
 /// The shared frame of the line-search entry points: rejects an empty
 /// speed list, answers n <= 0 with all-zero counts, otherwise builds the
-/// SearchState from the policy's observer and hint, lets `search` step it,
-/// and runs the shared epilogue. `algorithm` is the reported registry id.
+/// SearchState from the policy's observer, hint and bracket start (the
+/// algorithm's default when unset), lets `search` step it, and runs the
+/// shared epilogue. `algorithm` is the reported registry id.
 template <typename Search>
 PartitionResult run_search(const char* algorithm, const SpeedList& speeds,
                            std::int64_t n, const PartitionPolicy& policy,
@@ -174,7 +235,8 @@ PartitionResult run_search(const char* algorithm, const SpeedList& speeds,
     return result;
   }
   SearchState state(speeds, n, &policy.observer,
-                    policy.hint ? &*policy.hint : nullptr);
+                    policy.hint ? &*policy.hint : nullptr,
+                    bracket_for(policy, algorithm));
   search(state);
   state.finish(result);
   return result;

@@ -6,14 +6,18 @@
 //
 // Idea: the total-size function N(c) = Σ x_i(c) is strictly decreasing and,
 // for the observed curve families, close to a power law in the slope over
-// wide ranges. Instead of bisecting the slope interval, fit the secant of
-// log N against log c through the bracket endpoints and step to the slope
-// it predicts for N = n (regula falsi in log-log space), with a bisection
-// safeguard: if the interpolated point falls outside the middle 98% of the
-// bracket or fails to shrink it geometrically, fall back to one bisection
-// step. The safeguard bounds the worst case by 2x the basic algorithm
-// while the interpolation typically converges superlinearly — including on
-// the exponential family, where log N is near-*linear* in log c and plain
+// wide ranges. Instead of bisecting the slope interval, step to the slope
+// where the secant of log N against log c through the last two solved
+// lines predicts N = n — the same log-log secant the secant bracket start
+// (Bracket::Secant, this algorithm's default) runs before the search, here
+// run to convergence. Each step is clamped into the middle of the bracket,
+// `safeguard_margin` of its log-width away from either end: a root
+// predicted at an end then puts the line just across it, so the bracket
+// closes around the root from both sides instead of stagnating on one. A
+// step that fails to halve the bracket is followed by one log-space
+// bisection, which bounds the worst case by 2x the basic algorithm while
+// the secant typically converges superlinearly — including on the
+// exponential family, where log N is near-*linear* in log c and plain
 // bisection degrades to O(n) steps.
 //
 // This does not settle the theoretical challenge (no O(p·log n) worst-case
@@ -21,7 +25,7 @@
 // bench/ablation_algorithms.
 //
 // Reads PartitionPolicy::safeguard_margin, max_iterations (default
-// kSearchIterationCap), observer and hint.
+// kSearchIterationCap), bracket (default Secant), observer and hint.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +35,7 @@
 
 namespace fpm::core {
 
-/// Partitions n elements with the safeguarded log-log regula-falsi search
+/// Partitions n elements with the safeguarded log-log secant search
 /// followed by the standard fine-tuning.
 PartitionResult partition_interpolation(const SpeedList& speeds,
                                         std::int64_t n,

@@ -26,7 +26,8 @@ struct PolicyKey {
   using Member =
       std::variant<bool PartitionPolicy::*, int PartitionPolicy::*,
                    double PartitionPolicy::*,
-                   std::optional<int> PartitionPolicy::*>;
+                   std::optional<int> PartitionPolicy::*,
+                   std::optional<Bracket> PartitionPolicy::*>;
   const char* name;
   Member member;
   std::vector<std::string_view> ids;
@@ -47,6 +48,9 @@ const std::vector<PolicyKey>& policy_keys() {
        {kAlgorithmBasic, kAlgorithmModified, kAlgorithmCombined,
         kAlgorithmInterpolation, kAlgorithmBounded},
        0.0, kIntMax},
+      {"bracket", &PartitionPolicy::bracket,
+       {kAlgorithmBasic, kAlgorithmModified, kAlgorithmCombined,
+        kAlgorithmInterpolation, kAlgorithmBounded}},
   };
   return keys;
 }
@@ -114,19 +118,39 @@ void read_value(const PolicyKey& key, const std::string& text,
                 std::optional<int>& field) {
   field = parse_number<int>(key, text);
 }
+void read_value(const PolicyKey& key, const std::string& text,
+                std::optional<Bracket>& field) {
+  if (text == "figure18")
+    field = Bracket::Figure18;
+  else if (text == "secant")
+    field = Bracket::Secant;
+  else
+    throw std::invalid_argument("parse_policy: key '" +
+                                std::string(key.name) +
+                                "' expects figure18/secant, got '" + text +
+                                "'");
+}
 
-/// The value an algorithm runs with: an unset cap means `default_cap`.
+/// The value an algorithm runs with: an unset field means the algorithm's
+/// registry default.
 template <typename T>
-T effective(const T& value, int /*default_cap*/) {
+T effective(const T& value, const PartitionerInfo& /*info*/) {
   return value;
 }
-int effective(const std::optional<int>& value, int default_cap) {
-  return value.value_or(default_cap);
+int effective(const std::optional<int>& value, const PartitionerInfo& info) {
+  return value.value_or(info.max_iterations);
+}
+Bracket effective(const std::optional<Bracket>& value,
+                  const PartitionerInfo& info) {
+  return value.value_or(info.bracket);
 }
 
 std::string value_text(bool value) { return value ? "true" : "false"; }
 std::string value_text(int value) { return std::to_string(value); }
 std::string value_text(double value) { return format_number(value); }
+std::string value_text(Bracket value) {
+  return value == Bracket::Secant ? "secant" : "figure18";
+}
 
 [[noreturn]] void throw_unknown_key(const std::string& algorithm,
                                     const std::string& key) {
@@ -173,25 +197,31 @@ const PartitionerRegistry& partitioner_registry() {
       {kAlgorithmBasic,
        "angle/tangent bisection of the slope interval (paper Fig. 7-8)",
        "O(p*log n) on polynomial slopes, O(p*n) worst case", false,
-       kSearchIterationCap, &partition_basic},
+       kSearchIterationCap, Bracket::Figure18, &partition_basic},
       {kAlgorithmModified, "space-of-solutions bisection (paper Fig. 10-12)",
        "O(p^2*log2 n) guaranteed, shape-insensitive", false,
-       kGuaranteedIterationCap, &partition_modified},
+       kGuaranteedIterationCap, Bracket::Figure18, &partition_modified},
       {kAlgorithmCombined,
        "basic bisection with stall-triggered switch to modified "
        "(paper Fig. 15)",
        "O(p*log n) typical, O(p^2*log2 n) after the switch", false,
-       kGuaranteedIterationCap, &partition_combined},
+       kGuaranteedIterationCap, Bracket::Secant, &partition_combined},
       {kAlgorithmInterpolation,
-       "safeguarded log-log regula-falsi on the total-size curve",
+       "safeguarded log-log secant on the total-size curve",
        "superlinear in practice, <= 2x basic worst case", false,
-       kSearchIterationCap, &partition_interpolation},
+       kSearchIterationCap, Bracket::Secant, &partition_interpolation},
       {kAlgorithmBounded,
        "clamp-and-resolve under per-processor capacity bounds",
        "<= p combined solves", true, kGuaranteedIterationCap,
-       &partition_bounded},
+       Bracket::Secant, &partition_bounded},
   });
   return registry;
+}
+
+Bracket bracket_for(const PartitionPolicy& policy, std::string_view id) {
+  if (policy.bracket) return *policy.bracket;
+  const PartitionerInfo* info = partitioner_registry().find(id);
+  return info != nullptr ? info->bracket : Bracket::Figure18;
 }
 
 namespace {
@@ -296,13 +326,12 @@ std::string format_policy(const PartitionPolicy& policy) {
   const PartitionerInfo* info = partitioner_registry().find(policy.algorithm);
   if (info == nullptr) return out;
   const PartitionPolicy defaults;
-  const int cap = info->max_iterations;
   for (const PolicyKey& key : policy_keys()) {
     if (!accepts(key, policy.algorithm)) continue;
     std::visit(
         [&](auto member) {
-          const auto value = effective(policy.*member, cap);
-          if (value == effective(defaults.*member, cap)) return;
+          const auto value = effective(policy.*member, *info);
+          if (value == effective(defaults.*member, *info)) return;
           out += ' ';
           out += key.name;
           out += ' ';

@@ -29,6 +29,17 @@ namespace fpm::core {
 inline constexpr int kSearchIterationCap = 1 << 20;
 inline constexpr int kGuaranteedIterationCap = 1 << 22;
 
+/// How a cold search (no hint, or a stale one) opens its slope bracket.
+enum class Bracket : std::uint8_t {
+  /// The paper's Figure-18 lines; the algorithm's own steps run from there.
+  Figure18,
+  /// The Figure-18 lines narrowed by log-log secant probes and a tight
+  /// straddle of n, the routine a warm hint runs (see PartitionHint). The
+  /// probes stay inside Figure 18, count in speed_evals/intersect_solves
+  /// but not in iterations, and never change the distribution.
+  Secant,
+};
+
 /// A value describing which partitioner to run and how. The default policy
 /// (combined algorithm, default knobs, no observer) reproduces
 /// partition_combined(speeds, n) bit for bit. Every entry point of the
@@ -45,14 +56,18 @@ struct PartitionPolicy {
   /// candidate count must at least halve; otherwise the search switches to
   /// the modified steps.
   int stall_window = 8;
-  /// interpolation: fraction of the log-slope bracket the interpolated
-  /// point must stay inside; outside, the step is replaced by a bisection.
+  /// interpolation: the secant step is clamped this fraction of the
+  /// log-slope bracket away from either end (0.5: pure log bisection).
   double safeguard_margin = 0.01;
   /// Hard iteration cap; on hitting it the current bracket is fine-tuned
   /// as-is (still a valid distribution, possibly sub-optimal). Unset: the
   /// algorithm's default (kSearchIterationCap or kGuaranteedIterationCap).
   /// Modified and combined also apply the p·log₂(p·n) guaranteed bound.
   std::optional<int> max_iterations{};
+  /// How a cold search opens its bracket. Unset: the algorithm's default
+  /// (PartitionerInfo::bracket) — Figure18 for basic and modified, so they
+  /// stay the paper's published algorithms; Secant for the others.
+  std::optional<Bracket> bracket{};
   /// When non-empty, every bracket/slope decision of the search is
   /// reported (core/observer.hpp).
   SearchObserver observer{};
@@ -78,6 +93,7 @@ struct PartitionerInfo {
   std::string complexity;  ///< asymptotic cost in intersection solves
   bool needs_bounds = false;  ///< consumes PartitionPolicy::bounds
   int max_iterations = 0;     ///< cap applied when the policy sets none
+  Bracket bracket = Bracket::Figure18;  ///< start when the policy sets none
   PartitionFn run = nullptr;  ///< the entry point
 };
 
@@ -112,6 +128,10 @@ class PartitionerRegistry {
 /// basic, modified, combined, interpolation, bounded.
 const PartitionerRegistry& partitioner_registry();
 
+/// The bracket start `policy` selects for the registered algorithm `id`:
+/// the policy's own choice, else the registry default.
+Bracket bracket_for(const PartitionPolicy& policy, std::string_view id);
+
 /// The engine entry point every consumer layer calls: partitions n elements
 /// over the listed speeds with the algorithm selected by `policy`. The
 /// default policy is exactly partition_combined(speeds, n).
@@ -126,6 +146,7 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
 ///   combined       stall_window, bisect_angles, max_iterations
 ///   interpolation  safeguard_margin, max_iterations
 ///   bounded        stall_window, bisect_angles, max_iterations (inner solve)
+/// and, for every id, bracket (figure18 or secant).
 /// Value ranges: safeguard_margin finite in [0, 0.5], stall_window >= 1,
 /// max_iterations >= 0. Throws std::invalid_argument on an unknown id
 /// (naming the valid ids), unknown key, dangling key, malformed value, or
@@ -134,7 +155,8 @@ PartitionPolicy parse_policy(std::string_view algorithm,
                              std::span<const std::string> tokens = {});
 
 /// Inverse of parse_policy: the id followed by the keys it accepts whose
-/// values differ from the defaults. Doubles print in the shortest %g form
+/// values differ from the defaults (for max_iterations and bracket, the
+/// algorithm's own default). Doubles print in the shortest %g form
 /// (at least 6 significant digits) that parses back to the same value, so
 /// the text round-trips exactly through parse_policy.
 std::string format_policy(const PartitionPolicy& policy);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +79,21 @@ class BackendScope {
  private:
   std::string previous_;
 };
+
+/// "off" (the scalar sweeps) followed by every vector backend this build
+/// carries and this CPU runs — the names force_simd_backend accepts.
+inline std::vector<std::string> runnable_backends() {
+  std::vector<std::string> out{"off"};
+  const BackendScope restore("auto");
+  for (const char* name : {"portable", "avx2", "avx512", "neon"}) {
+    try {
+      core::force_simd_backend(name);
+      out.emplace_back(name);
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  return out;
+}
 
 /// p constant speeds 100, 150, 200, ... (the degenerate single-number case).
 inline Ensemble constant_ensemble(std::size_t p, double max_size = 1e9) {

@@ -227,7 +227,9 @@ TEST(Compiled, BracketReturnsTheLinesItSolved) {
 TEST(Compiled, ColdSearchSolvesEachLineOnce) {
   // A cold search solves the bracket's expansion tests, then one line per
   // non-degenerate step — never the two bracket lines a second time — on
-  // the known families and on the virtual reference alike.
+  // the known families and on the virtual reference alike. The secant
+  // start adds whole-line probes before the first step, at most its
+  // 12-probe budget.
   BackendScope scalar;
   for (const test::Ensemble& e : equivalence_ensembles()) {
     const VirtualOnlyList wrapped(e.list());
@@ -240,19 +242,29 @@ TEST(Compiled, ColdSearchSolvesEachLineOnce) {
         for (const char* alg : {core::kAlgorithmBasic, core::kAlgorithmModified,
                                 core::kAlgorithmCombined,
                                 core::kAlgorithmInterpolation}) {
-          std::int64_t line_steps = 0;
-          core::PartitionPolicy policy;
-          policy.algorithm = alg;
-          policy.observer = [&](const core::SearchStep& step) {
-            if (step.kind != core::SearchStepKind::Bracket &&
-                step.kind != core::SearchStepKind::Degenerate)
-              ++line_steps;
-          };
-          const core::PartitionResult r = core::partition(list, n, policy);
-          EXPECT_EQ(r.stats.search_intersect_solves,
-                    bracket.intersect_solves + line_steps * p)
-              << e.name << " " << alg << " n=" << n
-              << " virtual_only=" << virtual_only;
+          for (const core::Bracket start :
+               {core::Bracket::Figure18, core::Bracket::Secant}) {
+            std::int64_t line_steps = 0;
+            core::PartitionPolicy policy;
+            policy.algorithm = alg;
+            policy.bracket = start;
+            policy.observer = [&](const core::SearchStep& step) {
+              if (step.kind != core::SearchStepKind::Bracket &&
+                  step.kind != core::SearchStepKind::Degenerate)
+                ++line_steps;
+            };
+            const core::PartitionResult r = core::partition(list, n, policy);
+            const std::int64_t probes = r.stats.search_intersect_solves -
+                                        bracket.intersect_solves -
+                                        line_steps * p;
+            const std::int64_t max_probes =
+                start == core::Bracket::Secant ? 12 * p : 0;
+            EXPECT_EQ(probes % p, 0);
+            EXPECT_GE(probes, 0);
+            EXPECT_LE(probes, max_probes)
+                << e.name << " " << alg << " n=" << n
+                << " virtual_only=" << virtual_only;
+          }
         }
       }
     }

@@ -68,10 +68,16 @@ TEST_P(FuzzPartition, AllAlgorithmsNearOptimal) {
     slack = std::max(slack,
                      inst.speeds[i]->time(x + 1.0) - inst.speeds[i]->time(x));
   }
+  const PartitionPolicy figure18{.bracket = Bracket::Figure18};
+  const PartitionPolicy secant{.bracket = Bracket::Secant};
   for (const auto& [name, result] :
        {std::pair{"basic", partition_basic(inst.speeds, inst.n)},
         {"modified", partition_modified(inst.speeds, inst.n)},
-        {"combined", partition_combined(inst.speeds, inst.n)}}) {
+        {"combined", partition_combined(inst.speeds, inst.n)},
+        {"interpolation figure18",
+         partition_interpolation(inst.speeds, inst.n, figure18)},
+        {"interpolation secant",
+         partition_interpolation(inst.speeds, inst.n, secant)}}) {
     EXPECT_EQ(result.distribution.total(), inst.n)
         << name << " seed=" << GetParam();
     for (const std::int64_t c : result.distribution.counts)

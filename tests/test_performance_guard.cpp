@@ -46,13 +46,25 @@ TEST(PerformanceGuard, ThousandProcessorsBillionsOfElements) {
 TEST(PerformanceGuard, IterationCountsStayLogarithmic) {
   // Iteration counts (not wall time) are the portable complexity signal:
   // growing n by 1000x on well-behaved curves must add only a bounded
-  // number of bisection steps.
+  // number of bisection steps. From the Figure-18 bracket every line the
+  // search solves is an iteration; the secant start's probes are not, so
+  // from it the same bound is asserted on the search's line solves.
   const auto pool = big_pool(64);
   const SpeedList speeds = make_speed_list(pool);
-  const int small = partition_combined(speeds, 1'000'000).stats.iterations;
+  const PartitionPolicy figure18{.bracket = Bracket::Figure18};
+  const int small =
+      partition_combined(speeds, 1'000'000, figure18).stats.iterations;
   const int large =
-      partition_combined(speeds, 1'000'000'000).stats.iterations;
+      partition_combined(speeds, 1'000'000'000, figure18).stats.iterations;
   EXPECT_LT(large, small + 40);
+  const PartitionPolicy secant{.bracket = Bracket::Secant};
+  const std::int64_t small_solves =
+      partition_combined(speeds, 1'000'000, secant)
+          .stats.search_intersect_solves;
+  const std::int64_t large_solves =
+      partition_combined(speeds, 1'000'000'000, secant)
+          .stats.search_intersect_solves;
+  EXPECT_LT(large_solves, small_solves + 40 * 64);
 }
 
 TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
@@ -88,22 +100,40 @@ TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
   EXPECT_LE(static_cast<double>(r.stats.intersect_solves), bound) << "p=4096";
   EXPECT_EQ(r.distribution.total(), kN);
   // The paper bound sits ~26,000x above the measured count, so it cannot
-  // see a wrong default policy. Pin the default search's cost too:
-  // 151,552 solves (37 per processor), measured alike with the scalar
-  // sweeps and the portable, AVX2 and AVX-512 backends. The pin allows 10%
-  // either way: a stall window of 1 or 2 costs 21-27% more, and a cost far
-  // below the measurement means an iteration cap stopped the search early.
-  constexpr std::int64_t kMeasured = 151'552;
-  constexpr std::int64_t kMargin = kMeasured / 10;
-  EXPECT_LE(r.stats.intersect_solves, kMeasured + kMargin)
-      << "backend " << to_string(active_simd_backend());
-  EXPECT_GE(r.stats.intersect_solves, kMeasured - kMargin)
-      << "backend " << to_string(active_simd_backend());
-  const fpm::test::BackendScope scalar;
-  const PartitionResult off = partition(fleet.list(), kN);
-  EXPECT_LE(off.stats.intersect_solves, kMeasured + kMargin) << "backend off";
-  EXPECT_GE(off.stats.intersect_solves, kMeasured - kMargin) << "backend off";
-  EXPECT_EQ(off.distribution.total(), kN);
+  // see a wrong default policy. Pin the search's cost too, measured alike
+  // with the scalar sweeps and the portable, AVX2 and AVX-512 backends,
+  // each pin allowing 10% either way:
+  // - the default policy (combined from the secant bracket): 32,768 solves,
+  //   8 per processor — the Figure-18 lines and six secant probes, with no
+  //   bisection step left. One sweep more or less is 12.5%.
+  // - combined from the Figure-18 bracket, the paper's published search:
+  //   151,552 solves (37 per processor). A stall window of 1 or 2 costs
+  //   21-27% more.
+  // A cost far below either measurement means an iteration cap or a probe
+  // budget stopped the search early.
+  struct Pin {
+    const char* name;
+    PartitionPolicy policy;
+    std::int64_t measured;
+  };
+  const Pin pins[] = {{"default", {}, 32'768},
+                      {"figure18", {.bracket = Bracket::Figure18}, 151'552}};
+  for (const Pin& pin : pins) {
+    const std::int64_t margin = pin.measured / 10;
+    const PartitionResult vec = partition(fleet.list(), kN, pin.policy);
+    EXPECT_LE(vec.stats.intersect_solves, pin.measured + margin)
+        << pin.name << " backend " << to_string(active_simd_backend());
+    EXPECT_GE(vec.stats.intersect_solves, pin.measured - margin)
+        << pin.name << " backend " << to_string(active_simd_backend());
+    const fpm::test::BackendScope scalar;
+    const PartitionResult off = partition(fleet.list(), kN, pin.policy);
+    EXPECT_LE(off.stats.intersect_solves, pin.measured + margin)
+        << pin.name << " backend off";
+    EXPECT_GE(off.stats.intersect_solves, pin.measured - margin)
+        << pin.name << " backend off";
+    EXPECT_EQ(off.distribution.total(), kN) << pin.name;
+    EXPECT_EQ(off.distribution.counts, vec.distribution.counts) << pin.name;
+  }
 }
 
 TEST(PerformanceGuard, BasicBeatsModifiedOnPolynomialCurves) {

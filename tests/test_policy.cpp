@@ -266,6 +266,47 @@ TEST(PolicyGrammar, DefaultIterationCapFormatsAsTheBareId) {
   }
 }
 
+TEST(PolicyGrammar, BracketKeyRoundTripsAndOmitsEachDefault) {
+  // Every id accepts bracket; spelling out the algorithm's own default
+  // changes nothing, so default-policy cache keys and spec files keep
+  // their text.
+  const std::vector<std::pair<std::string, Bracket>> defaults{
+      {kAlgorithmBasic, Bracket::Figure18},
+      {kAlgorithmModified, Bracket::Figure18},
+      {kAlgorithmCombined, Bracket::Secant},
+      {kAlgorithmInterpolation, Bracket::Secant},
+      {kAlgorithmBounded, Bracket::Secant}};
+  for (const auto& [id, start] : defaults) {
+    EXPECT_EQ(partitioner_registry().find(id)->bracket, start) << id;
+    EXPECT_EQ(bracket_for(parse_policy(id, {}), id), start) << id;
+    for (const Bracket value : {Bracket::Figure18, Bracket::Secant}) {
+      const std::string name =
+          value == Bracket::Secant ? "secant" : "figure18";
+      const std::vector<std::string> tokens{"bracket", name};
+      const PartitionPolicy policy = parse_policy(id, tokens);
+      ASSERT_TRUE(policy.bracket.has_value()) << id;
+      EXPECT_EQ(*policy.bracket, value) << id;
+      EXPECT_EQ(bracket_for(policy, id), value) << id;
+      const std::string text = format_policy(policy);
+      EXPECT_EQ(text, value == start ? id : id + " bracket " + name);
+      // The printed text parses back to the same effective start.
+      std::vector<std::string> back;
+      for (std::size_t at = text.find(' '); at != std::string::npos;) {
+        const std::size_t next = text.find(' ', at + 1);
+        back.push_back(text.substr(at + 1, next - at - 1));
+        at = next;
+      }
+      EXPECT_EQ(bracket_for(parse_policy(id, back), id), value) << text;
+    }
+  }
+  EXPECT_EQ(PartitionCache::make_key(42, 1000, PartitionPolicy{}),
+            PartitionCache::make_key(
+                42, 1000, PartitionPolicy{.bracket = Bracket::Secant}));
+  EXPECT_NE(PartitionCache::make_key(42, 1000, PartitionPolicy{}),
+            PartitionCache::make_key(
+                42, 1000, PartitionPolicy{.bracket = Bracket::Figure18}));
+}
+
 TEST(PolicyGrammar, CacheKeysKeepEveryDigit) {
   // Two margins that agree to 6 significant digits are different
   // policies and must not share a server cache entry.
@@ -292,6 +333,16 @@ TEST(PolicyGrammar, RejectsMalformedInput) {
   const std::vector<std::string> trailing_junk{"max_iterations", "3x"};
   EXPECT_THROW(parse_policy(kAlgorithmModified, trailing_junk),
                std::invalid_argument);
+  for (const char* start : {"bogus", "Secant", "figure-18", "1", ""}) {
+    const std::vector<std::string> tokens{"bracket", start};
+    try {
+      parse_policy(kAlgorithmBasic, tokens);
+      ADD_FAILURE() << "bracket '" << start << "' was accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string(err.what()).find("bracket"), std::string::npos)
+          << err.what();
+    }
+  }
   // Out-of-range tuning values fail naming the key.
   const std::vector<std::vector<std::string>> out_of_range{
       {"safeguard_margin", "nan"}, {"safeguard_margin", "inf"},

@@ -1,10 +1,15 @@
-// Unit tests for the internal bracketing-search layer shared by the three
+// Unit tests for the internal bracketing-search layer shared by the
 // partitioning algorithms (core/detail/search_state): bracket invariants,
-// interior-candidate counting, convergence detection, and the semantics of
-// one basic and one modified step.
+// the secant start, interior-candidate counting, convergence detection,
+// the semantics of one basic and one modified step, and the oracle that
+// every algorithm answers alike from either bracket start on every
+// backend.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "core/detail/search_state.hpp"
+#include "core/fleetgen.hpp"
 #include "helpers.hpp"
 
 namespace fpm::core::detail {
@@ -22,6 +27,34 @@ TEST(SearchState, InitialBracketStraddlesN) {
   EXPECT_LE(state.lo_slope(), state.hi_slope());
   EXPECT_EQ(state.intersections(), 8);  // two lines, four curves
   EXPECT_EQ(state.iterations(), 0);
+}
+
+TEST(SearchState, SecantStartNarrowsInsideFigure18) {
+  // The secant start only ever narrows Figure 18's bracket: it still
+  // straddles n, charges the paper-facing counters nothing beyond the two
+  // bracket lines, and pays its probes in line solves.
+  for (const auto& e : fpm::test::all_ensembles(6)) {
+    for (const std::int64_t n : {std::int64_t{1'000}, std::int64_t{999'983},
+                                 std::int64_t{100'000'007}}) {
+      const SearchState figure18(e.list(), n);
+      const SearchState secant(e.list(), n, nullptr, nullptr,
+                               Bracket::Secant);
+      const auto sum = [](const std::vector<double>& xs) {
+        return std::accumulate(xs.begin(), xs.end(), 0.0);
+      };
+      EXPECT_GE(secant.lo_slope(), figure18.lo_slope()) << e.name << n;
+      EXPECT_LE(secant.hi_slope(), figure18.hi_slope()) << e.name << n;
+      EXPECT_LT(secant.lo_slope(), secant.hi_slope()) << e.name << n;
+      EXPECT_LE(sum(secant.small()), static_cast<double>(n)) << e.name << n;
+      EXPECT_GE(sum(secant.large()), static_cast<double>(n)) << e.name << n;
+      EXPECT_LE(secant.total_interior(), figure18.total_interior())
+          << e.name << n;
+      EXPECT_EQ(secant.iterations(), 0);
+      EXPECT_EQ(secant.intersections(), figure18.intersections());
+      EXPECT_GE(secant.intersect_solves(), figure18.intersect_solves());
+      EXPECT_EQ(secant.warm_probes(), 0);
+    }
+  }
 }
 
 TEST(SearchState, InteriorCountsMatchBrackets) {
@@ -113,6 +146,70 @@ TEST(SearchState, SingleProcessorConvergesImmediatelyOrFast) {
   EXPECT_TRUE(state.converged());
   // The single bracket must pin x near n.
   EXPECT_NEAR(state.small()[0], 12345.0, 1.0);
+}
+
+TEST(BracketStart, DistributionsBitIdenticalAcrossAlgorithmsAndStarts) {
+  // The oracle for the bracket start: every registry algorithm, from the
+  // Figure-18 and from the secant bracket, on the scalar sweeps and every
+  // runnable vector backend, returns the distribution the scalar combined
+  // search returns from Figure 18 — bounded (which answers a different
+  // problem when its bounds bind) the one it returns itself from there.
+  struct Case {
+    std::string name;
+    SpeedList list;
+    std::int64_t n;
+  };
+  std::vector<SyntheticFleet> fleets;
+  for (const std::size_t p : {std::size_t{64}, std::size_t{4096}})
+    for (std::uint64_t s = 1; s <= 8; ++s)
+      fleets.push_back(make_synthetic_fleet(p, s));
+  const std::vector<fpm::test::Ensemble> ensembles =
+      fpm::test::all_ensembles(6);
+  std::vector<Case> cases;
+  for (const SyntheticFleet& fleet : fleets)
+    cases.push_back({"fleet p=" + std::to_string(fleet.owned.size()),
+                     fleet.list(), 1'000'000'000});
+  for (const fpm::test::Ensemble& e : ensembles)
+    for (const std::int64_t n : {std::int64_t{1'000'003},
+                                 std::int64_t{100'000'007}})
+      cases.push_back({e.name, e.list(), n});
+
+  const auto solve = [](const Case& c, const std::string& id,
+                        Bracket start) {
+    PartitionPolicy policy{.algorithm = id, .bracket = start};
+    return partition(c.list, c.n, policy).distribution.counts;
+  };
+  const auto capacity = [](const SpeedList& list) {
+    double total = 0.0;
+    for (const SpeedFunction* f : list) total += std::ceil(f->max_size());
+    return total;
+  };
+  std::vector<std::vector<std::int64_t>> reference, bounded_reference;
+  {
+    const fpm::test::BackendScope scalar;
+    for (const Case& c : cases) {
+      reference.push_back(solve(c, kAlgorithmCombined, Bracket::Figure18));
+      bounded_reference.push_back(
+          static_cast<double>(c.n) <= capacity(c.list)
+              ? solve(c, kAlgorithmBounded, Bracket::Figure18)
+              : std::vector<std::int64_t>{});
+    }
+  }
+  for (const std::string& backend : fpm::test::runnable_backends()) {
+    const fpm::test::BackendScope scope(backend);
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const Case& c = cases[k];
+      for (const std::string& id : partitioner_registry().ids()) {
+        const bool bounded = id == kAlgorithmBounded;
+        if (bounded && bounded_reference[k].empty()) continue;
+        for (const Bracket start : {Bracket::Figure18, Bracket::Secant})
+          EXPECT_EQ(solve(c, id, start),
+                    bounded ? bounded_reference[k] : reference[k])
+              << backend << " " << c.name << " n=" << c.n << " " << id
+              << (start == Bracket::Secant ? " secant" : " figure18");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -261,6 +261,54 @@ TEST(WarmStart, GoodHintHitsAndCostsNoMoreEvals) {
   }
 }
 
+TEST(WarmStart, HitCostsNoMoreThanTheSecantColdStart) {
+  // The warm and the cold start share one secant routine. Whenever a hint
+  // is adopted, the default search must cost no more line solves than the
+  // same search run cold from the secant bracket, over drifts from a
+  // near miss to 10x. The shared routine takes up to nine secant probes
+  // for this; with four, several of these hits cost more than the cold
+  // start.
+  const std::vector<Ensemble> families = hint_ensembles(6);
+  std::vector<SyntheticFleet> fleets;
+  for (std::uint64_t s = 1; s <= 3; ++s)
+    fleets.push_back(make_synthetic_fleet(64, s));
+  struct Case {
+    std::string name;
+    SpeedList speeds;
+    std::int64_t n;
+  };
+  std::vector<Case> cases;
+  for (const Ensemble& e : families)
+    cases.push_back({e.name, e.list(), 10'000'019});
+  for (const SyntheticFleet& f : fleets)
+    cases.push_back({"fleet64", f.list(), 1'000'000'000});
+  int solves = 0, hits = 0;
+  for (const std::string& backend : fpm::test::runnable_backends()) {
+    const fpm::test::BackendScope scope(backend);
+    for (const Case& c : cases) {
+      const PartitionResult base = partition(c.speeds, c.n);
+      for (const double drift : {1.0001, 1.01, 1.1, 1.5, 2.0, 0.5, 4.0, 10.0}) {
+        const auto n =
+            static_cast<std::int64_t>(static_cast<double>(c.n) * drift);
+        PartitionPolicy warm_policy;
+        warm_policy.hint = hint_from(base, c.n, 0);
+        const PartitionResult warm = partition(c.speeds, n, warm_policy);
+        const PartitionResult cold = partition(c.speeds, n);
+        EXPECT_EQ(warm.distribution.counts, cold.distribution.counts)
+            << backend << " " << c.name << " x" << drift;
+        ++solves;
+        if (warm.stats.warmstart != WarmStart::Hit) continue;
+        ++hits;
+        EXPECT_LE(warm.stats.search_intersect_solves,
+                  cold.stats.search_intersect_solves)
+            << backend << " " << c.name << " x" << drift;
+      }
+    }
+  }
+  // Only the exponential family's widest drifts go stale.
+  EXPECT_GE(10 * hits, 9 * solves);
+}
+
 TEST(WarmStart, MetricsClassifyHitsAndStaleness) {
   constexpr std::int64_t kN = 512'009;
   const Ensemble e = fpm::test::power_ensemble(5);
