@@ -21,24 +21,83 @@
 namespace fpm::core {
 namespace {
 
-// Fingerprint fold: one 64-bit word per field, each absorbed as
-// h' = F(h ^ v) with F the SplitMix64 finalizer. F is a bijection, so two
-// field sequences of equal length that differ in exactly one word always
-// hash differently. Parameters are hashed through their bit patterns (not
-// values) so that -0.0 vs 0.0 and NaN payloads cannot collide two different
-// models onto one cache key.
-constexpr std::uint64_t kHashSeed = 0x6a09e667f3bcc908ULL;
-
-inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
-  std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ULL;
+// SplitMix64 step: h' = F((h ^ v) + gamma) with F the SplitMix64 finalizer
+// (two xor-shift-multiply rounds and a final xor-shift). F and the add are
+// bijections, so for a fixed h the step is a bijection of v, and for a
+// fixed v a bijection of h. Parameters are hashed through their bit
+// patterns (not values) so that -0.0 vs 0.0 and NaN payloads cannot
+// collide two different models onto one cache key.
+inline std::uint64_t splitmix_finalize(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
 
-inline std::uint64_t hash_mix(std::uint64_t h, double v) {
-  return hash_mix(h, std::bit_cast<std::uint64_t>(v));
+constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
+inline std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
+  return splitmix_finalize((h ^ v) + kGamma);
 }
+
+/// The fingerprint state: four independent SplitMix64 chains, so a model
+/// walk pays one chain step's latency per four words instead of per word.
+/// Each word goes to a chain fixed by its slot in the entry (hash_entry),
+/// so two lists of one length that differ in exactly one field (one
+/// parameter, one breakpoint coordinate, a family or wrap tag) feed every
+/// other word to the same chain at the same step. The one differing word
+/// changes one chain step, which is a bijection of v; every later step on
+/// that chain is a bijection of h for its (equal) word. So that chain's
+/// final state differs while the other three end equal.
+/// fingerprint() folds the four states in order through hash_mix, a chain
+/// of bijections in each state, so the fingerprints differ too.
+///
+/// check() is the second 64-bit word of the cache key. It folds the states
+/// in the reverse order from another seed, then each chain's running sum
+/// of its pre-finalizer values (h ^ v) + gamma. The sums matter when two
+/// lists collide inside one chain: equal chain states make both folds
+/// equal, but the sums took different values on the way, and match only
+/// by a second, roughly independent 64-bit coincidence.
+class ChainHash {
+ public:
+  /// The state before the first entry: the list length on chain 0.
+  explicit ChainHash(std::size_t size) {
+    step<0>(static_cast<std::uint64_t>(size));
+  }
+
+  /// Folds `v` into chain K.
+  template <int K>
+  void step(std::uint64_t v) {
+    const std::uint64_t z = (h_[K] ^ v) + kGamma;
+    sum_[K] += z;
+    h_[K] = splitmix_finalize(z);
+  }
+  template <int K>
+  void step(double v) {
+    step<K>(std::bit_cast<std::uint64_t>(v));
+  }
+
+  std::uint64_t fingerprint() const {
+    std::uint64_t f = kFingerprintSeed;
+    for (int k = 0; k < 4; ++k) f = hash_mix(f, h_[k]);
+    return f;
+  }
+
+  std::uint64_t check() const {
+    std::uint64_t c = kCheckSeed;
+    for (int k = 3; k >= 0; --k) c = hash_mix(c, h_[k]);
+    for (int k = 0; k < 4; ++k) c = hash_mix(c, sum_[k]);
+    return c;
+  }
+
+ private:
+  static constexpr std::uint64_t kFingerprintSeed = 0x6a09e667f3bcc908ULL;
+  static constexpr std::uint64_t kCheckSeed = 0xbb67ae8584caa73bULL;
+  // Distinct chain seeds (SHA-512 initial words), so the chains never
+  // start from one state.
+  std::uint64_t h_[4] = {0x3c6ef372fe94f82bULL, 0xa54ff53a5f1d36f1ULL,
+                         0x510e527fade682d1ULL, 0x9b05688c2b3e6c1fULL};
+  std::uint64_t sum_[4] = {0, 0, 0, 0};
+};
 
 std::atomic<std::size_t> g_parallel_threshold{1024};
 
@@ -282,52 +341,60 @@ Classified classify_entry(const SpeedFunction* f) {
   return classify(*f);
 }
 
-/// The fingerprint state before the first entry: the list length.
-std::uint64_t hash_start(std::size_t size) {
-  return hash_mix(kHashSeed, static_cast<std::uint64_t>(size));
-}
-
-/// Folds one classified entry into the running fingerprint `h`. Generic
-/// entries hash their object address (identity semantics); every other
-/// entry hashes its family and wrap, its parameter bit patterns, then its
-/// pool data, in a fixed order.
-std::uint64_t hash_entry(std::uint64_t h, const SpeedFunction* f,
-                         const Classified& cl) {
+/// Folds one classified entry into `hash`. Generic entries hash their
+/// object address (identity semantics); every other entry hashes its
+/// family and wrap, its parameter bit patterns, then its pool data. Every
+/// word has a fixed chain: the header's eight words take two steps on each
+/// chain, piecewise points go two per step across all four chains (an odd
+/// last point on chains 0 and 1), and each step of a stepped model goes
+/// (at, to, width) across chains 0-2.
+inline void hash_entry(ChainHash& hash, const SpeedFunction* f,
+                       const Classified& cl) {
   using Family = CompiledSpeedList::Family;
-  h = hash_mix(h, (static_cast<std::uint64_t>(cl.family) << 8) |
-                      static_cast<std::uint64_t>(cl.wrap));
-  if (cl.family == Family::Generic)
-    return hash_mix(
-        h, static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(f)));
-  h = hash_mix(h, cl.wrap_param);
-  h = hash_mix(h, cl.max_size);
-  h = hash_mix(h, cl.a);
-  h = hash_mix(h, cl.b);
-  h = hash_mix(h, cl.c);
-  h = hash_mix(h, cl.d);
-  h = hash_mix(h, static_cast<std::uint64_t>(cl.count));
+  hash.step<0>((static_cast<std::uint64_t>(cl.family) << 8) |
+               static_cast<std::uint64_t>(cl.wrap));
+  if (cl.family == Family::Generic) {
+    hash.step<1>(
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(f)));
+    return;
+  }
+  hash.step<1>(cl.wrap_param);
+  hash.step<2>(cl.max_size);
+  hash.step<3>(static_cast<std::uint64_t>(cl.count));
+  hash.step<0>(cl.a);
+  hash.step<1>(cl.b);
+  hash.step<2>(cl.c);
+  hash.step<3>(cl.d);
   switch (cl.family) {
     case Family::Unimodal:
-      h = hash_mix(h, cl.unimodal->decay_x0());
-      h = hash_mix(h, cl.unimodal->decay_exponent());
+      hash.step<0>(cl.unimodal->decay_x0());
+      hash.step<1>(cl.unimodal->decay_exponent());
       break;
     case Family::Stepped:
       for (const SteppedSpeed::Step& st : cl.stepped->steps()) {
-        h = hash_mix(h, st.at);
-        h = hash_mix(h, st.to);
-        h = hash_mix(h, st.width);
+        hash.step<0>(st.at);
+        hash.step<1>(st.to);
+        hash.step<2>(st.width);
       }
       break;
-    case Family::Piecewise:
-      for (const SpeedPoint& p : cl.piecewise->points()) {
-        h = hash_mix(h, p.size);
-        h = hash_mix(h, p.speed);
+    case Family::Piecewise: {
+      const auto pts = cl.piecewise->points();
+      std::size_t i = 0;
+      for (; i + 1 < pts.size(); i += 2) {
+        hash.step<0>(pts[i].size);
+        hash.step<1>(pts[i].speed);
+        hash.step<2>(pts[i + 1].size);
+        hash.step<3>(pts[i + 1].speed);
+      }
+      if (i < pts.size()) {
+        hash.step<0>(pts[i].size);
+        hash.step<1>(pts[i].speed);
       }
       break;
+    }
     default:
       break;
   }
-  return h;
 }
 
 }  // namespace
@@ -403,17 +470,62 @@ void set_parallel_intersect_threshold(std::size_t entries) noexcept {
 }
 
 CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
+  // Batch plan for intersect_all(): the unwrapped closed-form families go
+  // to SoA parameter lanes, vetted unwrapped Unimodal/Stepped entries to
+  // the iterative lanes; everything else (wrapped entries, irregular
+  // pool-backed entries, Piecewise, Generic) keeps the per-entry dispatch.
+  // Vetting admits only parameters squarely inside the vector kernels'
+  // vexp/vlog domains — anything exotic (non-normal scales, negative
+  // exponents, too many steps) is a compile-time punt to batch_other_, so
+  // the only runtime punt those lanes need is the beyond-max_size bracket
+  // expansion.
+  const auto pos_normal = [](double v) { return std::isnormal(v) && v > 0.0; };
+  const auto batchable = [&pos_normal](const Classified& cl) {
+    if (cl.wrap != Wrap::None) return false;
+    switch (cl.family) {
+      case Family::Constant:
+      case Family::LinearDecay:
+      case Family::PowerDecay:
+      case Family::ExpDecay:
+        return true;
+      case Family::Unimodal: {
+        const double k = cl.unimodal->decay_exponent();
+        return pos_normal(cl.c) && pos_normal(cl.unimodal->decay_x0()) &&
+               pos_normal(cl.max_size) && std::isfinite(k) && k >= 0.0 &&
+               std::isfinite(cl.a) && cl.a >= 0.0 && std::isfinite(cl.b) &&
+               cl.b > 0.0;
+      }
+      case Family::Stepped: {
+        bool safe = pos_normal(cl.a) && pos_normal(cl.max_size) &&
+                    cl.count <= kMaxVecSteps;
+        for (const SteppedSpeed::Step& st : cl.stepped->steps())
+          safe = safe && std::isfinite(st.at) && pos_normal(st.to) &&
+                 pos_normal(st.width);
+        return safe;
+      }
+      default:
+        return false;
+    }
+  };
+
+  // Pass 1, the classification walk: fill entries_, fold the fingerprint,
+  // and count every lane and pool, so that pass 2 can size each vector
+  // once, at its final padded length, instead of regrowing it.
   CompiledSpeedList list;
   list.entries_.reserve(speeds.size());
-  std::uint64_t h = hash_start(speeds.size());
+  ChainHash hash(speeds.size());
+  constexpr auto kFamilies = static_cast<std::size_t>(Family::Piecewise) + 1;
+  std::size_t lane_size[kFamilies] = {};  // batched entries per Family
+  std::size_t aux = 0, steps = 0, points = 0, nslots = 0;
   for (const SpeedFunction* f : speeds) {
     const Classified cl = classify_entry(f);
-    h = hash_entry(h, f, cl);
+    hash_entry(hash, f, cl);
     Entry e;
     e.base = f;
     e.family = cl.family;
     e.wrap = cl.wrap;
     e.wrap_param = cl.wrap_param;
+    e.max_size = cl.max_size;
     e.a = cl.a;
     e.b = cl.b;
     e.c = cl.c;
@@ -421,18 +533,98 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
     e.count = cl.count;
     switch (cl.family) {
       case Family::Unimodal:
-        e.offset = static_cast<std::uint32_t>(list.aux_.size());
-        list.aux_.push_back(cl.unimodal->decay_x0());
-        list.aux_.push_back(cl.unimodal->decay_exponent());
+        e.offset = static_cast<std::uint32_t>(aux);
+        aux += 2;
         break;
       case Family::Stepped:
-        e.offset = static_cast<std::uint32_t>(list.steps_.size());
-        list.steps_.insert(list.steps_.end(), cl.stepped->steps().begin(),
-                           cl.stepped->steps().end());
+        e.offset = static_cast<std::uint32_t>(steps);
+        steps += cl.count;
         break;
+      case Family::Piecewise:
+        e.offset = static_cast<std::uint32_t>(points);
+        points += cl.count;
+        break;
+      case Family::Generic:
+        ++list.generic_entries_;
+        break;
+      default:
+        break;
+    }
+    e.batched = batchable(cl);
+    if (e.batched) {
+      ++lane_size[static_cast<std::size_t>(cl.family)];
+      if (cl.family == Family::Stepped)
+        nslots = std::max<std::size_t>(nslots, cl.count);
+    }
+    list.entries_.push_back(e);
+  }
+  list.fingerprint_ = hash.fingerprint();
+
+  // Pass 2: reserve every pool and lane column once, then fill them in
+  // entry order. Lane columns are reserved at their padded size (see
+  // below), so neither the fill nor the padding reallocates.
+  const auto lane_count = [&lane_size](Family family) {
+    return lane_size[static_cast<std::size_t>(family)];
+  };
+  std::size_t batched = 0;
+  for (const std::size_t n : lane_size) batched += n;
+  list.batch_other_.reserve(list.entries_.size() - batched);
+  list.aux_.reserve(aux);
+  list.steps_.reserve(steps);
+  list.px_.reserve(points);
+  list.ps_.reserve(points);
+  list.pm_.reserve(points);
+  const auto reserve_lane = [&lane_count](BatchLane& lane, Family family,
+                                          auto... columns) {
+    const std::size_t n = lane_count(family);
+    if (n == 0) return;
+    lane.idx.reserve(n);
+    (((lane.*columns).reserve(detail::simd::padded_size(n))), ...);
+  };
+  reserve_lane(list.lane_constant_, Family::Constant, &BatchLane::a);
+  reserve_lane(list.lane_linear_, Family::LinearDecay, &BatchLane::a,
+               &BatchLane::b, &BatchLane::c);
+  reserve_lane(list.lane_power_, Family::PowerDecay, &BatchLane::a,
+               &BatchLane::b, &BatchLane::c, &BatchLane::d);
+  reserve_lane(list.lane_exp_, Family::ExpDecay, &BatchLane::a,
+               &BatchLane::b, &BatchLane::d);
+  reserve_lane(list.lane_unimodal_, Family::Unimodal, &BatchLane::a,
+               &BatchLane::b, &BatchLane::c, &BatchLane::d, &BatchLane::e,
+               &BatchLane::f);
+  // The stepped lane's slot-major slabs start as identity steps (at=+inf,
+  // factor == 1 exactly) at their final nslots × stride shape.
+  SteppedLane& sl = list.lane_stepped_;
+  if (const std::size_t n = lane_count(Family::Stepped); n != 0) {
+    sl.idx.reserve(n);
+    sl.stride = detail::simd::padded_size(n);
+    sl.nslots = nslots;
+    sl.a.reserve(sl.stride);
+    sl.f.reserve(sl.stride);
+    sl.at.assign(sl.nslots * sl.stride,
+                 std::numeric_limits<double>::infinity());
+    sl.ratio.assign(sl.nslots * sl.stride, 1.0);
+    sl.width.assign(sl.nslots * sl.stride, 1.0);
+  }
+
+  for (std::size_t i = 0; i < list.entries_.size(); ++i) {
+    const Entry& e = list.entries_[i];
+    const auto dst = static_cast<std::uint32_t>(i);
+    // Pool data, appended in entry order so it lands at the offsets pass 1
+    // assigned. Only pool-backed entries are classified a second time.
+    switch (e.family) {
+      case Family::Unimodal: {
+        const UnimodalSpeed& u = *classify(*e.base).unimodal;
+        list.aux_.push_back(u.decay_x0());
+        list.aux_.push_back(u.decay_exponent());
+        break;
+      }
+      case Family::Stepped: {
+        const auto& st = classify(*e.base).stepped->steps();
+        list.steps_.insert(list.steps_.end(), st.begin(), st.end());
+        break;
+      }
       case Family::Piecewise: {
-        const auto pts = cl.piecewise->points();
-        e.offset = static_cast<std::uint32_t>(list.px_.size());
+        const auto pts = classify(*e.base).piecewise->points();
         for (const SpeedPoint& p : pts) {
           list.px_.push_back(p.size);
           list.ps_.push_back(p.speed);
@@ -442,36 +634,16 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
         // feeds piecewise_segment_intersect the same m it would compute per
         // call. One padding slot per function keeps pm_ aligned with
         // px_/ps_.
-        for (std::size_t i = 1; i < pts.size(); ++i)
-          list.pm_.push_back((pts[i].speed - pts[i - 1].speed) /
-                             (pts[i].size - pts[i - 1].size));
+        for (std::size_t k = 1; k < pts.size(); ++k)
+          list.pm_.push_back((pts[k].speed - pts[k - 1].speed) /
+                             (pts[k].size - pts[k - 1].size));
         list.pm_.push_back(0.0);
         break;
       }
-      case Family::Generic:
-        ++list.generic_entries_;
-        break;
       default:
         break;
     }
-    e.max_size = cl.max_size;
-    list.entries_.push_back(e);
-  }
-  list.fingerprint_ = h;
-  // Batch plan for intersect_all(): group the unwrapped closed-form
-  // families into SoA parameter lanes, vetted unwrapped Unimodal/Stepped
-  // entries into the iterative lanes; everything else (wrapped entries,
-  // irregular pool-backed entries, Piecewise, Generic) keeps the per-entry
-  // dispatch. Vetting admits only parameters squarely inside the vector
-  // kernels' vexp/vlog domains — anything exotic (non-normal scales,
-  // negative exponents, too many steps) is a compile-time punt to
-  // batch_other_, so the only runtime punt those lanes need is the
-  // beyond-max_size bracket expansion.
-  const auto pos_normal = [](double v) { return std::isnormal(v) && v > 0.0; };
-  for (std::size_t i = 0; i < list.entries_.size(); ++i) {
-    const Entry& e = list.entries_[i];
-    const auto dst = static_cast<std::uint32_t>(i);
-    if (e.wrap != Wrap::None) {
+    if (!e.batched) {
       list.batch_other_.push_back(dst);
       continue;
     }
@@ -499,45 +671,32 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
         list.lane_exp_.b.push_back(e.b);
         list.lane_exp_.d.push_back(e.d);
         break;
-      case Family::Unimodal: {
-        const double x0 = list.aux_[e.offset];
-        const double k = list.aux_[e.offset + 1];
-        const bool safe = pos_normal(e.c) && pos_normal(x0) &&
-                          pos_normal(e.max_size) && std::isfinite(k) &&
-                          k >= 0.0 && std::isfinite(e.a) && e.a >= 0.0 &&
-                          std::isfinite(e.b) && e.b > 0.0;
-        if (!safe) {
-          list.batch_other_.push_back(dst);
-          break;
-        }
+      case Family::Unimodal:
         list.lane_unimodal_.idx.push_back(dst);
         list.lane_unimodal_.a.push_back(e.a);
         list.lane_unimodal_.b.push_back(e.b);
         list.lane_unimodal_.c.push_back(e.c);
-        list.lane_unimodal_.d.push_back(x0);
-        list.lane_unimodal_.e.push_back(k);
+        list.lane_unimodal_.d.push_back(list.aux_[e.offset]);
+        list.lane_unimodal_.e.push_back(list.aux_[e.offset + 1]);
         list.lane_unimodal_.f.push_back(e.max_size);
         break;
-      }
       case Family::Stepped: {
-        bool safe = pos_normal(e.a) && pos_normal(e.max_size) &&
-                    e.count <= kMaxVecSteps;
-        for (std::uint32_t s = 0; safe && s < e.count; ++s) {
+        const std::size_t j = sl.idx.size();
+        sl.idx.push_back(dst);
+        sl.a.push_back(e.a);
+        sl.f.push_back(e.max_size);
+        double level = e.a;
+        for (std::uint32_t s = 0; s < e.count; ++s) {
           const SteppedSpeed::Step& st = list.steps_[e.offset + s];
-          safe = std::isfinite(st.at) && pos_normal(st.to) &&
-                 pos_normal(st.width);
+          const std::size_t off = s * sl.stride + j;
+          sl.at[off] = st.at;
+          sl.ratio[off] = st.to / level;
+          sl.width[off] = st.width;
+          level = st.to;
         }
-        if (!safe) {
-          list.batch_other_.push_back(dst);
-          break;
-        }
-        list.lane_stepped_.idx.push_back(dst);
-        list.lane_stepped_.a.push_back(e.a);
-        list.lane_stepped_.f.push_back(e.max_size);
         break;
       }
       default:
-        list.batch_other_.push_back(dst);
         break;
     }
   }
@@ -546,69 +705,38 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   // dispatch picks then streams whole registers with the pad slots
   // computing harmless in-domain values that are never scattered (idx
   // keeps the real count, and the scalar batch kernels loop over it).
-  const auto pad_lane = [](BatchLane& lane) {
-    if (lane.empty()) return;
-    const std::size_t padded = detail::simd::padded_size(lane.idx.size());
-    const auto grow = [padded](BatchLane::Column& col) {
-      if (!col.empty()) col.resize(padded, col.back());
-    };
-    grow(lane.a);
-    grow(lane.b);
-    grow(lane.c);
-    grow(lane.d);
-    grow(lane.e);
-    grow(lane.f);
+  const auto pad = [](auto& col, std::size_t padded) {
+    if (!col.empty()) col.resize(padded, col.back());
   };
-  pad_lane(list.lane_constant_);
-  pad_lane(list.lane_linear_);
-  pad_lane(list.lane_power_);
-  pad_lane(list.lane_exp_);
-  pad_lane(list.lane_unimodal_);
-  // Second pass for the stepped lane: the slot-major slabs need the final
-  // entry count (stride) before any step can be placed.
-  if (!list.lane_stepped_.empty()) {
-    SteppedLane& sl = list.lane_stepped_;
-    const std::size_t count = sl.idx.size();
-    sl.stride = detail::simd::padded_size(count);
-    sl.a.resize(sl.stride, sl.a.back());
-    sl.f.resize(sl.stride, sl.f.back());
-    for (std::size_t j = 0; j < count; ++j)
-      sl.nslots = std::max<std::size_t>(
-          sl.nslots, list.entries_[sl.idx[j]].count);
-    const double inf = std::numeric_limits<double>::infinity();
-    sl.at.assign(sl.nslots * sl.stride, inf);       // identity step:
-    sl.ratio.assign(sl.nslots * sl.stride, 1.0);    //   factor == 1 exactly
-    sl.width.assign(sl.nslots * sl.stride, 1.0);
-    for (std::size_t j = 0; j < count; ++j) {
-      const Entry& e = list.entries_[sl.idx[j]];
-      double level = e.a;
-      for (std::uint32_t s = 0; s < e.count; ++s) {
-        const SteppedSpeed::Step& st = list.steps_[e.offset + s];
-        const std::size_t off = s * sl.stride + j;
-        sl.at[off] = st.at;
-        sl.ratio[off] = st.to / level;
-        sl.width[off] = st.width;
-        level = st.to;
-      }
-    }
+  for (BatchLane* lane : {&list.lane_constant_, &list.lane_linear_,
+                          &list.lane_power_, &list.lane_exp_,
+                          &list.lane_unimodal_}) {
+    const std::size_t padded = detail::simd::padded_size(lane->idx.size());
+    for (BatchLane::Column* col :
+         {&lane->a, &lane->b, &lane->c, &lane->d, &lane->e, &lane->f})
+      pad(*col, padded);
   }
+  pad(sl.a, sl.stride);
+  pad(sl.f, sl.stride);
   return list;
 }
 
 std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds,
-                                                bool* generic) {
+                                                bool* generic,
+                                                std::uint64_t* check) {
   // The hash compile() folds during its own walk, without the pools:
   // classification only reads the objects (no allocations), so the
   // server's cache-hit path keys requests without compiling them.
-  std::uint64_t h = hash_start(speeds.size());
+  ChainHash hash(speeds.size());
   bool any_generic = false;
   for (const SpeedFunction* f : speeds) {
     const Classified cl = classify_entry(f);
     any_generic |= cl.family == Family::Generic;
-    h = hash_entry(h, f, cl);
+    hash_entry(hash, f, cl);
   }
   if (generic != nullptr) *generic = any_generic;
-  return h;
+  if (check != nullptr) *check = hash.check();
+  return hash.fingerprint();
 }
 
 double CompiledSpeedList::raw_speed(const Entry& e, double x) const {

@@ -15,10 +15,11 @@
 //
 // detail::SearchState compiles its input once per search and runs every
 // line solve through intersect_all, so all five registry algorithms search
-// on compiled models; the batch/server layer (core/server.hpp) reuses the
-// fingerprint() content hash as its cache key. force_simd_backend() is the
-// one runtime switch: it picks the vector backend of the batch lanes, or
-// "off" for the bit-exact scalar mode.
+// on compiled models; the batch/server layer (core/server.hpp) keys its
+// cache with the fingerprint() content hash plus a check word from the
+// same walk. force_simd_backend() is the one runtime switch: it picks the
+// vector backend of the batch lanes, or "off" for the bit-exact scalar
+// mode.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +65,12 @@ class CompiledSpeedList {
 
   /// Flattens `speeds` into compiled entries. The input objects must
   /// outlive the compiled list (Generic entries keep pointers; all entries
-  /// keep one for introspection).
+  /// keep one for introspection). Two passes and no regrowth: the
+  /// classification walk fills the entries, folds the fingerprint and
+  /// counts every batch lane and pool; then each lane column and pool is
+  /// reserved once, at its final padded size, and filled. The number of
+  /// allocations therefore depends on which lanes and pools are non-empty,
+  /// not on the list's length.
   static CompiledSpeedList compile(const SpeedList& speeds);
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -124,9 +130,13 @@ class CompiledSpeedList {
 
   /// Content hash over (family, wrap, parameters, breakpoints) of every
   /// entry, in order — equal model lists hash equal regardless of object
-  /// identity. Each field's 64-bit pattern is folded as one word through a
-  /// SplitMix64-style finalizer, so lists differing in exactly one field
-  /// (including -0.0 vs 0.0) never hash equal. Generic entries hash their
+  /// identity. Each field's 64-bit pattern is one word, folded into one of
+  /// four independent SplitMix64 chains by a step that is a bijection of
+  /// the word; the word's chain is fixed by its slot in the entry, and the
+  /// four chain states are folded in order at the end. So lists of one
+  /// length that differ in exactly one field (including -0.0 vs 0.0) never
+  /// hash equal: only that field's chain ends in a different state, and
+  /// the final fold is a chain of bijections. Generic entries hash their
   /// object address instead (identity semantics): two structurally equal
   /// unknown subclasses never hash equal, and a model freed and replaced
   /// by another at the same address hashes the same, so a fingerprint
@@ -141,14 +151,21 @@ class CompiledSpeedList {
   /// folds the same per-entry hash inside its own classification walk, so
   /// the two cannot diverge. When `generic` is given it receives whether
   /// any entry was Generic — hashed by address, so the fingerprint names
-  /// the objects rather than their content (see fingerprint()).
+  /// the objects rather than their content (see fingerprint()). When
+  /// `check` is given it receives a second 64-bit word from the same walk:
+  /// a second fold of the four chain states, plus each chain's running sum
+  /// of its pre-finalizer values, so a collision inside one chain does not
+  /// carry into it. The server appends it to its result-cache key, so a
+  /// cache hit needs a 128-bit match (docs/serving.md gives the odds).
   static std::uint64_t fingerprint_of(const SpeedList& speeds,
-                                      bool* generic = nullptr);
+                                      bool* generic = nullptr,
+                                      std::uint64_t* check = nullptr);
 
  private:
   struct Entry {
     Family family = Family::Generic;
     Wrap wrap = Wrap::None;
+    bool batched = false;     ///< rides a batch lane (else batch_other_)
     double wrap_param = 1.0;  ///< Scaled: factor; Granular: elements/item
     double max_size = 0.0;    ///< after wrapping
     // Analytic parameters (meaning depends on family):

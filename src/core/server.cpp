@@ -35,6 +35,17 @@ void append_hex64(std::string& out, std::uint64_t v) {
     out.push_back(kDigits[(v >> shift) & 0xf]);
 }
 
+/// The result-cache key the server files a request under: make_key's
+/// 64-bit key followed by the fingerprint walk's check word, so a hit
+/// needs a 128-bit match.
+std::string result_key(std::uint64_t fingerprint, std::uint64_t check,
+                       std::int64_t n, const PartitionPolicy& policy) {
+  std::string key = PartitionCache::make_key(fingerprint, n, policy);
+  key.push_back('|');
+  append_hex64(key, check);
+  return key;
+}
+
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -51,7 +62,10 @@ PartitionCache::PartitionCache(std::size_t capacity, std::size_t shards)
 
 std::string PartitionCache::make_key(const SpeedList& speeds, std::int64_t n,
                                      const PartitionPolicy& policy) {
-  return make_key(CompiledSpeedList::fingerprint_of(speeds), n, policy);
+  std::uint64_t check = 0;
+  const std::uint64_t fingerprint =
+      CompiledSpeedList::fingerprint_of(speeds, nullptr, &check);
+  return result_key(fingerprint, check, n, policy);
 }
 
 std::string PartitionCache::make_key(std::uint64_t fingerprint, std::int64_t n,
@@ -321,9 +335,10 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
 
 PartitionServer::ModelKey PartitionServer::model_key(const SpeedList& speeds) {
   bool generic = false;
+  std::uint64_t check = 0;
   const std::uint64_t fingerprint =
-      CompiledSpeedList::fingerprint_of(speeds, &generic);
-  return ModelKey{fingerprint, !generic};
+      CompiledSpeedList::fingerprint_of(speeds, &generic, &check);
+  return ModelKey{fingerprint, check, !generic};
 }
 
 PartitionResult PartitionServer::serve(const SpeedList& speeds,
@@ -351,7 +366,7 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds,
     return partition_with_hint(speeds, n, policy);
   }
   const std::string cache_key =
-      PartitionCache::make_key(key->fingerprint, n, policy);
+      result_key(key->fingerprint, key->check, n, policy);
   PartitionResult result;
   if (cache_.lookup(cache_key, result)) {
     metrics_.hits.add(1);
@@ -382,8 +397,8 @@ std::optional<ServeResult> PartitionServer::arrive(const BatchRequest& request,
   arrival.key = model_key(request.speeds);
   PartitionResult cached;
   if (!arrival.key->cacheable ||
-      !cache_.peek(PartitionCache::make_key(arrival.key->fingerprint,
-                                            request.n, request.policy),
+      !cache_.peek(result_key(arrival.key->fingerprint, arrival.key->check,
+                              request.n, request.policy),
                    cached))
     return std::nullopt;
   metrics_.hits.add(1);

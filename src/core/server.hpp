@@ -164,8 +164,10 @@ class PartitionCache {
   /// observable options map to the same entry.
   static std::string make_key(std::uint64_t fingerprint, std::int64_t n,
                               const PartitionPolicy& policy);
-  /// Convenience overload fingerprinting `speeds` first (no compilation —
-  /// CompiledSpeedList::fingerprint_of is allocation-free).
+  /// The key PartitionServer files `speeds` under: the key above followed
+  /// by `| check`, the fingerprint walk's second 64-bit word, so entries
+  /// match on 128 bits (no compilation — CompiledSpeedList::fingerprint_of
+  /// is allocation-free).
   static std::string make_key(const SpeedList& speeds, std::int64_t n,
                               const PartitionPolicy& policy);
 
@@ -272,14 +274,17 @@ class PartitionServer {
   /// victim: lowest priority, latest deadline, newest.
   using JobKey = std::tuple<int, Clock::time_point, std::uint64_t>;
 
-  /// A request's model identity. The fingerprint keys the hint store and
-  /// the result cache; `cacheable` is false when some entry is Generic (a
+  /// A request's model identity. The fingerprint keys the hint store; the
+  /// fingerprint and the check word of the same walk
+  /// (CompiledSpeedList::fingerprint_of) key the result cache together, a
+  /// 128-bit match. `cacheable` is false when some entry is Generic (a
   /// model type the compiled layer does not know), whose fingerprint is its
   /// object address. A freed model's address can be reused by a different
   /// one, so such a key must not return cached answers. Hints stay keyed
   /// by it: the search verifies every hint.
   struct ModelKey {
     std::uint64_t fingerprint = 0;
+    std::uint64_t check = 0;
     bool cacheable = true;
   };
   static ModelKey model_key(const SpeedList& speeds);

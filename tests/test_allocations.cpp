@@ -1,0 +1,184 @@
+// Allocation guard for the model walk (core/compiled.*). This binary
+// replaces the global operator new/delete with counting versions over
+// malloc/free, so a test can count the allocations one call makes:
+//   - fingerprint_of, the cache-key fast path, allocates nothing;
+//   - compile() sizes every lane column and pool once, so its allocation
+//     count depends on which lanes and pools a list fills, not on the
+//     list's length.
+// Every replaced form allocates and frees through malloc/free, so the
+// sanitizer build sees matched pairs.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <set>
+#include <vector>
+
+#include "core/fleetgen.hpp"
+#include "core/fpm.hpp"
+#include "helpers.hpp"
+
+namespace {
+
+std::atomic<std::int64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(a, (size + a - 1) / a * a + (size == 0 ? a : 0));
+}
+
+void* checked(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new[](std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return checked(counted_alloc(size, align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return checked(counted_alloc(size, align));
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace fpm {
+namespace {
+
+using core::CompiledSpeedList;
+
+/// Allocations made while `call` runs on this thread.
+template <typename Call>
+std::int64_t allocations(Call&& call) {
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  call();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocationGuard, CountingOperatorNewIsInstalled) {
+  EXPECT_EQ(allocations([] {
+              int* volatile p = new int(7);
+              delete p;
+            }),
+            1);
+}
+
+TEST(AllocationGuard, FingerprintOfAllocatesNothing) {
+  std::vector<test::Ensemble> ensembles = test::all_ensembles(8);
+  ensembles.push_back(test::mixed_ensemble());
+  auto base = std::make_shared<core::PiecewiseLinearSpeed>(
+      std::vector<core::SpeedPoint>{{1e3, 180.0}, {5e5, 160.0}, {4e8, 12.0}});
+  const core::ScaledSpeed scaled(base, 0.5);
+  const core::GranularSpeed granular(base, 8.0);
+  const core::SpeedList wrapped{&scaled, &granular, base.get()};
+  std::vector<core::SpeedList> lists{wrapped};
+  for (const test::Ensemble& e : ensembles) lists.push_back(e.list());
+  const core::SyntheticFleet small = core::make_synthetic_fleet(64, 1);
+  const core::SyntheticFleet large = core::make_synthetic_fleet(4096, 1);
+  lists.push_back(small.list());
+  lists.push_back(large.list());
+
+  for (const core::SpeedList& list : lists) {
+    bool generic = true;
+    std::uint64_t fingerprint = 0, check = 0;
+    EXPECT_EQ(allocations([&] {
+                fingerprint =
+                    CompiledSpeedList::fingerprint_of(list, &generic, &check);
+              }),
+              0)
+        << "p = " << list.size();
+    EXPECT_FALSE(generic);
+    EXPECT_EQ(fingerprint, CompiledSpeedList::compile(list).fingerprint());
+  }
+}
+
+/// The families a compiled list holds: which batch lanes and pools it
+/// fills.
+std::set<CompiledSpeedList::Family> families(const CompiledSpeedList& list) {
+  std::set<CompiledSpeedList::Family> out;
+  for (std::size_t i = 0; i < list.size(); ++i) out.insert(list.family(i));
+  return out;
+}
+
+TEST(AllocationGuard, CompileAllocationsDoNotGrowWithP) {
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const core::SyntheticFleet small = core::make_synthetic_fleet(64, seed);
+    const core::SyntheticFleet large = core::make_synthetic_fleet(4096, seed);
+    const core::SpeedList small_list = small.list();
+    const core::SpeedList large_list = large.list();
+    const CompiledSpeedList small_compiled =
+        CompiledSpeedList::compile(small_list);
+    const CompiledSpeedList large_compiled =
+        CompiledSpeedList::compile(large_list);
+    // Every generated model but the piecewise ones rides a batch lane, so
+    // equal family sets mean equal sets of non-empty lanes and pools.
+    for (const CompiledSpeedList* c : {&small_compiled, &large_compiled}) {
+      std::size_t piecewise = 0;
+      for (std::size_t i = 0; i < c->size(); ++i)
+        piecewise += c->family(i) == CompiledSpeedList::Family::Piecewise;
+      ASSERT_EQ(c->batched_entries() + piecewise, c->size()) << "seed " << seed;
+    }
+    if (families(small_compiled) != families(large_compiled)) continue;
+    ++compared;
+    const std::int64_t at_64 =
+        allocations([&] { (void)CompiledSpeedList::compile(small_list); });
+    const std::int64_t at_4096 =
+        allocations([&] { (void)CompiledSpeedList::compile(large_list); });
+    EXPECT_EQ(at_64, at_4096) << "seed " << seed;
+  }
+  EXPECT_GE(compared, 8);
+}
+
+}  // namespace
+}  // namespace fpm

@@ -434,22 +434,45 @@ TEST(Compiled, NestedWrappersAndOtherTypesCompileToGeneric) {
   }
 }
 
-/// The fingerprint of a one-entry list.
-std::uint64_t fingerprint_one(const core::SpeedFunction& f) {
-  return CompiledSpeedList::fingerprint_of({&f});
+/// Both 64-bit words of a list's identity: the fingerprint and the check
+/// word of the same walk.
+struct Identity {
+  std::uint64_t fingerprint = 0;
+  std::uint64_t check = 0;
+};
+
+Identity identity_of(const core::SpeedList& list) {
+  Identity id;
+  id.fingerprint = CompiledSpeedList::fingerprint_of(list, nullptr, &id.check);
+  return id;
+}
+
+/// Expects both words to tell the two lists apart.
+void expect_keyed_apart(const core::SpeedList& a, const core::SpeedList& b,
+                        const std::string& what) {
+  const Identity ia = identity_of(a);
+  const Identity ib = identity_of(b);
+  EXPECT_NE(ia.fingerprint, ib.fingerprint) << what;
+  EXPECT_NE(ia.check, ib.check) << what;
+}
+
+void expect_keyed_apart(const core::SpeedFunction& a,
+                        const core::SpeedFunction& b, const std::string& what) {
+  expect_keyed_apart(core::SpeedList{&a}, core::SpeedList{&b}, what);
 }
 
 /// Builds a model from `params`, then checks that moving any one parameter
-/// to the next representable double changes the fingerprint.
+/// to the next representable double changes the fingerprint and the check
+/// word.
 template <typename Make>
 void expect_every_param_hashed(const char* name, std::vector<double> params,
                                Make make) {
-  const std::uint64_t base = fingerprint_one(*make(params));
+  const auto base = make(params);
   for (std::size_t i = 0; i < params.size(); ++i) {
     std::vector<double> moved = params;
     moved[i] = std::nextafter(moved[i], HUGE_VAL);
-    EXPECT_NE(fingerprint_one(*make(moved)), base)
-        << name << " parameter " << i;
+    expect_keyed_apart(*make(moved), *base,
+                       std::string(name) + " parameter " + std::to_string(i));
   }
 }
 
@@ -486,15 +509,30 @@ TEST(Compiled, FingerprintSeesEveryParameterStepAndBreakpoint) {
                                                   {v[5], v[6], v[7]}},
             v[1]);
       });
-  // (size, speed) of each breakpoint.
+  // (at, to, width) of each of three steps: the three chains of a step.
   expect_every_param_hashed(
-      "piecewise", {1e3, 180.0, 5e5, 160.0, 2e7, 90.0, 4e8, 12.0},
+      "stepped3",
+      {230.0, 9e8, 5e5, 180.0, 2e5, 1.2e8, 12.0, 8e6, 3e8, 4.0, 2e7},
       [](const V& v) -> Ptr {
-        std::vector<core::SpeedPoint> pts;
-        for (std::size_t i = 0; i + 1 < v.size(); i += 2)
-          pts.push_back({v[i], v[i + 1]});
-        return std::make_shared<core::PiecewiseLinearSpeed>(std::move(pts));
+        return std::make_shared<core::SteppedSpeed>(
+            v[0],
+            std::vector<core::SteppedSpeed::Step>{{v[2], v[3], v[4]},
+                                                  {v[5], v[6], v[7]},
+                                                  {v[8], v[9], v[10]}},
+            v[1]);
       });
+  // (size, speed) of each breakpoint: an even count fills all four
+  // chains, an odd one leaves an unpaired last point.
+  const auto piecewise = [](const V& v) -> Ptr {
+    std::vector<core::SpeedPoint> pts;
+    for (std::size_t i = 0; i + 1 < v.size(); i += 2)
+      pts.push_back({v[i], v[i + 1]});
+    return std::make_shared<core::PiecewiseLinearSpeed>(std::move(pts));
+  };
+  expect_every_param_hashed(
+      "piecewise", {1e3, 180.0, 5e5, 160.0, 2e7, 90.0, 4e8, 12.0}, piecewise);
+  expect_every_param_hashed("piecewise3", {1e3, 180.0, 5e5, 160.0, 4e8, 12.0},
+                            piecewise);
   // The wrapper parameter, and the wrapped model's.
   expect_every_param_hashed("scaled", {0.75, 140.0}, [](const V& v) -> Ptr {
     return std::make_shared<core::ScaledSpeed>(
@@ -510,10 +548,10 @@ TEST(Compiled, FingerprintSeesEveryParameterStepAndBreakpoint) {
   const core::SteppedSpeed one_step(230.0, Steps{{5e5, 180.0, 2e5}}, 9e8);
   const core::SteppedSpeed two_steps(
       230.0, Steps{{5e5, 180.0, 2e5}, {1.2e8, 12.0, 8e6}}, 9e8);
-  EXPECT_NE(fingerprint_one(one_step), fingerprint_one(two_steps));
+  expect_keyed_apart(one_step, two_steps, "step count");
   auto constant = std::make_shared<core::ConstantSpeed>(140.0, 1e9);
-  EXPECT_NE(fingerprint_one(core::ScaledSpeed(constant, 2.0)),
-            fingerprint_one(core::GranularSpeed(constant, 2.0)));
+  expect_keyed_apart(core::ScaledSpeed(constant, 2.0),
+                     core::GranularSpeed(constant, 2.0), "wrapper");
 
   // -0.0 and 0.0 are equal values with different bit patterns; a zero
   // breakpoint speed is legal, and the two must key apart.
@@ -521,12 +559,16 @@ TEST(Compiled, FingerprintSeesEveryParameterStepAndBreakpoint) {
       std::vector<core::SpeedPoint>{{1e3, 100.0}, {1e5, 50.0}, {1e7, 0.0}});
   const core::PiecewiseLinearSpeed neg_zero(
       std::vector<core::SpeedPoint>{{1e3, 100.0}, {1e5, 50.0}, {1e7, -0.0}});
-  EXPECT_NE(fingerprint_one(pos_zero), fingerprint_one(neg_zero));
+  expect_keyed_apart(pos_zero, neg_zero, "signed zero");
 
-  // Order matters: the same two models swapped are a different list.
+  // Order matters: the same two models swapped are a different list, also
+  // when both are of one family and differ only in their parameters.
   auto power = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9);
-  EXPECT_NE(CompiledSpeedList::fingerprint_of({constant.get(), power.get()}),
-            CompiledSpeedList::fingerprint_of({power.get(), constant.get()}));
+  expect_keyed_apart({constant.get(), power.get()},
+                     {power.get(), constant.get()}, "swap across families");
+  auto power2 = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.2, 1e9);
+  expect_keyed_apart({power.get(), power2.get()},
+                     {power2.get(), power.get()}, "swap within a family");
 }
 
 }  // namespace
