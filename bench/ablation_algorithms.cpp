@@ -1,14 +1,15 @@
 // Ablation A: the partitioner family across curve families and problem
 // sizes — the design-space study behind DESIGN.md §5. Every algorithm in
-// core::partitioner_registry() is benchmarked through the policy engine,
-// from both bracket starts (the paper's Figure 18, and Figure 18 narrowed
-// by the secant probes), so a newly registered partitioner joins the
-// ablation without edits here. Reports wall time (google-benchmark) and
-// the iteration/intersection counts that drive the paper's complexity
-// discussion: from Figure 18, basic wins on polynomial-slope families,
-// collapses on the exponential family, and the combined algorithm tracks
-// the winner on both. The secant probes are line solves but not
-// iterations, so the starts compare in sweeps (line solves per processor).
+// core::partitioner_registry() is benchmarked from both cold starts (the
+// paper's Figure 18, and Figure 18 narrowed by the secant probes) through
+// the core::detail::partition_from seam, so a newly registered partitioner
+// joins the ablation without edits here. Reports wall time
+// (google-benchmark) and the iteration/intersection counts that drive the
+// paper's complexity discussion: from Figure 18, basic wins on
+// polynomial-slope families, collapses on the exponential family, and the
+// combined algorithm tracks the winner on both. The secant probes are line
+// solves but not iterations, so the starts compare in sweeps (line solves
+// per processor).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -71,7 +72,6 @@ void run_bench(benchmark::State& state, const std::string& algorithm,
   const core::SpeedList speeds = e.list();
   core::PartitionPolicy policy;
   policy.algorithm = algorithm;
-  policy.bracket = start;
   const bool needs_bounds =
       core::partitioner_registry().find(algorithm)->needs_bounds;
   if (needs_bounds && !capacity_holds(speeds, n)) {
@@ -81,7 +81,8 @@ void run_bench(benchmark::State& state, const std::string& algorithm,
   int iterations = 0;
   std::int64_t solves = 0;
   for (auto _ : state) {
-    const core::PartitionResult r = core::partition(speeds, n, policy);
+    const core::PartitionResult r =
+        core::detail::partition_from(start, speeds, n, policy);
     iterations = r.stats.iterations;
     solves = r.stats.search_intersect_solves;
     benchmark::DoNotOptimize(r.distribution.counts.data());
@@ -155,8 +156,8 @@ int main(int argc, char** argv) {
         for (const core::Bracket start : kStarts) {
           core::PartitionPolicy policy;
           policy.algorithm = info.id;
-          policy.bracket = start;
-          const auto r = core::partition(speeds, n, policy);
+          const auto r =
+              core::detail::partition_from(start, speeds, n, policy);
           sweep_row.push_back(util::fmt(
               static_cast<long long>(r.stats.search_intersect_solves /
                                      static_cast<std::int64_t>(kP))));

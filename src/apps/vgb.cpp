@@ -61,19 +61,10 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
       core::PartitionResult r = core::partition(models, elements, policy);
       for (std::size_t i = 0; i < p; ++i)
         shares[i] = static_cast<double>(r.distribution.counts[i]);
-      if (chain_hints) {
-        // The baseline stays the last cold solve's iteration count (as in
-        // the server's hint store), so iterations_saved compares warm
-        // group solves with cold ones.
-        const int baseline = r.stats.warmstart == core::WarmStart::Hit
-                                 ? policy.hint->baseline_iterations
-                                 : r.stats.iterations;
-        core::PartitionHint& hint = policy.hint.emplace();
-        hint.slope = r.stats.final_slope;
-        hint.n = elements;
-        hint.fingerprint = compiled.fingerprint();
-        hint.baseline_iterations = baseline;
-      }
+      if (chain_hints)
+        policy.hint = core::next_hint(r, elements,
+                                      policy.hint ? &*policy.hint : nullptr,
+                                      compiled.fingerprint());
     } else {
       const double ref = static_cast<double>(opts.reference_n) *
                          static_cast<double>(opts.reference_n);

@@ -53,19 +53,10 @@ core::Distribution Rebalancer::partition_active() {
     const core::PartitionResult res =
         opts_.server ? opts_.server->serve(speeds, n_, policy)
                      : core::partition(speeds, n_, policy);
-    // Carry the accepted slope across rounds. Keep the baseline iteration
-    // count from the last cold solve so iterations_saved measures warm
-    // against cold rather than warm against warm.
-    if (std::isfinite(res.stats.final_slope) && res.stats.final_slope > 0.0) {
-      core::PartitionHint next;
-      next.slope = res.stats.final_slope;
-      next.n = n_;
-      next.baseline_iterations =
-          hint_ && res.stats.warmstart == core::WarmStart::Hit
-              ? hint_->baseline_iterations
-              : res.stats.iterations;
-      hint_ = std::move(next);
-    }
+    // Carry the accepted slope across rounds. The curves are re-learned
+    // every round, so the hint skips the fingerprint check.
+    if (auto next = core::next_hint(res, n_, hint_ ? &*hint_ : nullptr, 0))
+      hint_ = next;
     for (std::size_t j = 0; j < alive.size(); ++j)
       out.counts[alive[j]] = res.distribution.counts[j];
   } else {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "core/partition.hpp"
 #include "core/policy.hpp"
@@ -23,11 +22,5 @@ namespace fpm::core {
 /// Requires n >= 0 and a non-empty speed list.
 PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
                                 const PartitionPolicy& policy = {});
-
-/// True when no integer lies strictly inside any processor's size bracket —
-/// the paper's stopping criterion. `small`/`large` are the per-processor
-/// intersections with the steep and shallow bracket lines.
-bool bracket_converged(std::span<const double> small,
-                       std::span<const double> large);
 
 }  // namespace fpm::core

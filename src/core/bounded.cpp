@@ -6,7 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/combined.hpp"
+#include "core/detail/search_state.hpp"
 
 namespace fpm::core {
 
@@ -28,6 +28,12 @@ std::vector<std::int64_t> bounds_or_capacity(const PartitionPolicy& policy,
 
 PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
                                   const PartitionPolicy& policy) {
+  return partitioner_registry().run(kAlgorithmBounded, speeds, n, policy);
+}
+
+PartitionResult detail::bounded_from(Bracket start, const SpeedList& speeds,
+                                     std::int64_t n,
+                                     const PartitionPolicy& policy) {
   const std::vector<std::int64_t> bounds = bounds_or_capacity(policy, speeds);
   if (speeds.size() != bounds.size())
     throw std::invalid_argument("partition_bounded: size mismatch");
@@ -48,13 +54,12 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
   std::int64_t remaining = n;
 
   PartitionPolicy inner = policy;
-  inner.bracket = bracket_for(policy, kAlgorithmBounded);
   bool first_round = true;
   while (remaining > 0 && !active.empty()) {
     SpeedList sub;
     sub.reserve(active.size());
     for (const std::size_t i : active) sub.push_back(speeds[i]);
-    PartitionResult sub_result = partition_combined(sub, remaining, inner);
+    PartitionResult sub_result = combined_from(start, sub, remaining, inner);
     if (first_round) {
       // The hint describes the full unclamped problem; the residual rounds
       // solve a different one (fewer processors, fewer elements), so only

@@ -8,11 +8,17 @@ namespace fpm::core {
 
 PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
                                    const PartitionPolicy& policy) {
+  return partitioner_registry().run(kAlgorithmCombined, speeds, n, policy);
+}
+
+PartitionResult detail::combined_from(Bracket start, const SpeedList& speeds,
+                                      std::int64_t n,
+                                      const PartitionPolicy& policy) {
   const int max_iterations =
       policy.max_iterations.value_or(kGuaranteedIterationCap);
   bool switched = false;
-  PartitionResult result = detail::run_search(
-      kAlgorithmCombined, speeds, n, policy, [&](detail::SearchState& state) {
+  PartitionResult result = run_search(
+      kAlgorithmCombined, start, speeds, n, policy, [&](SearchState& state) {
         // Phase 1: basic bisection while it makes geometric progress.
         std::int64_t window_start_count = state.total_interior();
         int window_used = 0;
@@ -34,7 +40,7 @@ PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
         if (switched) {
           const int cap = std::min(
               max_iterations,
-              state.iterations() + detail::guaranteed_steps(speeds.size(), n));
+              state.iterations() + guaranteed_steps(speeds.size(), n));
           while (!state.converged() && state.iterations() < cap)
             state.step_modified();
         }

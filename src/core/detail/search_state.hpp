@@ -218,13 +218,13 @@ inline int guaranteed_steps(std::size_t p, std::int64_t n) {
 
 /// The shared frame of the line-search entry points: rejects an empty
 /// speed list, answers n <= 0 with all-zero counts, otherwise builds the
-/// SearchState from the policy's observer, hint and bracket start (the
-/// algorithm's default when unset), lets `search` step it, and runs the
-/// shared epilogue. `algorithm` is the reported registry id.
+/// SearchState from the policy's observer and hint and the cold `start`,
+/// lets `search` step it, and runs the shared epilogue. `algorithm` is the
+/// reported registry id.
 template <typename Search>
-PartitionResult run_search(const char* algorithm, const SpeedList& speeds,
-                           std::int64_t n, const PartitionPolicy& policy,
-                           Search&& search) {
+PartitionResult run_search(const char* algorithm, Bracket start,
+                           const SpeedList& speeds, std::int64_t n,
+                           const PartitionPolicy& policy, Search&& search) {
   if (speeds.empty())
     throw std::invalid_argument(std::string("partition_") + algorithm +
                                 ": no speeds");
@@ -235,11 +235,15 @@ PartitionResult run_search(const char* algorithm, const SpeedList& speeds,
     return result;
   }
   SearchState state(speeds, n, &policy.observer,
-                    policy.hint ? &*policy.hint : nullptr,
-                    bracket_for(policy, algorithm));
+                    policy.hint ? &*policy.hint : nullptr, start);
   search(state);
   state.finish(result);
   return result;
 }
+
+// The family's searches, held by the registry rows; the public partition_*
+// entry points run them from the row's start.
+SearchFn basic_from, modified_from, combined_from, interpolation_from,
+    bounded_from;
 
 }  // namespace fpm::core::detail

@@ -10,11 +10,19 @@ namespace fpm::core {
 PartitionResult partition_interpolation(const SpeedList& speeds,
                                         std::int64_t n,
                                         const PartitionPolicy& policy) {
+  return partitioner_registry().run(kAlgorithmInterpolation, speeds, n,
+                                    policy);
+}
+
+PartitionResult detail::interpolation_from(Bracket start,
+                                           const SpeedList& speeds,
+                                           std::int64_t n,
+                                           const PartitionPolicy& policy) {
   const int max_iterations =
       policy.max_iterations.value_or(kSearchIterationCap);
-  return detail::run_search(
-      kAlgorithmInterpolation, speeds, n, policy,
-      [&](detail::SearchState& state) {
+  return run_search(
+      kAlgorithmInterpolation, start, speeds, n, policy,
+      [&](SearchState& state) {
         bool bisect = false;
         while (!state.converged() && state.iterations() < max_iterations) {
           const double lc_lo = std::log(state.lo_slope());

@@ -9,7 +9,7 @@
 // wide ranges. Instead of bisecting the slope interval, step to the slope
 // where the secant of log N against log c through the last two solved
 // lines predicts N = n — the same log-log secant the secant bracket start
-// (Bracket::Secant, this algorithm's default) runs before the search, here
+// (Bracket::Secant, this algorithm's start) runs before the search, here
 // run to convergence. Each step is clamped into the middle of the bracket,
 // `safeguard_margin` of its log-width away from either end: a root
 // predicted at an end then puts the line just across it, so the bracket
@@ -25,7 +25,7 @@
 // bench/ablation_algorithms.
 //
 // Reads PartitionPolicy::safeguard_margin, max_iterations (default
-// kSearchIterationCap), bracket (default Secant), observer and hint.
+// kSearchIterationCap), observer and hint.
 #pragma once
 
 #include <cstdint>

@@ -8,11 +8,17 @@ namespace fpm::core {
 
 PartitionResult partition_modified(const SpeedList& speeds, std::int64_t n,
                                    const PartitionPolicy& policy) {
-  return detail::run_search(
-      kAlgorithmModified, speeds, n, policy, [&](detail::SearchState& state) {
+  return partitioner_registry().run(kAlgorithmModified, speeds, n, policy);
+}
+
+PartitionResult detail::modified_from(Bracket start, const SpeedList& speeds,
+                                      std::int64_t n,
+                                      const PartitionPolicy& policy) {
+  return run_search(
+      kAlgorithmModified, start, speeds, n, policy, [&](SearchState& state) {
         const int cap =
             std::min(policy.max_iterations.value_or(kGuaranteedIterationCap),
-                     detail::guaranteed_steps(speeds.size(), n));
+                     guaranteed_steps(speeds.size(), n));
         while (!state.converged() && state.iterations() < cap)
           state.step_modified();
       });

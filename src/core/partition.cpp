@@ -35,6 +35,22 @@ SlopeBracket detect_bracket(const SpeedList& speeds, std::int64_t n,
                         large);
 }
 
+std::optional<PartitionHint> next_hint(const PartitionResult& result,
+                                       std::int64_t n,
+                                       const PartitionHint* previous,
+                                       std::uint64_t fingerprint) {
+  const bool warm =
+      previous != nullptr && result.stats.warmstart == WarmStart::Hit;
+  const PartitionHint hint{
+      .slope = result.stats.final_slope,
+      .n = n,
+      .fingerprint = fingerprint,
+      .baseline_iterations =
+          warm ? previous->baseline_iterations : result.stats.iterations};
+  if (!hint.usable()) return std::nullopt;
+  return hint;
+}
+
 Distribution partition_even(std::int64_t n, std::size_t p) {
   if (p == 0) throw std::invalid_argument("partition_even: p must be >= 1");
   Distribution d;

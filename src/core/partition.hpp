@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -136,6 +137,17 @@ struct PartitionResult {
   Distribution distribution;
   PartitionStats stats;
 };
+
+/// The hint for the next solve of a chain: the result's final_slope, its n
+/// and the models' `fingerprint` (0 skips the check). A WarmStart::Hit on
+/// `previous` (the chain's last hint, if any) keeps its
+/// baseline_iterations, so iterations_saved measures warm solves against
+/// the last cold one; otherwise the result's iterations are the baseline.
+/// nullopt when final_slope is not a positive finite number.
+std::optional<PartitionHint> next_hint(const PartitionResult& result,
+                                       std::int64_t n,
+                                       const PartitionHint* previous,
+                                       std::uint64_t fingerprint);
 
 /// Intersections of a slope-c line with every graph: x_i = s_i^{-1}-style
 /// solve of c·x = s_i(x). Sizes are real-valued (the integer allocation is

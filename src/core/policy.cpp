@@ -8,11 +8,7 @@
 #include <type_traits>
 #include <variant>
 
-#include "core/bisection.hpp"
-#include "core/bounded.hpp"
-#include "core/combined.hpp"
-#include "core/interpolation.hpp"
-#include "core/modified.hpp"
+#include "core/detail/search_state.hpp"
 #include "obs/metrics.hpp"
 
 namespace fpm::core {
@@ -26,8 +22,7 @@ struct PolicyKey {
   using Member =
       std::variant<bool PartitionPolicy::*, int PartitionPolicy::*,
                    double PartitionPolicy::*,
-                   std::optional<int> PartitionPolicy::*,
-                   std::optional<Bracket> PartitionPolicy::*>;
+                   std::optional<int> PartitionPolicy::*>;
   const char* name;
   Member member;
   std::vector<std::string_view> ids;
@@ -48,9 +43,6 @@ const std::vector<PolicyKey>& policy_keys() {
        {kAlgorithmBasic, kAlgorithmModified, kAlgorithmCombined,
         kAlgorithmInterpolation, kAlgorithmBounded},
        0.0, kIntMax},
-      {"bracket", &PartitionPolicy::bracket,
-       {kAlgorithmBasic, kAlgorithmModified, kAlgorithmCombined,
-        kAlgorithmInterpolation, kAlgorithmBounded}},
   };
   return keys;
 }
@@ -118,18 +110,6 @@ void read_value(const PolicyKey& key, const std::string& text,
                 std::optional<int>& field) {
   field = parse_number<int>(key, text);
 }
-void read_value(const PolicyKey& key, const std::string& text,
-                std::optional<Bracket>& field) {
-  if (text == "figure18")
-    field = Bracket::Figure18;
-  else if (text == "secant")
-    field = Bracket::Secant;
-  else
-    throw std::invalid_argument("parse_policy: key '" +
-                                std::string(key.name) +
-                                "' expects figure18/secant, got '" + text +
-                                "'");
-}
 
 /// The value an algorithm runs with: an unset field means the algorithm's
 /// registry default.
@@ -140,17 +120,10 @@ T effective(const T& value, const PartitionerInfo& /*info*/) {
 int effective(const std::optional<int>& value, const PartitionerInfo& info) {
   return value.value_or(info.max_iterations);
 }
-Bracket effective(const std::optional<Bracket>& value,
-                  const PartitionerInfo& info) {
-  return value.value_or(info.bracket);
-}
 
 std::string value_text(bool value) { return value ? "true" : "false"; }
 std::string value_text(int value) { return std::to_string(value); }
 std::string value_text(double value) { return format_number(value); }
-std::string value_text(Bracket value) {
-  return value == Bracket::Secant ? "secant" : "figure18";
-}
 
 [[noreturn]] void throw_unknown_key(const std::string& algorithm,
                                     const std::string& key) {
@@ -182,14 +155,26 @@ const PartitionerInfo* PartitionerRegistry::find(std::string_view id) const {
   return nullptr;
 }
 
-PartitionResult PartitionerRegistry::run(const SpeedList& speeds,
+const PartitionerInfo& PartitionerRegistry::at(std::string_view id) const {
+  if (const PartitionerInfo* info = find(id)) return *info;
+  throw std::invalid_argument("partition: unknown algorithm '" +
+                              std::string(id) + "' (valid: " + joined_ids() +
+                              ")");
+}
+
+PartitionResult PartitionerRegistry::run(std::string_view id,
+                                         const SpeedList& speeds,
                                          std::int64_t n,
                                          const PartitionPolicy& policy) const {
-  if (const PartitionerInfo* info = find(policy.algorithm))
-    return info->run(speeds, n, policy);
-  throw std::invalid_argument("partition: unknown algorithm '" +
-                              policy.algorithm + "' (valid: " + joined_ids() +
-                              ")");
+  const PartitionerInfo& info = at(id);
+  return info.search(info.start, speeds, n, policy);
+}
+
+PartitionResult detail::partition_from(Bracket start, const SpeedList& speeds,
+                                       std::int64_t n,
+                                       const PartitionPolicy& policy) {
+  return partitioner_registry().at(policy.algorithm).search(start, speeds, n,
+                                                            policy);
 }
 
 const PartitionerRegistry& partitioner_registry() {
@@ -197,31 +182,25 @@ const PartitionerRegistry& partitioner_registry() {
       {kAlgorithmBasic,
        "angle/tangent bisection of the slope interval (paper Fig. 7-8)",
        "O(p*log n) on polynomial slopes, O(p*n) worst case", false,
-       kSearchIterationCap, Bracket::Figure18, &partition_basic},
+       kSearchIterationCap, Bracket::Figure18, &detail::basic_from},
       {kAlgorithmModified, "space-of-solutions bisection (paper Fig. 10-12)",
        "O(p^2*log2 n) guaranteed, shape-insensitive", false,
-       kGuaranteedIterationCap, Bracket::Figure18, &partition_modified},
+       kGuaranteedIterationCap, Bracket::Figure18, &detail::modified_from},
       {kAlgorithmCombined,
        "basic bisection with stall-triggered switch to modified "
        "(paper Fig. 15)",
        "O(p*log n) typical, O(p^2*log2 n) after the switch", false,
-       kGuaranteedIterationCap, Bracket::Secant, &partition_combined},
+       kGuaranteedIterationCap, Bracket::Secant, &detail::combined_from},
       {kAlgorithmInterpolation,
        "safeguarded log-log secant on the total-size curve",
        "superlinear in practice, <= 2x basic worst case", false,
-       kSearchIterationCap, Bracket::Secant, &partition_interpolation},
+       kSearchIterationCap, Bracket::Secant, &detail::interpolation_from},
       {kAlgorithmBounded,
        "clamp-and-resolve under per-processor capacity bounds",
        "<= p combined solves", true, kGuaranteedIterationCap,
-       Bracket::Secant, &partition_bounded},
+       Bracket::Secant, &detail::bounded_from},
   });
   return registry;
-}
-
-Bracket bracket_for(const PartitionPolicy& policy, std::string_view id) {
-  if (policy.bracket) return *policy.bracket;
-  const PartitionerInfo* info = partitioner_registry().find(id);
-  return info != nullptr ? info->bracket : Bracket::Figure18;
 }
 
 namespace {
@@ -274,7 +253,8 @@ obs::Counter& invocation_counter(const std::string& algorithm) {
 
 PartitionResult partition(const SpeedList& speeds, std::int64_t n,
                           const PartitionPolicy& policy) {
-  PartitionResult result = partitioner_registry().run(speeds, n, policy);
+  PartitionResult result =
+      partitioner_registry().run(policy.algorithm, speeds, n, policy);
   // Roll the per-call PartitionStats accounting into the process-wide
   // registry: one invocation counter per algorithm id, plus the
   // SpeedFunction-boundary totals.

@@ -30,6 +30,7 @@ inline constexpr int kSearchIterationCap = 1 << 20;
 inline constexpr int kGuaranteedIterationCap = 1 << 22;
 
 /// How a cold search (no hint, or a stale one) opens its slope bracket.
+/// Fixed per algorithm by its registry row (PartitionerInfo::start).
 enum class Bracket : std::uint8_t {
   /// The paper's Figure-18 lines; the algorithm's own steps run from there.
   Figure18,
@@ -64,10 +65,6 @@ struct PartitionPolicy {
   /// algorithm's default (kSearchIterationCap or kGuaranteedIterationCap).
   /// Modified and combined also apply the p·log₂(p·n) guaranteed bound.
   std::optional<int> max_iterations{};
-  /// How a cold search opens its bracket. Unset: the algorithm's default
-  /// (PartitionerInfo::bracket) — Figure18 for basic and modified, so they
-  /// stay the paper's published algorithms; Secant for the others.
-  std::optional<Bracket> bracket{};
   /// When non-empty, every bracket/slope decision of the search is
   /// reported (core/observer.hpp).
   SearchObserver observer{};
@@ -82,9 +79,17 @@ struct PartitionPolicy {
   std::optional<PartitionHint> hint{};
 };
 
-/// The signature every family entry point shares.
-using PartitionFn = PartitionResult (*)(const SpeedList&, std::int64_t,
-                                        const PartitionPolicy&);
+namespace detail {
+/// A family member's search, opened from the given cold start.
+using SearchFn = PartitionResult(Bracket start, const SpeedList&,
+                                 std::int64_t, const PartitionPolicy&);
+/// partition() opened from `start` instead of the algorithm's registry
+/// start (bounded's inner solves included): the seam tests and the
+/// algorithm ablation compare starts through. Only the search's cost
+/// differs; the distribution is the same from either start.
+PartitionResult partition_from(Bracket start, const SpeedList& speeds,
+                               std::int64_t n, const PartitionPolicy& policy);
+}  // namespace detail
 
 /// Static description of a registered algorithm.
 struct PartitionerInfo {
@@ -93,8 +98,10 @@ struct PartitionerInfo {
   std::string complexity;  ///< asymptotic cost in intersection solves
   bool needs_bounds = false;  ///< consumes PartitionPolicy::bounds
   int max_iterations = 0;     ///< cap applied when the policy sets none
-  Bracket bracket = Bracket::Figure18;  ///< start when the policy sets none
-  PartitionFn run = nullptr;  ///< the entry point
+  /// The cold start: Figure18 for basic and modified, so they stay the
+  /// paper's published algorithms; Secant for the others.
+  Bracket start = Bracket::Figure18;
+  detail::SearchFn* search = nullptr;  ///< the search, given the start
 };
 
 /// String-keyed dispatch over the constant table of the partitioner family.
@@ -113,12 +120,15 @@ class PartitionerRegistry {
   std::string joined_ids() const;
   /// Lookup; nullptr when the id is unknown.
   const PartitionerInfo* find(std::string_view id) const;
+  /// Lookup; throws std::invalid_argument naming the valid ids when the id
+  /// is unknown.
+  const PartitionerInfo& at(std::string_view id) const;
   bool contains(std::string_view id) const { return find(id) != nullptr; }
 
-  /// Dispatches to the algorithm named by policy.algorithm. Throws
+  /// Runs the algorithm `id` from its registry start. Throws
   /// std::invalid_argument naming the valid ids when the id is unknown.
-  PartitionResult run(const SpeedList& speeds, std::int64_t n,
-                      const PartitionPolicy& policy) const;
+  PartitionResult run(std::string_view id, const SpeedList& speeds,
+                      std::int64_t n, const PartitionPolicy& policy) const;
 
  private:
   std::vector<PartitionerInfo> infos_;
@@ -127,10 +137,6 @@ class PartitionerRegistry {
 /// The process-wide registry holding the five family members:
 /// basic, modified, combined, interpolation, bounded.
 const PartitionerRegistry& partitioner_registry();
-
-/// The bracket start `policy` selects for the registered algorithm `id`:
-/// the policy's own choice, else the registry default.
-Bracket bracket_for(const PartitionPolicy& policy, std::string_view id);
 
 /// The engine entry point every consumer layer calls: partitions n elements
 /// over the listed speeds with the algorithm selected by `policy`. The
@@ -146,7 +152,6 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
 ///   combined       stall_window, bisect_angles, max_iterations
 ///   interpolation  safeguard_margin, max_iterations
 ///   bounded        stall_window, bisect_angles, max_iterations (inner solve)
-/// and, for every id, bracket (figure18 or secant).
 /// Value ranges: safeguard_margin finite in [0, 0.5], stall_window >= 1,
 /// max_iterations >= 0. Throws std::invalid_argument on an unknown id
 /// (naming the valid ids), unknown key, dangling key, malformed value, or
@@ -155,8 +160,8 @@ PartitionPolicy parse_policy(std::string_view algorithm,
                              std::span<const std::string> tokens = {});
 
 /// Inverse of parse_policy: the id followed by the keys it accepts whose
-/// values differ from the defaults (for max_iterations and bracket, the
-/// algorithm's own default). Doubles print in the shortest %g form
+/// values differ from the defaults (for max_iterations, the algorithm's own
+/// default). Doubles print in the shortest %g form
 /// (at least 6 significant digits) that parses back to the same value, so
 /// the text round-trips exactly through parse_policy.
 std::string format_policy(const PartitionPolicy& policy);

@@ -245,7 +245,8 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
   }
   std::optional<DegradedAnswer> answer;
   if (prev)
-    answer = degraded_answer(request.speeds, request.n, prev->counts, prev->n);
+    answer = degraded_answer(request.speeds, request.n, prev->counts,
+                             prev->hint.n);
   if (answer) {
     outcome.status = ServeStatus::Degraded;
     outcome.result.distribution = std::move(answer->distribution);
@@ -291,11 +292,7 @@ PartitionResult PartitionServer::partition_with_hint(
   PartitionPolicy hinted = policy;
   if (!policy.hint) {  // a caller's own hint is honoured untouched
     hints_.find(compiled.fingerprint(), [&](const SlopeHint& stored) {
-      hinted.hint.emplace();
-      hinted.hint->slope = stored.slope;
-      hinted.hint->n = stored.n;
-      hinted.hint->fingerprint = compiled.fingerprint();
-      hinted.hint->baseline_iterations = stored.baseline_iterations;
+      hinted.hint = stored.hint;
       return true;
     });
   }
@@ -305,19 +302,15 @@ PartitionResult PartitionServer::partition_with_hint(
   // residual round — a sub-problem over the unclamped processors — and its
   // clamped distribution is the wrong degradation source for unbounded
   // requests of the same models.
-  if (n <= 0 || !std::isfinite(result.stats.final_slope) ||
-      result.stats.final_slope <= 0.0 ||
-      result.stats.algorithm == kAlgorithmBounded)
-    return result;
-  const bool cold = result.stats.warmstart != WarmStart::Hit;
+  if (n <= 0 || result.stats.algorithm == kAlgorithmBounded) return result;
+  const std::uint64_t fingerprint = compiled.fingerprint();
+  const auto next = next_hint(result, n, nullptr, fingerprint);
+  if (!next) return result;
   const bool evicted = hints_.put(
-      compiled.fingerprint(),
-      SlopeHint{result.stats.final_slope, n, result.stats.iterations,
-                result.distribution.counts},
-      [cold](SlopeHint& stored, SlopeHint& fresh) {
-        // A warm run's low iteration count is not a cold baseline; keep the
-        // last cold figure so iterations_saved keeps measuring warm vs cold.
-        if (!cold) fresh.baseline_iterations = stored.baseline_iterations;
+      fingerprint, SlopeHint{*next, result.distribution.counts},
+      [&](SlopeHint& stored, SlopeHint& fresh) {
+        // Chained from the stored hint, a warm hit keeps its cold baseline.
+        fresh.hint = *next_hint(result, n, &stored.hint, fingerprint);
         stored = std::move(fresh);
       });
   if (evicted) bump(Tally::HintEvictions);

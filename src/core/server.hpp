@@ -366,15 +366,11 @@ class PartitionServer {
     return tally_[static_cast<std::size_t>(t)].load(std::memory_order_relaxed);
   }
 
-  /// The remembered previous solution for one model fingerprint: the slope
-  /// that warm-starts the search, plus the distribution the degraded-
-  /// answer path rescales. `baseline_iterations` tracks the last *cold*
-  /// solve so iterations_saved compares warm runs against what they
-  /// replaced, not against each other.
+  /// The remembered previous solution for one model fingerprint: the hint
+  /// that warm-starts the next search (next_hint() of the last one), plus
+  /// the distribution the degraded-answer path rescales.
   struct SlopeHint {
-    double slope = 0.0;
-    std::int64_t n = 0;
-    int baseline_iterations = 0;
+    PartitionHint hint;
     std::vector<std::int64_t> counts;
   };
 

@@ -86,21 +86,14 @@ std::vector<std::int64_t> partition_over(const std::vector<int>& active,
     core::SpeedList sub;
     sub.reserve(views.size());
     for (const auto& v : views) sub.push_back(&v);
+    const core::PartitionHint* previous =
+        hint != nullptr && hint->usable() ? hint : nullptr;
     core::PartitionPolicy policy = options.policy;
-    if (hint != nullptr && hint->usable() && !policy.hint)
-      policy.hint = *hint;
+    if (previous != nullptr && !policy.hint) policy.hint = *previous;
     const core::PartitionResult res = core::partition(sub, n, policy);
     d = res.distribution;
-    if (hint != nullptr && std::isfinite(res.stats.final_slope) &&
-        res.stats.final_slope > 0.0) {
-      core::PartitionHint next;
-      next.slope = res.stats.final_slope;
-      next.n = n;
-      next.baseline_iterations =
-          hint->usable() && res.stats.warmstart == core::WarmStart::Hit
-              ? hint->baseline_iterations
-              : res.stats.iterations;
-      *hint = next;
+    if (hint != nullptr) {
+      if (auto next = core::next_hint(res, n, previous, 0)) *hint = *next;
     }
   } else {
     d = core::partition_even(n, active.size());

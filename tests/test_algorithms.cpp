@@ -249,19 +249,26 @@ TEST(Complexity, ModifiedIterationsWithinGuaranteedBound) {
 }
 
 // The Complexity tests reproduce the paper's published searches, so they
-// start from its Figure-18 bracket; the secant start has its own gates
-// below.
-const PartitionPolicy kFigure18{.bracket = Bracket::Figure18};
+// start from its Figure-18 bracket through the detail::partition_from
+// seam; the secant start has its own gates below.
+PartitionResult solve_from(Bracket start, const char* id,
+                           const SpeedList& speeds, std::int64_t n) {
+  return detail::partition_from(start, speeds, n, {.algorithm = id});
+}
+PartitionResult figure18(const char* id, const SpeedList& speeds,
+                         std::int64_t n) {
+  return solve_from(Bracket::Figure18, id, speeds, n);
+}
 
 TEST(Complexity, CombinedSwitchesOnExponentialFamilyOnly) {
   const auto exp_e = fpm::test::exponential_ensemble(4);
   const PartitionResult r_exp =
-      partition_combined(exp_e.list(), 100000000, kFigure18);
+      figure18(kAlgorithmCombined, exp_e.list(), 100000000);
   EXPECT_TRUE(r_exp.stats.switched_to_modified);
 
   const auto poly_e = fpm::test::power_ensemble(4);
   const PartitionResult r_poly =
-      partition_combined(poly_e.list(), 100000000, kFigure18);
+      figure18(kAlgorithmCombined, poly_e.list(), 100000000);
   EXPECT_FALSE(r_poly.stats.switched_to_modified);
 }
 
@@ -270,9 +277,9 @@ TEST(Complexity, CombinedStaysNearModifiedOnPathologicalFamily) {
   // algorithm's cost, not the basic one's.
   const auto e = fpm::test::exponential_ensemble(4);
   const std::int64_t n = 100000000;
-  const int basic = partition_basic(e.list(), n, kFigure18).stats.iterations;
+  const int basic = figure18(kAlgorithmBasic, e.list(), n).stats.iterations;
   const int combined =
-      partition_combined(e.list(), n, kFigure18).stats.iterations;
+      figure18(kAlgorithmCombined, e.list(), n).stats.iterations;
   EXPECT_LT(combined, basic / 5);
 }
 
@@ -286,12 +293,8 @@ TEST(Complexity, SecantStartNoCostlierOnExponentialFamily) {
     for (const std::int64_t n : {std::int64_t{1'000'000},
                                  std::int64_t{10'000'000},
                                  std::int64_t{100'000'000}}) {
-      const PartitionPolicy figure18{.algorithm = id,
-                                     .bracket = Bracket::Figure18};
-      const PartitionPolicy secant{.algorithm = id,
-                                   .bracket = Bracket::Secant};
-      const PartitionResult a = partition(e.list(), n, figure18);
-      const PartitionResult b = partition(e.list(), n, secant);
+      const PartitionResult a = figure18(id, e.list(), n);
+      const PartitionResult b = solve_from(Bracket::Secant, id, e.list(), n);
       EXPECT_LE(b.stats.search_intersect_solves,
                 a.stats.search_intersect_solves)
           << id << " n=" << n;
@@ -313,12 +316,11 @@ TEST(Complexity, SecantStartMeanColdSweepsOnSyntheticFleets) {
       fleets.push_back(make_synthetic_fleet(p, s));
     for (const char* id : {kAlgorithmBasic, kAlgorithmModified,
                            kAlgorithmCombined, kAlgorithmInterpolation}) {
-      const PartitionPolicy policy{.algorithm = id,
-                                   .bracket = Bracket::Secant};
       double sweeps = 0.0;
       for (const SyntheticFleet& fleet : fleets)
         sweeps += static_cast<double>(
-                      partition(fleet.list(), 1'000'000'000, policy)
+                      solve_from(Bracket::Secant, id, fleet.list(),
+                                 1'000'000'000)
                           .stats.search_intersect_solves) /
                   static_cast<double>(p);
       EXPECT_LE(sweeps / static_cast<double>(fleets.size()), kBound)
@@ -335,26 +337,23 @@ TEST(Complexity, InterpolationStaysFlatOnExponentialFamily) {
   // interpolation loop solves (the secant start's probes are not
   // iterations; SecantStartNoCostlierOnExponentialFamily covers it).
   const auto e = fpm::test::exponential_ensemble(4);
-  const PartitionPolicy interpolation{.algorithm = kAlgorithmInterpolation,
-                                      .bracket = Bracket::Figure18};
-  const int small = partition(e.list(), 1000000, interpolation).stats.iterations;
+  const int small =
+      figure18(kAlgorithmInterpolation, e.list(), 1000000).stats.iterations;
   const int large =
-      partition(e.list(), 100000000, interpolation).stats.iterations;
+      figure18(kAlgorithmInterpolation, e.list(), 100000000).stats.iterations;
   const int basic_large =
-      partition_basic(e.list(), 100000000, kFigure18).stats.iterations;
+      figure18(kAlgorithmBasic, e.list(), 100000000).stats.iterations;
   EXPECT_LT(large, small + 32);           // near-flat growth
   EXPECT_LT(large * 5, basic_large);      // an order of magnitude below basic
 }
 
 TEST(Complexity, InterpolationCompetitiveOnBenignFamilies) {
   // Figure-18 start, as above: `iterations` is the whole loop's cost.
-  const PartitionPolicy interpolation{.algorithm = kAlgorithmInterpolation,
-                                      .bracket = Bracket::Figure18};
   for (const Ensemble& e : fpm::test::all_ensembles(6)) {
     const int interp =
-        partition(e.list(), 10000019, interpolation).stats.iterations;
+        figure18(kAlgorithmInterpolation, e.list(), 10000019).stats.iterations;
     const int basic =
-        partition_basic(e.list(), 10000019, kFigure18).stats.iterations;
+        figure18(kAlgorithmBasic, e.list(), 10000019).stats.iterations;
     EXPECT_LE(interp, 2 * basic + 8) << e.name;
   }
 }
@@ -364,13 +363,11 @@ TEST(Complexity, InterpolationSecantStepsBeatBisection) {
   // Figure-18 bracket, fewer lines than basic bisection on every family
   // (measured 5-17 against 23-28; a loop left to log-space bisection
   // alone needs 23-30).
-  const PartitionPolicy interpolation{.algorithm = kAlgorithmInterpolation,
-                                      .bracket = Bracket::Figure18};
   for (const Ensemble& e : fpm::test::all_ensembles(6)) {
     const int interp =
-        partition(e.list(), 10000019, interpolation).stats.iterations;
+        figure18(kAlgorithmInterpolation, e.list(), 10000019).stats.iterations;
     const int basic =
-        partition_basic(e.list(), 10000019, kFigure18).stats.iterations;
+        figure18(kAlgorithmBasic, e.list(), 10000019).stats.iterations;
     EXPECT_LT(interp, basic) << e.name;
   }
 }
@@ -381,12 +378,10 @@ TEST(Complexity, SecantStartCompetitiveOnBenignFamilies) {
   // cost no more search solves than the paper's basic search.
   for (const Ensemble& e : fpm::test::all_ensembles(6)) {
     const std::int64_t basic =
-        partition_basic(e.list(), 10000019, kFigure18)
+        figure18(kAlgorithmBasic, e.list(), 10000019)
             .stats.search_intersect_solves;
     for (const char* id : {kAlgorithmCombined, kAlgorithmInterpolation}) {
-      const PartitionPolicy secant{.algorithm = id,
-                                   .bracket = Bracket::Secant};
-      EXPECT_LE(partition(e.list(), 10000019, secant)
+      EXPECT_LE(solve_from(Bracket::Secant, id, e.list(), 10000019)
                     .stats.search_intersect_solves,
                 basic)
           << e.name << " " << id;

@@ -247,13 +247,13 @@ TEST(Compiled, ColdSearchSolvesEachLineOnce) {
             std::int64_t line_steps = 0;
             core::PartitionPolicy policy;
             policy.algorithm = alg;
-            policy.bracket = start;
             policy.observer = [&](const core::SearchStep& step) {
               if (step.kind != core::SearchStepKind::Bracket &&
                   step.kind != core::SearchStepKind::Degenerate)
                 ++line_steps;
             };
-            const core::PartitionResult r = core::partition(list, n, policy);
+            const core::PartitionResult r =
+                core::detail::partition_from(start, list, n, policy);
             const std::int64_t probes = r.stats.search_intersect_solves -
                                         bracket.intersect_solves -
                                         line_steps * p;

@@ -68,16 +68,17 @@ TEST_P(FuzzPartition, AllAlgorithmsNearOptimal) {
     slack = std::max(slack,
                      inst.speeds[i]->time(x + 1.0) - inst.speeds[i]->time(x));
   }
-  const PartitionPolicy figure18{.bracket = Bracket::Figure18};
-  const PartitionPolicy secant{.bracket = Bracket::Secant};
+  const PartitionPolicy interpolation{.algorithm = kAlgorithmInterpolation};
   for (const auto& [name, result] :
        {std::pair{"basic", partition_basic(inst.speeds, inst.n)},
         {"modified", partition_modified(inst.speeds, inst.n)},
         {"combined", partition_combined(inst.speeds, inst.n)},
         {"interpolation figure18",
-         partition_interpolation(inst.speeds, inst.n, figure18)},
+         detail::partition_from(Bracket::Figure18, inst.speeds, inst.n,
+                                interpolation)},
         {"interpolation secant",
-         partition_interpolation(inst.speeds, inst.n, secant)}}) {
+         detail::partition_from(Bracket::Secant, inst.speeds, inst.n,
+                                interpolation)}}) {
     EXPECT_EQ(result.distribution.total(), inst.n)
         << name << " seed=" << GetParam();
     for (const std::int64_t c : result.distribution.counts)

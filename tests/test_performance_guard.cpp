@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
@@ -51,19 +52,16 @@ TEST(PerformanceGuard, IterationCountsStayLogarithmic) {
   // from it the same bound is asserted on the search's line solves.
   const auto pool = big_pool(64);
   const SpeedList speeds = make_speed_list(pool);
-  const PartitionPolicy figure18{.bracket = Bracket::Figure18};
-  const int small =
-      partition_combined(speeds, 1'000'000, figure18).stats.iterations;
-  const int large =
-      partition_combined(speeds, 1'000'000'000, figure18).stats.iterations;
+  const auto combined = [&](Bracket start, std::int64_t n) {
+    return detail::partition_from(start, speeds, n, {}).stats;
+  };
+  const int small = combined(Bracket::Figure18, 1'000'000).iterations;
+  const int large = combined(Bracket::Figure18, 1'000'000'000).iterations;
   EXPECT_LT(large, small + 40);
-  const PartitionPolicy secant{.bracket = Bracket::Secant};
   const std::int64_t small_solves =
-      partition_combined(speeds, 1'000'000, secant)
-          .stats.search_intersect_solves;
+      combined(Bracket::Secant, 1'000'000).search_intersect_solves;
   const std::int64_t large_solves =
-      partition_combined(speeds, 1'000'000'000, secant)
-          .stats.search_intersect_solves;
+      combined(Bracket::Secant, 1'000'000'000).search_intersect_solves;
   EXPECT_LT(large_solves, small_solves + 40 * 64);
 }
 
@@ -113,20 +111,24 @@ TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
   // budget stopped the search early.
   struct Pin {
     const char* name;
-    PartitionPolicy policy;
+    std::optional<Bracket> start;  ///< unset: partition()'s own start
     std::int64_t measured;
   };
-  const Pin pins[] = {{"default", {}, 32'768},
-                      {"figure18", {.bracket = Bracket::Figure18}, 151'552}};
+  const Pin pins[] = {{"default", std::nullopt, 32'768},
+                      {"figure18", Bracket::Figure18, 151'552}};
+  const auto solve = [&](const Pin& pin) {
+    return pin.start ? detail::partition_from(*pin.start, fleet.list(), kN, {})
+                     : partition(fleet.list(), kN);
+  };
   for (const Pin& pin : pins) {
     const std::int64_t margin = pin.measured / 10;
-    const PartitionResult vec = partition(fleet.list(), kN, pin.policy);
+    const PartitionResult vec = solve(pin);
     EXPECT_LE(vec.stats.intersect_solves, pin.measured + margin)
         << pin.name << " backend " << to_string(active_simd_backend());
     EXPECT_GE(vec.stats.intersect_solves, pin.measured - margin)
         << pin.name << " backend " << to_string(active_simd_backend());
     const fpm::test::BackendScope scalar;
-    const PartitionResult off = partition(fleet.list(), kN, pin.policy);
+    const PartitionResult off = solve(pin);
     EXPECT_LE(off.stats.intersect_solves, pin.measured + margin)
         << pin.name << " backend off";
     EXPECT_GE(off.stats.intersect_solves, pin.measured - margin)

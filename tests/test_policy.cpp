@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "helpers.hpp"
 
@@ -38,6 +39,56 @@ TEST(PartitionerRegistry, HoldsTheFiveFamilyMembers) {
   EXPECT_FALSE(partitioner_registry().contains("simulated-annealing"));
   for (const std::string& id : ids)
     EXPECT_NE(partitioner_registry().joined_ids().find(id), std::string::npos);
+}
+
+TEST(Registry, EachAlgorithmRunsFromItsFixedStart) {
+  // partition() opens each algorithm from its registry start: Figure 18
+  // for the paper's basic and modified, the secant bracket for the rest.
+  // The detail::partition_from seam from that start reproduces it count
+  // for count, and from the other start really does search differently.
+  const std::vector<std::pair<std::string, Bracket>> starts{
+      {kAlgorithmBasic, Bracket::Figure18},
+      {kAlgorithmModified, Bracket::Figure18},
+      {kAlgorithmCombined, Bracket::Secant},
+      {kAlgorithmInterpolation, Bracket::Secant},
+      {kAlgorithmBounded, Bracket::Secant}};
+  for (const auto& [id, start] : starts)
+    EXPECT_EQ(partitioner_registry().at(id).start, start) << id;
+  const SyntheticFleet fleet = make_synthetic_fleet(64, 1);
+  std::vector<std::pair<std::string, SpeedList>> lists{
+      {"fleet p=64", fleet.list()}};
+  const std::vector<Ensemble> ensembles = fpm::test::all_ensembles(6);
+  for (const Ensemble& e : ensembles) lists.emplace_back(e.name, e.list());
+  int bounded_runs = 0;
+  for (const auto& [name, speeds] : lists) {
+    const std::int64_t n = 10'000'019;
+    std::int64_t capacity = 0;
+    for (const std::int64_t b : capacity_bounds(speeds)) capacity += b;
+    for (const auto& [id, start] : starts) {
+      if (id == kAlgorithmBounded && capacity < n) continue;
+      bounded_runs += id == kAlgorithmBounded;
+      const PartitionPolicy policy{.algorithm = id};
+      const PartitionResult fixed = partition(speeds, n, policy);
+      const PartitionResult seam = detail::partition_from(start, speeds, n,
+                                                          policy);
+      const std::string where = name + " " + id;
+      EXPECT_EQ(fixed.distribution.counts, seam.distribution.counts) << where;
+      EXPECT_EQ(fixed.stats.iterations, seam.stats.iterations) << where;
+      EXPECT_EQ(fixed.stats.speed_evals, seam.stats.speed_evals) << where;
+      EXPECT_EQ(fixed.stats.intersect_solves, seam.stats.intersect_solves)
+          << where;
+      if (id != kAlgorithmCombined) continue;
+      const Bracket other = start == Bracket::Secant ? Bracket::Figure18
+                                                     : Bracket::Secant;
+      const PartitionResult moved = detail::partition_from(other, speeds, n,
+                                                           policy);
+      EXPECT_EQ(moved.distribution.counts, fixed.distribution.counts)
+          << where;
+      EXPECT_NE(moved.stats.intersect_solves, fixed.stats.intersect_solves)
+          << where;
+    }
+  }
+  EXPECT_GT(bounded_runs, 0);
 }
 
 TEST(PartitionEngine, DefaultPolicyIsExactlyCombined) {
@@ -266,47 +317,6 @@ TEST(PolicyGrammar, DefaultIterationCapFormatsAsTheBareId) {
   }
 }
 
-TEST(PolicyGrammar, BracketKeyRoundTripsAndOmitsEachDefault) {
-  // Every id accepts bracket; spelling out the algorithm's own default
-  // changes nothing, so default-policy cache keys and spec files keep
-  // their text.
-  const std::vector<std::pair<std::string, Bracket>> defaults{
-      {kAlgorithmBasic, Bracket::Figure18},
-      {kAlgorithmModified, Bracket::Figure18},
-      {kAlgorithmCombined, Bracket::Secant},
-      {kAlgorithmInterpolation, Bracket::Secant},
-      {kAlgorithmBounded, Bracket::Secant}};
-  for (const auto& [id, start] : defaults) {
-    EXPECT_EQ(partitioner_registry().find(id)->bracket, start) << id;
-    EXPECT_EQ(bracket_for(parse_policy(id, {}), id), start) << id;
-    for (const Bracket value : {Bracket::Figure18, Bracket::Secant}) {
-      const std::string name =
-          value == Bracket::Secant ? "secant" : "figure18";
-      const std::vector<std::string> tokens{"bracket", name};
-      const PartitionPolicy policy = parse_policy(id, tokens);
-      ASSERT_TRUE(policy.bracket.has_value()) << id;
-      EXPECT_EQ(*policy.bracket, value) << id;
-      EXPECT_EQ(bracket_for(policy, id), value) << id;
-      const std::string text = format_policy(policy);
-      EXPECT_EQ(text, value == start ? id : id + " bracket " + name);
-      // The printed text parses back to the same effective start.
-      std::vector<std::string> back;
-      for (std::size_t at = text.find(' '); at != std::string::npos;) {
-        const std::size_t next = text.find(' ', at + 1);
-        back.push_back(text.substr(at + 1, next - at - 1));
-        at = next;
-      }
-      EXPECT_EQ(bracket_for(parse_policy(id, back), id), value) << text;
-    }
-  }
-  EXPECT_EQ(PartitionCache::make_key(42, 1000, PartitionPolicy{}),
-            PartitionCache::make_key(
-                42, 1000, PartitionPolicy{.bracket = Bracket::Secant}));
-  EXPECT_NE(PartitionCache::make_key(42, 1000, PartitionPolicy{}),
-            PartitionCache::make_key(
-                42, 1000, PartitionPolicy{.bracket = Bracket::Figure18}));
-}
-
 TEST(PolicyGrammar, CacheKeysKeepEveryDigit) {
   // Two margins that agree to 6 significant digits are different
   // policies and must not share a server cache entry.
@@ -333,13 +343,15 @@ TEST(PolicyGrammar, RejectsMalformedInput) {
   const std::vector<std::string> trailing_junk{"max_iterations", "3x"};
   EXPECT_THROW(parse_policy(kAlgorithmModified, trailing_junk),
                std::invalid_argument);
-  for (const char* start : {"bogus", "Secant", "figure-18", "1", ""}) {
-    const std::vector<std::string> tokens{"bracket", start};
+  // The cold start is fixed per algorithm; no id takes a bracket key.
+  for (const std::string& id : partitioner_registry().ids()) {
+    const std::vector<std::string> tokens{"bracket", "figure18"};
     try {
-      parse_policy(kAlgorithmBasic, tokens);
-      ADD_FAILURE() << "bracket '" << start << "' was accepted";
+      parse_policy(id, tokens);
+      ADD_FAILURE() << id << " accepted the bracket key";
     } catch (const std::invalid_argument& err) {
-      EXPECT_NE(std::string(err.what()).find("bracket"), std::string::npos)
+      EXPECT_NE(std::string(err.what()).find("has no key 'bracket'"),
+                std::string::npos)
           << err.what();
     }
   }

@@ -176,8 +176,8 @@ TEST(BracketStart, DistributionsBitIdenticalAcrossAlgorithmsAndStarts) {
 
   const auto solve = [](const Case& c, const std::string& id,
                         Bracket start) {
-    PartitionPolicy policy{.algorithm = id, .bracket = start};
-    return partition(c.list, c.n, policy).distribution.counts;
+    return partition_from(start, c.list, c.n, {.algorithm = id})
+        .distribution.counts;
   };
   const auto capacity = [](const SpeedList& list) {
     double total = 0.0;
