@@ -131,7 +131,8 @@ PartitionServer::PartitionServer(ServerOptions options)
           obs::metrics().counter(obs::names::kServerCacheHits),
           obs::metrics().counter(obs::names::kServerCacheMisses),
           obs::metrics().counter(obs::names::kServerCacheEvictions),
-          obs::metrics().gauge(obs::names::kServerSloQueueDelayMicros)},
+          obs::metrics().gauge(obs::names::kServerSloQueueDelayMicros),
+          obs::metrics().histogram(obs::names::kServerSloDegradeSeconds)},
       warm_start_(options.warm_start),
       max_queue_depth_(options.max_queue_depth),
       estimator_(kEwmaAlpha),
@@ -244,9 +245,11 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
     });
   }
   std::optional<DegradedAnswer> answer;
-  if (prev)
+  if (prev) {
+    obs::TimerSpan span(metrics_.slo_degrade);
     answer = degraded_answer(request.speeds, request.n, prev->counts,
                              prev->hint.n);
+  }
   if (answer) {
     outcome.status = ServeStatus::Degraded;
     outcome.result.distribution = std::move(answer->distribution);

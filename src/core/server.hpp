@@ -348,6 +348,7 @@ class PartitionServer {
     obs::Counter& misses;
     obs::Counter& evictions;
     obs::Gauge& slo_queue_delay_us;
+    obs::Histogram& slo_degrade;
   };
 
   /// The per-server tallies, each mirrored by one registry counter (which

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <numeric>
 #include <vector>
+
+#include "core/compiled.hpp"
 
 namespace fpm::core {
 
@@ -54,14 +57,22 @@ const char* to_string(ShedReason reason) noexcept {
 
 namespace {
 
-/// Log-space refinement steps tightening the makespan lower bound. Six
-/// halvings shrink the bracket's log-width by 64x, which in practice puts
-/// c_hi within a percent of the optimal slope at a cost of 6p solves.
-constexpr int kBoundRefineSteps = 6;
-/// Geometric-expansion cap for the initial upper slope; 1/makespan is
-/// already a lower bound on c*, so a few doublings always suffice for any
-/// model whose total size is not pathologically flat in the slope.
-constexpr int kBoundExpandSteps = 200;
+/// Log-width the certificate's bracket must close to, ln2/64 (six halvings
+/// of an octave): the certified slope is then at most 2^(1/64) times the
+/// continuous optimum.
+constexpr double kBoundBracket = std::numbers::ln2 / 64.0;
+/// Secant probes aim this far past their root estimate, on the far side
+/// from the last probe, so an accurate estimate closes the bracket with
+/// the next probe (two aimed probes straddle the root within one width).
+constexpr double kAim = 0.48 * kBoundBracket;
+/// Probes after which the search stops aiming and bisects in log space
+/// (doubles, while no line with total <= n is known). Every ensemble and
+/// synthetic fleet measured settles within six probes (tests/test_slo.cpp
+/// pins the mean and the maximum), so this only bounds pathological curves.
+constexpr int kSecantProbes = 8;
+/// Hard cap on certificate lines; reachable only without a free steep line
+/// (some count is zero) on a total that never drops to n.
+constexpr int kMaxProbes = 200;
 
 /// 128-bit intermediate for the exact prev_i * n rescale products.
 __extension__ using int128 = __int128;
@@ -103,38 +114,87 @@ std::optional<DegradedAnswer> degraded_answer(
   for (std::int64_t j = 0; j < leftover; ++j)
     ++out.distribution.counts[remainders[static_cast<std::size_t>(j)].second];
 
-  out.makespan = makespan(speeds, out.distribution);
+  // One pass over the answer: its makespan (the same loop as makespan(),
+  // so bit-identical to it), its fastest processor's time, and the speed
+  // sum the first probe is aimed with.
+  double slowest = 0.0;
+  double fastest = std::numeric_limits<double>::infinity();
+  double speed_sum = 0.0;
+  bool every_timed = true;
+  for (std::size_t i = 0; i < p; ++i) {
+    const auto x = static_cast<double>(out.distribution.counts[i]);
+    if (x <= 0.0) {
+      every_timed = false;
+      continue;
+    }
+    const double s = speeds[i]->speed(x);
+    const double t = x / s;
+    slowest = std::max(slowest, t);
+    if (t > 0.0)
+      fastest = std::min(fastest, t);
+    else
+      every_timed = false;  // NaN speed: no certificate from this answer
+    speed_sum += s;
+  }
+  out.makespan = slowest;
   if (!std::isfinite(out.makespan) || out.makespan <= 0.0)
     return std::nullopt;
 
   // Lower bound on the exact optimum: any feasible allocation of n elements
   // has makespan >= 1/c for every slope c with total_size_at(c) <= n
   // (single-crossing: time_i <= T puts every point on or above the slope-
-  // 1/T line, so n = sum counts <= total_size_at(1/T)). The degraded
-  // answer itself certifies total_size_at(1/makespan) >= n, so expand
-  // geometrically from there until the total drops to n, then bisect in
-  // log space to tighten.
+  // 1/T line, so n = sum counts <= total_size_at(1/T)). Two such lines are
+  // free. The answer's own line 1/M has total >= n. The line through its
+  // fastest processor, 1/t_min, has total <= n when every count is
+  // positive: a processor's time grows with its size, so an allocation
+  // finishing before t_min gives each processor fewer elements than it has
+  // now, fewer than n in all. Between them the search runs a log-space
+  // secant on ln total(c) - ln n, opened at the mean-speed line
+  // sum_i s_i(x_i) / n (exact for constant speeds), until the bracket's
+  // log-width is at most kBoundBracket. The model list is compiled only
+  // when a line has to be solved.
   const double nd = static_cast<double>(n);
-  double c_lo = 1.0 / out.makespan;  // total >= n here
-  double c_hi = c_lo;
-  bool bracketed = false;
-  for (int i = 0; i < kBoundExpandSteps; ++i) {
-    c_hi *= 2.0;
-    if (!std::isfinite(c_hi)) return std::nullopt;
-    if (total_size_at(speeds, c_hi) <= nd) {
-      bracketed = true;
-      break;
-    }
-    c_lo = c_hi;
+  double lo = -std::log(out.makespan);  // ln c with total >= n
+  double hi = std::numeric_limits<double>::infinity();  // ln c, total <= n
+  double c_hi = hi;
+  if (every_timed) {
+    hi = -std::log(fastest);
+    c_hi = 1.0 / fastest;
   }
-  if (!bracketed) return std::nullopt;
-  for (int i = 0; i < kBoundRefineSteps; ++i) {
-    const double mid = std::sqrt(c_lo * c_hi);
-    if (!(mid > c_lo && mid < c_hi)) break;
-    if (total_size_at(speeds, mid) <= nd)
-      c_hi = mid;
+  std::optional<CompiledSpeedList> compiled;
+  double u = std::log(speed_sum / nd);  // the next probe, ln c
+  double prev_u = std::numeric_limits<double>::quiet_NaN();
+  double prev_g = prev_u;
+  for (int probe = 0; hi - lo > kBoundBracket; ++probe) {
+    if (probe == kMaxProbes) return std::nullopt;
+    if (probe >= kSecantProbes || !(u > lo && u < hi))
+      u = std::isfinite(hi) ? 0.5 * (lo + hi) : lo + std::numbers::ln2;
+    const double c = std::exp(u);
+    if (!(c > 0.0) || !std::isfinite(c)) return std::nullopt;
+    if (!compiled) compiled.emplace(CompiledSpeedList::compile(speeds));
+    const double total = total_size_at(*compiled, c, nullptr);
+    const bool steep = total <= nd;  // one-sided: NaN counts as shallow
+    if (steep) {
+      hi = u;
+      c_hi = c;
+    } else {
+      lo = u;
+    }
+    // Root estimate: the secant through the last two probes, or slope -1
+    // (constant speeds) after the first. Aim past it, snapping to a bracket
+    // end when the root lies within one width of it.
+    const double g = std::log(total / nd);
+    double slope = (g - prev_g) / (u - prev_u);
+    if (!(slope < 0.0) || !std::isfinite(slope)) slope = -1.0;
+    const double root = u - g / slope;
+    prev_u = u;
+    prev_g = g;
+    if (root - lo <= 2.0 * kAim)
+      u = lo + 2.0 * kAim;
+    else if (hi - root <= 2.0 * kAim)
+      u = hi - 2.0 * kAim;
     else
-      c_lo = mid;
+      u = steep ? root - kAim : root + kAim;
   }
   // makespan >= 1/c_hi would make the bound negative only through floating
   // noise; clamp at zero (the answer cannot beat the certified optimum).

@@ -115,11 +115,14 @@ struct DegradedAnswer {
 /// assumption (x·c - s(x) strictly increasing in x): any feasible integer
 /// allocation of n elements has makespan at least 1/c for every slope c
 /// with total_size_at(speeds, c) <= n. The construction finds such a
-/// slope c_hi close to the optimal c* by geometric expansion from the
-/// degraded answer's own implied slope plus a few log-space bisection
-/// steps, and reports
+/// slope c_hi within a factor 2^(1/64) of the optimal c*, and reports
 ///     error_bound = makespan(degraded) * c_hi - 1  >=  true relative error
-/// at a cost of O(p) intersection solves — far below a cold search.
+/// The answer brackets c* for free: its own line 1/makespan has total
+/// >= n, and, when every count is positive, the line through its fastest
+/// processor has total <= n. A log-space secant on the compiled models
+/// closes the bracket, usually in zero to two intersect_all sweeps (none,
+/// and no compilation, when the rescaled answer is already balanced to
+/// within 2^(1/64)).
 std::optional<DegradedAnswer> degraded_answer(
     const SpeedList& speeds, std::int64_t n,
     std::span<const std::int64_t> prev_counts, std::int64_t prev_n);

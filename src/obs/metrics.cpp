@@ -295,7 +295,7 @@ MetricsRegistry& metrics() {
 }
 
 std::span<const MetricInfo> metric_catalogue() {
-  static constexpr std::array<MetricInfo, 38> kCatalogue{{
+  static constexpr std::array<MetricInfo, 39> kCatalogue{{
       {"partition.invocations.<algorithm>", "counter",
        "core::partition() calls per registry algorithm (the paper's "
        "basic/modified/combined family, Figs. 7-15)"},
@@ -386,6 +386,9 @@ std::span<const MetricInfo> metric_catalogue() {
       {names::kServerSloQueueDelayMicros, "gauge",
        "latest admission-time queue-delay estimate (EWMA service time x "
        "queue depth ahead / workers), microseconds"},
+      {names::kServerSloDegradeSeconds, "histogram",
+       "degraded_answer() wall time per degraded request: the rescale plus "
+       "its error-bound certificate, paid by the thread that sheds"},
       {names::kRebalanceRounds, "counter",
        "Rebalancer::step calls — iterations observed under fluctuating "
        "load (paper Fig. 2 performance bands)"},

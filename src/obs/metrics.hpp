@@ -265,6 +265,10 @@ inline constexpr const char* kServerSloDeadlineMisses =
     "server.slo.deadline_misses";
 inline constexpr const char* kServerSloQueueDelayMicros =
     "server.slo.queue_delay_us";
+// Wall time of each degraded_answer() the server builds for a request it
+// will not solve (rescale plus error-bound certificate).
+inline constexpr const char* kServerSloDegradeSeconds =
+    "server.slo.degrade_seconds";
 // balance::Rebalancer.
 inline constexpr const char* kRebalanceRounds = "rebalance.rounds";
 inline constexpr const char* kRebalanceRepartitions =

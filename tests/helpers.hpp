@@ -34,26 +34,34 @@ struct Ensemble {
 /// does not know this type, so it classifies each entry as Generic, and a
 /// search over a wrapped list runs on the wrapped models' own virtual
 /// speed() and intersect() — the reference the compiled families must
-/// match bit for bit in scalar mode.
+/// match bit for bit in scalar mode. When `intersects` is given, every
+/// intersect() call increments it (not thread-safe: keep lists below
+/// parallel_intersect_threshold()).
 class VirtualOnly final : public core::SpeedFunction {
  public:
-  explicit VirtualOnly(const core::SpeedFunction& base) : base_(&base) {}
+  explicit VirtualOnly(const core::SpeedFunction& base,
+                       std::int64_t* intersects = nullptr)
+      : base_(&base), intersects_(intersects) {}
   double speed(double x) const override { return base_->speed(x); }
   double max_size() const override { return base_->max_size(); }
   double intersect(double slope) const override {
+    if (intersects_ != nullptr) ++*intersects_;
     return base_->intersect(slope);
   }
 
  private:
   const core::SpeedFunction* base_;
+  std::int64_t* intersects_;
 };
 
-/// A list's models, each wrapped in VirtualOnly. `list` must outlive the
-/// result's list().
+/// A list's models, each wrapped in VirtualOnly (counting into
+/// `intersects` when given). `list` must outlive the result's list().
 struct VirtualOnlyList {
-  explicit VirtualOnlyList(const core::SpeedList& list) {
+  explicit VirtualOnlyList(const core::SpeedList& list,
+                           std::int64_t* intersects = nullptr) {
     wrapped.reserve(list.size());
-    for (const core::SpeedFunction* f : list) wrapped.emplace_back(*f);
+    for (const core::SpeedFunction* f : list)
+      wrapped.emplace_back(*f, intersects);
   }
   core::SpeedList list() const {
     core::SpeedList l;

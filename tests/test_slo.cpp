@@ -9,13 +9,16 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "core/server.hpp"
 #include "core/slo.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace fpm {
 namespace {
@@ -100,6 +103,93 @@ TEST(DegradedAnswer, BoundDominatesTrueErrorAcrossRegistry) {
   EXPECT_GE(checked, 50);
 }
 
+/// The certificate corpus: every ensemble at p = 4 over the scales of
+/// BoundDominatesTrueErrorAcrossRegistry, plus p = 64 synthetic fleets at
+/// the drifts a server sees (1 + 1/64, +25%, -20%).
+struct CertificateCase {
+  std::string name;
+  core::SpeedList list;
+  std::int64_t prev_n, n;
+};
+
+std::vector<CertificateCase> certificate_cases(
+    const std::vector<test::Ensemble>& ensembles,
+    const std::vector<core::SyntheticFleet>& fleets) {
+  const std::vector<std::pair<std::int64_t, std::int64_t>> scales = {
+      {100000, 100000}, {100000, 93000},  {100000, 140000},
+      {100000, 10000},  {50000, 400000},  {300000, 17}};
+  std::vector<CertificateCase> cases;
+  for (const test::Ensemble& e : ensembles)
+    for (const auto& [prev_n, n] : scales)
+      cases.push_back({e.name, e.list(), prev_n, n});
+  for (std::size_t k = 0; k < fleets.size(); ++k) {
+    const std::int64_t prev_n = 1'000'000 + 7919 * static_cast<std::int64_t>(k);
+    for (const double drift : {1.0 + 1.0 / 64.0, 1.25, 0.8})
+      cases.push_back({"fleet" + std::to_string(k), fleets[k].list(), prev_n,
+                       static_cast<std::int64_t>(
+                           std::llround(static_cast<double>(prev_n) * drift))});
+  }
+  return cases;
+}
+
+std::vector<core::SyntheticFleet> certificate_fleets() {
+  std::vector<core::SyntheticFleet> fleets;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed)
+    fleets.push_back(core::make_synthetic_fleet(64, seed));
+  return fleets;
+}
+
+// The certificate solves few lines: the answer's own line and the line
+// through its fastest processor bracket the optimum for free, and a secant
+// closes the bracket. The doubling-plus-six-bisections rule it replaces
+// read a mean of seven sweeps on this corpus and a maximum of fourteen.
+TEST(DegradedAnswer, CertificateTakesFewSweeps) {
+  const std::vector<test::Ensemble> ensembles = test::all_ensembles(4);
+  const std::vector<core::SyntheticFleet> fleets = certificate_fleets();
+  std::int64_t calls = 0;
+  double sweeps_sum = 0.0;
+  double sweeps_max = 0.0;
+  int answers = 0;
+  for (const CertificateCase& c : certificate_cases(ensembles, fleets)) {
+    // Every entry compiles to Generic, so each line the certificate solves
+    // costs exactly one counted intersect() per processor.
+    const test::VirtualOnlyList wrapped(c.list, &calls);
+    const core::SpeedList counted = wrapped.list();
+    const core::PartitionResult prev = core::partition(counted, c.prev_n);
+    calls = 0;
+    const auto ans = core::degraded_answer(counted, c.n,
+                                           prev.distribution.counts, c.prev_n);
+    ASSERT_TRUE(ans.has_value()) << c.name << " n=" << c.n;
+    const double sweeps = static_cast<double>(calls) /
+                          static_cast<double>(counted.size());
+    EXPECT_EQ(sweeps, std::floor(sweeps)) << "partial sweep: " << c.name;
+    sweeps_sum += sweeps;
+    sweeps_max = std::max(sweeps_max, sweeps);
+    ++answers;
+  }
+  ASSERT_GT(answers, 100);
+  EXPECT_LE(sweeps_sum / answers, 5.0);
+  EXPECT_LE(sweeps_max, 8.0);
+}
+
+// The bound is never looser than the old rule's: the certified slope lies
+// within 2^(1/64) of the continuous optimum c*. The exact solve's final
+// slope f has total <= n, so f >= c*, and M*f*2^(1/64) - 1 caps the bound.
+TEST(DegradedAnswer, BoundNoLooserThanTheOldBracket) {
+  const std::vector<test::Ensemble> ensembles = test::all_ensembles(4);
+  const std::vector<core::SyntheticFleet> fleets = certificate_fleets();
+  const double octave64 = std::pow(2.0, 1.0 / 64.0);
+  for (const CertificateCase& c : certificate_cases(ensembles, fleets)) {
+    const core::PartitionResult prev = core::partition(c.list, c.prev_n);
+    const auto ans = core::degraded_answer(c.list, c.n,
+                                           prev.distribution.counts, c.prev_n);
+    ASSERT_TRUE(ans.has_value()) << c.name << " n=" << c.n;
+    const double f = core::partition(c.list, c.n).stats.final_slope;
+    EXPECT_LE(ans->error_bound, ans->makespan * f * octave64 - 1.0 + 1e-9)
+        << c.name << " prev_n=" << c.prev_n << " n=" << c.n;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // QueueDelayEstimator
 // ---------------------------------------------------------------------------
@@ -176,6 +266,31 @@ TEST(ServeSlo, ImpossibleDeadlineDegradesFromHintStore) {
   EXPECT_LE(degraded, exact * (1.0 + r.error_bound) + 1e-9);
   const core::SloStats s = expect_invariant(server);
   EXPECT_EQ(s.degraded, 1);
+}
+
+// The server times every degraded answer it builds, and the timing leaves
+// the answer as degraded_answer() builds it.
+TEST(ServeSlo, DegradedAnswerIsTimed) {
+  const test::Ensemble e = test::mixed_ensemble();
+  const core::SpeedList list = e.list();
+  core::PartitionServer server({.threads = 1});
+  server.serve(list, 200000);
+  for (int i = 0; i < 5; ++i)
+    (void)server.serve_slo(list, 201000 + 1000 * i, {}, {60.0});
+  const core::PartitionResult last = server.serve(list, 206000);
+  obs::Histogram& degrade =
+      obs::metrics().histogram(obs::names::kServerSloDegradeSeconds);
+  const std::int64_t before = degrade.snapshot().count;
+  core::Slo tight;
+  tight.deadline_s = 1e-9;
+  const core::ServeResult r = server.serve_slo(list, 250000, {}, tight);
+  ASSERT_EQ(r.status, core::ServeStatus::Degraded);
+  EXPECT_EQ(degrade.snapshot().count, before + 1);
+  const auto direct =
+      core::degraded_answer(list, 250000, last.distribution.counts, 206000);
+  ASSERT_TRUE(direct.has_value());
+  EXPECT_EQ(r.result.distribution.counts, direct->distribution.counts);
+  EXPECT_EQ(r.error_bound, direct->error_bound);
 }
 
 TEST(ServeSlo, DegradationConsentRefusedMeansShed) {
