@@ -69,15 +69,7 @@ PartitionResult detail::bounded_from(Bracket start, const SpeedList& speeds,
       inner.hint.reset();
       first_round = false;
     }
-    result.stats.iterations += sub_result.stats.iterations;
-    result.stats.intersections += sub_result.stats.intersections;
-    result.stats.speed_evals += sub_result.stats.speed_evals;
-    result.stats.intersect_solves += sub_result.stats.intersect_solves;
-    result.stats.search_speed_evals += sub_result.stats.search_speed_evals;
-    result.stats.search_intersect_solves +=
-        sub_result.stats.search_intersect_solves;
-    result.stats.bracket_saturations += sub_result.stats.bracket_saturations;
-    result.stats.warm_probes += sub_result.stats.warm_probes;
+    add_counters(result.stats, sub_result.stats);
     result.stats.final_slope = sub_result.stats.final_slope;
     result.stats.switched_to_modified |= sub_result.stats.switched_to_modified;
 

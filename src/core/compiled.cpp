@@ -160,7 +160,7 @@ inline void init_backend_once() noexcept {
 }
 
 /// The vector kernel table the sweeps should use right now, or nullptr
-/// for the bit-exact scalar batch path.
+/// for the bit-exact per-entry path.
 inline const detail::simd::SimdKernels* active_kernels() noexcept {
   init_backend_once();
   return g_kernels.load(std::memory_order_relaxed);
@@ -704,7 +704,7 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   // by duplicating the last real element: whichever backend the runtime
   // dispatch picks then streams whole registers with the pad slots
   // computing harmless in-domain values that are never scattered (idx
-  // keeps the real count, and the scalar batch kernels loop over it).
+  // keeps the real count, and the per-entry path loops over it).
   const auto pad = [](auto& col, std::size_t padded) {
     if (!col.empty()) col.resize(padded, col.back());
   };
@@ -884,16 +884,15 @@ double CompiledSpeedList::intersect(std::size_t i, double slope) const {
 
 /// One batch task of intersect_all: a closed-form lane (lane 0..3, with its
 /// BatchLane), an iterative lane (4=unimodal with its BatchLane, 5=stepped
-/// with the SteppedLane) or the per-entry fallback list (lane 6). `count`
-/// is the real (unpadded) element count; chunks address element ranges.
+/// with the SteppedLane) or the per-entry fallback list (lane 6). `idx`
+/// holds the lane's real (unpadded) entries; chunks address ranges of it.
 struct CompiledSpeedList::LaneSweep {
   int lane = 0;  ///< 0=constant 1=linear 2=power 3=exp 4=unimodal 5=stepped
                  ///< 6=other
+  const std::vector<std::uint32_t>* idx = nullptr;
   const BatchLane* bl = nullptr;
   const SteppedLane* sl = nullptr;
-  const std::vector<std::uint32_t>* other = nullptr;
-  const detail::simd::SimdKernels* kern = nullptr;  ///< null => scalar batch
-  std::size_t count = 0;
+  const detail::simd::SimdKernels* kern = nullptr;  ///< null => per entry
 };
 
 namespace {
@@ -928,35 +927,47 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
                                              std::size_t end, double slope,
                                              std::span<double> out,
                                              std::int64_t& scalar_fixups) const {
-  if (sweep.lane == 6) {
-    for (std::size_t j = begin; j < end; ++j) {
-      const std::uint32_t i = (*sweep.other)[j];
-      out[i] = entry_intersect(entries_[i], slope);
-    }
+  const std::vector<std::uint32_t>& idx = *sweep.idx;
+  if (sweep.kern == nullptr || sweep.lane == 6) {
+    // Scalar mode and the unbatched list: the per-entry solve, the one
+    // exact solve every vector lane is checked against.
+    for (std::size_t j = begin; j < end; ++j)
+      out[idx[j]] = entry_intersect(entries_[idx[j]], slope);
     return;
   }
+  // Vector path: the kernel fills a dense on-stack block (begin is always a
+  // multiple of the backend width — chunks step by kLaneChunk — and reading
+  // up to the width-padded length stays inside the column because storage
+  // is padded to kMaxLanes and only the final chunk has a ragged end).
   const std::size_t m = end - begin;
-  if (sweep.lane >= 4) {
-    // Iterative lanes. These families have no scalar *batch* kernel, so
-    // scalar mode is the per-entry generic bisection — bit-identical to
-    // the pre-lane behaviour, where these entries sat in batch_other_.
-    const std::vector<std::uint32_t>& idx =
-        sweep.lane == 4 ? sweep.bl->idx : sweep.sl->idx;
-    if (sweep.kern == nullptr) {
-      for (std::size_t j = begin; j < end; ++j)
-        out[idx[j]] = entry_intersect(entries_[idx[j]], slope);
-      return;
-    }
-    assert(begin % sweep.kern->width == 0 && m <= kLaneChunk);
-    alignas(64) double block[kLaneChunk];
-    const std::size_t mpad = detail::simd::padded_size(m, sweep.kern->width);
-    if (sweep.lane == 4) {
-      const BatchLane& bl = *sweep.bl;
-      sweep.kern->unimodal_batch(bl.a.data() + begin, bl.b.data() + begin,
-                                 bl.c.data() + begin, bl.d.data() + begin,
-                                 bl.e.data() + begin, bl.f.data() + begin,
+  assert(begin % sweep.kern->width == 0 && m <= kLaneChunk);
+  alignas(64) double block[kLaneChunk];
+  const std::size_t mpad = detail::simd::padded_size(m, sweep.kern->width);
+  const BatchLane* bl = sweep.bl;  // null for the stepped lane
+  switch (sweep.lane) {
+    case 0:
+      sweep.kern->constant_batch(bl->a.data() + begin, mpad, slope, block);
+      break;
+    case 1:
+      sweep.kern->linear_batch(bl->a.data() + begin, bl->b.data() + begin,
+                               bl->c.data() + begin, mpad, slope, block);
+      break;
+    case 2:
+      sweep.kern->power_batch(bl->a.data() + begin, bl->b.data() + begin,
+                              bl->c.data() + begin, bl->d.data() + begin, mpad,
+                              slope, block);
+      break;
+    case 3:
+      sweep.kern->exp_batch(bl->a.data() + begin, bl->b.data() + begin, mpad,
+                            slope, block);
+      break;
+    case 4:
+      sweep.kern->unimodal_batch(bl->a.data() + begin, bl->b.data() + begin,
+                                 bl->c.data() + begin, bl->d.data() + begin,
+                                 bl->e.data() + begin, bl->f.data() + begin,
                                  mpad, slope, block);
-    } else {
+      break;
+    default: {
       // The slot-major slabs share the entry indexing of a/f, so offsetting
       // every slab pointer by `begin` (keeping the full-lane stride) lands
       // slot s of chunk element j at [s·stride + begin + j] as laid out.
@@ -965,98 +976,27 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
                                 sl.at.data() + begin, sl.ratio.data() + begin,
                                 sl.width.data() + begin, mpad, sl.stride,
                                 sl.nslots, slope, block);
+      break;
     }
-    for (std::size_t j = 0; j < m; ++j) {
-      double x = block[j];
-      if (std::isnan(x)) {
-        // Crossing at/beyond max_size (or a stepped lane past its
-        // iteration cap): rerun the scalar bisection so the bracket
-        // expansion and its saturation tally happen exactly as on the
-        // per-entry path.
-        x = entry_intersect(entries_[idx[begin + j]], slope);
-        ++scalar_fixups;
-      }
-      out[idx[begin + j]] = x;
-    }
-    return;
-  }
-  const BatchLane& bl = *sweep.bl;
-  if (sweep.kern == nullptr) {
-    // Bit-exact scalar batch kernels over the chunk's sub-columns (the
-    // kernels loop over idx.size(), so padding never enters).
-    const std::span<const std::uint32_t> idx(bl.idx.data() + begin, m);
-    switch (sweep.lane) {
-      case 0:
-        detail::constant_intersect_batch(idx, {bl.a.data() + begin, m}, slope,
-                                         out);
-        break;
-      case 1:
-        detail::linear_decay_intersect_batch(idx, {bl.a.data() + begin, m},
-                                             {bl.b.data() + begin, m},
-                                             {bl.c.data() + begin, m}, slope,
-                                             out);
-        break;
-      case 2:
-        detail::power_decay_intersect_batch(
-            idx, {bl.a.data() + begin, m}, {bl.b.data() + begin, m},
-            {bl.c.data() + begin, m}, {bl.d.data() + begin, m}, slope, out);
-        break;
-      default:
-        detail::exp_decay_intersect_batch(idx, {bl.a.data() + begin, m},
-                                          {bl.b.data() + begin, m},
-                                          {bl.d.data() + begin, m}, slope,
-                                          out);
-        break;
-    }
-    return;
-  }
-  // Vector path: the kernel fills a dense on-stack block (begin is always a
-  // multiple of the backend width — chunks step by kLaneChunk — and reading
-  // up to the width-padded length stays inside the column because storage
-  // is padded to kMaxLanes and only the final chunk has a ragged end). NaN
-  // slots are the kernels' punt sentinel: recompute those with the exact
-  // scalar kernel, then scatter through idx.
-  assert(begin % sweep.kern->width == 0 && m <= kLaneChunk);
-  alignas(64) double block[kLaneChunk];
-  const std::size_t mpad = detail::simd::padded_size(m, sweep.kern->width);
-  switch (sweep.lane) {
-    case 0:
-      sweep.kern->constant_batch(bl.a.data() + begin, mpad, slope, block);
-      break;
-    case 1:
-      sweep.kern->linear_batch(bl.a.data() + begin, bl.b.data() + begin,
-                               bl.c.data() + begin, mpad, slope, block);
-      break;
-    case 2:
-      sweep.kern->power_batch(bl.a.data() + begin, bl.b.data() + begin,
-                              bl.c.data() + begin, bl.d.data() + begin, mpad,
-                              slope, block);
-      break;
-    default:
-      sweep.kern->exp_batch(bl.a.data() + begin, bl.b.data() + begin, mpad,
-                            slope, block);
-      break;
   }
   if (sweep.lane <= 1) {
     // Constant/linear kernels never punt (pure IEEE arithmetic, no NaN
     // sentinels), so scatter without the fixup scan — the scan otherwise
     // costs as much as the division-bound kernels themselves.
-    for (std::size_t j = 0; j < m; ++j) out[bl.idx[begin + j]] = block[j];
+    for (std::size_t j = 0; j < m; ++j) out[idx[begin + j]] = block[j];
     return;
   }
   for (std::size_t j = 0; j < m; ++j) {
     double x = block[j];
     if (std::isnan(x)) {
-      const std::size_t s = begin + j;
-      if (sweep.lane == 2) {
-        x = detail::power_decay_intersect(bl.a[s], bl.b[s], bl.c[s], bl.d[s],
-                                          slope);
-      } else {
-        x = detail::exp_decay_intersect(bl.a[s], bl.b[s], bl.d[s], slope);
-      }
+      // NaN is the kernels' punt sentinel (a decision boundary, a crossing
+      // at/beyond max_size, a stepped solve past its iteration cap): rerun
+      // the per-entry solve, so the bracket expansion and its saturation
+      // tally happen exactly as in scalar mode.
+      x = entry_intersect(entries_[idx[begin + j]], slope);
       ++scalar_fixups;
     }
-    out[bl.idx[begin + j]] = x;
+    out[idx[begin + j]] = x;
   }
 }
 
@@ -1067,22 +1007,17 @@ void CompiledSpeedList::intersect_all(double slope,
 
   LaneSweep sweeps[7];
   std::size_t nsweeps = 0;
-  const auto add_lane = [&](int lane, const BatchLane& bl) {
-    if (!bl.empty())
-      sweeps[nsweeps++] =
-          LaneSweep{lane, &bl, nullptr, nullptr, kern, bl.idx.size()};
+  const auto add_lane = [&](int lane, const std::vector<std::uint32_t>& idx,
+                            const BatchLane* bl, const SteppedLane* sl) {
+    if (!idx.empty()) sweeps[nsweeps++] = LaneSweep{lane, &idx, bl, sl, kern};
   };
-  add_lane(0, lane_constant_);
-  add_lane(1, lane_linear_);
-  add_lane(2, lane_power_);
-  add_lane(3, lane_exp_);
-  add_lane(4, lane_unimodal_);
-  if (!lane_stepped_.empty())
-    sweeps[nsweeps++] = LaneSweep{5,    nullptr, &lane_stepped_,
-                                  nullptr, kern, lane_stepped_.idx.size()};
-  if (!batch_other_.empty())
-    sweeps[nsweeps++] = LaneSweep{6,    nullptr, nullptr,
-                                  &batch_other_, kern, batch_other_.size()};
+  add_lane(0, lane_constant_.idx, &lane_constant_, nullptr);
+  add_lane(1, lane_linear_.idx, &lane_linear_, nullptr);
+  add_lane(2, lane_power_.idx, &lane_power_, nullptr);
+  add_lane(3, lane_exp_.idx, &lane_exp_, nullptr);
+  add_lane(4, lane_unimodal_.idx, &lane_unimodal_, nullptr);
+  add_lane(5, lane_stepped_.idx, nullptr, &lane_stepped_);
+  add_lane(6, batch_other_, nullptr, nullptr);
 
   std::int64_t fixups = 0;
   bool split = false;
@@ -1094,10 +1029,11 @@ void CompiledSpeedList::intersect_all(double slope,
     };
     std::vector<Task> tasks;
     tasks.reserve(entries_.size() / kLaneChunk + nsweeps);
-    for (std::size_t i = 0; i < nsweeps; ++i)
-      for (std::size_t b = 0; b < sweeps[i].count; b += kLaneChunk)
-        tasks.push_back(
-            {&sweeps[i], b, std::min(b + kLaneChunk, sweeps[i].count)});
+    for (std::size_t i = 0; i < nsweeps; ++i) {
+      const std::size_t count = sweeps[i].idx->size();
+      for (std::size_t b = 0; b < count; b += kLaneChunk)
+        tasks.push_back({&sweeps[i], b, std::min(b + kLaneChunk, count)});
+    }
     split = tasks.size() > 1;
     std::atomic<std::int64_t> fix_total{0};
     std::atomic<std::int64_t> sat_total{0};
@@ -1121,10 +1057,10 @@ void CompiledSpeedList::intersect_all(double slope,
     fixups = fix_total.load(std::memory_order_relaxed);
   } else {
     for (std::size_t i = 0; i < nsweeps; ++i) {
-      for (std::size_t b = 0; b < sweeps[i].count; b += kLaneChunk)
-        lane_chunk_intersect(sweeps[i], b,
-                             std::min(b + kLaneChunk, sweeps[i].count), slope,
-                             out, fixups);
+      const std::size_t count = sweeps[i].idx->size();
+      for (std::size_t b = 0; b < count; b += kLaneChunk)
+        lane_chunk_intersect(sweeps[i], b, std::min(b + kLaneChunk, count),
+                             slope, out, fixups);
     }
   }
 

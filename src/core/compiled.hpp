@@ -96,20 +96,20 @@ class CompiledSpeedList {
   double intersect(std::size_t i, double slope) const;
 
   /// Solves slope·x = s_i(x) for every entry in one structure-of-arrays
-  /// pass: the closed-form families (Constant, LinearDecay, PowerDecay,
-  /// ExpDecay, unwrapped) plus parameter-vetted unwrapped Unimodal/Stepped
-  /// entries run out of contiguous parameter lanes built at compile time —
-  /// through the vector kernels (detail/simd.hpp) when a SIMD backend is
-  /// active, the scalar batch kernels / per-entry bisection otherwise — and
-  /// the remaining entries fall back to the per-entry dispatch. out.size()
+  /// pass: when a SIMD backend is active, the closed-form families
+  /// (Constant, LinearDecay, PowerDecay, ExpDecay, unwrapped) plus
+  /// parameter-vetted unwrapped Unimodal/Stepped entries run through the
+  /// vector kernels (detail/simd.hpp) out of contiguous parameter lanes
+  /// built at compile time; every other entry, and every entry in scalar
+  /// mode, takes the per-entry solve of intersect(i, slope). out.size()
   /// must equal size(). In scalar mode (force_simd_backend("off"), or
-  /// FPM_SIMD=OFF) this is bit-identical to calling intersect(i, slope) per
-  /// entry; with SIMD on, Constant/LinearDecay lanes and the piecewise
-  /// scan stay bit-identical while PowerDecay/ExpDecay roots, the Unimodal
-  /// bisection and the Stepped Newton solve may differ by a few ULP from
-  /// the scalar bisection's fixpoint (decision boundaries are punted to
-  /// the exact scalar kernels — see force_simd_backend below and
-  /// docs/performance.md).
+  /// FPM_SIMD=OFF) this is therefore bit-identical to calling
+  /// intersect(i, slope) per entry; with SIMD on, Constant/LinearDecay
+  /// lanes and the piecewise scan stay bit-identical while
+  /// PowerDecay/ExpDecay roots, the Unimodal bisection and the Stepped
+  /// Newton solve may differ by a few ULP from the scalar bisection's
+  /// fixpoint (decision boundaries are punted to the per-entry solve — see
+  /// force_simd_backend below and docs/performance.md).
   void intersect_all(double slope, std::span<double> out) const;
 
   /// Evaluates speed(i, xs[i]) for every entry in one pass — the fine-tune
@@ -187,13 +187,13 @@ class CompiledSpeedList {
   double entry_intersect(const Entry& e, double slope) const;
 
   /// One SoA lane of the batch plan: the destination entry indices plus the
-  /// parameter columns the family's batch kernel consumes. Columns are
+  /// parameter columns the family's vector kernel consumes. Columns are
   /// 64-byte aligned and padded to detail::simd::kMaxLanes — the *widest*
   /// compiled vector width, so the runtime-dispatched backend can stream
   /// whole registers at either width without reading past the pool (pad
   /// slots duplicate the last real element); idx keeps the real entry
-  /// count. The scalar batch kernels simply ignore the padding (they loop
-  /// over idx.size()). e/f are only populated for the unimodal lane
+  /// count, and scalar mode never reads the columns (it solves each idx
+  /// entry on its own). e/f are only populated for the unimodal lane
   /// (d=decay_x0, e=decay_exponent, f=max_size).
   struct BatchLane {
     using Column = std::vector<double, util::AlignedAllocator<double, 64>>;

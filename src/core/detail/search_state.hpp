@@ -241,6 +241,19 @@ PartitionResult run_search(const char* algorithm, Bracket start,
   return result;
 }
 
+/// Adds every work counter of `part`, one inner solve of a composite
+/// partitioner (bounded's rounds, hierarchical's groups), to `total`.
+inline void add_counters(PartitionStats& total, const PartitionStats& part) {
+  total.iterations += part.iterations;
+  total.intersections += part.intersections;
+  total.speed_evals += part.speed_evals;
+  total.intersect_solves += part.intersect_solves;
+  total.search_speed_evals += part.search_speed_evals;
+  total.search_intersect_solves += part.search_intersect_solves;
+  total.bracket_saturations += part.bracket_saturations;
+  total.warm_probes += part.warm_probes;
+}
+
 // The family's searches, held by the registry rows; the public partition_*
 // entry points run them from the row's start.
 SearchFn basic_from, modified_from, combined_from, interpolation_from,

@@ -1,18 +1,19 @@
 // Width-generic SIMD shim under the batched intersect lanes of
 // core/compiled.*.
 //
-// The scalar batch kernels in speed_kernels.hpp walk one lane entry at a
-// time; at p in the thousands the per-line candidate evaluation is the whole
-// solve, so the closed-form lanes, the unimodal bisection lane, the stepped
-// Newton lane, the fine-tune speed sweep, and the piecewise segment scan get
-// a vector path here. The implementation uses GCC/Clang vector extensions
+// Scalar mode solves one entry at a time (CompiledSpeedList's per-entry
+// solve over the kernels in speed_kernels.hpp); at p in the thousands the
+// per-line candidate evaluation is the whole solve, so the closed-form
+// lanes, the unimodal bisection lane, the stepped Newton lane, the
+// fine-tune speed sweep, and the piecewise segment scan get a vector path
+// here. The implementation uses GCC/Clang vector extensions
 // (double __attribute__((vector_size(8·W)))) rather than raw intrinsics or
 // std::experimental::simd: one kernel body (simd_kernels.inc) is compiled
 // once per code-generation variant — portable 4-wide (SSE2, or NEON on
 // AArch64), AVX2+FMA 4-wide, and AVX-512 8-wide under
 // `#pragma GCC target("avx512f,avx512dq")` — and the best supported variant
 // is picked at runtime via __builtin_cpu_supports. The scalar fallback is
-// the pre-existing batch kernels, untouched.
+// the per-entry solve.
 //
 // Numerics contract (identical on every backend): the constant and
 // linear-decay kernels are pure rational arithmetic evaluated in the same
@@ -33,7 +34,7 @@
 // writing a NaN sentinel that the caller resolves (see scalar-fixup
 // handling in compiled.cpp).
 // force_simd_backend("off") (declared in core/compiled.hpp) restores the
-// bit-exact scalar batch path process-wide.
+// bit-exact per-entry path process-wide.
 #pragma once
 
 #include <cstddef>

@@ -25,7 +25,7 @@
 //
 // FPM_SIMD=OFF defines FPM_SIMD_DISABLED and strips every variant: the
 // resolver returns nullptr, the registry is empty, and core/compiled.*
-// stays on the scalar batch kernels of speed_kernels.hpp.
+// solves every entry on its own (the per-entry scalar path).
 
 #include "core/detail/simd.hpp"
 

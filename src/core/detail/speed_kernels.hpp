@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 
 namespace fpm::core::detail {
 
@@ -253,52 +252,6 @@ inline double piecewise_segment_intersect(double x0, double s0, double m,
                                           double seg_hi) {
   const double x = (s0 - m * x0) / (slope - m);
   return std::clamp(x, seg_lo, seg_hi);
-}
-
-// -------------------------------------------------------------------------
-// Batched structure-of-arrays intersect kernels: one pass per closed-form
-// family over contiguous parameter lanes, scattering each crossing to
-// out[idx[j]]. CompiledSpeedList groups its entries into these lanes at
-// compile time, so a whole candidate line is evaluated against all p graphs
-// with four tight loops instead of p switch dispatches. Each element runs
-// the exact scalar kernel above — the batch is a reordering of *entries*,
-// never of the arithmetic within one, so results stay bit-identical to the
-// per-entry path.
-// -------------------------------------------------------------------------
-
-inline void constant_intersect_batch(std::span<const std::uint32_t> idx,
-                                     std::span<const double> a, double slope,
-                                     std::span<double> out) {
-  for (std::size_t j = 0; j < idx.size(); ++j)
-    out[idx[j]] = constant_intersect(a[j], slope);
-}
-
-inline void linear_decay_intersect_batch(std::span<const std::uint32_t> idx,
-                                         std::span<const double> a,
-                                         std::span<const double> b,
-                                         std::span<const double> c,
-                                         double slope, std::span<double> out) {
-  for (std::size_t j = 0; j < idx.size(); ++j)
-    out[idx[j]] = linear_decay_intersect(a[j], b[j], c[j], slope);
-}
-
-inline void power_decay_intersect_batch(std::span<const std::uint32_t> idx,
-                                        std::span<const double> a,
-                                        std::span<const double> b,
-                                        std::span<const double> c,
-                                        std::span<const double> d, double slope,
-                                        std::span<double> out) {
-  for (std::size_t j = 0; j < idx.size(); ++j)
-    out[idx[j]] = power_decay_intersect(a[j], b[j], c[j], d[j], slope);
-}
-
-inline void exp_decay_intersect_batch(std::span<const std::uint32_t> idx,
-                                      std::span<const double> a,
-                                      std::span<const double> b,
-                                      std::span<const double> d, double slope,
-                                      std::span<double> out) {
-  for (std::size_t j = 0; j < idx.size(); ++j)
-    out[idx[j]] = exp_decay_intersect(a[j], b[j], d[j], slope);
 }
 
 }  // namespace fpm::core::detail

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "core/detail/search_state.hpp"
 #include "core/policy.hpp"
 
 namespace fpm::core {
@@ -99,11 +100,7 @@ HierarchicalResult partition_hierarchical(
       continue;
     }
     PartitionResult inner = partition(groups[g], result.group_counts[g], policy);
-    result.stats.iterations += inner.stats.iterations;
-    result.stats.intersections += inner.stats.intersections;
-    result.stats.speed_evals += inner.stats.speed_evals;
-    result.stats.intersect_solves += inner.stats.intersect_solves;
-    result.stats.bracket_saturations += inner.stats.bracket_saturations;
+    detail::add_counters(result.stats, inner.stats);
     result.within.push_back(std::move(inner.distribution));
   }
   return result;

@@ -62,7 +62,10 @@ class AggregateSpeed final : public SpeedFunction {
 struct HierarchicalResult {
   std::vector<std::int64_t> group_counts;            ///< per group, sums to n
   std::vector<Distribution> within;                  ///< per group
-  PartitionStats stats;                              ///< top-level search
+  /// The top-level search's stats, with the work counters (speed_evals,
+  /// intersect_solves, their search-phase portions, ...) summed over every
+  /// inner solve too.
+  PartitionStats stats;
 
   /// Flattened member counts in group-major order.
   std::vector<std::int64_t> flatten() const;

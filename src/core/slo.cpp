@@ -109,10 +109,15 @@ std::optional<DegradedAnswer> degraded_answer(
     assigned += whole;
     remainders.emplace_back(-rem, i);
   }
-  std::sort(remainders.begin(), remainders.end());
-  const std::int64_t leftover = n - assigned;  // < p by construction
-  for (std::int64_t j = 0; j < leftover; ++j)
-    ++out.distribution.counts[remainders[static_cast<std::size_t>(j)].second];
+  // The pairs are unique, so the `leftover` smallest form one set:
+  // selecting it gives the counts a full sort would.
+  const auto leftover = static_cast<std::size_t>(n - assigned);  // < p
+  if (leftover > 0) {
+    const auto nth = remainders.begin() + static_cast<std::ptrdiff_t>(leftover);
+    std::nth_element(remainders.begin(), nth, remainders.end());
+    for (auto it = remainders.begin(); it != nth; ++it)
+      ++out.distribution.counts[it->second];
+  }
 
   // One pass over the answer: its makespan (the same loop as makespan(),
   // so bit-identical to it), its fastest processor's time, and the speed

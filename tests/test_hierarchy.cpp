@@ -8,6 +8,7 @@
 #include "core/hierarchy.hpp"
 #include "core/combined.hpp"
 #include "core/finetune.hpp"
+#include "core/fleetgen.hpp"
 #include "helpers.hpp"
 
 namespace fpm::core {
@@ -119,6 +120,27 @@ TEST(Hierarchical, EmptyShareGroupsGetZeroedDistributions) {
 
 TEST(Hierarchical, RejectsEmptyInput) {
   EXPECT_THROW(partition_hierarchical({}, 10), std::invalid_argument);
+}
+
+TEST(Hierarchical, SearchCountersCoverEveryLevel) {
+  // The stats sum the top-level solve and every group's inner solve, the
+  // search-phase counters included. Fine-tuning solves no lines, so each
+  // solve's line solves are all search-phase, and so is their sum.
+  for (const auto& [p, seed] :
+       {std::pair<std::size_t, std::uint64_t>{8, 1}, {12, 2}}) {
+    const SyntheticFleet fleet = make_synthetic_fleet(p, seed);
+    const SpeedList list = fleet.list();
+    std::vector<SpeedList> groups;
+    for (std::size_t g = 0; g < p; g += 4)
+      groups.emplace_back(list.begin() + static_cast<std::ptrdiff_t>(g),
+                          list.begin() + static_cast<std::ptrdiff_t>(g + 4));
+    const HierarchicalResult r = partition_hierarchical(groups, 10000000);
+    EXPECT_GT(r.stats.intersect_solves, 0) << "p=" << p;
+    EXPECT_EQ(r.stats.search_intersect_solves, r.stats.intersect_solves)
+        << "p=" << p;
+    EXPECT_LE(r.stats.search_speed_evals, r.stats.speed_evals) << "p=" << p;
+    EXPECT_GT(r.stats.search_speed_evals, 0) << "p=" << p;
+  }
 }
 
 TEST(Hierarchical, NestedAggregatesCompose) {

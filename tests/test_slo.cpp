@@ -4,11 +4,13 @@
 // offered == admitted + degraded + shed accounting invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +50,57 @@ TEST(DegradedAnswer, RescalesToExactlyN) {
     EXPECT_EQ(ans->distribution.total(), n);
     EXPECT_GE(ans->error_bound, 0.0);
     EXPECT_TRUE(std::isfinite(ans->error_bound));
+  }
+}
+
+TEST(DegradedAnswer, LeftoverGoesToLargestRemaindersLowerIndexFirst) {
+  // Each processor gets floor(prev_i * n / prev_total); the leftover
+  // elements go to the largest remainders, ties to the lower index.
+  struct Case {
+    std::vector<std::int64_t> prev;
+    std::int64_t n;
+    std::vector<std::int64_t> want;
+  };
+  const std::vector<Case> cases = {
+      {{1, 1, 1}, 4, {2, 1, 1}},              // all tied: lowest index
+      {{3, 2, 1}, 10, {5, 3, 2}},             // remainders 0, 2, 4
+      {{1, 2, 3, 4}, 7, {1, 1, 2, 3}},        // remainders 7, 4, 1, 8
+      {{1, 1, 1, 1, 1}, 9, {2, 2, 2, 2, 1}},  // leftover p - 1
+      {{2, 4}, 3, {1, 2}},                    // no leftover
+  };
+  for (const Case& c : cases) {
+    const test::Ensemble e = test::constant_ensemble(c.prev.size());
+    const std::int64_t prev_total =
+        std::accumulate(c.prev.begin(), c.prev.end(), std::int64_t{0});
+    const auto ans = core::degraded_answer(e.list(), c.n, c.prev, prev_total);
+    ASSERT_TRUE(ans.has_value()) << "n=" << c.n;
+    EXPECT_EQ(ans->distribution.counts, c.want) << "n=" << c.n;
+  }
+
+  // At scale, against the rule written out with a full sort.
+  constexpr std::size_t kP = 257;
+  const test::Ensemble e = test::constant_ensemble(kP);
+  std::vector<std::int64_t> prev(kP);
+  for (std::size_t i = 0; i < kP; ++i)
+    prev[i] = static_cast<std::int64_t>((i * 7919) % 1000 + (i % 3 == 0));
+  const std::int64_t prev_total =
+      std::accumulate(prev.begin(), prev.end(), std::int64_t{0});
+  for (const std::int64_t n :
+       {prev_total - 1, 3 * prev_total + 100, std::int64_t{1000}}) {
+    std::vector<std::int64_t> want(kP);
+    std::vector<std::pair<std::int64_t, std::size_t>> rem;
+    std::int64_t assigned = 0;
+    for (std::size_t i = 0; i < kP; ++i) {
+      want[i] = prev[i] * n / prev_total;
+      assigned += want[i];
+      rem.emplace_back(-(prev[i] * n % prev_total), i);
+    }
+    std::sort(rem.begin(), rem.end());
+    for (std::int64_t j = 0; j < n - assigned; ++j)
+      ++want[rem[static_cast<std::size_t>(j)].second];
+    const auto ans = core::degraded_answer(e.list(), n, prev, prev_total);
+    ASSERT_TRUE(ans.has_value()) << "n=" << n;
+    EXPECT_EQ(ans->distribution.counts, want) << "n=" << n;
   }
 }
 
