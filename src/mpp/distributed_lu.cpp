@@ -40,6 +40,7 @@ DistributedLuResult distributed_lu(const util::MatrixD& a, std::size_t block,
   result.lu = util::MatrixD(n, n);
   result.pivots.assign(n, 0);
   result.compute_seconds.assign(static_cast<std::size_t>(ranks), 0.0);
+  result.compute_flops.assign(static_cast<std::size_t>(ranks), 0);
 
   const auto width_of = [&](std::size_t kb_idx) {
     return std::min(block, n - kb_idx * block);
@@ -150,6 +151,7 @@ DistributedLuResult distributed_lu(const util::MatrixD& a, std::size_t block,
 
       // --- Trailing update of the local blocks right of the panel. ---
       timer.reset();
+      std::int64_t flops = 0;
       for (int repeat = 0; repeat < mult; ++repeat) {
         const bool for_real = repeat + 1 == mult;
         for (auto& [idx, cols] : mine) {
@@ -164,6 +166,7 @@ DistributedLuResult distributed_lu(const util::MatrixD& a, std::size_t block,
               if (l == 0.0) continue;
               for (std::size_t j = 0; j < cw; ++j)
                 target(col0 + i, j) -= l * target(col0 + jl, j);
+              flops += 2 * static_cast<std::int64_t>(cw);
             }
           // A22 -= L21 U12.
           for (std::size_t i = w; i < panel_rows; ++i)
@@ -172,10 +175,12 @@ DistributedLuResult distributed_lu(const util::MatrixD& a, std::size_t block,
               if (l == 0.0) continue;
               for (std::size_t j = 0; j < cw; ++j)
                 target(col0 + i, j) -= l * target(col0 + jl, j);
+              flops += 2 * static_cast<std::int64_t>(cw);
             }
         }
       }
       result.compute_seconds[static_cast<std::size_t>(me)] += timer.seconds();
+      result.compute_flops[static_cast<std::size_t>(me)] += flops;
       comm.barrier();  // step boundary (matches the bulk-synchronous model)
     }
 

@@ -22,6 +22,9 @@ struct DistributedLuResult {
   std::vector<std::size_t> pivots;    ///< row swaps, as linalg::lu_factor
   bool nonsingular = true;
   std::vector<double> compute_seconds;  ///< per-rank update-kernel time
+  /// Per-rank update-kernel flops (2 per multiply-subtract), repeats
+  /// included.
+  std::vector<std::int64_t> compute_flops;
 };
 
 /// Factorizes the square matrix `a` with column blocks of size `block`

@@ -66,6 +66,7 @@ DistributedMmResult distributed_mm_abt(
   DistributedMmResult result;
   result.c = util::MatrixD(n, n);
   result.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
+  result.compute_flops.assign(static_cast<std::size_t>(p), 0);
 
   run_parallel(p, [&](Communicator& comm) {
     const int me = comm.rank();
@@ -96,6 +97,7 @@ DistributedMmResult distributed_mm_abt(
         work_multiplier.empty() ? 1 : work_multiplier[static_cast<std::size_t>(me)];
     util::Timer timer;
     double compute_s = 0.0;
+    std::int64_t flops = 0;
     for (int step = 0; step < p; ++step) {
       // Multiply own A slice against the held B slice: produces the C
       // columns belonging to the held slice's global rows.
@@ -105,6 +107,8 @@ DistributedMmResult distributed_mm_abt(
         for (int repeat = 0; repeat < mult; ++repeat)
           block = linalg::matmul_abt_naive(my_a, held);
         compute_s += timer.seconds();
+        flops += std::int64_t{2} * mult *
+                 static_cast<std::int64_t>(my_rows * held.rows() * n);
         const std::size_t col0 = first[held_owner];
         for (std::size_t i = 0; i < my_rows; ++i)
           for (std::size_t j = 0; j < block.cols(); ++j)
@@ -126,13 +130,16 @@ DistributedMmResult distributed_mm_abt(
 
     // --- Gather C slices and timings at rank 0. ---
     const auto c_slices = comm.gather(0, pack(my_c));
-    const auto times = comm.gather(0, std::vector<double>{compute_s});
+    const auto times = comm.gather(
+        0, std::vector<double>{compute_s, static_cast<double>(flops)});
     if (me == 0) {
       for (int r = 0; r < p; ++r) {
         const util::MatrixD slice = unpack(c_slices[static_cast<std::size_t>(r)]);
         if (slice.rows() > 0) result.c.paste_rows(first[r], slice);
         result.compute_seconds[static_cast<std::size_t>(r)] =
             times[static_cast<std::size_t>(r)][0];
+        result.compute_flops[static_cast<std::size_t>(r)] =
+            static_cast<std::int64_t>(times[static_cast<std::size_t>(r)][1]);
       }
     }
   });

@@ -27,6 +27,9 @@ namespace fpm::mpp {
 struct DistributedMmResult {
   util::MatrixD c;                       ///< full product, valid on rank 0
   std::vector<double> compute_seconds;   ///< per-rank kernel time
+  /// Per-rank kernel flops, repeats included: the deterministic work behind
+  /// `compute_seconds`, which a loaded host cannot perturb.
+  std::vector<std::int64_t> compute_flops;
 };
 
 /// Runs the ring algorithm over `rows[i]` rows per rank (must sum to
@@ -34,7 +37,7 @@ struct DistributedMmResult {
 /// C = A·Bᵀ with square matrices). `work_multiplier[i] >= 1` repeats rank
 /// i's kernel to emulate a slower machine (the timing study knob); pass an
 /// empty span for uniform ranks. Returns the assembled product (rank 0's
-/// view) and each rank's measured kernel seconds.
+/// view) and each rank's measured kernel seconds and flops.
 DistributedMmResult distributed_mm_abt(
     const util::MatrixD& a, const util::MatrixD& b,
     std::span<const std::int64_t> rows,

@@ -53,6 +53,7 @@ DistributedStencilResult distributed_jacobi(
   DistributedStencilResult result;
   result.grid = grid;
   result.compute_seconds.assign(static_cast<std::size_t>(p), 0.0);
+  result.compute_flops.assign(static_cast<std::size_t>(p), 0);
 
   run_parallel(p, [&](Communicator& comm) {
     const int me = comm.rank();
@@ -100,6 +101,7 @@ DistributedStencilResult distributed_jacobi(
 
       if (my_rows > 0 && cols >= 3) {
         timer.reset();
+        std::int64_t flops = 0;
         util::MatrixD next(0, 0);
         for (int repeat = 0; repeat < mult; ++repeat) {
           next = band;
@@ -119,9 +121,11 @@ DistributedStencilResult distributed_jacobi(
             for (std::size_t c = 1; c + 1 < cols; ++c)
               next(local, c) = 0.25 * (above[c] + below[c] +
                                        band(local, c - 1) + band(local, c + 1));
+            flops += 4 * static_cast<std::int64_t>(cols - 2);
           }
         }
         result.compute_seconds[static_cast<std::size_t>(me)] += timer.seconds();
+        result.compute_flops[static_cast<std::size_t>(me)] += flops;
         band = std::move(next);
       }
     }

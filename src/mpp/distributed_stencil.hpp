@@ -15,6 +15,8 @@ namespace fpm::mpp {
 struct DistributedStencilResult {
   util::MatrixD grid;                   ///< final grid (rank 0's view)
   std::vector<double> compute_seconds;  ///< per-rank sweep-kernel time
+  /// Per-rank sweep-kernel flops (4 per updated cell), repeats included.
+  std::vector<std::int64_t> compute_flops;
 };
 
 /// Runs `iterations` Jacobi sweeps over `grid` with `rows[i]` rows owned by

@@ -37,6 +37,28 @@ PagingModel paging_model(const std::string& os) {
   return {0.15, 0.04};  // Linux and anything else
 }
 
+/// The band anchor: fluctuations reach the floor at the execution time of
+/// the largest problem anyone would run, which in practice sits at the
+/// paging cliff, not deep in swap. Found as the smallest size where the
+/// speed has fallen to 30% of its small-size value (bisection on the
+/// decreasing region).
+double saturation_size(const core::SpeedFunction& truth) {
+  const double b = truth.max_size();
+  const double s0 = truth.speed(b * 1e-6);
+  const double target = 0.3 * s0;
+  if (truth.speed(b) >= target) return b;
+  double lo = b * 1e-6;  // speed above target (or everything saturates)
+  double hi = b;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (truth.speed(mid) >= target)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return hi;
+}
+
 }  // namespace
 
 MachineSpeed::MachineSpeed(const MachineSpec& spec, const AppProfile& app,
@@ -85,6 +107,8 @@ MachineSpeed::MachineSpeed(const MachineSpec& spec, const AppProfile& app,
       ramp_end_ = 0.0;
       break;
   }
+  // Every curve parameter is set, so speed() is final from here on.
+  saturation_time_ = time(saturation_size(*this));
 }
 
 double MachineSpeed::speed(double x) const {

@@ -79,6 +79,12 @@ class MachineSpeed final : public core::SpeedFunction {
   /// In-cache plateau speed (MFlops).
   double peak_speed() const noexcept { return peak_; }
 
+  /// The fluctuation band's anchor (workload.hpp): the execution time of
+  /// the "maximum solvable problem size", the smallest size where the speed
+  /// has fallen to 30% of its small-size value, i.e. the paging cliff. The
+  /// band width reaches its floor there. Fixed at construction.
+  double saturation_time() const noexcept { return saturation_time_; }
+
  private:
   double peak_ = 0.0;          ///< in-cache speed, MFlops
   double cache_elems_ = 0.0;   ///< top-level cache capacity in elements
@@ -91,6 +97,7 @@ class MachineSpeed final : public core::SpeedFunction {
   double ramp_end_ = 0.0;      ///< end of the small-size warm-up ramp
   double ramp_low_ = 0.6;      ///< speed fraction at x -> 0
   MemoryPattern pattern_;
+  double saturation_time_ = 0.0;  ///< band anchor (set last)
 };
 
 /// Convenience factory returning a shared ground-truth function.

@@ -1,55 +1,26 @@
 #include "simcluster/workload.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace fpm::sim {
 
-namespace {
-
-/// The "maximum solvable problem size" that anchors the paper's band-width
-/// observation: fluctuations reach the floor at the execution time of the
-/// largest problem anyone would run, which in practice sits at the paging
-/// cliff, not deep in swap. Found as the smallest size where the speed has
-/// fallen to 30% of its small-size value (bisection on the decreasing
-/// region).
-double saturation_size(const core::SpeedFunction& truth) {
-  const double b = truth.max_size();
-  const double s0 = truth.speed(b * 1e-6);
-  const double target = 0.3 * s0;
-  if (truth.speed(b) >= target) return b;
-  double lo = b * 1e-6;  // speed above target (or everything saturates)
-  double hi = b;
-  for (int i = 0; i < 100; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    if (truth.speed(mid) >= target)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return hi;
-}
-
-}  // namespace
-
-double band_width(const FluctuationProfile& p,
-                  const core::SpeedFunction& truth, double x) {
+double band_width(const FluctuationProfile& p, const MachineSpeed& truth,
+                  double x) {
   const double t = truth.time(std::max(x, 0.0));
-  const double t_sat = truth.time(saturation_size(truth));
+  const double t_sat = truth.saturation_time();
   const double frac = t_sat > 0.0 ? std::clamp(t / t_sat, 0.0, 1.0) : 1.0;
   return p.width_large + (p.width_small - p.width_large) * (1.0 - frac);
 }
 
-BandEdges band_edges(const FluctuationProfile& p,
-                     const core::SpeedFunction& truth, double x) {
+BandEdges band_edges(const FluctuationProfile& p, const MachineSpeed& truth,
+                     double x) {
   const double s = truth.speed(x) * (1.0 - p.load_shift);
   const double half = 0.5 * band_width(p, truth, x);
   return {s * (1.0 - half), s * (1.0 + half)};
 }
 
-double sample_speed(const FluctuationProfile& p,
-                    const core::SpeedFunction& truth, double x,
-                    util::Rng& rng) {
+double sample_speed(const FluctuationProfile& p, const MachineSpeed& truth,
+                    double x, util::Rng& rng) {
   const BandEdges e = band_edges(p, truth, x);
   return rng.uniform(e.lower, e.upper);
 }

@@ -10,7 +10,7 @@
 //     changing its width.
 #pragma once
 
-#include "core/speed_function.hpp"
+#include "simcluster/machine.hpp"
 #include "util/rng.hpp"
 
 namespace fpm::sim {
@@ -32,23 +32,23 @@ struct FluctuationProfile {
 
 /// Full relative band width at problem size x for a machine whose
 /// ground-truth curve is `truth`: declines linearly in the execution time
-/// t(x), reaching the floor at the execution time of the largest solvable
-/// problem (80% of the modelled range, past which the machine thrashes).
-double band_width(const FluctuationProfile& p,
-                  const core::SpeedFunction& truth, double x);
+/// t(x), reaching the floor at `truth.saturation_time()`, the execution
+/// time of the largest solvable problem (the paging cliff, past which the
+/// machine thrashes). One speed evaluation.
+double band_width(const FluctuationProfile& p, const MachineSpeed& truth,
+                  double x);
 
 /// Lower/upper band edges around the ground-truth speed at x.
 struct BandEdges {
   double lower = 0.0;
   double upper = 0.0;
 };
-BandEdges band_edges(const FluctuationProfile& p,
-                     const core::SpeedFunction& truth, double x);
+BandEdges band_edges(const FluctuationProfile& p, const MachineSpeed& truth,
+                     double x);
 
 /// One observed speed: uniform draw inside the band (a run of the task at a
 /// random moment of the background-load cycle).
-double sample_speed(const FluctuationProfile& p,
-                    const core::SpeedFunction& truth, double x,
-                    util::Rng& rng);
+double sample_speed(const FluctuationProfile& p, const MachineSpeed& truth,
+                    double x, util::Rng& rng);
 
 }  // namespace fpm::sim

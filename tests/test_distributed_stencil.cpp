@@ -53,7 +53,9 @@ TEST(DistributedStencil, WorkMultiplierSlowsARank) {
       distributed_jacobi(grid, rows, 8, mult);
   EXPECT_DOUBLE_EQ(
       util::max_abs_diff(result.grid, serial_sweeps(grid, 8)), 0.0);
-  EXPECT_GT(result.compute_seconds[1], 3.0 * result.compute_seconds[0]);
+  // Work, not wall time: a preempted rank 0 can outlast rank 1.
+  EXPECT_GT(result.compute_flops[1], 3 * result.compute_flops[0]);
+  for (const double t : result.compute_seconds) EXPECT_GT(t, 0.0);
 }
 
 TEST(DistributedStencil, ValidatesArguments) {

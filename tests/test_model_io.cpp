@@ -1,6 +1,7 @@
 // Tests for model persistence: round-tripping curves and bands through the
 // fpm-model text format, and parse-error reporting.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -89,7 +90,9 @@ TEST(ModelIo, RoundTripsBuilderOutput) {
 }
 
 TEST(ModelIo, FileRoundTrip) {
-  const std::string path = "/tmp/fpm_model_io_test.fpm";
+  // Per process: two suites running at once must not share the file.
+  const std::string path =
+      "/tmp/fpm_model_io_test." + std::to_string(getpid()) + ".fpm";
   save_models_file(path, {sample_band_model()});
   const auto loaded = load_models_file(path);
   ASSERT_EQ(loaded.size(), 1u);

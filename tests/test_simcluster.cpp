@@ -172,6 +172,59 @@ TEST(Workload, SamplesStayInsideBand) {
   }
 }
 
+/// The band width with its anchor re-derived on every call: the bisection
+/// for the smallest size where the speed falls to 30% of its small-size
+/// value, then that size's execution time. `band_width` must match it bit
+/// for bit, or every built model and partition downstream would move.
+double band_width_by_per_call_bisection(const FluctuationProfile& p,
+                                        const core::SpeedFunction& truth,
+                                        double x) {
+  const double b = truth.max_size();
+  const double target = 0.3 * truth.speed(b * 1e-6);
+  double sat = b;
+  if (truth.speed(b) < target) {
+    double lo = b * 1e-6;
+    double hi = b;
+    for (int i = 0; i < 100; ++i) {
+      const double mid = 0.5 * (lo + hi);
+      if (truth.speed(mid) >= target)
+        lo = mid;
+      else
+        hi = mid;
+    }
+    sat = hi;
+  }
+  const double t = truth.time(std::max(x, 0.0));
+  const double t_sat = truth.time(sat);
+  const double frac = t_sat > 0.0 ? std::clamp(t / t_sat, 0.0, 1.0) : 1.0;
+  return p.width_large + (p.width_small - p.width_large) * (1.0 - frac);
+}
+
+TEST(Workload, AnchorFixedAtConstructionMatchesPerCallBisection) {
+  const FluctuationProfile wide{0.40, 0.06, 0.0};
+  int checked = 0;
+  for (const SimulatedCluster& cluster :
+       {make_table1_cluster(), make_table2_cluster(), make_modern_cluster()}) {
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      const SimulatedMachine& m = cluster.machine(i);
+      for (const auto& [app, truth] : m.apps) {
+        const double b = truth->max_size();
+        // 20 log-spaced sizes in (1e-6 b, b], the last one b itself.
+        for (int k = 1; k <= 20; ++k) {
+          const double x = k == 20 ? b : b * std::pow(10.0, -6.0 + 0.3 * k);
+          for (const FluctuationProfile& p : {m.fluctuation, wide}) {
+            EXPECT_EQ(band_width(p, *truth, x),
+                      band_width_by_per_call_bisection(p, *truth, x))
+                << m.spec.name << " " << app << " x=" << x;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
 TEST(Presets, Table1HasFourMachinesWithThreeApps) {
   const auto ms = table1_machines();
   ASSERT_EQ(ms.size(), 4u);

@@ -2,6 +2,7 @@
 // presets through the fpm-cluster format, curve equivalence after reload,
 // and parse-error reporting.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <sstream>
@@ -61,7 +62,9 @@ TEST(SpecIo, ReloadedClusterSimulatesIdentically) {
 }
 
 TEST(SpecIo, FileRoundTrip) {
-  const std::string path = "/tmp/fpm_cluster_io_test.cluster";
+  // Per process: two suites running at once must not share the file.
+  const std::string path =
+      "/tmp/fpm_cluster_io_test." + std::to_string(getpid()) + ".cluster";
   save_cluster_file(path, table1_machines());
   const auto loaded = load_cluster_file(path);
   EXPECT_EQ(loaded.size(), 4u);
