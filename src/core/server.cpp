@@ -1,6 +1,7 @@
 #include "core/server.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <iterator>
@@ -46,6 +47,39 @@ std::string result_key(std::uint64_t fingerprint, std::uint64_t check,
   return key;
 }
 
+/// Each count as unsigned LEB128 of its two's-complement value: seven bits
+/// a byte, low first, the high bit set on every byte but a count's last.
+/// Exact for every int64, at most 10 bytes a count. Sized in one pass so
+/// the string allocates once.
+std::string pack_counts(const std::vector<std::int64_t>& counts) {
+  std::size_t size = 0;
+  for (const std::int64_t c : counts)
+    size += 1 + (std::bit_width(static_cast<std::uint64_t>(c) | 1) - 1) / 7;
+  std::string packed(size, '\0');
+  char* at = packed.data();
+  for (const std::int64_t c : counts) {
+    auto v = static_cast<std::uint64_t>(c);
+    for (; v >= 0x80; v >>= 7) *at++ = static_cast<char>(v | 0x80);
+    *at++ = static_cast<char>(v);
+  }
+  return packed;
+}
+
+/// Decodes pack_counts() into `counts`, already sized to the packed count.
+void unpack_counts(const std::string& packed,
+                   std::vector<std::int64_t>& counts) {
+  const auto* at = reinterpret_cast<const unsigned char*>(packed.data());
+  for (std::int64_t& c : counts) {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const unsigned char b = *at++;
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if (b < 0x80) break;
+    }
+    c = static_cast<std::int64_t>(v);
+  }
+}
+
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -58,7 +92,17 @@ double seconds_between(std::chrono::steady_clock::time_point from,
 // ---------------------------------------------------------------------------
 
 PartitionCache::PartitionCache(std::size_t capacity, std::size_t shards)
-    : lru_(capacity, shards) {}
+    : lru_(capacity, shards),
+      bytes_gauge_(obs::metrics().gauge(obs::names::kServerCacheBytes)) {}
+
+PartitionCache::~PartitionCache() {
+  bytes_gauge_.add(-bytes_.load(std::memory_order_relaxed));
+}
+
+void PartitionCache::account(std::int64_t delta) noexcept {
+  bytes_.fetch_add(delta, std::memory_order_relaxed);
+  bytes_gauge_.add(delta);
+}
 
 std::string PartitionCache::make_key(const SpeedList& speeds, std::int64_t n,
                                      const PartitionPolicy& policy) {
@@ -88,8 +132,10 @@ std::string PartitionCache::make_key(std::uint64_t fingerprint, std::int64_t n,
 
 bool PartitionCache::find(const std::string& key, PartitionResult& out,
                           bool count_miss) {
-  const bool hit = lru_.find(key, [&out](const PartitionResult& cached) {
-    out = cached;
+  const bool hit = lru_.find(key, [&out](const Packed& cached) {
+    out.stats = cached.stats;
+    out.distribution.counts.resize(cached.processors);
+    unpack_counts(cached.counts, out.distribution.counts);
     return true;
   });
   if (hit) hits_.fetch_add(1, std::memory_order_relaxed);
@@ -99,12 +145,31 @@ bool PartitionCache::find(const std::string& key, PartitionResult& out,
 
 bool PartitionCache::insert(const std::string& key,
                             const PartitionResult& value) {
+  if (lru_.capacity() == 0) return false;
+  const std::vector<std::int64_t>& counts = value.distribution.counts;
+  Packed packed{value.stats, pack_counts(counts), counts.size()};
+  const std::int64_t bytes = held(key, packed);
+  // Counted before the entry is visible, so a concurrent eviction or
+  // clear() never takes out more than was put in.
+  account(bytes);
   // A concurrent miss on the same key already computed and stored the
   // (identical) result; keep the incumbent.
-  const bool evicted =
-      lru_.put(key, value, [](PartitionResult&, PartitionResult&) {});
-  if (evicted) evictions_.fetch_add(1, std::memory_order_relaxed);
-  return evicted;
+  bool kept = false;
+  const auto victim = lru_.put(key, std::move(packed),
+                               [&kept](Packed&, Packed&) { kept = true; });
+  if (kept) account(-bytes);
+  if (!victim) return false;
+  account(-held(victim->first, victim->second));
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void PartitionCache::clear() {
+  std::int64_t dropped = 0;
+  lru_.clear([&dropped](const std::string& key, const Packed& entry) {
+    dropped += held(key, entry);
+  });
+  account(-dropped);
 }
 
 CacheStats PartitionCache::stats() const {
@@ -113,6 +178,7 @@ CacheStats PartitionCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.entries = lru_.size();
+  s.bytes = static_cast<std::size_t>(bytes_.load(std::memory_order_relaxed));
   return s;
 }
 
@@ -309,7 +375,7 @@ PartitionResult PartitionServer::partition_with_hint(
   const std::uint64_t fingerprint = compiled.fingerprint();
   const auto next = next_hint(result, n, nullptr, fingerprint);
   if (!next) return result;
-  const bool evicted = hints_.put(
+  const auto evicted = hints_.put(
       fingerprint, SlopeHint{*next, result.distribution.counts},
       [&](SlopeHint& stored, SlopeHint& fresh) {
         // Chained from the stored hint, a warm hit keeps its cold baseline.

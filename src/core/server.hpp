@@ -105,6 +105,9 @@ struct CacheStats {
   /// always equals the serve() call count.
   std::int64_t uncacheable = 0;
   std::size_t entries = 0;  ///< currently cached results
+  /// Payload the cached results hold: each entry's key plus its packed
+  /// counts, allocator overhead excluded.
+  std::size_t bytes = 0;
   /// Warm-start hint store occupancy and LRU evictions (bounded by
   /// ServerOptions::hint_capacity).
   std::size_t hint_entries = 0;
@@ -132,10 +135,15 @@ struct SloStats {
 
 /// Sharded, thread-safe LRU map from partition-request keys to results
 /// (a detail::ShardedLru plus hit/miss/eviction counts). Concurrent lookups
-/// of different keys rarely contend; eviction is LRU per shard.
+/// of different keys rarely contend; eviction is LRU per shard. Each entry
+/// keeps the result's stats plus its counts packed as unsigned LEB128 of
+/// each count's two's-complement value (exact for every int64; 2-3 bytes a
+/// count on realistic n), so a hit returns the stored result bit for bit.
 class PartitionCache {
  public:
   PartitionCache(std::size_t capacity, std::size_t shards);
+  /// Takes the entries still held out of the server.cache.bytes gauge.
+  ~PartitionCache();
 
   /// True plus a copy of the cached result on a hit (the entry becomes the
   /// shard's most recently used); false on a miss. Counts either way.
@@ -155,7 +163,7 @@ class PartitionCache {
   /// Returns true when the insert displaced an existing entry.
   bool insert(const std::string& key, const PartitionResult& value);
 
-  void clear() { lru_.clear(); }
+  void clear();
   CacheStats stats() const;
   std::size_t capacity() const noexcept { return lru_.capacity(); }
 
@@ -172,12 +180,28 @@ class PartitionCache {
                               const PartitionPolicy& policy);
 
  private:
-  bool find(const std::string& key, PartitionResult& out, bool count_miss);
+  /// One cached result: the stats as returned, and `processors` counts
+  /// packed into `counts`.
+  struct Packed {
+    PartitionStats stats;
+    std::string counts;
+    std::size_t processors = 0;
+  };
 
-  detail::ShardedLru<std::string, PartitionResult> lru_;
+  bool find(const std::string& key, PartitionResult& out, bool count_miss);
+  /// The payload one entry holds: its key plus its packed counts.
+  static std::int64_t held(const std::string& key, const Packed& entry) {
+    return static_cast<std::int64_t>(key.size() + entry.counts.size());
+  }
+  /// Adds `delta` to the held payload and the server.cache.bytes gauge.
+  void account(std::int64_t delta) noexcept;
+
+  detail::ShardedLru<std::string, Packed> lru_;
   std::atomic<std::int64_t> hits_{0};
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> evictions_{0};
+  std::atomic<std::int64_t> bytes_{0};
+  obs::Gauge& bytes_gauge_;
 };
 
 /// A long-lived partitioning service: serve() for synchronous calls on the

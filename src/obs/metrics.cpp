@@ -295,7 +295,7 @@ MetricsRegistry& metrics() {
 }
 
 std::span<const MetricInfo> metric_catalogue() {
-  static constexpr std::array<MetricInfo, 39> kCatalogue{{
+  static constexpr std::array<MetricInfo, 40> kCatalogue{{
       {"partition.invocations.<algorithm>", "counter",
        "core::partition() calls per registry algorithm (the paper's "
        "basic/modified/combined family, Figs. 7-15)"},
@@ -358,6 +358,9 @@ std::span<const MetricInfo> metric_catalogue() {
       {names::kServerCacheUncacheable, "counter",
        "requests that bypassed the cache (observer-carrying policies, model "
        "lists with a Generic entry, or caching disabled)"},
+      {names::kServerCacheBytes, "gauge",
+       "payload the result caches hold: keys plus packed counts, allocator "
+       "overhead excluded (summed over every cache in the process)"},
       {names::kServerHintsEvicted, "counter",
        "warm-start hints LRU-evicted under fingerprint churn "
        "(ServerOptions::hint_capacity)"},

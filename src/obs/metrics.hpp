@@ -247,6 +247,7 @@ inline constexpr const char* kServerCacheMisses = "server.cache.misses";
 inline constexpr const char* kServerCacheEvictions = "server.cache.evictions";
 inline constexpr const char* kServerCacheUncacheable =
     "server.cache.uncacheable";
+inline constexpr const char* kServerCacheBytes = "server.cache.bytes";
 inline constexpr const char* kServerHintsEvicted = "server.hints.evicted";
 // SLO layer of the PartitionServer: deadline-aware requests only
 // (submit/run_batch/serve_slo). offered == admitted + degraded + sheds.

@@ -1,10 +1,12 @@
-// Allocation guard for the model walk (core/compiled.*). This binary
-// replaces the global operator new/delete with counting versions over
-// malloc/free, so a test can count the allocations one call makes:
+// Allocation guard for the model walk (core/compiled.*) and the result
+// cache (core/server.*). This binary replaces the global operator
+// new/delete with counting versions over malloc/free, so a test can count
+// the allocations one call makes, and the bytes they leave allocated:
 //   - fingerprint_of, the cache-key fast path, allocates nothing;
 //   - compile() sizes every lane column and pool once, so its allocation
 //     count depends on which lanes and pools a list fills, not on the
-//     list's length.
+//     list's length;
+//   - a cached p = 64 answer keeps its counts packed and its key once.
 // Every replaced form allocates and frees through malloc/free, so the
 // sanitizer build sees matched pairs.
 #include <gtest/gtest.h>
@@ -15,7 +17,11 @@
 #include <memory>
 #include <new>
 #include <set>
+#include <string>
 #include <vector>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
@@ -24,22 +30,46 @@
 namespace {
 
 std::atomic<std::int64_t> g_allocations{0};
+/// Bytes allocated through operator new and not yet freed, each block
+/// counted at the allocator's usable size (glibc only; 0 elsewhere).
+std::atomic<std::int64_t> g_live_bytes{0};
+
+std::int64_t usable_size(void* p) {
+#if defined(__GLIBC__)
+  return static_cast<std::int64_t>(malloc_usable_size(p));
+#else
+  (void)p;
+  return 0;
+#endif
+}
+
+void* counted(void* p) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(usable_size(p), std::memory_order_relaxed);
+  return p;
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return counted(std::malloc(size == 0 ? 1 : size));
 }
 
 void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
-  return std::aligned_alloc(a, (size + a - 1) / a * a + (size == 0 ? a : 0));
+  return counted(
+      std::aligned_alloc(a, (size + a - 1) / a * a + (size == 0 ? a : 0)));
 }
 
 void* checked(void* p) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
+}
+
+// Not inlined: GCC would otherwise see free() reached from a block that
+// operator new returned and flag it (-Wmismatched-new-delete).
+[[gnu::noinline]] void counted_free(void* p) noexcept {
+  g_live_bytes.fetch_sub(usable_size(p), std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace
@@ -67,29 +97,31 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return counted_alloc(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace fpm {
@@ -178,6 +210,35 @@ TEST(AllocationGuard, CompileAllocationsDoNotGrowWithP) {
     EXPECT_EQ(at_64, at_4096) << "seed " << seed;
   }
   EXPECT_GE(compared, 8);
+}
+
+TEST(AllocationGuard, CachedAnswerAtP64KeepsItsCountsPackedAndItsKeyOnce) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "live bytes are measured with glibc's malloc_usable_size";
+#endif
+  // The serving workloads' fleet size and n range.
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(64, 2004);
+  const core::SpeedList list = fleet.list();
+  constexpr std::int64_t kN = 1'000'000;
+  const core::PartitionResult result = core::partition(list, kN);
+  const std::uint64_t fingerprint = CompiledSpeedList::fingerprint_of(list);
+  constexpr int kEntries = 1024;
+  std::vector<std::string> keys;
+  for (int i = 0; i < kEntries; ++i)
+    keys.push_back(core::PartitionCache::make_key(fingerprint, kN + i, {}));
+  core::PartitionCache cache(4096, 16);
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  for (const std::string& key : keys) (void)cache.insert(key, result);
+  const std::int64_t per_entry =
+      (g_live_bytes.load(std::memory_order_relaxed) - before) / kEntries;
+  ASSERT_EQ(cache.stats().entries, static_cast<std::size_t>(kEntries));
+  // Measured 445 bytes an entry on x86-64 glibc: the list node with the
+  // stats, the key, the packed counts (2-3 bytes a count), an index node
+  // (key reference, hash, list position) and the index's bucket share.
+  // Unpacked int64 counts add about 370 bytes and cross the bound; with a
+  // second copy of the key in the index as well, an entry measures 853.
+  EXPECT_LE(per_entry, 520);
+  EXPECT_GE(per_entry, 256);
 }
 
 }  // namespace

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -127,6 +131,251 @@ TEST(PartitionCache, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.insert(key(1008), core::partition(list, 1008)));
   EXPECT_TRUE(cache.peek(key(1004), out));
   EXPECT_FALSE(cache.peek(key(1005), out));
+}
+
+/// A result with every stats field set away from its default.
+core::PartitionResult synthetic_result(std::vector<std::int64_t> counts,
+                                       int salt) {
+  core::PartitionResult r;
+  r.distribution.counts = std::move(counts);
+  core::PartitionStats& s = r.stats;
+  s.iterations = 17 + salt;
+  s.intersections = 1023 + salt;
+  s.final_slope = std::nextafter(0.1 + salt, 1.0e9);
+  s.algorithm = "interpolation";
+  s.switched_to_modified = true;
+  s.speed_evals = (std::int64_t{1} << 40) + salt;
+  s.intersect_solves = 98765 + salt;
+  s.warmstart = core::WarmStart::Hit;
+  s.iterations_saved = 5 + salt;
+  s.warm_probes = 4 + salt;
+  s.search_speed_evals = 4321 + salt;
+  s.search_intersect_solves = 1234 + salt;
+  s.bracket_saturations = 3 + salt;
+  return r;
+}
+
+/// Field-by-field equality, the slope compared bit for bit.
+void expect_identical(const core::PartitionResult& got,
+                      const core::PartitionResult& want) {
+  EXPECT_EQ(got.distribution.counts, want.distribution.counts);
+  const core::PartitionStats& a = got.stats;
+  const core::PartitionStats& b = want.stats;
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.intersections, b.intersections);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.final_slope),
+            std::bit_cast<std::uint64_t>(b.final_slope));
+  EXPECT_EQ(a.algorithm, b.algorithm);
+  EXPECT_EQ(a.switched_to_modified, b.switched_to_modified);
+  EXPECT_EQ(a.speed_evals, b.speed_evals);
+  EXPECT_EQ(a.intersect_solves, b.intersect_solves);
+  EXPECT_EQ(a.warmstart, b.warmstart);
+  EXPECT_EQ(a.iterations_saved, b.iterations_saved);
+  EXPECT_EQ(a.warm_probes, b.warm_probes);
+  EXPECT_EQ(a.search_speed_evals, b.search_speed_evals);
+  EXPECT_EQ(a.search_intersect_solves, b.search_intersect_solves);
+  EXPECT_EQ(a.bracket_saturations, b.bracket_saturations);
+}
+
+/// Bytes of one count in the cache's packing: seven bits a byte.
+std::size_t packed_size(std::int64_t count) {
+  std::size_t bytes = 1;
+  for (auto v = static_cast<std::uint64_t>(count); v >= 0x80; v >>= 7)
+    ++bytes;
+  return bytes;
+}
+
+/// The payload CacheStats::bytes reports for one entry.
+std::size_t held_bytes(const std::string& key,
+                       const core::PartitionResult& r) {
+  std::size_t bytes = key.size();
+  for (const std::int64_t c : r.distribution.counts) bytes += packed_size(c);
+  return bytes;
+}
+
+TEST(PartitionCache, PackedEntriesRoundTripBitIdentical) {
+  // Each edge of a 7-bit group, the largest exactly representable double
+  // plus one, the int64 extremes and a negative (ten bytes).
+  const std::vector<std::int64_t> values = {
+      0,
+      1,
+      127,
+      128,
+      16383,
+      16384,
+      std::int64_t{1} << 31,
+      (std::int64_t{1} << 53) + 1,
+      std::numeric_limits<std::int64_t>::max(),
+      -1,
+      std::numeric_limits<std::int64_t>::min()};
+  EXPECT_EQ(packed_size(values[2]), 1u);
+  EXPECT_EQ(packed_size(values[3]), 2u);
+  EXPECT_EQ(packed_size(values[8]), 9u);
+  EXPECT_EQ(packed_size(values[10]), 10u);
+  core::PartitionCache cache(64, 4);
+  std::size_t bytes = 0;
+  int salt = 0;
+  const auto round_trip = [&](const core::PartitionResult& want) {
+    const std::string key =
+        core::PartitionCache::make_key(0x5eed + salt, 1000 + salt, {});
+    EXPECT_FALSE(cache.insert(key, want));
+    bytes += held_bytes(key, want);
+    core::PartitionResult got;
+    ASSERT_TRUE(cache.lookup(key, got));
+    expect_identical(got, want);
+    // A reused output, larger than the answer, is overwritten in full.
+    got = synthetic_result(std::vector<std::int64_t>(5000, 9), 99);
+    ASSERT_TRUE(cache.peek(key, got));
+    expect_identical(got, want);
+    ++salt;
+  };
+  // p = 1: every value alone.
+  for (const std::int64_t v : values) round_trip(synthetic_result({v}, salt));
+  // p = 64 and p = 4096: the values cycled, offset by p.
+  for (const std::size_t p : {std::size_t{64}, std::size_t{4096}}) {
+    std::vector<std::int64_t> counts(p);
+    for (std::size_t i = 0; i < p; ++i)
+      counts[i] = values[(i + p) % values.size()];
+    round_trip(synthetic_result(counts, salt));
+  }
+  // An empty distribution packs to nothing.
+  round_trip(synthetic_result({}, salt));
+  const core::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, values.size() + 3);
+  EXPECT_EQ(stats.bytes, bytes);
+  EXPECT_EQ(stats.hits, 2 * static_cast<std::int64_t>(values.size() + 3));
+}
+
+TEST(PartitionCache, ReinsertKeepsTheIncumbent) {
+  core::PartitionCache cache(8, 1);
+  const std::string key = core::PartitionCache::make_key(7, 100, {});
+  const core::PartitionResult first = synthetic_result({60, 40}, 0);
+  EXPECT_FALSE(cache.insert(key, first));
+  const std::size_t bytes = cache.stats().bytes;
+  EXPECT_EQ(bytes, held_bytes(key, first));
+  // A concurrent miss on the same key stores its own copy of the answer;
+  // the entry already there stays, and so does the payload count.
+  EXPECT_FALSE(cache.insert(key, synthetic_result({1, 99, 300}, 1)));
+  core::PartitionResult got;
+  ASSERT_TRUE(cache.lookup(key, got));
+  expect_identical(got, first);
+  const core::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.bytes, bytes);
+}
+
+TEST(PartitionCache, EvictionAtCapacityReturnsTheVictimsBytes) {
+  core::PartitionCache cache(2, 1);
+  std::vector<std::string> keys;
+  std::vector<core::PartitionResult> results;
+  for (int i = 0; i < 3; ++i) {
+    keys.push_back(core::PartitionCache::make_key(11, 500 + i, {}));
+    // Payloads of different sizes, so a wrong victim shows in bytes.
+    results.push_back(synthetic_result(
+        std::vector<std::int64_t>(static_cast<std::size_t>(4 + 60 * i),
+                                  std::int64_t{1} << (7 * i)),
+        i));
+  }
+  EXPECT_FALSE(cache.insert(keys[0], results[0]));
+  EXPECT_FALSE(cache.insert(keys[1], results[1]));
+  EXPECT_TRUE(cache.insert(keys[2], results[2]));  // evicts keys[0]
+  core::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.bytes, held_bytes(keys[1], results[1]) +
+                             held_bytes(keys[2], results[2]));
+  core::PartitionResult got;
+  EXPECT_FALSE(cache.peek(keys[0], got));
+  for (int i = 1; i < 3; ++i) {
+    ASSERT_TRUE(cache.peek(keys[static_cast<std::size_t>(i)], got));
+    expect_identical(got, results[static_cast<std::size_t>(i)]);
+  }
+}
+
+TEST(PartitionCache, BytesGaugeReturnsToZeroAfterClear) {
+  obs::Gauge& gauge = obs::metrics().gauge(obs::names::kServerCacheBytes);
+  const std::int64_t before = gauge.value();
+  {
+    core::PartitionCache a(16, 4), b(16, 4);
+    std::size_t held = 0;
+    for (int i = 0; i < 6; ++i) {
+      const std::string key = core::PartitionCache::make_key(3, 900 + i, {});
+      const core::PartitionResult r =
+          synthetic_result(std::vector<std::int64_t>(64, 200 + i), i);
+      (void)a.insert(key, r);
+      (void)b.insert(key, r);
+      held += held_bytes(key, r);
+    }
+    EXPECT_EQ(a.stats().bytes, held);
+    // Two caches sum in the one gauge.
+    EXPECT_EQ(gauge.value() - before, static_cast<std::int64_t>(2 * held));
+    a.clear();
+    EXPECT_EQ(a.stats().bytes, 0u);
+    EXPECT_EQ(a.stats().entries, 0u);
+    EXPECT_EQ(gauge.value() - before, static_cast<std::int64_t>(held));
+    // A cleared cache fills and counts again.
+    (void)a.insert(core::PartitionCache::make_key(3, 1, {}),
+                   synthetic_result({1}, 0));
+    EXPECT_GT(a.stats().bytes, 0u);
+  }
+  // A destroyed cache takes what it still held out of the gauge.
+  EXPECT_EQ(gauge.value(), before);
+}
+
+TEST(PartitionCache, ConcurrentInsertLookupEvictAtCapacity16) {
+  // 64 keys over a 16-entry cache (4 shards of 4): every thread keeps
+  // inserting, hitting and evicting, so the index's references into the
+  // list nodes churn under contention. Run under TSan in CI.
+  constexpr int kKeys = 64;
+  std::vector<std::string> keys;
+  std::vector<core::PartitionResult> results;
+  for (int k = 0; k < kKeys; ++k) {
+    keys.push_back(core::PartitionCache::make_key(0xcafe, 10000 + k, {}));
+    std::vector<std::int64_t> counts(64);
+    for (std::size_t i = 0; i < counts.size(); ++i)
+      counts[i] = (std::int64_t{1} << (k % 60)) + static_cast<std::int64_t>(i);
+    results.push_back(synthetic_result(std::move(counts), k));
+  }
+  core::PartitionCache cache(16, 4);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      core::PartitionResult got;
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto k = static_cast<std::size_t>((i * 7 + t * 13) % kKeys);
+        if (cache.lookup(keys[k], got)) {
+          ++hits;
+          if (got.distribution.counts != results[k].distribution.counts ||
+              got.stats.iterations != results[k].stats.iterations)
+            ++mismatches;
+        } else {
+          (void)cache.insert(keys[k], results[k]);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const core::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, hits.load());
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kPerThread);
+  EXPECT_LE(stats.entries, 16u);
+  EXPECT_GT(stats.evictions, 0);
+  // The payload count matches what the cache still holds.
+  std::size_t held = 0;
+  core::PartitionResult got;
+  for (int k = 0; k < kKeys; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    if (cache.peek(keys[i], got)) held += held_bytes(keys[i], results[i]);
+  }
+  EXPECT_EQ(stats.bytes, held);
+  cache.clear();
+  EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 TEST(PartitionServer, ObserverPoliciesBypassTheCache) {

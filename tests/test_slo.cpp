@@ -8,8 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -419,34 +421,87 @@ TEST(SubmitSlo, AccountingInvariantHoldsUnderQueuePressure) {
   EXPECT_GT(ok, 0);
 }
 
+/// A constant-speed model (a Generic entry to the compiled layer) whose
+/// first speed() call signals and then blocks until release(): a request
+/// over it holds the server's worker inside its solve.
+class GateSpeed final : public core::SpeedFunction {
+ public:
+  double speed(double) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return 100.0;
+  }
+  double max_size() const override { return 1e9; }
+
+  /// True once some speed() call has started, false after `timeout`.
+  bool wait_entered(std::chrono::seconds timeout) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool released_ = false;
+};
+
 TEST(SubmitSlo, DisplacementPrefersLowestPriorityLatestDeadline) {
   const test::Ensemble e = test::mixed_ensemble();
   const core::SpeedList list = e.list();
+  GateSpeed gate;
+  core::SpeedList gated = e.list();
+  gated.push_back(&gate);
   core::ServerOptions opts;
   opts.threads = 1;
   opts.cache_capacity = 0;
   opts.max_queue_depth = 1;
   core::PartitionServer server(opts);
-  // Occupy the worker, then the depth-1 queue, with Low requests; a High
-  // submission must displace the queued Low one, not be rejected itself.
-  std::vector<std::future<core::ServeResult>> lows;
-  for (int i = 0; i < 6; ++i) {
-    core::BatchRequest req{list, 400000 + 7919LL * i, {}, {}};
-    req.slo.priority = core::Priority::Low;
+  // Declared after the server, so the worker is released before the
+  // server's destructor joins it, whatever assertion fails first.
+  struct Release {
+    GateSpeed& gate;
+    ~Release() { gate.release(); }
+  } release{gate};
+  const auto request = [](const core::SpeedList& speeds, std::int64_t n,
+                          core::Priority priority) {
+    core::BatchRequest req{speeds, n, {}, {}};
+    req.slo.priority = priority;
     req.slo.allow_degraded = false;
-    lows.push_back(server.submit(std::move(req)));
-  }
-  core::BatchRequest high{list, 999999, {}, {}};
-  high.slo.priority = core::Priority::High;
-  high.slo.allow_degraded = false;
-  core::ServeResult hr = server.submit(std::move(high)).get();
+    return req;
+  };
+  // Hold the single worker inside a solve, then fill the depth-1 queue
+  // with a Low request: a High submission must displace that Low request,
+  // not be rejected itself.
+  std::future<core::ServeResult> held =
+      server.submit(request(gated, 100000, core::Priority::Normal));
+  ASSERT_TRUE(gate.wait_entered(std::chrono::seconds(60)));
+  std::future<core::ServeResult> low =
+      server.submit(request(list, 400000, core::Priority::Low));
+  std::future<core::ServeResult> high =
+      server.submit(request(list, 999999, core::Priority::High));
+  // The displaced request is shed inside the High submit() call.
+  ASSERT_EQ(low.wait_for(0s), std::future_status::ready);
+  const core::ServeResult lr = low.get();
+  EXPECT_EQ(lr.status, core::ServeStatus::Shed);
+  EXPECT_EQ(lr.shed_reason, core::ShedReason::QueueFull);
+  gate.release();
+  const core::ServeResult hr = high.get();
   EXPECT_EQ(hr.status, core::ServeStatus::Ok)
       << "a High request must never lose a full queue to Low requests";
-  int low_shed = 0;
-  for (auto& f : lows)
-    if (f.get().status == core::ServeStatus::Shed) ++low_shed;
-  EXPECT_GT(low_shed, 0);
-  expect_invariant(server);
+  EXPECT_EQ(hr.result.distribution.total(), 999999);
+  EXPECT_EQ(held.get().status, core::ServeStatus::Ok);
+  const core::SloStats s = expect_invariant(server);
+  EXPECT_EQ(s.offered, 3);
+  EXPECT_EQ(s.admitted, 2);
+  EXPECT_EQ(s.shed_queue_full, 1);
 }
 
 TEST(RunBatch, ResultsMapOneToOneWithShedEntriesMarkedInPlace) {
