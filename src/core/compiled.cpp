@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
+#include <utility>
 
 #include "core/detail/parallel.hpp"
 #include "core/detail/simd.hpp"
@@ -469,6 +470,45 @@ void set_parallel_intersect_threshold(std::size_t entries) noexcept {
   g_parallel_threshold.store(entries, std::memory_order_relaxed);
 }
 
+namespace {
+
+/// Alignment of the block, and so of every lane column in it.
+constexpr std::size_t kBlockAlign = 64;
+
+}  // namespace
+
+void CompiledSpeedList::allocate_block() {
+  storage_.reset(new std::byte[layout_.bytes + kBlockAlign - 1]);
+  const auto address = reinterpret_cast<std::uintptr_t>(storage_.get());
+  block_ = storage_.get() + (-address & (kBlockAlign - 1));
+}
+
+CompiledSpeedList::CompiledSpeedList(const CompiledSpeedList& other)
+    : layout_(other.layout_) {
+  if (other.block_ == nullptr) return;
+  allocate_block();
+  std::memcpy(block_, other.block_, layout_.bytes);
+}
+
+CompiledSpeedList::CompiledSpeedList(CompiledSpeedList&& other) noexcept
+    : layout_(std::exchange(other.layout_, {})),
+      storage_(std::move(other.storage_)),
+      block_(std::exchange(other.block_, nullptr)) {}
+
+CompiledSpeedList& CompiledSpeedList::operator=(
+    const CompiledSpeedList& other) {
+  if (this != &other) *this = CompiledSpeedList(other);
+  return *this;
+}
+
+CompiledSpeedList& CompiledSpeedList::operator=(
+    CompiledSpeedList&& other) noexcept {
+  layout_ = std::exchange(other.layout_, {});
+  storage_ = std::move(other.storage_);
+  block_ = std::exchange(other.block_, nullptr);
+  return *this;
+}
+
 CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   // Batch plan for intersect_all(): the unwrapped closed-form families go
   // to SoA parameter lanes, vetted unwrapped Unimodal/Stepped entries to
@@ -476,24 +516,21 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
   // pool-backed entries, Piecewise, Generic) keeps the per-entry dispatch.
   // Vetting admits only parameters squarely inside the vector kernels'
   // vexp/vlog domains — anything exotic (non-normal scales, negative
-  // exponents, too many steps) is a compile-time punt to batch_other_, so
-  // the only runtime punt those lanes need is the beyond-max_size bracket
-  // expansion.
+  // exponents, too many steps) is a compile-time punt to the unbatched
+  // list, so the only runtime punt those lanes need is the beyond-max_size
+  // bracket expansion.
   const auto pos_normal = [](double v) { return std::isnormal(v) && v > 0.0; };
-  const auto batchable = [&pos_normal](const Classified& cl) {
-    if (cl.wrap != Wrap::None) return false;
+  const auto lane_for = [&pos_normal](const Classified& cl) {
+    if (cl.wrap != Wrap::None) return kOther;
     switch (cl.family) {
-      case Family::Constant:
-      case Family::LinearDecay:
-      case Family::PowerDecay:
-      case Family::ExpDecay:
-        return true;
       case Family::Unimodal: {
         const double k = cl.unimodal->decay_exponent();
-        return pos_normal(cl.c) && pos_normal(cl.unimodal->decay_x0()) &&
-               pos_normal(cl.max_size) && std::isfinite(k) && k >= 0.0 &&
-               std::isfinite(cl.a) && cl.a >= 0.0 && std::isfinite(cl.b) &&
-               cl.b > 0.0;
+        const bool safe =
+            pos_normal(cl.c) && pos_normal(cl.unimodal->decay_x0()) &&
+            pos_normal(cl.max_size) && std::isfinite(k) && k >= 0.0 &&
+            std::isfinite(cl.a) && cl.a >= 0.0 && std::isfinite(cl.b) &&
+            cl.b > 0.0;
+        return safe ? kUnimodal : kOther;
       }
       case Family::Stepped: {
         bool safe = pos_normal(cl.a) && pos_normal(cl.max_size) &&
@@ -501,223 +538,165 @@ CompiledSpeedList CompiledSpeedList::compile(const SpeedList& speeds) {
         for (const SteppedSpeed::Step& st : cl.stepped->steps())
           safe = safe && std::isfinite(st.at) && pos_normal(st.to) &&
                  pos_normal(st.width);
-        return safe;
+        return safe ? kStepped : kOther;
       }
       default:
-        return false;
+        return lane_of(cl.family);
     }
   };
 
-  // Pass 1, the classification walk: fill entries_, fold the fingerprint,
-  // and count every lane and pool, so that pass 2 can size each vector
-  // once, at its final padded length, instead of regrowing it.
+  // Pass 1, the classification walk: fold the fingerprint and count every
+  // lane and pool, which fixes where each array sits in the block.
   CompiledSpeedList list;
-  list.entries_.reserve(speeds.size());
+  Layout& lay = list.layout_;
+  if (speeds.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("CompiledSpeedList: too many entries");
+  lay.size = speeds.size();
   ChainHash hash(speeds.size());
-  constexpr auto kFamilies = static_cast<std::size_t>(Family::Piecewise) + 1;
-  std::size_t lane_size[kFamilies] = {};  // batched entries per Family
-  std::size_t aux = 0, steps = 0, points = 0, nslots = 0;
+  std::size_t points = 0, steps = 0;
   for (const SpeedFunction* f : speeds) {
     const Classified cl = classify_entry(f);
     hash_entry(hash, f, cl);
-    Entry e;
-    e.base = f;
-    e.family = cl.family;
-    e.wrap = cl.wrap;
-    e.wrap_param = cl.wrap_param;
-    e.max_size = cl.max_size;
-    e.a = cl.a;
-    e.b = cl.b;
-    e.c = cl.c;
-    e.d = cl.d;
-    e.count = cl.count;
-    switch (cl.family) {
-      case Family::Unimodal:
-        e.offset = static_cast<std::uint32_t>(aux);
-        aux += 2;
-        break;
-      case Family::Stepped:
-        e.offset = static_cast<std::uint32_t>(steps);
-        steps += cl.count;
-        break;
-      case Family::Piecewise:
-        e.offset = static_cast<std::uint32_t>(points);
-        points += cl.count;
-        break;
-      case Family::Generic:
-        ++list.generic_entries_;
-        break;
-      default:
-        break;
-    }
-    e.batched = batchable(cl);
-    if (e.batched) {
-      ++lane_size[static_cast<std::size_t>(cl.family)];
-      if (cl.family == Family::Stepped)
-        nslots = std::max<std::size_t>(nslots, cl.count);
-    }
-    list.entries_.push_back(e);
+    const LaneId lane = lane_for(cl);
+    ++lay.lanes[lane].count;
+    if (lane == kStepped)
+      lay.nslots = std::max(lay.nslots, cl.count);
+    else if (cl.family == Family::Piecewise)
+      points += cl.count;
+    else if (cl.family == Family::Stepped)
+      steps += cl.count;
+    else if (cl.family == Family::Generic)
+      ++lay.generic_entries;
   }
-  list.fingerprint_ = hash.fingerprint();
+  lay.fingerprint = hash.fingerprint();
+  if (lay.size == 0) return list;
 
-  // Pass 2: reserve every pool and lane column once, then fill them in
-  // entry order. Lane columns are reserved at their padded size (see
-  // below), so neither the fill nor the padding reallocates.
-  const auto lane_count = [&lane_size](Family family) {
-    return lane_size[static_cast<std::size_t>(family)];
+  // The block, in order: the lane columns and step slabs (each a multiple
+  // of kMaxLanes doubles, so every one starts 64-byte aligned), the entry
+  // table, the parameter records, the piecewise and step pools, and the
+  // lanes' entry indices.
+  std::size_t bytes = 0;
+  const auto place = [&bytes](std::size_t count, std::size_t elem) {
+    const std::size_t offset = bytes;
+    bytes += count * elem;
+    if (bytes > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("CompiledSpeedList: model too large");
+    return static_cast<std::uint32_t>(offset);
   };
-  std::size_t batched = 0;
-  for (const std::size_t n : lane_size) batched += n;
-  list.batch_other_.reserve(list.entries_.size() - batched);
-  list.aux_.reserve(aux);
-  list.steps_.reserve(steps);
-  list.px_.reserve(points);
-  list.ps_.reserve(points);
-  list.pm_.reserve(points);
-  const auto reserve_lane = [&lane_count](BatchLane& lane, Family family,
-                                          auto... columns) {
-    const std::size_t n = lane_count(family);
-    if (n == 0) return;
-    lane.idx.reserve(n);
-    (((lane.*columns).reserve(detail::simd::padded_size(n))), ...);
-  };
-  reserve_lane(list.lane_constant_, Family::Constant, &BatchLane::a);
-  reserve_lane(list.lane_linear_, Family::LinearDecay, &BatchLane::a,
-               &BatchLane::b, &BatchLane::c);
-  reserve_lane(list.lane_power_, Family::PowerDecay, &BatchLane::a,
-               &BatchLane::b, &BatchLane::c, &BatchLane::d);
-  reserve_lane(list.lane_exp_, Family::ExpDecay, &BatchLane::a,
-               &BatchLane::b, &BatchLane::d);
-  reserve_lane(list.lane_unimodal_, Family::Unimodal, &BatchLane::a,
-               &BatchLane::b, &BatchLane::c, &BatchLane::d, &BatchLane::e,
-               &BatchLane::f);
-  // The stepped lane's slot-major slabs start as identity steps (at=+inf,
-  // factor == 1 exactly) at their final nslots × stride shape.
-  SteppedLane& sl = list.lane_stepped_;
-  if (const std::size_t n = lane_count(Family::Stepped); n != 0) {
-    sl.idx.reserve(n);
-    sl.stride = detail::simd::padded_size(n);
-    sl.nslots = nslots;
-    sl.a.reserve(sl.stride);
-    sl.f.reserve(sl.stride);
-    sl.at.assign(sl.nslots * sl.stride,
-                 std::numeric_limits<double>::infinity());
-    sl.ratio.assign(sl.nslots * sl.stride, 1.0);
-    sl.width.assign(sl.nslots * sl.stride, 1.0);
+  static_assert(detail::simd::kMaxLanes * sizeof(double) % kBlockAlign == 0);
+  static_assert(sizeof(Entry) % alignof(Params) == 0 &&
+                sizeof(Params) % alignof(double) == 0);
+  for (int l = 0; l < kOther; ++l) {
+    Lane& lane = lay.lanes[l];
+    if (lane.count == 0) continue;
+    const std::size_t padded = detail::simd::padded_size(lane.count);
+    for (int c = 0; c < 6; ++c)
+      if ((kLaneColumns[l] >> c) & 1)
+        lane.col[c] = place(padded, sizeof(double));
+    // Lane entries are unwrapped, so LinearDecay's b and PowerDecay's and
+    // ExpDecay's d are their max_size: column f names that column there.
+    if (((kLaneColumns[l] >> 5) & 1) == 0)
+      lane.col[5] = lane.col[l == kLinear ? 1 : 3];
   }
+  if (lay.lanes[kStepped].count != 0) {
+    lay.stride = static_cast<std::uint32_t>(
+        detail::simd::padded_size(lay.lanes[kStepped].count));
+    for (std::uint32_t& slab : lay.slabs)
+      slab = place(std::size_t{lay.nslots} * lay.stride, sizeof(double));
+  }
+  lay.entries = place(lay.size, sizeof(Entry));
+  lay.records = place(lay.lanes[kOther].count, sizeof(Params));
+  lay.px = place(points, sizeof(double));
+  lay.ps = place(points, sizeof(double));
+  for (std::uint32_t& pool : lay.steps) pool = place(steps, sizeof(double));
+  for (Lane& lane : lay.lanes)
+    lane.idx = place(lane.count, sizeof(std::uint32_t));
+  lay.bytes = bytes;
+  list.allocate_block();
 
-  for (std::size_t i = 0; i < list.entries_.size(); ++i) {
-    const Entry& e = list.entries_[i];
-    const auto dst = static_cast<std::uint32_t>(i);
-    // Pool data, appended in entry order so it lands at the offsets pass 1
-    // assigned. Only pool-backed entries are classified a second time.
-    switch (e.family) {
-      case Family::Unimodal: {
-        const UnimodalSpeed& u = *classify(*e.base).unimodal;
-        list.aux_.push_back(u.decay_x0());
-        list.aux_.push_back(u.decay_exponent());
-        break;
+  // Pass 2: classify again and fill every array in entry order.
+  std::byte* const block = list.block_;
+  const auto doubles = [block](std::uint32_t offset) {
+    return reinterpret_cast<double*>(block + offset);
+  };
+  const auto col = [&](int lane, int c) {
+    return doubles(lay.lanes[lane].col[c]);
+  };
+  auto* const entries = reinterpret_cast<Entry*>(block + lay.entries);
+  auto* const records = reinterpret_cast<Params*>(block + lay.records);
+  double* const px = doubles(lay.px);
+  double* const ps = doubles(lay.ps);
+  // The step slabs start as identity steps (at = +inf, ratio == 1 exactly).
+  const std::size_t slab_size = std::size_t{lay.nslots} * lay.stride;
+  std::fill_n(doubles(lay.slabs[0]), slab_size,
+              std::numeric_limits<double>::infinity());
+  std::fill_n(doubles(lay.slabs[1]), slab_size, 1.0);
+  std::fill_n(doubles(lay.slabs[2]), slab_size, 1.0);
+  std::uint32_t filled[kLanes] = {};
+  std::uint32_t point = 0, step = 0;
+  for (std::size_t i = 0; i < speeds.size(); ++i) {
+    const SpeedFunction* f = speeds[i];
+    const Classified cl = classify(*f);
+    const LaneId lane = lane_for(cl);
+    const std::uint32_t j = filled[lane]++;
+    entries[i] = Entry{f, j, cl.family, cl.wrap, lane};
+    reinterpret_cast<std::uint32_t*>(block + lay.lanes[lane].idx)[j] =
+        static_cast<std::uint32_t>(i);
+    Params p{cl.a, cl.b, cl.c, cl.d, 0.0, cl.max_size, cl.wrap_param, 0,
+             cl.count};
+    if (cl.family == Family::Unimodal) {
+      p.d = cl.unimodal->decay_x0();
+      p.e = cl.unimodal->decay_exponent();
+    } else if (cl.family == Family::Piecewise) {
+      p.offset = point;
+      for (const SpeedPoint& pt : cl.piecewise->points()) {
+        px[point] = pt.size;
+        ps[point] = pt.speed;
+        ++point;
       }
-      case Family::Stepped: {
-        const auto& st = classify(*e.base).stepped->steps();
-        list.steps_.insert(list.steps_.end(), st.begin(), st.end());
-        break;
+    } else if (cl.family == Family::Stepped) {
+      // A lane entry's steps go to its slot of the slot-major slabs, an
+      // unbatched entry's to the next run of the step pool.
+      const bool in_lane = lane == kStepped;
+      const std::uint32_t* arrays = in_lane ? lay.slabs : lay.steps;
+      const std::size_t stride = in_lane ? lay.stride : 1;
+      std::size_t off = in_lane ? j : step;
+      if (!in_lane) {
+        p.offset = step;
+        step += cl.count;
       }
-      case Family::Piecewise: {
-        const auto pts = classify(*e.base).piecewise->points();
-        for (const SpeedPoint& p : pts) {
-          list.px_.push_back(p.size);
-          list.ps_.push_back(p.speed);
-        }
-        // Segment slopes computed with the exact expression of
-        // PiecewiseLinearSpeed::intersect, so the compiled segment solve
-        // feeds piecewise_segment_intersect the same m it would compute per
-        // call. One padding slot per function keeps pm_ aligned with
-        // px_/ps_.
-        for (std::size_t k = 1; k < pts.size(); ++k)
-          list.pm_.push_back((pts[k].speed - pts[k - 1].speed) /
-                             (pts[k].size - pts[k - 1].size));
-        list.pm_.push_back(0.0);
-        break;
+      double level = cl.a;
+      for (const SteppedSpeed::Step& st : cl.stepped->steps()) {
+        doubles(arrays[0])[off] = st.at;
+        doubles(arrays[1])[off] = st.to / level;
+        doubles(arrays[2])[off] = st.width;
+        level = st.to;
+        off += stride;
       }
-      default:
-        break;
     }
-    if (!e.batched) {
-      list.batch_other_.push_back(dst);
+    if (lane == kOther) {
+      records[j] = p;
       continue;
     }
-    switch (e.family) {
-      case Family::Constant:
-        list.lane_constant_.idx.push_back(dst);
-        list.lane_constant_.a.push_back(e.a);
-        break;
-      case Family::LinearDecay:
-        list.lane_linear_.idx.push_back(dst);
-        list.lane_linear_.a.push_back(e.a);
-        list.lane_linear_.b.push_back(e.b);
-        list.lane_linear_.c.push_back(e.c);
-        break;
-      case Family::PowerDecay:
-        list.lane_power_.idx.push_back(dst);
-        list.lane_power_.a.push_back(e.a);
-        list.lane_power_.b.push_back(e.b);
-        list.lane_power_.c.push_back(e.c);
-        list.lane_power_.d.push_back(e.d);
-        break;
-      case Family::ExpDecay:
-        list.lane_exp_.idx.push_back(dst);
-        list.lane_exp_.a.push_back(e.a);
-        list.lane_exp_.b.push_back(e.b);
-        list.lane_exp_.d.push_back(e.d);
-        break;
-      case Family::Unimodal:
-        list.lane_unimodal_.idx.push_back(dst);
-        list.lane_unimodal_.a.push_back(e.a);
-        list.lane_unimodal_.b.push_back(e.b);
-        list.lane_unimodal_.c.push_back(e.c);
-        list.lane_unimodal_.d.push_back(list.aux_[e.offset]);
-        list.lane_unimodal_.e.push_back(list.aux_[e.offset + 1]);
-        list.lane_unimodal_.f.push_back(e.max_size);
-        break;
-      case Family::Stepped: {
-        const std::size_t j = sl.idx.size();
-        sl.idx.push_back(dst);
-        sl.a.push_back(e.a);
-        sl.f.push_back(e.max_size);
-        double level = e.a;
-        for (std::uint32_t s = 0; s < e.count; ++s) {
-          const SteppedSpeed::Step& st = list.steps_[e.offset + s];
-          const std::size_t off = s * sl.stride + j;
-          sl.at[off] = st.at;
-          sl.ratio[off] = st.to / level;
-          sl.width[off] = st.width;
-          level = st.to;
-        }
-        break;
-      }
-      default:
-        break;
-    }
+    const double values[6] = {p.a, p.b, p.c, p.d, p.e, p.max_size};
+    for (int c = 0; c < 6; ++c)
+      if ((kLaneColumns[lane] >> c) & 1) col(lane, c)[j] = values[c];
   }
   // Pad every lane column to kMaxLanes (the widest compiled vector width)
   // by duplicating the last real element: whichever backend the runtime
   // dispatch picks then streams whole registers with the pad slots
-  // computing harmless in-domain values that are never scattered (idx
-  // keeps the real count, and the per-entry path loops over it).
-  const auto pad = [](auto& col, std::size_t padded) {
-    if (!col.empty()) col.resize(padded, col.back());
-  };
-  for (BatchLane* lane : {&list.lane_constant_, &list.lane_linear_,
-                          &list.lane_power_, &list.lane_exp_,
-                          &list.lane_unimodal_}) {
-    const std::size_t padded = detail::simd::padded_size(lane->idx.size());
-    for (BatchLane::Column* col :
-         {&lane->a, &lane->b, &lane->c, &lane->d, &lane->e, &lane->f})
-      pad(*col, padded);
+  // computing harmless in-domain values that are never scattered (the
+  // lane's count is the real one, and the per-entry path loops over it).
+  for (int l = 0; l < kOther; ++l) {
+    const std::uint32_t count = lay.lanes[l].count;
+    if (count == 0) continue;
+    const std::size_t padded = detail::simd::padded_size(count);
+    for (int c = 0; c < 6; ++c) {
+      if (((kLaneColumns[l] >> c) & 1) == 0) continue;
+      double* column = col(l, c);
+      std::fill(column + count, column + padded, column[count - 1]);
+    }
   }
-  pad(sl.a, sl.stride);
-  pad(sl.f, sl.stride);
   return list;
 }
 
@@ -739,36 +718,83 @@ std::uint64_t CompiledSpeedList::fingerprint_of(const SpeedList& speeds,
   return hash.fingerprint();
 }
 
-double CompiledSpeedList::raw_speed(const Entry& e, double x) const {
+CompiledSpeedList::Params CompiledSpeedList::lane_params(
+    LaneId lane, std::uint32_t j) const noexcept {
+  const auto col = [&](int c) { return column(lane, c)[j]; };
+  Params p;
+  p.a = col(0);
+  p.max_size = col(5);
+  switch (lane) {
+    case kLinear:
+      p.b = col(1);
+      p.c = col(2);
+      break;
+    case kPower:
+      p.b = col(1);
+      p.c = col(2);
+      p.d = col(3);
+      break;
+    case kExp:
+      p.b = col(1);
+      p.d = col(3);
+      break;
+    case kUnimodal:
+      p.b = col(1);
+      p.c = col(2);
+      p.d = col(3);
+      p.e = col(4);
+      break;
+    case kStepped: {
+      // The real steps are the leading finite `at` values of the lane slot
+      // (vetting rejects non-finite ones; the rest are identity pad steps).
+      p.offset = j;
+      const double* at = ptr<double>(layout_.slabs[0]) + j;
+      while (p.count < layout_.nslots &&
+             at[std::size_t{p.count} * layout_.stride] !=
+                 std::numeric_limits<double>::infinity())
+        ++p.count;
+      break;
+    }
+    default:  // kConstant
+      break;
+  }
+  return p;
+}
+
+double CompiledSpeedList::raw_speed(const Entry& e, const Params& p,
+                                    double x) const {
   switch (e.family) {
     case Family::Constant:
-      return e.a;
+      return p.a;
     case Family::LinearDecay:
-      return detail::linear_decay_speed(e.a, e.b, e.c, x);
+      return detail::linear_decay_speed(p.a, p.b, p.c, x);
     case Family::PowerDecay:
-      return detail::power_decay_speed(e.a, e.b, e.c, x);
+      return detail::power_decay_speed(p.a, p.b, p.c, x);
     case Family::ExpDecay:
-      return detail::exp_decay_speed(e.a, e.b, x);
+      return detail::exp_decay_speed(p.a, p.b, x);
     case Family::Unimodal:
-      return detail::unimodal_speed(e.a, e.b, e.c, aux_[e.offset],
-                                    aux_[e.offset + 1], x);
+      return detail::unimodal_speed(p.a, p.b, p.c, p.d, p.e, x);
     case Family::Stepped: {
-      double s = e.a;
-      double level = e.a;
-      for (std::uint32_t i = 0; i < e.count; ++i) {
-        const SteppedSpeed::Step& st = steps_[e.offset + i];
-        s *= detail::stepped_step_factor(st.at, st.to, st.width, level, x);
-        level = st.to;
-      }
+      // A batched entry's steps are its slot in the lane's slot-major
+      // slabs; an unbatched one's are contiguous in the step pool.
+      const bool in_lane = e.lane == kStepped;
+      const std::uint32_t* arrays = in_lane ? layout_.slabs : layout_.steps;
+      const std::size_t stride = in_lane ? layout_.stride : 1;
+      const double* at = ptr<double>(arrays[0]) + p.offset;
+      const double* ratio = ptr<double>(arrays[1]) + p.offset;
+      const double* width = ptr<double>(arrays[2]) + p.offset;
+      double s = p.a;
+      for (std::size_t k = 0; k < p.count * stride; k += stride)
+        s *= detail::stepped_step_blend(at[k], ratio[k], width[k], x);
       return s;
     }
     case Family::Piecewise: {
-      const std::uint32_t off = e.offset;
-      const std::uint32_t last = e.count - 1;
-      if (x <= px_[off]) return ps_[off];
-      if (x >= px_[off + last])
-        return detail::piecewise_tail_speed(ps_[off + last], e.b, e.a,
-                                            x - px_[off + last]);
+      const double* px = ptr<double>(layout_.px) + p.offset;
+      const double* ps = ptr<double>(layout_.ps) + p.offset;
+      const std::uint32_t last = p.count - 1;
+      if (x <= px[0]) return ps[0];
+      if (x >= px[last])
+        return detail::piecewise_tail_speed(ps[last], p.b, p.a, x - px[last]);
       // Branchless segment lookup over the SoA breakpoints: narrow to the
       // last index with px <= x using conditional selects (no data-dependent
       // branches), exactly the segment std::upper_bound picks on the AoS
@@ -778,13 +804,12 @@ double CompiledSpeedList::raw_speed(const Entry& e, double x) const {
       std::uint32_t len = last;  // candidates [0, count-2]
       while (len > 1) {
         const std::uint32_t half = len >> 1;
-        const bool go_right = px_[off + base + half] <= x;
+        const bool go_right = px[base + half] <= x;
         base = go_right ? base + half : base;
         len = go_right ? len - half : half;
       }
-      return detail::piecewise_segment_speed(px_[off + base], ps_[off + base],
-                                             px_[off + base + 1],
-                                             ps_[off + base + 1], x);
+      return detail::piecewise_segment_speed(px[base], ps[base], px[base + 1],
+                                             ps[base + 1], x);
     }
     case Family::Generic:
       break;
@@ -792,19 +817,21 @@ double CompiledSpeedList::raw_speed(const Entry& e, double x) const {
   return e.base->speed(x);
 }
 
-double CompiledSpeedList::entry_speed(const Entry& e, double x) const {
+double CompiledSpeedList::entry_speed(const Entry& e, const Params& p,
+                                      double x) const {
   switch (e.wrap) {
     case Wrap::Scaled:
-      return e.wrap_param * raw_speed(e, x);
+      return p.wrap_param * raw_speed(e, p, x);
     case Wrap::Granular:
-      return raw_speed(e, x * e.wrap_param) / e.wrap_param;
+      return raw_speed(e, p, x * p.wrap_param) / p.wrap_param;
     case Wrap::None:
       break;
   }
-  return raw_speed(e, x);
+  return raw_speed(e, p, x);
 }
 
-double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
+double CompiledSpeedList::entry_intersect(const Entry& e, const Params& p,
+                                          double slope) const {
   assert(slope > 0.0);
   if (e.family == Family::Generic) return e.base->intersect(slope);
   if (e.wrap != Wrap::None) {
@@ -812,31 +839,31 @@ double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
     // compiled side runs the same generic bisection over the same speed
     // values (virtual dispatch removed, arithmetic unchanged).
     return detail::generic_intersect(
-        [this, &e](double x) { return entry_speed(e, x); }, e.max_size, slope);
+        [&](double x) { return entry_speed(e, p, x); }, p.max_size, slope);
   }
   switch (e.family) {
     case Family::Constant:
-      return detail::constant_intersect(e.a, slope);
+      return detail::constant_intersect(p.a, slope);
     case Family::LinearDecay:
-      return detail::linear_decay_intersect(e.a, e.b, e.c, slope);
+      return detail::linear_decay_intersect(p.a, p.b, p.c, slope);
     case Family::PowerDecay:
-      return detail::power_decay_intersect(e.a, e.b, e.c, e.d, slope);
+      return detail::power_decay_intersect(p.a, p.b, p.c, p.d, slope);
     case Family::ExpDecay:
-      return detail::exp_decay_intersect(e.a, e.b, e.d, slope);
+      return detail::exp_decay_intersect(p.a, p.b, p.d, slope);
     case Family::Piecewise: {
       // Mirrors PiecewiseLinearSpeed::intersect() step for step, reading the
-      // SoA slabs and the precomputed segment slopes.
-      const std::uint32_t off = e.offset;
-      const std::uint32_t last = e.count - 1;
-      const double b = px_[off + last];
-      if (raw_speed(e, b) >= slope * b)
-        return detail::piecewise_tail_intersect(b, ps_[off + last], e.b, e.a,
-                                                slope);
-      if (slope * px_[off] >= ps_[off]) return ps_[off] / slope;
+      // SoA slabs.
+      const double* px = ptr<double>(layout_.px) + p.offset;
+      const double* ps = ptr<double>(layout_.ps) + p.offset;
+      const std::uint32_t last = p.count - 1;
+      const double b = px[last];
+      if (raw_speed(e, p, b) >= slope * b)
+        return detail::piecewise_tail_intersect(b, ps[last], p.b, p.a, slope);
+      if (slope * px[0] >= ps[0]) return ps[0] / slope;
       std::uint32_t lo = 0;
       std::uint32_t hi = last;
       const detail::simd::SimdKernels* kern = active_kernels();
-      if (kern != nullptr && e.count >= 16) {
+      if (kern != nullptr && p.count >= 16) {
         // Vectorized bracketing scan over the SoA slab: count the segment
         // starts still above the line. The predicate ps > slope·px is the
         // exact comparison of the binary search below, and the model's
@@ -845,53 +872,62 @@ double CompiledSpeedList::entry_intersect(const Entry& e, double slope) const {
         // search lands on — bit-identically, since the arithmetic on the
         // selected segment is unchanged. The clamp only matters for
         // invalid (non-monotone) data, where either path is best-effort.
-        const std::size_t above = kern->piecewise_count_above(
-            px_.data() + off, ps_.data() + off, e.count, slope);
+        const std::size_t above =
+            kern->piecewise_count_above(px, ps, p.count, slope);
         lo = static_cast<std::uint32_t>(
             std::clamp<std::size_t>(above, 1, last) - 1);
         hi = lo + 1;
       } else {
         while (hi - lo > 1) {
           const std::uint32_t mid = lo + (hi - lo) / 2;
-          if (ps_[off + mid] > slope * px_[off + mid])
+          if (ps[mid] > slope * px[mid])
             lo = mid;
           else
             hi = mid;
         }
       }
-      return detail::piecewise_segment_intersect(px_[off + lo], ps_[off + lo],
-                                                 pm_[off + lo], slope,
-                                                 px_[off + lo], px_[off + hi]);
+      // The segment's slope, with the exact expression of
+      // PiecewiseLinearSpeed::intersect, so the segment solve gets the m
+      // the virtual model computes.
+      const double m = (ps[hi] - ps[lo]) / (px[hi] - px[lo]);
+      return detail::piecewise_segment_intersect(px[lo], ps[lo], m, slope,
+                                                 px[lo], px[hi]);
     }
     case Family::Unimodal:
     case Family::Stepped:
       // No closed form on the virtual side either: same generic bisection.
       return detail::generic_intersect(
-          [this, &e](double x) { return raw_speed(e, x); }, e.max_size, slope);
+          [&](double x) { return raw_speed(e, p, x); }, p.max_size, slope);
     case Family::Generic:
       break;
   }
   return e.base->intersect(slope);
 }
 
-double CompiledSpeedList::speed(std::size_t i, double x) const {
-  return entry_speed(entries_[i], x);
+// Flattened: the fine-tune pops and the Figure-18 probe call speed() once
+// per entry, and inlining the lane-slot gather and the family dispatch
+// into it spares each call a parameter record built on the stack (a p = 64
+// fine-tune took 1.04 µs without it and 0.93 µs with it, against 0.95 µs
+// with parameters stored in each entry; x86-64, GCC 12, -O3).
+[[gnu::flatten]] double CompiledSpeedList::speed(std::size_t i,
+                                                 double x) const {
+  const Entry& e = entry(i);
+  if (e.lane == kOther) return entry_speed(e, record(e.slot), x);
+  // Lane entries are unwrapped.
+  return raw_speed(e, lane_params(e.lane, e.slot), x);
 }
 
 double CompiledSpeedList::intersect(std::size_t i, double slope) const {
-  return entry_intersect(entries_[i], slope);
+  const Entry& e = entry(i);
+  if (e.lane == kOther) return entry_intersect(e, record(e.slot), slope);
+  return entry_intersect(e, lane_params(e.lane, e.slot), slope);
 }
 
-/// One batch task of intersect_all: a closed-form lane (lane 0..3, with its
-/// BatchLane), an iterative lane (4=unimodal with its BatchLane, 5=stepped
-/// with the SteppedLane) or the per-entry fallback list (lane 6). `idx`
-/// holds the lane's real (unpadded) entries; chunks address ranges of it.
+/// One batch task of intersect_all: a batch lane, or the unbatched list
+/// (kOther), whose entries take the per-entry solve. Chunks address ranges
+/// of the lane's real (unpadded) entries.
 struct CompiledSpeedList::LaneSweep {
-  int lane = 0;  ///< 0=constant 1=linear 2=power 3=exp 4=unimodal 5=stepped
-                 ///< 6=other
-  const std::vector<std::uint32_t>* idx = nullptr;
-  const BatchLane* bl = nullptr;
-  const SteppedLane* sl = nullptr;
+  LaneId lane = kOther;
   const detail::simd::SimdKernels* kern = nullptr;  ///< null => per entry
 };
 
@@ -927,12 +963,22 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
                                              std::size_t end, double slope,
                                              std::span<double> out,
                                              std::int64_t& scalar_fixups) const {
-  const std::vector<std::uint32_t>& idx = *sweep.idx;
-  if (sweep.kern == nullptr || sweep.lane == 6) {
-    // Scalar mode and the unbatched list: the per-entry solve, the one
-    // exact solve every vector lane is checked against.
+  const std::uint32_t* idx = lane_idx(sweep.lane);
+  if (sweep.lane == kOther) {
+    // The unbatched list: the per-entry solve. Slot j of this list is
+    // parameter record j, so the record is read beside its entry, not
+    // through the entry's slot.
     for (std::size_t j = begin; j < end; ++j)
-      out[idx[j]] = entry_intersect(entries_[idx[j]], slope);
+      out[idx[j]] = entry_intersect(entry(idx[j]),
+                                    record(static_cast<std::uint32_t>(j)),
+                                    slope);
+    return;
+  }
+  if (sweep.kern == nullptr) {
+    // Scalar mode: the per-entry solve, the one exact solve every vector
+    // lane is checked against.
+    for (std::size_t j = begin; j < end; ++j)
+      out[idx[j]] = intersect(idx[j], slope);
     return;
   }
   // Vector path: the kernel fills a dense on-stack block (begin is always a
@@ -943,43 +989,40 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
   assert(begin % sweep.kern->width == 0 && m <= kLaneChunk);
   alignas(64) double block[kLaneChunk];
   const std::size_t mpad = detail::simd::padded_size(m, sweep.kern->width);
-  const BatchLane* bl = sweep.bl;  // null for the stepped lane
+  const auto col = [&](int c) { return column(sweep.lane, c) + begin; };
   switch (sweep.lane) {
-    case 0:
-      sweep.kern->constant_batch(bl->a.data() + begin, mpad, slope, block);
+    case kConstant:
+      sweep.kern->constant_batch(col(0), mpad, slope, block);
       break;
-    case 1:
-      sweep.kern->linear_batch(bl->a.data() + begin, bl->b.data() + begin,
-                               bl->c.data() + begin, mpad, slope, block);
+    case kLinear:
+      sweep.kern->linear_batch(col(0), col(1), col(2), mpad, slope, block);
       break;
-    case 2:
-      sweep.kern->power_batch(bl->a.data() + begin, bl->b.data() + begin,
-                              bl->c.data() + begin, bl->d.data() + begin, mpad,
-                              slope, block);
+    case kPower:
+      sweep.kern->power_batch(col(0), col(1), col(2), col(3), mpad, slope,
+                              block);
       break;
-    case 3:
-      sweep.kern->exp_batch(bl->a.data() + begin, bl->b.data() + begin, mpad,
-                            slope, block);
+    case kExp:
+      sweep.kern->exp_batch(col(0), col(1), mpad, slope, block);
       break;
-    case 4:
-      sweep.kern->unimodal_batch(bl->a.data() + begin, bl->b.data() + begin,
-                                 bl->c.data() + begin, bl->d.data() + begin,
-                                 bl->e.data() + begin, bl->f.data() + begin,
-                                 mpad, slope, block);
+    case kUnimodal:
+      sweep.kern->unimodal_batch(col(0), col(1), col(2), col(3), col(4),
+                                 col(5), mpad, slope, block);
       break;
     default: {
-      // The slot-major slabs share the entry indexing of a/f, so offsetting
-      // every slab pointer by `begin` (keeping the full-lane stride) lands
-      // slot s of chunk element j at [s·stride + begin + j] as laid out.
-      const SteppedLane& sl = *sweep.sl;
-      sweep.kern->stepped_batch(sl.a.data() + begin, sl.f.data() + begin,
-                                sl.at.data() + begin, sl.ratio.data() + begin,
-                                sl.width.data() + begin, mpad, sl.stride,
-                                sl.nslots, slope, block);
+      // The slot-major slabs share the lane slot indexing of a/f, so
+      // offsetting every slab pointer by `begin` (keeping the full-lane
+      // stride) lands slot s of chunk element j at [s·stride + begin + j]
+      // as laid out.
+      const auto slab = [&](int k) {
+        return ptr<double>(layout_.slabs[k]) + begin;
+      };
+      sweep.kern->stepped_batch(col(0), col(5), slab(0), slab(1), slab(2),
+                                mpad, layout_.stride, layout_.nslots, slope,
+                                block);
       break;
     }
   }
-  if (sweep.lane <= 1) {
+  if (sweep.lane <= kLinear) {
     // Constant/linear kernels never punt (pure IEEE arithmetic, no NaN
     // sentinels), so scatter without the fixup scan — the scan otherwise
     // costs as much as the division-bound kernels themselves.
@@ -993,7 +1036,7 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
       // at/beyond max_size, a stepped solve past its iteration cap): rerun
       // the per-entry solve, so the bracket expansion and its saturation
       // tally happen exactly as in scalar mode.
-      x = entry_intersect(entries_[idx[begin + j]], slope);
+      x = intersect(idx[begin + j], slope);
       ++scalar_fixups;
     }
     out[idx[begin + j]] = x;
@@ -1002,35 +1045,30 @@ void CompiledSpeedList::lane_chunk_intersect(const LaneSweep& sweep,
 
 void CompiledSpeedList::intersect_all(double slope,
                                       std::span<double> out) const {
-  assert(out.size() == entries_.size());
+  assert(out.size() == size());
   const detail::simd::SimdKernels* kern = active_kernels();
 
-  LaneSweep sweeps[7];
+  LaneSweep sweeps[kLanes];
   std::size_t nsweeps = 0;
-  const auto add_lane = [&](int lane, const std::vector<std::uint32_t>& idx,
-                            const BatchLane* bl, const SteppedLane* sl) {
-    if (!idx.empty()) sweeps[nsweeps++] = LaneSweep{lane, &idx, bl, sl, kern};
+  for (int l = 0; l < kLanes; ++l)
+    if (layout_.lanes[l].count != 0)
+      sweeps[nsweeps++] = LaneSweep{static_cast<LaneId>(l), kern};
+  const auto lane_count = [this](const LaneSweep& sweep) -> std::size_t {
+    return layout_.lanes[sweep.lane].count;
   };
-  add_lane(0, lane_constant_.idx, &lane_constant_, nullptr);
-  add_lane(1, lane_linear_.idx, &lane_linear_, nullptr);
-  add_lane(2, lane_power_.idx, &lane_power_, nullptr);
-  add_lane(3, lane_exp_.idx, &lane_exp_, nullptr);
-  add_lane(4, lane_unimodal_.idx, &lane_unimodal_, nullptr);
-  add_lane(5, lane_stepped_.idx, nullptr, &lane_stepped_);
-  add_lane(6, batch_other_, nullptr, nullptr);
 
   std::int64_t fixups = 0;
   bool split = false;
-  if (entries_.size() >= parallel_intersect_threshold() &&
+  if (size() >= parallel_intersect_threshold() &&
       detail::lane_pool_threads() > 0) {
     struct Task {
       const LaneSweep* sweep;
       std::size_t begin, end;
     };
     std::vector<Task> tasks;
-    tasks.reserve(entries_.size() / kLaneChunk + nsweeps);
+    tasks.reserve(size() / kLaneChunk + nsweeps);
     for (std::size_t i = 0; i < nsweeps; ++i) {
-      const std::size_t count = sweeps[i].idx->size();
+      const std::size_t count = lane_count(sweeps[i]);
       for (std::size_t b = 0; b < count; b += kLaneChunk)
         tasks.push_back({&sweeps[i], b, std::min(b + kLaneChunk, count)});
     }
@@ -1057,7 +1095,7 @@ void CompiledSpeedList::intersect_all(double slope,
     fixups = fix_total.load(std::memory_order_relaxed);
   } else {
     for (std::size_t i = 0; i < nsweeps; ++i) {
-      const std::size_t count = sweeps[i].idx->size();
+      const std::size_t count = lane_count(sweeps[i]);
       for (std::size_t b = 0; b < count; b += kLaneChunk)
         lane_chunk_intersect(sweeps[i], b, std::min(b + kLaneChunk, count),
                              slope, out, fixups);
@@ -1075,9 +1113,8 @@ void CompiledSpeedList::intersect_all(double slope,
       obs::metrics().counter(obs::names::kPartitionBatchParallelSweeps);
   static obs::Gauge& g_backend =
       obs::metrics().gauge(obs::names::kPartitionBatchBackend);
-  const auto batched =
-      static_cast<std::int64_t>(entries_.size() - batch_other_.size());
-  const auto other = static_cast<std::int64_t>(batch_other_.size());
+  const auto batched = static_cast<std::int64_t>(batched_entries());
+  const auto other = static_cast<std::int64_t>(layout_.lanes[kOther].count);
   g_backend.set(static_cast<double>(
       static_cast<std::uint8_t>(active_simd_backend())));
   if (kern != nullptr) {
@@ -1092,10 +1129,13 @@ void CompiledSpeedList::intersect_all(double slope,
 
 void CompiledSpeedList::speed_all(std::span<const double> xs,
                                   std::span<double> out) const {
-  assert(xs.size() == entries_.size() && out.size() == entries_.size());
+  assert(xs.size() == size() && out.size() == size());
   const detail::simd::SimdKernels* kern = active_kernels();
-  const auto scalar_lane = [&](const std::vector<std::uint32_t>& idx) {
-    for (const std::uint32_t i : idx) out[i] = entry_speed(entries_[i], xs[i]);
+  const auto scalar_lane = [&](LaneId lane) {
+    const std::uint32_t* idx = lane_idx(lane);
+    const std::uint32_t count = layout_.lanes[lane].count;
+    for (std::uint32_t j = 0; j < count; ++j)
+      out[idx[j]] = speed(idx[j], xs[idx[j]]);
   };
   // Constant/linear entries are cheap per-entry scalar evaluations (a
   // select, a division, a couple of multiplies). Unimodal and stepped
@@ -1104,67 +1144,66 @@ void CompiledSpeedList::speed_all(std::span<const double> xs,
   // scalar too; the libm pow/exp of the power/exp lanes is where the
   // sweep's time goes, so those two lanes take the vector speed kernels
   // when a backend is active.
-  scalar_lane(lane_constant_.idx);
-  scalar_lane(lane_linear_.idx);
-  scalar_lane(lane_unimodal_.idx);
-  scalar_lane(lane_stepped_.idx);
-  scalar_lane(batch_other_);
+  scalar_lane(kConstant);
+  scalar_lane(kLinear);
+  scalar_lane(kUnimodal);
+  scalar_lane(kStepped);
+  scalar_lane(kOther);
   if (kern == nullptr) {
-    scalar_lane(lane_power_.idx);
-    scalar_lane(lane_exp_.idx);
+    scalar_lane(kPower);
+    scalar_lane(kExp);
     return;
   }
   // Gather xs through idx into a padded column (pad slots duplicate the
   // last real size: in-domain, never scattered back), run the kernel over
   // the whole lane, fix up NaN punts with the exact scalar evaluation.
+  // Every xs[i] is read before out[i] is written, so out may alias xs.
   static thread_local detail::simd::LaneVector xbuf;
   static thread_local detail::simd::LaneVector rbuf;
-  const auto vector_lane = [&](const BatchLane& bl, bool is_power) {
-    const std::size_t count = bl.idx.size();
+  const auto vector_lane = [&](LaneId lane) {
+    const std::size_t count = layout_.lanes[lane].count;
     if (count == 0) return;
+    const std::uint32_t* idx = lane_idx(lane);
     const std::size_t storage = detail::simd::padded_size(count);
     const std::size_t mpad = detail::simd::padded_size(count, kern->width);
     xbuf.resize(storage);
     rbuf.resize(storage);
-    for (std::size_t j = 0; j < count; ++j) xbuf[j] = xs[bl.idx[j]];
+    for (std::size_t j = 0; j < count; ++j) xbuf[j] = xs[idx[j]];
     for (std::size_t j = count; j < storage; ++j) xbuf[j] = xbuf[count - 1];
-    if (is_power) {
-      kern->power_speed_batch(bl.a.data(), bl.b.data(), bl.c.data(),
-                              xbuf.data(), mpad, rbuf.data());
+    if (lane == kPower) {
+      kern->power_speed_batch(column(lane, 0), column(lane, 1),
+                              column(lane, 2), xbuf.data(), mpad,
+                              rbuf.data());
     } else {
-      kern->exp_speed_batch(bl.a.data(), bl.b.data(), xbuf.data(), mpad,
-                            rbuf.data());
+      kern->exp_speed_batch(column(lane, 0), column(lane, 1), xbuf.data(),
+                            mpad, rbuf.data());
     }
     for (std::size_t j = 0; j < count; ++j) {
       double s = rbuf[j];
-      if (std::isnan(s)) s = entry_speed(entries_[bl.idx[j]], xs[bl.idx[j]]);
-      out[bl.idx[j]] = s;
+      if (std::isnan(s)) s = speed(idx[j], xbuf[j]);
+      out[idx[j]] = s;
     }
   };
-  vector_lane(lane_power_, /*is_power=*/true);
-  vector_lane(lane_exp_, /*is_power=*/false);
+  vector_lane(kPower);
+  vector_lane(kExp);
+}
+
+void speeds_at(const CompiledSpeedList& speeds, std::span<const double> xs,
+               EvalCounters* counters, std::span<double> out) {
+  speeds.speed_all(xs, out);
+  if (counters)
+    counters->speed_evals += static_cast<std::int64_t>(speeds.size());
 }
 
 std::vector<double> speeds_at(const CompiledSpeedList& speeds,
                               std::span<const double> xs,
                               EvalCounters* counters) {
   std::vector<double> out(speeds.size());
-  speeds.speed_all(xs, out);
-  if (counters)
-    counters->speed_evals += static_cast<std::int64_t>(speeds.size());
+  speeds_at(speeds, xs, counters, out);
   return out;
 }
 
 namespace {
-
-/// Solves one line into `xs` and counts it. Every compiled line solve
-/// goes through here.
-void solve_line(const CompiledSpeedList& speeds, double slope,
-                std::span<double> xs, EvalCounters* counters) {
-  speeds.intersect_all(slope, xs);
-  if (counters)
-    counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
-}
 
 /// The entry-order sum of a solved line: lane-local partial sums would
 /// reorder the floating-point additions and break bit-identity with the
@@ -1177,10 +1216,18 @@ double line_total(std::span<const double> xs) {
 
 }  // namespace
 
+// Every compiled line solve goes through here, and is counted here.
+void sizes_at(const CompiledSpeedList& speeds, double slope,
+              EvalCounters* counters, std::span<double> out) {
+  speeds.intersect_all(slope, out);
+  if (counters)
+    counters->intersect_solves += static_cast<std::int64_t>(speeds.size());
+}
+
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
                              EvalCounters* counters) {
   std::vector<double> xs(speeds.size());
-  solve_line(speeds, slope, xs, counters);
+  sizes_at(speeds, slope, counters, xs);
   return xs;
 }
 
@@ -1188,7 +1235,7 @@ double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters) {
   static thread_local std::vector<double> scratch;
   scratch.resize(speeds.size());
-  solve_line(speeds, slope, scratch, counters);
+  sizes_at(speeds, slope, counters, scratch);
   return line_total(scratch);
 }
 
@@ -1228,7 +1275,7 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
   hi_sizes.resize(speeds.size());
   lo_sizes.resize(speeds.size());
   const auto total_at = [&](double slope, std::vector<double>& xs) {
-    solve_line(speeds, slope, xs, counters);
+    sizes_at(speeds, slope, counters, xs);
     return line_total(xs);
   };
   double hi_total = total_at(br.hi_slope, hi_sizes);

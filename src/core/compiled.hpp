@@ -22,14 +22,15 @@
 // mode.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "core/partition.hpp"
 #include "core/speed_function.hpp"
-#include "util/aligned.hpp"
 
 namespace fpm::core {
 
@@ -63,29 +64,44 @@ class CompiledSpeedList {
     Granular,  ///< speed = inner(x·k) / k, max_size = inner's / k
   };
 
+  /// An empty list (size() == 0, no storage).
+  CompiledSpeedList() noexcept = default;
+  /// A copy is one allocation and one memcpy of the block; a move takes
+  /// the block over and leaves the source empty.
+  CompiledSpeedList(const CompiledSpeedList& other);
+  CompiledSpeedList(CompiledSpeedList&& other) noexcept;
+  CompiledSpeedList& operator=(const CompiledSpeedList& other);
+  CompiledSpeedList& operator=(CompiledSpeedList&& other) noexcept;
+
   /// Flattens `speeds` into compiled entries. The input objects must
   /// outlive the compiled list (Generic entries keep pointers; all entries
-  /// keep one for introspection). Two passes and no regrowth: the
-  /// classification walk fills the entries, folds the fingerprint and
-  /// counts every batch lane and pool; then each lane column and pool is
-  /// reserved once, at its final padded size, and filled. The number of
-  /// allocations therefore depends on which lanes and pools are non-empty,
-  /// not on the list's length.
+  /// keep one for introspection). Two classification walks and one
+  /// allocation: the first walk folds the fingerprint and counts every
+  /// batch lane and pool, which fixes the offset of every array inside one
+  /// 64-byte-aligned block; the second fills the block. A non-empty list
+  /// therefore makes exactly one allocation, whatever its length and
+  /// families, and an empty one makes none.
   static CompiledSpeedList compile(const SpeedList& speeds);
 
-  std::size_t size() const noexcept { return entries_.size(); }
-  Family family(std::size_t i) const noexcept { return entries_[i].family; }
-  Wrap wrap(std::size_t i) const noexcept { return entries_[i].wrap; }
+  std::size_t size() const noexcept { return layout_.size; }
+  Family family(std::size_t i) const noexcept { return entry(i).family; }
+  Wrap wrap(std::size_t i) const noexcept { return entry(i).wrap; }
   double max_size(std::size_t i) const noexcept {
-    return entries_[i].max_size;
+    const Entry& e = entry(i);
+    return e.lane != kOther ? column(e.lane, 5)[e.slot]
+                            : record(e.slot).max_size;
   }
   /// The original object behind entry i.
   const SpeedFunction* base(std::size_t i) const noexcept {
-    return entries_[i].base;
+    return entry(i).base;
   }
   /// True when no entry needed the Generic virtual fallback.
-  bool fully_compiled() const noexcept { return generic_entries_ == 0; }
-  std::size_t generic_entries() const noexcept { return generic_entries_; }
+  bool fully_compiled() const noexcept {
+    return layout_.generic_entries == 0;
+  }
+  std::size_t generic_entries() const noexcept {
+    return layout_.generic_entries;
+  }
 
   /// Absolute speed of processor i at size x — switch-dispatched, no
   /// virtual call except for Generic entries.
@@ -119,13 +135,14 @@ class CompiledSpeedList {
   /// up scalar, same contract as intersect_all); every other entry takes
   /// the per-entry dispatch, which is bit-identical to speed(i, xs[i]).
   /// In scalar mode the whole sweep is the per-entry loop, bit-identical to
-  /// calling speed() yourself.
+  /// calling speed() yourself. Every xs[i] is read before out[i] is
+  /// written, so out may be xs itself.
   void speed_all(std::span<const double> xs, std::span<double> out) const;
 
   /// How many entries run through a batch lane (the rest take the
   /// per-entry fallback inside intersect_all).
   std::size_t batched_entries() const noexcept {
-    return entries_.size() - batch_other_.size();
+    return layout_.size - layout_.lanes[kOther].count;
   }
 
   /// Content hash over (family, wrap, parameters, breakpoints) of every
@@ -142,7 +159,7 @@ class CompiledSpeedList {
   /// by another at the same address hashes the same, so a fingerprint
   /// with a Generic entry must not key a result cache (the partition
   /// server skips its cache for such lists).
-  std::uint64_t fingerprint() const noexcept { return fingerprint_; }
+  std::uint64_t fingerprint() const noexcept { return layout_.fingerprint; }
 
   /// The fingerprint `compile(speeds)` would produce, computed without
   /// materializing the compiled entries or SoA pools (no allocations).
@@ -162,66 +179,149 @@ class CompiledSpeedList {
                                       std::uint64_t* check = nullptr);
 
  private:
+  /// The lanes of the batch plan: one per closed-form family (unwrapped
+  /// entries only), the iterative lanes for vetted unwrapped Unimodal and
+  /// Stepped entries, and the unbatched list, whose entries take the
+  /// per-entry solve (and whose slots index the parameter records).
+  enum LaneId : std::uint8_t {
+    kConstant,
+    kLinear,
+    kPower,
+    kExp,
+    kUnimodal,
+    kStepped,
+    kOther,
+    kLanes,
+  };
+
+  /// One row of the per-entry table: what dispatch and the public
+  /// accessors need. A batched entry's parameters live in its lane's
+  /// columns at `slot`; every other entry's (lane kOther) in parameter
+  /// record `slot` (the entry's position in the unbatched list).
   struct Entry {
+    const SpeedFunction* base = nullptr;
+    std::uint32_t slot = 0;
     Family family = Family::Generic;
     Wrap wrap = Wrap::None;
-    bool batched = false;     ///< rides a batch lane (else batch_other_)
-    double wrap_param = 1.0;  ///< Scaled: factor; Granular: elements/item
+    LaneId lane = kOther;
+  };
+
+  /// One entry's parameters, named like the lane columns a..e:
+  ///   Constant     a = s0
+  ///   LinearDecay  a = s0, b = B (inner max_size), c = floor
+  ///   PowerDecay   a = s0, b = x0, c = k, d = inner max_size
+  ///   ExpDecay     a = s0, b = lambda, d = inner max_size
+  ///   Unimodal     a = s_low, b = s_peak, c = x_peak, d = decay_x0,
+  ///                e = decay_exponent
+  ///   Stepped      a = s0; steps [offset, offset + count) of the step
+  ///                pool (batched: lane slot `offset` of the step slabs)
+  ///   Piecewise    a = floor, b = tail slope; breakpoints
+  ///                [offset, offset + count) of the piecewise pool
+  /// An unbatched entry stores this as its record; a batched entry's is
+  /// gathered from its lane columns when a per-entry path needs it.
+  struct Params {
+    double a = 0.0, b = 0.0, c = 0.0, d = 0.0, e = 0.0;
     double max_size = 0.0;    ///< after wrapping
-    // Analytic parameters (meaning depends on family):
-    //   Constant     a = s0
-    //   LinearDecay  a = s0, b = B (inner max_size), c = floor
-    //   PowerDecay   a = s0, b = x0, c = k, d = inner max_size
-    //   ExpDecay     a = s0, b = lambda, d = inner max_size
-    //   Unimodal     a = s_low, b = s_peak, c = x_peak (+ pool: x0, k)
-    //   Stepped      a = s0; steps in the step pool
-    //   Piecewise    breakpoints in the SoA pools; a = floor, b = tail slope
-    double a = 0.0, b = 0.0, c = 0.0, d = 0.0;
-    std::uint32_t offset = 0;  ///< first pool index (piecewise/stepped/aux)
-    std::uint32_t count = 0;   ///< pool element count
-    const SpeedFunction* base = nullptr;
+    double wrap_param = 1.0;  ///< Scaled: factor; Granular: elements/item
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;
   };
 
-  double raw_speed(const Entry& e, double x) const;
-  double entry_speed(const Entry& e, double x) const;
-  double entry_intersect(const Entry& e, double slope) const;
-
-  /// One SoA lane of the batch plan: the destination entry indices plus the
-  /// parameter columns the family's vector kernel consumes. Columns are
-  /// 64-byte aligned and padded to detail::simd::kMaxLanes — the *widest*
-  /// compiled vector width, so the runtime-dispatched backend can stream
-  /// whole registers at either width without reading past the pool (pad
-  /// slots duplicate the last real element); idx keeps the real entry
-  /// count, and scalar mode never reads the columns (it solves each idx
-  /// entry on its own). e/f are only populated for the unimodal lane
-  /// (d=decay_x0, e=decay_exponent, f=max_size).
-  struct BatchLane {
-    using Column = std::vector<double, util::AlignedAllocator<double, 64>>;
-    std::vector<std::uint32_t> idx;
-    Column a, b, c, d, e, f;
-    bool empty() const noexcept { return idx.empty(); }
+  /// One lane in the block: `count` real entries, their entry indices at
+  /// byte offset `idx`, and the byte offsets of up to six parameter
+  /// columns a..f (Constant: a, f; LinearDecay: a..c; PowerDecay: a..d;
+  /// ExpDecay: a, b, d; Unimodal: a..f; Stepped: a, f). Column f is
+  /// max_size in every lane: LinearDecay's f names its column b, and
+  /// PowerDecay's and ExpDecay's their column d, which hold the same value
+  /// for unwrapped entries. Columns are 64-byte aligned and padded to
+  /// detail::simd::kMaxLanes, the widest compiled vector width, so the
+  /// runtime-dispatched backend streams whole registers at either width
+  /// without reading past the column (pad slots duplicate the last real
+  /// element); scalar mode never reads them as vectors.
+  struct Lane {
+    std::uint32_t count = 0;
+    std::uint32_t idx = 0;
+    std::uint32_t col[6] = {};
   };
 
-  /// SoA lane for vetted Stepped entries: per-entry s0/max_size columns
-  /// plus slot-major step slabs (`nslots` columns of `stride` doubles; the
-  /// s-th step of entry j lives at [s·stride + j]). Entries with more than
-  /// kMaxVecSteps steps, or with parameters outside the vector kernels'
-  /// domain, stay in batch_other_ ("irregular" punt at compile time).
-  /// Unused slots hold the identity step (at=+inf, ratio=1, width=1);
-  /// `ratio` is the step's to/level factor precomputed at compile time —
-  /// the same division the scalar kernel performs per evaluation.
-  struct SteppedLane {
-    using Column = std::vector<double, util::AlignedAllocator<double, 64>>;
-    std::vector<std::uint32_t> idx;
-    Column a, f;                ///< s0, max_size (padded like BatchLane)
-    Column at, ratio, width;    ///< nslots × stride slot-major slabs
-    std::size_t nslots = 0;
-    std::size_t stride = 0;     ///< padded idx count (kMaxLanes multiple)
-    bool empty() const noexcept { return idx.empty(); }
+  /// Where everything sits in the block, as byte offsets, plus the list's
+  /// scalars. Trivially copyable: a copy of the list is this plus one
+  /// memcpy of the block.
+  struct Layout {
+    std::size_t size = 0;
+    std::size_t bytes = 0;  ///< block size
+    std::uint32_t entries = 0;  ///< Entry[size]
+    std::uint32_t records = 0;  ///< Params[lanes[kOther].count]
+    Lane lanes[kLanes];
+    /// The stepped lane's slot-major step slabs (at, ratio, width):
+    /// `nslots` columns of `stride` doubles each, the s-th step of lane
+    /// slot j at [s·stride + j]. Unused slots hold the identity step
+    /// (at = +inf, ratio = 1, width = 1); `ratio` is the step's to/level
+    /// factor, the division the scalar kernel performs per evaluation.
+    std::uint32_t slabs[3] = {};
+    std::uint32_t nslots = 0;
+    std::uint32_t stride = 0;
+    /// Piecewise breakpoints (sizes, speeds), all unbatched functions
+    /// concatenated; segment k of a function spans [k, k + 1].
+    std::uint32_t px = 0, ps = 0;
+    /// Steps of the unbatched Stepped entries (at, ratio, width).
+    std::uint32_t steps[3] = {};
+    std::uint32_t generic_entries = 0;
+    std::uint64_t fingerprint = 0;
   };
+
+  /// The parameter columns each batch lane carries (bit c is column
+  /// a + c): Constant a and f (max_size), LinearDecay a..c, PowerDecay
+  /// a..d, ExpDecay a, b, d, Unimodal a..f, Stepped a and f.
+  static constexpr std::uint8_t kLaneColumns[kOther] = {
+      0b100001, 0b000111, 0b001111, 0b001011, 0b111111, 0b100001};
 
   /// Most steps a SteppedSpeed may have and still ride the vector lane.
   static constexpr std::size_t kMaxVecSteps = 8;
+
+  /// The lane a batch-lane family rides (kOther for Piecewise/Generic).
+  static constexpr LaneId lane_of(Family family) noexcept {
+    switch (family) {
+      case Family::Constant:
+        return kConstant;
+      case Family::LinearDecay:
+        return kLinear;
+      case Family::PowerDecay:
+        return kPower;
+      case Family::ExpDecay:
+        return kExp;
+      case Family::Unimodal:
+        return kUnimodal;
+      case Family::Stepped:
+        return kStepped;
+      default:
+        return kOther;
+    }
+  }
+
+  template <typename T>
+  const T* ptr(std::uint32_t offset) const noexcept {
+    return reinterpret_cast<const T*>(block_ + offset);
+  }
+  const Entry& entry(std::size_t i) const noexcept {
+    return ptr<Entry>(layout_.entries)[i];
+  }
+  const double* column(LaneId lane, int col) const noexcept {
+    return ptr<double>(layout_.lanes[lane].col[col]);
+  }
+  const std::uint32_t* lane_idx(LaneId lane) const noexcept {
+    return ptr<std::uint32_t>(layout_.lanes[lane].idx);
+  }
+
+  /// The parameter record of unbatched entry slot `r`.
+  const Params& record(std::uint32_t r) const noexcept {
+    return ptr<Params>(layout_.records)[r];
+  }
+  /// Gathers the parameters of slot j of a batch lane from its columns.
+  Params lane_params(LaneId lane, std::uint32_t j) const noexcept;
+  double raw_speed(const Entry& e, const Params& p, double x) const;
+  double entry_speed(const Entry& e, const Params& p, double x) const;
+  double entry_intersect(const Entry& e, const Params& p, double slope) const;
 
   struct LaneSweep;  // one chunk-parallel batch task (compiled.cpp)
   void lane_chunk_intersect(const LaneSweep& sweep, std::size_t begin,
@@ -229,28 +329,21 @@ class CompiledSpeedList {
                             std::span<double> out,
                             std::int64_t& scalar_fixups) const;
 
-  std::vector<Entry> entries_;
-  // Batch plan for intersect_all(), grouped at compile time: one lane per
-  // closed-form family (unwrapped entries only), iterative lanes for the
-  // vetted unimodal/stepped entries, and an index list for everything else.
-  BatchLane lane_constant_;
-  BatchLane lane_linear_;
-  BatchLane lane_power_;
-  BatchLane lane_exp_;
-  BatchLane lane_unimodal_;
-  SteppedLane lane_stepped_;
-  std::vector<std::uint32_t> batch_other_;
-  // Piecewise SoA slabs (all functions concatenated; entry.offset/count
-  // delimit a function's breakpoints, segment i spans [i, i+1]):
-  std::vector<double> px_;  ///< breakpoint sizes
-  std::vector<double> ps_;  ///< breakpoint speeds
-  std::vector<double> pm_;  ///< per-segment slopes (count-1 per function)
-  // Stepped pool:
-  std::vector<SteppedSpeed::Step> steps_;
-  // Auxiliary analytic parameters that overflow Entry::a..d (Unimodal):
-  std::vector<double> aux_;
-  std::size_t generic_entries_ = 0;
-  std::uint64_t fingerprint_ = 0;
+  /// Allocates storage_ for a block of layout_.bytes and points block_ at
+  /// its first 64-byte boundary.
+  void allocate_block();
+
+  /// Reads the block's layout in the layout tests (tests/test_compiled.cpp).
+  friend struct CompiledLayoutProbe;
+
+  Layout layout_;
+  /// The block's storage: a plain allocation kBlockAlign - 1 bytes longer
+  /// than the block, so that block_ can start on a 64-byte boundary inside
+  /// it. An aligned operator new would save the slack, but glibc carves a
+  /// large aligned request out of a bigger chunk, and the leftovers raised
+  /// the peak RSS of a cold p = 4096 solve loop by about 0.9 MB (x86-64).
+  std::unique_ptr<std::byte[]> storage_;
+  std::byte* block_ = nullptr;
 };
 
 /// Compiled counterparts of the SpeedList helpers in core/partition.hpp:
@@ -262,6 +355,10 @@ class CompiledSpeedList {
 /// returned hi/lo slopes, exactly as sizes_at would compute them.
 std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
                              EvalCounters* counters);
+/// sizes_at into a caller's buffer (out.size() must equal speeds.size()),
+/// so a search that solves many lines reuses one buffer.
+void sizes_at(const CompiledSpeedList& speeds, double slope,
+              EvalCounters* counters, std::span<double> out);
 double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters);
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
@@ -275,6 +372,10 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
 std::vector<double> speeds_at(const CompiledSpeedList& speeds,
                               std::span<const double> xs,
                               EvalCounters* counters);
+/// speeds_at into a caller's buffer (out.size() must equal speeds.size();
+/// out may be xs itself, as in speed_all).
+void speeds_at(const CompiledSpeedList& speeds, std::span<const double> xs,
+               EvalCounters* counters, std::span<double> out);
 
 /// Which vector implementation intersect_all's batch lanes are running on.
 enum class SimdBackend : std::uint8_t {

@@ -112,7 +112,6 @@ SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
   const double nd = static_cast<double>(n_);
   SecantOutcome out;
   double total = 0.0;  // of the last probe
-  std::vector<double> sizes;
   // Solves one line, files it by side and feeds it to the secant; false
   // when the slope leaves the window, the budget is spent, or the total is
   // degenerate.
@@ -120,9 +119,10 @@ SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
     if (!(slope >= window_lo && slope <= window_hi) ||
         out.probes == kProbeBudget)
       return false;
-    sizes = sizes_at(*compiled_, slope, &counters_);
+    scratch_.resize(compiled_->size());
+    sizes_at(*compiled_, slope, &counters_, scratch_);
     ++out.probes;
-    total = line_sum(sizes);
+    total = line_sum(scratch_);
     if (!(total > 0.0) || !std::isfinite(total)) return false;
     const bool is_steep = total <= nd;
     Side& side = is_steep ? steep : shallow;
@@ -130,7 +130,7 @@ SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
         (is_steep ? slope < side.slope : slope > side.slope)) {
       side.slope = slope;
       side.total = total;
-      side.sizes.swap(sizes);
+      side.sizes.swap(scratch_);
     }
     remember({slope, std::log(total) - log_n_});
     return true;
@@ -225,6 +225,10 @@ void SearchState::finish(PartitionResult& result) {
   stats.final_slope = bracket_.hi_slope;
   stats.search_speed_evals = counters_.speed_evals;
   stats.search_intersect_solves = counters_.intersect_solves;
+  // Only the steep line feeds the fine-tune: free the other line buffers
+  // before it allocates its own.
+  large_ = std::vector<double>();
+  scratch_ = std::vector<double>();
   result.distribution = fine_tune(*compiled_, n_, small_, &counters_);
   stats.speed_evals = counters_.speed_evals;
   stats.intersect_solves = counters_.intersect_solves;
@@ -280,19 +284,20 @@ void SearchState::emit(SearchStepKind kind, double slope, bool kept_low,
 void SearchState::split_at(double slope, SearchStepKind kind,
                            std::size_t processor) {
   ++iterations_;
-  std::vector<double> sizes = sizes_at(*compiled_, slope, &counters_);
-  intersections_ += static_cast<int>(sizes.size());
-  const double sum = line_sum(sizes);
+  scratch_.resize(compiled_->size());
+  sizes_at(*compiled_, slope, &counters_, scratch_);
+  intersections_ += static_cast<int>(scratch_.size());
+  const double sum = line_sum(scratch_);
   remember({slope, std::log(sum) - log_n_});
   bool kept_low;
   if (sum < static_cast<double>(n_)) {
     // Line too steep: the optimum lies in the shallower (lower) region.
     bracket_.hi_slope = slope;
-    small_ = std::move(sizes);
+    small_.swap(scratch_);
     kept_low = true;
   } else {
     bracket_.lo_slope = slope;
-    large_ = std::move(sizes);
+    large_.swap(scratch_);
     kept_low = false;
   }
   if (observing()) emit(kind, slope, kept_low, processor);

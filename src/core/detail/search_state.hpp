@@ -78,9 +78,10 @@ class SearchState {
 
   /// The shared search epilogue: records the search-phase stats into
   /// `result`, runs the Figure-9 fine-tune over the steep line (one
-  /// speeds_at sweep seeds the award heap), then records the totals and
+  /// speed_all sweep seeds the award heap), then records the totals and
   /// the warm-start outcome. The search counters are read before the
   /// fine-tune, so search_speed_evals/search_intersect_solves exclude it.
+  /// The state is spent afterwards: only the steep line is kept.
   void finish(PartitionResult& result);
 
   /// Count of integers k with small[i] < k <= large[i]: the candidate
@@ -194,6 +195,10 @@ class SearchState {
   SlopeBracket bracket_;
   std::vector<double> small_;
   std::vector<double> large_;
+  /// The line being solved: every secant probe and split solves into it,
+  /// and a kept line trades buffers with the side it replaces, so a search
+  /// allocates no line buffer after its first probe.
+  std::vector<double> scratch_;
   int iterations_ = 0;
   int intersections_ = 0;
   EvalCounters counters_;

@@ -62,8 +62,9 @@ constexpr std::size_t padded_size(std::size_t n,
   return (n + width - 1) / width * width;
 }
 
-/// 64-byte-aligned column storage for BatchLane / piecewise slabs: every
-/// vector load in the kernels is then naturally aligned, at either width.
+/// 64-byte-aligned scratch columns (speed_all's gathered sizes and
+/// results), aligned like the compiled lane columns: every vector load in
+/// the kernels is then naturally aligned, at either width.
 using LaneVector = std::vector<double, util::AlignedAllocator<double, 64>>;
 
 /// One compiled set of vector entry points. All array arguments are padded

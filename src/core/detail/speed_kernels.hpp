@@ -51,14 +51,20 @@ inline double unimodal_speed(double s_low, double s_peak, double x_peak,
   return s * decay;
 }
 
+/// One multiplicative tanh step of the SteppedSpeed product form, given the
+/// step's plateau ratio to/level (precomputed by the compiled layer).
+inline double stepped_step_blend(double at, double ratio, double width,
+                                 double x) {
+  const double t = 0.5 * (1.0 + std::tanh((x - at) / width));
+  return (1.0 - t) + t * ratio;
+}
+
 /// One multiplicative tanh step of the SteppedSpeed product form. The caller
 /// iterates the steps in order, threading `s` (the accumulated speed) and
 /// `level` (the previous plateau).
 inline double stepped_step_factor(double at, double to, double width,
                                   double level, double x) {
-  const double t = 0.5 * (1.0 + std::tanh((x - at) / width));
-  const double factor = to / level;
-  return (1.0 - t) + t * factor;
+  return stepped_step_blend(at, to / level, width, x);
 }
 
 // -------------------------------------------------------------------------

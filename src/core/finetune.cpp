@@ -85,17 +85,24 @@ Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
     return d;
   }
   // Seed the award heap from one batched sweep over the post-award sizes
-  // (counts + 1 >= 1, all in-domain). The heap sees the same (time, index)
-  // pairs in the same i-ascending push order as award_greedily over the
-  // virtual models, so with the scalar kernels the pop sequence — and the
-  // allocation — is bit-identical to it.
-  std::vector<double> xs(speeds.size());
-  for (std::size_t i = 0; i < speeds.size(); ++i)
-    xs[i] = static_cast<double>(d.counts[i] + 1);
-  const std::vector<double> sp = speeds_at(speeds, xs, counters);
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (std::size_t i = 0; i < speeds.size(); ++i)
-    heap.emplace(xs[i] / sp[i], i);
+  // (counts + 1 >= 1, all in-domain), solved in place. The heap sees the
+  // same (time, index) pairs in the same i-ascending push order as
+  // award_greedily over the virtual models, so with the scalar kernels the
+  // pop sequence — and the allocation — is bit-identical to it. The heap
+  // never holds more than p entries, so it is reserved at p, and the sweep's
+  // buffer is freed before the award loop.
+  std::vector<Entry> storage;
+  storage.reserve(speeds.size());
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap(
+      std::greater<>{}, std::move(storage));
+  {
+    std::vector<double> sp(speeds.size());
+    for (std::size_t i = 0; i < speeds.size(); ++i)
+      sp[i] = static_cast<double>(d.counts[i] + 1);
+    speeds_at(speeds, sp, counters, sp);
+    for (std::size_t i = 0; i < speeds.size(); ++i)
+      heap.emplace(static_cast<double>(d.counts[i] + 1) / sp[i], i);
+  }
   for (std::int64_t deficit = n - assigned; deficit > 0; --deficit) {
     const auto [t, i] = heap.top();
     heap.pop();

@@ -29,7 +29,7 @@ Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes);
 
 /// Compiled-model overload: the award heap is seeded from ONE batched
-/// speeds_at() sweep (the p-wide hot loop of the epilogue, vectorized for
+/// speed_all() sweep (the p-wide hot loop of the epilogue, vectorized for
 /// the power/exp lanes) instead of p virtual calls; the award/shed
 /// iterations stay per-entry. In scalar mode (force_simd_backend("off"))
 /// every value, and the heap's push sequence, is bit-identical to the same

@@ -3,9 +3,9 @@
 // new/delete with counting versions over malloc/free, so a test can count
 // the allocations one call makes, and the bytes they leave allocated:
 //   - fingerprint_of, the cache-key fast path, allocates nothing;
-//   - compile() sizes every lane column and pool once, so its allocation
-//     count depends on which lanes and pools a list fills, not on the
-//     list's length;
+//   - compile() lays a list out in one block: exactly one allocation for
+//     a non-empty list, whatever its length, and a p = 64 list's block
+//     stays within its measured size;
 //   - a cached p = 64 answer keeps its counts packed and its key once.
 // Every replaced form allocates and frees through malloc/free, so the
 // sanitizer build sees matched pairs.
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -210,6 +211,61 @@ TEST(AllocationGuard, CompileAllocationsDoNotGrowWithP) {
     EXPECT_EQ(at_64, at_4096) << "seed " << seed;
   }
   EXPECT_GE(compared, 8);
+}
+
+TEST(AllocationGuard, CompileMakesOneAllocation) {
+  auto base = std::make_shared<core::PiecewiseLinearSpeed>(
+      std::vector<core::SpeedPoint>{{1e3, 180.0}, {5e5, 160.0}, {4e8, 12.0}});
+  const core::ScaledSpeed scaled(base, 0.5);
+  const core::GranularSpeed granular(base, 8.0);
+  const test::VirtualOnly generic(*base);
+  const test::Ensemble mixed = test::mixed_ensemble();
+  core::SpeedList every = mixed.list();
+  every.insert(every.end(), {&scaled, &granular, &generic, base.get()});
+  std::vector<core::SpeedList> lists{every};
+  std::vector<core::SyntheticFleet> fleets;
+  for (const std::size_t p : {1, 64, 4096})
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+      fleets.push_back(core::make_synthetic_fleet(p, seed));
+  for (const core::SyntheticFleet& fleet : fleets) lists.push_back(fleet.list());
+
+  for (const core::SpeedList& list : lists) {
+    std::optional<CompiledSpeedList> compiled;
+    EXPECT_EQ(allocations([&] {
+                compiled.emplace(CompiledSpeedList::compile(list));
+              }),
+              1)
+        << "p = " << list.size();
+    // A copy is one allocation too, and a move none.
+    std::optional<CompiledSpeedList> copy;
+    EXPECT_EQ(allocations([&] { copy.emplace(*compiled); }), 1)
+        << "p = " << list.size();
+    EXPECT_EQ(allocations([&] { CompiledSpeedList moved(std::move(*copy)); }),
+              0)
+        << "p = " << list.size();
+  }
+  EXPECT_EQ(allocations([] { (void)CompiledSpeedList::compile({}); }), 0);
+}
+
+TEST(AllocationGuard, CompiledListAtP64FitsItsBlock) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "live bytes are measured with glibc's malloc_usable_size";
+#endif
+  // The serving workloads' fleet size.
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(64, 2004);
+  const core::SpeedList list = fleet.list();
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+  const std::int64_t bytes =
+      g_live_bytes.load(std::memory_order_relaxed) - before;
+  // Measured 6,120 bytes on x86-64 glibc: 64 16-byte entries, the lane
+  // columns padded to 8 doubles, the records and breakpoints of the
+  // piecewise models and the lanes' entry indices, in one block. With
+  // each batched entry's parameters stored twice (a 72-byte entry beside
+  // its lane columns) and the arrays allocated one by one, the list held
+  // 10,888 bytes in 27 allocations.
+  EXPECT_LE(bytes, 7000);
+  EXPECT_GE(bytes, 4096);
 }
 
 TEST(AllocationGuard, CachedAnswerAtP64KeepsItsCountsPackedAndItsKeyOnce) {

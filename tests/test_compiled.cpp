@@ -4,21 +4,58 @@
 // every registry algorithm against the same models wrapped in
 // test::VirtualOnly (every entry Generic, so the search runs on the
 // virtual calls), the exact-type classification table, and content-hash
-// fingerprint semantics. The bit-identity checks run in scalar mode: the
-// SIMD lanes are only ULP-equivalent (tests/test_simd.cpp owns that gate).
+// fingerprint semantics, and the one-block layout (copies and moves that
+// answer bit-identically once their source is gone, 64-byte-aligned lane
+// columns). The bit-identity checks against the virtual models run in
+// scalar mode: the SIMD lanes are only ULP-equivalent (tests/test_simd.cpp
+// owns that gate).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/detail/simd.hpp"
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "helpers.hpp"
+
+namespace fpm::core {
+
+/// Reads a compiled list's block: every batch-lane parameter column and
+/// step slab over its padded storage, in lane order.
+struct CompiledLayoutProbe {
+  static std::vector<std::span<const double>> columns(
+      const CompiledSpeedList& c) {
+    using List = CompiledSpeedList;
+    std::vector<std::span<const double>> out;
+    for (int l = 0; l < List::kOther; ++l) {
+      const List::Lane& lane = c.layout_.lanes[l];
+      if (lane.count == 0) continue;
+      const std::size_t padded = detail::simd::padded_size(lane.count);
+      for (int col = 0; col < 6; ++col)
+        if ((List::kLaneColumns[l] >> col) & 1)
+          out.emplace_back(c.ptr<double>(lane.col[col]), padded);
+    }
+    if (c.layout_.lanes[List::kStepped].count != 0)
+      for (const std::uint32_t slab : c.layout_.slabs)
+        out.emplace_back(c.ptr<double>(slab),
+                         std::size_t{c.layout_.nslots} * c.layout_.stride);
+    return out;
+  }
+};
+
+}  // namespace fpm::core
 
 namespace fpm {
 namespace {
 
+using core::CompiledLayoutProbe;
 using core::CompiledSpeedList;
 
 using test::BackendScope;
@@ -569,6 +606,169 @@ TEST(Compiled, FingerprintSeesEveryParameterStepAndBreakpoint) {
   auto power2 = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.2, 1e9);
   expect_keyed_apart({power.get(), power2.get()},
                      {power2.get(), power.get()}, "swap within a family");
+}
+
+/// Every layout a compiled entry can take: each family bare (its batch
+/// lane; Piecewise its record and the breakpoint pool), under each wrapper
+/// (a parameter record), a 9-step stepped model (irregular: a record and
+/// the step pool), a one-step stepped model sharing the lane with a
+/// two-step one (an identity pad step), and a Generic entry.
+struct LayoutZoo {
+  test::CurveSet owned;
+  std::vector<std::unique_ptr<const core::SpeedFunction>> views;
+  core::SpeedList list;
+};
+
+LayoutZoo layout_zoo() {
+  LayoutZoo zoo;
+  for (const FamilyCase& c : family_cases()) {
+    zoo.owned.push_back(c.f);
+    zoo.owned.push_back(std::make_shared<core::ScaledSpeed>(c.f, 0.75));
+    zoo.owned.push_back(std::make_shared<core::GranularSpeed>(c.f, 8.0));
+    zoo.views.push_back(std::make_unique<core::GranularSpeedView>(*c.f, 3.0));
+  }
+  std::vector<core::SteppedSpeed::Step> many;
+  double at = 1e4;
+  double level = 230.0;
+  for (int s = 0; s < 9; ++s) {
+    level *= 0.8;
+    many.push_back({at, level, 0.2 * at});
+    at *= 4.0;
+  }
+  zoo.owned.push_back(
+      std::make_shared<core::SteppedSpeed>(230.0, std::move(many), 9e8));
+  zoo.owned.push_back(std::make_shared<core::SteppedSpeed>(
+      200.0, std::vector<core::SteppedSpeed::Step>{{4e5, 150.0, 1e5}}, 8e8));
+  zoo.views.push_back(std::make_unique<test::VirtualOnly>(*zoo.owned[0]));
+  for (const auto& f : zoo.owned) zoo.list.push_back(f.get());
+  for (const auto& v : zoo.views) zoo.list.push_back(v.get());
+  return zoo;
+}
+
+TEST(Compiled, RecordsAndStepSlabsMatchTheVirtualModels) {
+  const BackendScope scalar("off");
+  const LayoutZoo zoo = layout_zoo();
+  const core::SpeedList& list = zoo.list;
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+  EXPECT_EQ(compiled.generic_entries(), 1u);
+  // The six bare lane families and the one-step stepped model.
+  EXPECT_EQ(compiled.batched_entries(), 7u);
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    EXPECT_EQ(compiled.max_size(i), list[i]->max_size()) << "entry " << i;
+    for (double x = 1.0; x <= 4e9; x *= 3.7)
+      EXPECT_EQ(compiled.speed(i, x), list[i]->speed(x))
+          << "entry " << i << " at x=" << x;
+    for (double x = 10.0; x <= 1e8; x *= 10.0) {
+      const double slope = list[i]->speed(x) / x;
+      EXPECT_EQ(compiled.intersect(i, slope), list[i]->intersect(slope))
+          << "entry " << i << " slope through x=" << x;
+    }
+  }
+}
+
+/// Every answer a compiled list gives, as bit patterns in a fixed order:
+/// the accessors, speed() and intersect() of each entry, three
+/// intersect_all sweeps across its Figure-18 bracket and one speed_all
+/// sweep.
+std::vector<std::uint64_t> answers(const CompiledSpeedList& c) {
+  std::vector<std::uint64_t> out{c.size(), c.fingerprint(),
+                                 c.generic_entries(), c.batched_entries(),
+                                 c.fully_compiled()};
+  const auto put = [&out](double v) {
+    out.push_back(std::bit_cast<std::uint64_t>(v));
+  };
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    out.push_back(static_cast<std::uint64_t>(c.family(i)));
+    out.push_back(static_cast<std::uint64_t>(c.wrap(i)));
+    out.push_back(reinterpret_cast<std::uintptr_t>(c.base(i)));
+    put(c.max_size(i));
+    for (const double x : {1e3, 2.5e5, 3e7, 2e9}) put(c.speed(i, x));
+    for (const double x : {1e4, 1e7}) put(c.intersect(i, c.speed(i, x) / x));
+  }
+  if (c.size() == 0) return out;
+  const auto n = static_cast<std::int64_t>(1e6 * static_cast<double>(c.size()));
+  const core::SlopeBracket br = core::detect_bracket(c, n, nullptr);
+  std::vector<double> sizes(c.size());
+  for (const double slope :
+       {br.hi_slope, br.lo_slope, std::sqrt(br.hi_slope * br.lo_slope)}) {
+    c.intersect_all(slope, sizes);
+    for (const double x : sizes) put(x);
+  }
+  std::vector<double> xs(c.size());
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    xs[i] = 1.0 + 977.0 * static_cast<double>(i);
+  c.speed_all(xs, sizes);
+  for (const double s : sizes) put(s);
+  return out;
+}
+
+TEST(Compiled, CopiesAndMovesAnswerBitIdenticallyOnceTheSourceIsGone) {
+  const LayoutZoo zoo = layout_zoo();
+  const core::SyntheticFleet fleet64 = core::make_synthetic_fleet(64, 2004);
+  const core::SyntheticFleet fleet4096 = core::make_synthetic_fleet(4096, 1);
+  auto one = std::make_shared<core::PowerDecaySpeed>(170.0, 3e7, 1.1, 1e9);
+  const std::vector<std::pair<std::string, core::SpeedList>> lists{
+      {"every layout", zoo.list},
+      {"p = 0", {}},
+      {"p = 1", {one.get()}},
+      {"p = 64", fleet64.list()},
+      {"p = 4096", fleet4096.list()}};
+  for (const char* backend : {"off", "auto"}) {
+    const BackendScope scope(backend);
+    for (const auto& [name, list] : lists) {
+      const std::string what = name + " (" + backend + ")";
+      const std::vector<std::uint64_t> want =
+          answers(CompiledSpeedList::compile(list));
+      auto source =
+          std::make_unique<CompiledSpeedList>(CompiledSpeedList::compile(list));
+      const CompiledSpeedList copied(*source);
+      // Assignments replace a list that owns a block of its own.
+      CompiledSpeedList copy_assigned = CompiledSpeedList::compile(zoo.list);
+      copy_assigned = *source;
+      const CompiledSpeedList moved(std::move(*source));
+      EXPECT_EQ(source->size(), 0u) << what;  // a move empties its source
+      EXPECT_TRUE(CompiledLayoutProbe::columns(*source).empty()) << what;
+      source.reset();
+      CompiledSpeedList move_assigned = CompiledSpeedList::compile(zoo.list);
+      {
+        CompiledSpeedList donor(copied);
+        move_assigned = std::move(donor);
+      }
+      EXPECT_TRUE(answers(copied) == want) << what << ": copy";
+      EXPECT_TRUE(answers(copy_assigned) == want) << what << ": copy-assign";
+      EXPECT_TRUE(answers(moved) == want) << what << ": move";
+      EXPECT_TRUE(answers(move_assigned) == want) << what << ": move-assign";
+    }
+  }
+}
+
+TEST(Compiled, LaneColumnsStartOn64ByteBoundaries) {
+  const LayoutZoo zoo = layout_zoo();
+  const core::SyntheticFleet fleet64 = core::make_synthetic_fleet(64, 2004);
+  const core::SyntheticFleet fleet4096 = core::make_synthetic_fleet(4096, 1);
+  // Every lane: Constant 2, LinearDecay 3, PowerDecay 4, ExpDecay 3,
+  // Unimodal 6 and Stepped 2 columns, plus the 3 step slabs.
+  EXPECT_EQ(
+      CompiledLayoutProbe::columns(CompiledSpeedList::compile(zoo.list)).size(),
+      23u);
+  EXPECT_TRUE(
+      CompiledLayoutProbe::columns(CompiledSpeedList::compile({})).empty());
+  for (const core::SpeedList& list :
+       {zoo.list, fleet64.list(), fleet4096.list()}) {
+    const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+    const CompiledSpeedList copy(compiled);
+    for (const CompiledSpeedList* c : {&compiled, &copy}) {
+      const auto columns = CompiledLayoutProbe::columns(*c);
+      EXPECT_FALSE(columns.empty()) << "p = " << list.size();
+      for (const std::span<const double> column : columns) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(column.data()) % 64, 0u)
+            << "p = " << list.size();
+        EXPECT_FALSE(column.empty()) << "p = " << list.size();
+        EXPECT_EQ(column.size() % core::detail::simd::kMaxLanes, 0u)
+            << "p = " << list.size();
+      }
+    }
+  }
 }
 
 }  // namespace
