@@ -28,6 +28,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -75,16 +76,26 @@ struct Report {
 
 std::string times(double ratio) { return util::fmt(ratio, 2) + "x"; }
 
-/// Best-of-5 wall time of `fn` (seconds per call), `inner` calls per rep.
-template <typename Fn>
-double best_of(int inner, Fn&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < 5; ++r) {
+/// Repetitions behind every timed ratio.
+constexpr int kReps = 15;
+
+/// Best-of-kReps wall time (seconds per call) of each side of a ratio,
+/// `inner` calls per rep. The sides alternate rep by rep, so a slow stretch
+/// of a shared host slows both sides rather than one.
+template <typename A, typename B>
+std::pair<double, double> best_of_both(int inner, A&& a, B&& b) {
+  const auto once = [inner](auto& fn) {
     util::Timer timer;
     for (int i = 0; i < inner; ++i) benchmark::DoNotOptimize(fn());
-    best = std::min(best, timer.seconds() / inner);
+    return timer.seconds() / inner;
+  };
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = best_a;
+  for (int r = 0; r < kReps; ++r) {
+    best_a = std::min(best_a, once(a));
+    best_b = std::min(best_b, once(b));
   }
-  return best;
+  return {best_a, best_b};
 }
 
 // --- Compiled models and the server's warm start ---------------------------
@@ -130,19 +141,21 @@ void throughput_gates(Report& report) {
     for (double x = 1e2; x <= 1e8; x *= 10.0)
       slopes[i].push_back(kernel_set.owned[i]->speed(x) / x);
   const auto compiled = core::CompiledSpeedList::compile(kernel_set.list());
-  const double t_generic = best_of(3, [&] {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < slopes.size(); ++i)
-      for (const double s : slopes[i])
-        acc += kernel_set.owned[i]->SpeedFunction::intersect(s);
-    return acc;
-  });
-  const double t_closed = best_of(3, [&] {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < slopes.size(); ++i)
-      for (const double s : slopes[i]) acc += compiled.intersect(i, s);
-    return acc;
-  });
+  const auto [t_generic, t_closed] = best_of_both(
+      3,
+      [&] {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < slopes.size(); ++i)
+          for (const double s : slopes[i])
+            acc += kernel_set.owned[i]->SpeedFunction::intersect(s);
+        return acc;
+      },
+      [&] {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < slopes.size(); ++i)
+          for (const double s : slopes[i]) acc += compiled.intersect(i, s);
+        return acc;
+      });
   const double kernel = t_generic / t_closed;
   report.timing("closed-form kernel vs generic bisection", times(kernel),
                 ">= 2x", kernel >= 2.0);
@@ -154,8 +167,9 @@ void throughput_gates(Report& report) {
   for (const core::SpeedFunction* f : list) wrapped.emplace_back(*f);
   core::SpeedList virt;
   for (const VirtualOnly& f : wrapped) virt.push_back(&f);
-  const double t_virtual = best_of(1, [&] { return run_partitions(virt); });
-  const double t_compiled = best_of(1, [&] { return run_partitions(list); });
+  const auto [t_virtual, t_compiled] =
+      best_of_both(1, [&] { return run_partitions(virt); },
+                   [&] { return run_partitions(list); });
   const double partition_ratio = t_compiled / t_virtual;
   report.timing("compiled partition vs Generic-wrapped list",
                 times(partition_ratio), "<= 1.15x", partition_ratio <= 1.15);
@@ -164,12 +178,10 @@ void throughput_gates(Report& report) {
   // list just to read its fingerprint.
   const bench::OwnedEnsemble power16 = bench::power_family(16);
   const core::SpeedList hit_list = power16.list();
-  const double t_key_compile = best_of(200, [&] {
-    return core::CompiledSpeedList::compile(hit_list).fingerprint();
-  });
-  const double t_key_fp = best_of(200, [&] {
-    return core::CompiledSpeedList::fingerprint_of(hit_list);
-  });
+  const auto [t_key_compile, t_key_fp] = best_of_both(
+      200,
+      [&] { return core::CompiledSpeedList::compile(hit_list).fingerprint(); },
+      [&] { return core::CompiledSpeedList::fingerprint_of(hit_list); });
   const double keying = t_key_compile / t_key_fp;
   report.timing("fingerprint_of keying vs compile keying", times(keying),
                 ">= 1.2x", keying >= 1.2);
@@ -186,8 +198,9 @@ void throughput_gates(Report& report) {
           server.serve(hit_list, 1000000 + 37LL * i).distribution.counts[0]);
     return acc;
   };
-  const double t_cold = best_of(1, [&] { return near_miss_pass(cold); });
-  const double t_warm = best_of(1, [&] { return near_miss_pass(warm); });
+  const auto [t_cold, t_warm] =
+      best_of_both(1, [&] { return near_miss_pass(cold); },
+                   [&] { return near_miss_pass(warm); });
   const double near_miss = t_warm / t_cold;
   report.timing("hinted near-miss serve() vs cold serve()", times(near_miss),
                 "<= 1.1x", near_miss <= 1.1);
@@ -220,22 +233,33 @@ core::FleetMix stepped_mix() {
   return mix;
 }
 
-/// Best-of-`reps` seconds for one intersect_all sweep over `slopes` on the
-/// selected backend.
-double sweep_seconds(const core::CompiledSpeedList& c, const char* backend,
-                     const std::vector<double>& slopes, int reps) {
-  core::force_simd_backend(backend);
+/// Seconds for one intersect_all sweep over each of `slopes` on each of
+/// the `backends`: every sweep's best of kReps, summed over the slopes.
+/// The backends alternate rep by rep, and each sweep is timed on its own,
+/// so a helper of the lane pool that wakes late spoils one sweep's sample
+/// rather than a whole rep.
+std::vector<double> sweep_seconds(const core::CompiledSpeedList& c,
+                                  const std::vector<std::string>& backends,
+                                  const std::vector<double>& slopes) {
   std::vector<double> out(c.size());
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    util::Timer timer;
-    for (const double s : slopes) {
-      c.intersect_all(s, out);
-      benchmark::DoNotOptimize(out.data());
+  std::vector<std::vector<double>> best(
+      backends.size(), std::vector<double>(
+                           slopes.size(),
+                           std::numeric_limits<double>::infinity()));
+  for (int r = 0; r < kReps; ++r)
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      core::force_simd_backend(backends[b]);
+      for (std::size_t s = 0; s < slopes.size(); ++s) {
+        util::Timer timer;
+        c.intersect_all(slopes[s], out);
+        benchmark::DoNotOptimize(out.data());
+        best[b][s] = std::min(best[b][s], timer.seconds());
+      }
     }
-    best = std::min(best, timer.seconds());
-  }
-  return best;
+  std::vector<double> total(backends.size(), 0.0);
+  for (std::size_t b = 0; b < backends.size(); ++b)
+    for (const double t : best[b]) total[b] += t;
+  return total;
 }
 
 /// speed_all (the fine-tune epilogue's batched sweep) against the
@@ -247,14 +271,16 @@ double epilogue_speedup(const core::SpeedList& list,
   for (std::size_t i = 0; i < p; ++i)
     xs[i] = 1.0 + static_cast<double>((i * 37) % 100000);
   core::force_simd_backend("auto");
-  const double t_batched = best_of(64, [&] {
-    c.speed_all(xs, out);
-    return out.data();
-  });
-  const double t_loop = best_of(64, [&] {
-    for (std::size_t i = 0; i < p; ++i) out[i] = list[i]->speed(xs[i]);
-    return out.data();
-  });
+  const auto [t_batched, t_loop] = best_of_both(
+      64,
+      [&] {
+        c.speed_all(xs, out);
+        return out.data();
+      },
+      [&] {
+        for (std::size_t i = 0; i < p; ++i) out[i] = list[i]->speed(xs[i]);
+        return out.data();
+      });
   return t_loop / t_batched;
 }
 
@@ -282,13 +308,19 @@ void simd_gates(Report& report) {
       continue;
     }
     // Every runnable variant against one scalar baseline.
-    const double t_scalar = sweep_seconds(c, "off", slopes, 5);
+    std::vector<const simd::SimdKernels*> variants;
+    std::vector<std::string> backends{"off"};
+    for (const simd::SimdKernels* k : simd::compiled_simd_variants())
+      if (simd::simd_variant_supported(*k)) {
+        variants.push_back(k);
+        backends.emplace_back(k->name);
+      }
+    const std::vector<double> t = sweep_seconds(c, backends, slopes);
     double automatic_speedup = 0.0, wide = 0.0, narrow = 0.0;
-    for (const simd::SimdKernels* k : simd::compiled_simd_variants()) {
-      if (!simd::simd_variant_supported(*k)) continue;
-      const double s = t_scalar / sweep_seconds(c, k->name, slopes, 5);
-      if (k == automatic) automatic_speedup = s;
-      double& best = k->width >= 8 ? wide : narrow;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const double s = t[0] / t[v + 1];
+      if (variants[v] == automatic) automatic_speedup = s;
+      double& best = variants[v]->width >= 8 ? wide : narrow;
       best = std::max(best, s);
     }
     report.timing("SIMD batch vs scalar (" + std::string(automatic->name) +
@@ -325,9 +357,8 @@ void simd_gates(Report& report) {
     std::vector<double> near;
     for (int i = 0; i < 64; ++i)
       near.push_back(slope * std::pow(2.0, i / 63.0 - 0.5));
-    // The vector side is short and noise-prone: more repetitions.
-    const double t_lane = sweep_seconds(c, "auto", near, 9);
-    const double stepped = sweep_seconds(c, "off", near, 3) / t_lane;
+    const std::vector<double> t = sweep_seconds(c, {"auto", "off"}, near);
+    const double stepped = t[1] / t[0];
     report.timing("stepped Newton lane vs per-entry scalar (p = 4096)",
                   times(stepped), ">= 15x", stepped >= 15.0);
   } else {

@@ -1268,31 +1268,37 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
   // SpeedFunction::intersect), so the total size is unbounded as the slope
   // approaches zero and the shallow expansion always terminates. Each test
   // keeps its solved sizes, so the final lines come back without a re-solve.
-  const double nd = static_cast<double>(n);
   std::vector<double> hi_local, lo_local;
   std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;
   std::vector<double>& lo_sizes = large != nullptr ? *large : lo_local;
-  hi_sizes.resize(speeds.size());
-  lo_sizes.resize(speeds.size());
-  const auto total_at = [&](double slope, std::vector<double>& xs) {
-    sizes_at(speeds, slope, counters, xs);
-    return line_total(xs);
-  };
-  double hi_total = total_at(br.hi_slope, hi_sizes);
-  for (int i = 0; i < 256 && hi_total > nd; ++i) {
-    br.hi_slope *= 2.0;
-    hi_total = total_at(br.hi_slope, hi_sizes);
-  }
-  double lo_total = total_at(br.lo_slope, lo_sizes);
-  for (int i = 0; i < 256 && lo_total < nd; ++i) {
-    br.lo_slope *= 0.5;
-    lo_total = total_at(br.lo_slope, lo_sizes);
-  }
+  double total = 0.0;
+  br.hi_slope = solve_bracket_line(speeds, n, br.hi_slope, true, counters,
+                                   hi_sizes, total);
+  br.lo_slope = solve_bracket_line(speeds, n, br.lo_slope, false, counters,
+                                   lo_sizes, total);
   if (br.lo_slope > br.hi_slope) {
     std::swap(br.lo_slope, br.hi_slope);
     hi_sizes.swap(lo_sizes);
   }
   return br;
+}
+
+double solve_bracket_line(const CompiledSpeedList& speeds, std::int64_t n,
+                          double slope, bool steep, EvalCounters* counters,
+                          std::vector<double>& sizes, double& total) {
+  const double nd = static_cast<double>(n);
+  sizes.resize(speeds.size());
+  const auto wrong_side = [&] {
+    sizes_at(speeds, slope, counters, sizes);
+    total = line_total(sizes);
+    return steep ? total > nd : total < nd;
+  };
+  bool wrong = wrong_side();
+  for (int i = 0; i < 256 && wrong; ++i) {
+    slope = steep ? slope * 2.0 : slope * 0.5;
+    wrong = wrong_side();
+  }
+  return slope;
 }
 
 }  // namespace fpm::core

@@ -129,7 +129,7 @@ class CompiledSpeedList {
   void intersect_all(double slope, std::span<double> out) const;
 
   /// Evaluates speed(i, xs[i]) for every entry in one pass — the fine-tune
-  /// epilogue's hot loop (core/finetune.cpp seeds its award heap from one
+  /// epilogue's hot loop (core/finetune.cpp seeds its awards from one
   /// such sweep instead of p virtual calls). The PowerDecay/ExpDecay lanes
   /// gather their sizes and run the vector speed kernels (NaN punts fixed
   /// up scalar, same contract as intersect_all); every other entry takes
@@ -365,6 +365,14 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
                             EvalCounters* counters,
                             std::vector<double>* small = nullptr,
                             std::vector<double>* large = nullptr);
+/// One line of detect_bracket, expansion included: solves the line of
+/// `slope` into `sizes` and, while its total lies on the wrong side of n,
+/// doubles the slope (`steep`: until the total is <= n) or halves it
+/// (until the total is >= n), at most 256 times. Returns the final slope;
+/// `total` receives its line's entry-order total.
+double solve_bracket_line(const CompiledSpeedList& speeds, std::int64_t n,
+                          double slope, bool steep, EvalCounters* counters,
+                          std::vector<double>& sizes, double& total);
 
 /// Batched counterpart of `speeds.speed(i, xs[i])` per entry (one
 /// CompiledSpeedList::speed_all sweep, counted like p boundary

@@ -13,9 +13,15 @@ namespace {
 // -1 = unset (resolve from hardware_concurrency at pool start).
 std::atomic<int> g_requested_threads{-1};
 
+// Resolved once: hardware_concurrency() reads the online-CPU list from the
+// system on every call, and lane_pool_threads() runs on every parallel
+// sweep.
 unsigned default_threads() noexcept {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? hw - 1 : 0;
+  static const unsigned threads = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 1 ? hw - 1 : 0;
+  }();
+  return threads;
 }
 
 class LanePool {

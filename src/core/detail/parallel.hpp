@@ -16,7 +16,7 @@
 namespace fpm::core::detail {
 
 /// Helper-thread count the lane pool uses (excludes the calling thread).
-/// Defaults to hardware_concurrency() - 1, resolved lazily. Calling
+/// Defaults to hardware_concurrency() - 1, resolved once on first use. Calling
 /// set_lane_pool_threads before the pool's first parallel run overrides the
 /// default (tests and benches pin this for determinism of *scheduling*;
 /// results never depend on it). Once the pool has started, later calls are

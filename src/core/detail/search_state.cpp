@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "core/detail/speed_kernels.hpp"
 
@@ -24,6 +25,10 @@ namespace {
 // whole attempt gets kProbeBudget line solves. A warm start confines its
 // probes to kWarmWindow around the rescaled hint and goes stale when a
 // probe would leave it; a cold start's window is the Figure-18 bracket.
+// A cold start opens at the mean-speed line only when that window is wider
+// than kWarmWindow, and stops there once two or more probes land on one
+// side at an elasticity below kMinElasticity in magnitude (a flat curve);
+// otherwise it opens from the two Figure-18 lines.
 // Until both sides are known, the elasticity a step uses is clamped to
 // [kMinElasticity, kMaxElasticity] in magnitude, so a flat or stepped
 // stretch of the curves cannot throw it out of all proportion; after that
@@ -66,22 +71,7 @@ SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
   }
   if (hint != nullptr && hint->usable())
     warmstart_ = try_warm_bracket(*hint) ? WarmStart::Hit : WarmStart::Stale;
-  if (warmstart_ != WarmStart::Hit) {
-    // The bracket's last expansion tests already solved both lines; keep
-    // those sizes instead of solving the lines again.
-    bracket_ = detect_bracket(*compiled_, n, &counters_, &small_, &large_);
-    const SecantPoint steep{bracket_.hi_slope,
-                            std::log(line_sum(small_)) - log_n_};
-    const SecantPoint shallow{bracket_.lo_slope,
-                              std::log(line_sum(large_)) - log_n_};
-    // The line nearer n in total goes last: the secant's next step leans
-    // on the newer line.
-    if (std::abs(steep.g) < std::abs(shallow.g))
-      restart_secant(shallow, steep);
-    else
-      restart_secant(steep, shallow);
-    if (start == Bracket::Secant) narrow_cold_bracket();
-  }
+  if (warmstart_ != WarmStart::Hit) open_cold(start);
   intersections_ += static_cast<int>(2 * compiled_->size());
   if (observing())
     emit(SearchStepKind::Bracket, bracket_.hi_slope, false, kNoProcessor);
@@ -108,7 +98,8 @@ void SearchState::remember(SecantPoint line) {
 SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
                                                        double window_hi,
                                                        Side& steep,
-                                                       Side& shallow) {
+                                                       Side& shallow,
+                                                       bool stop_when_flat) {
   const double nd = static_cast<double>(n_);
   SecantOutcome out;
   double total = 0.0;  // of the last probe
@@ -153,6 +144,11 @@ SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
       c = std::sqrt(shallow.slope * steep.slope);
     if (!probe(c)) return out;
     if (std::abs(total - nd) < kSecantTolerance) break;
+    // A flat curve: every probe so far on one side, the last pair's
+    // elasticity below the clamp.
+    if (stop_when_flat && !straddled() && out.probes >= 2 &&
+        elasticity_ > -kMinElasticity)
+      return out;
   }
 
   // Straddle: the last probe is one side; find the other.
@@ -197,18 +193,72 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint) {
 
   Side steep, shallow;
   const SecantOutcome out = secant_bracket(
-      center / kWarmWindow, center * kWarmWindow, steep, shallow);
+      center / kWarmWindow, center * kWarmWindow, steep, shallow, false);
   warm_probes_ += out.probes;
   if (!out.straddled) return false;
   adopt(steep, shallow);
   return true;
 }
 
-void SearchState::narrow_cold_bracket() {
-  Side steep{bracket_.hi_slope, line_sum(small_), std::move(small_)};
-  Side shallow{bracket_.lo_slope, line_sum(large_), std::move(large_)};
-  (void)secant_bracket(bracket_.lo_slope, bracket_.hi_slope, steep, shallow);
+void SearchState::open_cold(Bracket start) {
+  // The Figure-18 probe in one batched sweep: every speed at min(n/p, b_i).
+  const std::size_t p = compiled_->size();
+  const double probe = static_cast<double>(n_) / static_cast<double>(p);
+  scratch_.resize(p);
+  for (std::size_t i = 0; i < p; ++i)
+    scratch_[i] = std::min(probe, compiled_->max_size(i));
+  speeds_at(*compiled_, scratch_, &counters_, scratch_);
+  double s_min = std::numeric_limits<double>::infinity();
+  double s_max = 0.0;
+  double s_sum = 0.0;
+  for (const double s : scratch_) {
+    s_min = std::min(s_min, s);
+    s_max = std::max(s_max, s);
+    s_sum += s;
+  }
+  const double hi = s_max / probe;  // line 1 of Figure 18
+  double lo = s_min / probe;        // line 2 of Figure 18
+  if (lo <= 0.0) lo = hi * 1e-12;
+
+  Side steep, shallow;
+  if (start == Bracket::Secant && hi > kWarmWindow * lo) {
+    // A wide window: open the secant at the mean-speed line, the mean of
+    // the per-processor Figure-18 slopes (exact for constant speeds),
+    // inside the Figure-18 window.
+    const SecantPoint mean{s_sum / static_cast<double>(n_), 0.0};
+    restart_secant(mean, mean);
+    if (secant_bracket(lo, hi, steep, shallow, true).straddled) {
+      adopt(steep, shallow);
+      return;
+    }
+  }
+  // The Figure-18 lines, each on a side no probe has found yet.
+  if (steep.slope == 0.0) solve_figure18_line(hi, true, steep);
+  if (shallow.slope == 0.0) solve_figure18_line(lo, false, shallow);
+  // The line nearer n in total goes last: the secant's next step leans on
+  // the newer line.
+  const SecantPoint steep_line{steep.slope, std::log(steep.total) - log_n_};
+  const SecantPoint shallow_line{shallow.slope,
+                                 std::log(shallow.total) - log_n_};
+  if (std::abs(steep_line.g) < std::abs(shallow_line.g))
+    restart_secant(shallow_line, steep_line);
+  else
+    restart_secant(steep_line, shallow_line);
+  // The secant start narrows the pair; it keeps the narrowed bracket when
+  // the budget runs out.
+  if (start == Bracket::Secant)
+    (void)secant_bracket(shallow.slope, steep.slope, steep, shallow, false);
   adopt(steep, shallow);
+}
+
+void SearchState::solve_figure18_line(double slope, bool is_steep,
+                                      Side& side) {
+  const std::int64_t before = counters_.intersect_solves;
+  side.slope = solve_bracket_line(*compiled_, n_, slope, is_steep, &counters_,
+                                  side.sizes, side.total);
+  figure18_lines_ += static_cast<int>(
+      (counters_.intersect_solves - before) /
+      static_cast<std::int64_t>(compiled_->size()));
 }
 
 void SearchState::adopt(Side& steep, Side& shallow) {
@@ -235,6 +285,7 @@ void SearchState::finish(PartitionResult& result) {
   stats.bracket_saturations = bracket_saturations();
   stats.warmstart = warmstart_;
   stats.warm_probes = warm_probes_;
+  stats.figure18_lines = figure18_lines_;
   if (warmstart_ == WarmStart::Hit)
     stats.iterations_saved =
         std::max(0, hint_->baseline_iterations - iterations_);

@@ -29,11 +29,10 @@ namespace fpm::core::detail {
 /// SpeedFunction interface would see it.
 class SearchState {
  public:
-  /// Initializes from the Figure-18 bracket and solves both lines;
-  /// `start` == Bracket::Secant then narrows it with the secant bracket.
-  /// The observer pointer, when non-null and pointing at a non-empty
-  /// function, receives one SearchStep per bracket/slope decision; it must
-  /// outlive this object. A usable `hint` replaces the cold bracket with a
+  /// Initializes from the cold `start` (see open_cold) unless a usable
+  /// `hint` is adopted. The observer pointer, when non-null and pointing at
+  /// a non-empty function, receives one SearchStep per bracket/slope
+  /// decision; it must outlive this object. A usable `hint` replaces the cold bracket with a
   /// tight verified one around the hinted slope (see PartitionHint);
   /// verification failure falls back to the cold bracket, so the search
   /// result is bit-identical with or without the hint.
@@ -75,10 +74,13 @@ class SearchState {
   /// Line solves (sweeps over all p processors) the constructor spent on
   /// the warm bracket, whether it was adopted or the hint went stale.
   int warm_probes() const noexcept { return warm_probes_; }
+  /// Line solves the constructor spent on Figure 18's two lines, their
+  /// expansions included (0 when the secant opened without them).
+  int figure18_lines() const noexcept { return figure18_lines_; }
 
   /// The shared search epilogue: records the search-phase stats into
   /// `result`, runs the Figure-9 fine-tune over the steep line (one
-  /// speed_all sweep seeds the award heap), then records the totals and
+  /// speed_all sweep seeds its awards), then records the totals and
   /// the warm-start outcome. The search counters are read before the
   /// fine-tune, so search_speed_evals/search_intersect_solves exclude it.
   /// The state is spent afterwards: only the steep line is kept.
@@ -162,9 +164,12 @@ class SearchState {
   /// Every probe stays inside [window_lo, window_hi], inside the lines
   /// already known to straddle n, and within one shared probe budget. The
   /// attempt ends without a straddle when a probe would leave the window
-  /// or the budget, or solves to a degenerate total.
+  /// or the budget, or solves to a degenerate total, and, with
+  /// `stop_when_flat`, when two or more probes land on one side with an
+  /// elasticity below the clamp in magnitude.
   SecantOutcome secant_bracket(double window_lo, double window_hi,
-                               Side& steep, Side& shallow);
+                               Side& steep, Side& shallow,
+                               bool stop_when_flat);
 
   /// Warm start: the secant from the hint's line, in a window 16x around
   /// the hinted slope rescaled to n. On success fills
@@ -173,10 +178,17 @@ class SearchState {
   /// cold start.
   bool try_warm_bracket(const PartitionHint& hint);
 
-  /// Cold start with Bracket::Secant: the secant from the two Figure-18
-  /// lines, in the Figure-18 window. Only ever narrows bracket_, and keeps
-  /// the narrowed bracket when the budget runs out.
-  void narrow_cold_bracket();
+  /// Cold start. Takes the Figure-18 probe in one batched speed sweep.
+  /// Bracket::Figure18 adopts Figure 18's two lines. Bracket::Secant on a
+  /// window s_max/s_min wider than the warm start's opens the secant at
+  /// the mean-speed line, inside the Figure-18 window, and adopts its
+  /// straddle. Otherwise (a narrow window, a flat curve, or no straddle)
+  /// it solves the Figure-18 line of each side no probe found and narrows
+  /// that pair with the secant, keeping the narrowed bracket when the
+  /// budget runs out.
+  void open_cold(Bracket start);
+  /// Solves a Figure-18 line with its expansion into `side`.
+  void solve_figure18_line(double slope, bool is_steep, Side& side);
 
   /// Adopts the sides as the bracket.
   void adopt(Side& steep, Side& shallow);
@@ -207,6 +219,7 @@ class SearchState {
   const PartitionHint* hint_ = nullptr;
   WarmStart warmstart_ = WarmStart::None;
   int warm_probes_ = 0;
+  int figure18_lines_ = 0;
   // The secant's last line and its current elasticity.
   SecantPoint last_;
   double elasticity_ = -1.0;
@@ -257,6 +270,7 @@ inline void add_counters(PartitionStats& total, const PartitionStats& part) {
   total.search_intersect_solves += part.search_intersect_solves;
   total.bracket_saturations += part.bracket_saturations;
   total.warm_probes += part.warm_probes;
+  total.figure18_lines += part.figure18_lines;
 }
 
 // The family's searches, held by the registry rows; the public partition_*

@@ -50,6 +50,92 @@ double compiled_time_at(const CompiledSpeedList& speeds,
   return xd / speeds.speed(i, xd);
 }
 
+using Award = std::pair<double, std::size_t>;  // (post-award time, index)
+
+/// Awards `deficit` single elements from an award heap seeded with `first`
+/// (each processor's first post-award time) in index order: each pop is
+/// the smallest (time, index) pair, and its processor's next post-award
+/// time replaces it. With the scalar kernels the pop sequence, and the
+/// allocation, is bit-identical to award_greedily over the virtual models.
+void award_from_heap(const CompiledSpeedList& speeds, EvalCounters* counters,
+                     std::span<const double> first, std::int64_t deficit,
+                     std::vector<std::int64_t>& counts) {
+  std::vector<Award> storage;
+  storage.reserve(first.size());
+  std::priority_queue<Award, std::vector<Award>, std::greater<>> heap(
+      std::greater<>{}, std::move(storage));
+  for (std::size_t i = 0; i < first.size(); ++i) heap.emplace(first[i], i);
+  for (; deficit > 0; --deficit) {
+    const auto [t, i] = heap.top();
+    heap.pop();
+    ++counts[i];
+    heap.emplace(compiled_time_at(speeds, counters, i, counts[i] + 1), i);
+  }
+}
+
+/// One candidate award of the selection: processor `index`'s post-award
+/// time at counts[index] + rank, and `rank` (> 0) while the processor may
+/// still offer its next time (0 once it offered it).
+struct Offer {
+  double time;
+  std::uint32_t index;
+  std::uint32_t rank;
+};
+
+/// Selection rounds before select_awards hands over to the heap.
+constexpr int kSelectionRounds = 16;
+
+/// The heap's awards found by selection. Each processor offers a chain of
+/// post-award times; when every chain is non-decreasing, the heap's
+/// `deficit` pops are the `deficit` smallest (time, index) pairs over all
+/// chains, a unique set of counts. Each round selects the `deficit`
+/// smallest offers (nth_element) and drops the rest, which lie above every
+/// later threshold; each processor whose offers were all selected then
+/// offers its next time, which stays only if it falls below the round's
+/// threshold. The rounds end when none does. Returns false, with `counts`
+/// untouched, on a deficit above p, a time that is not finite or falls
+/// along a chain, more offers than p, or more than kSelectionRounds
+/// rounds: the heap then awards.
+bool select_awards(const CompiledSpeedList& speeds, EvalCounters* counters,
+                   std::span<const double> first, std::int64_t deficit,
+                   std::vector<std::int64_t>& counts) {
+  const std::size_t p = first.size();
+  if (deficit == 0) return true;
+  if (deficit > static_cast<std::int64_t>(p)) return false;
+  for (const double t : first)
+    if (!std::isfinite(t)) return false;
+  const auto k = static_cast<std::size_t>(deficit);
+  const auto before = [](const Offer& a, const Offer& b) {
+    return a.time < b.time || (a.time == b.time && a.index < b.index);
+  };
+  std::vector<Offer> pool(p);
+  for (std::size_t i = 0; i < p; ++i)
+    pool[i] = {first[i], static_cast<std::uint32_t>(i), 1};
+  std::size_t live = p;
+  for (int round = 0;; ++round) {
+    std::nth_element(pool.begin(), pool.begin() + (k - 1),
+                     pool.begin() + static_cast<std::ptrdiff_t>(live),
+                     before);
+    const Offer threshold = pool[k - 1];
+    live = k;
+    for (std::size_t j = 0; j < k; ++j) {
+      const Offer o = pool[j];
+      if (o.rank == 0) continue;
+      pool[j].rank = 0;
+      const double t = compiled_time_at(speeds, counters, o.index,
+                                        counts[o.index] + o.rank + 1);
+      if (!(t >= o.time) || !std::isfinite(t)) return false;
+      const Offer next{t, o.index, o.rank + 1};
+      if (!before(next, threshold)) continue;
+      if (live == p || round == kSelectionRounds) return false;
+      pool[live++] = next;
+    }
+    if (live == k) break;
+  }
+  for (std::size_t j = 0; j < k; ++j) ++counts[pool[j].index];
+  return true;
+}
+
 }  // namespace
 
 Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
@@ -65,12 +151,11 @@ Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
         0, static_cast<std::int64_t>(std::floor(small_sizes[i])));
     assigned += d.counts[i];
   }
-  using Entry = std::pair<double, std::size_t>;
   if (assigned > n) {
     // Defensive: the steep line should under-fill, but round-off can leave
     // an excess of a few elements; shed them from the slowest finishers.
     // Rare, so it stays per-entry.
-    std::priority_queue<Entry> heap;  // max by current completion time
+    std::priority_queue<Award> heap;  // max by current completion time
     for (std::size_t i = 0; i < speeds.size(); ++i)
       if (d.counts[i] > 0)
         heap.emplace(compiled_time_at(speeds, counters, i, d.counts[i]), i);
@@ -84,31 +169,17 @@ Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
     }
     return d;
   }
-  // Seed the award heap from one batched sweep over the post-award sizes
-  // (counts + 1 >= 1, all in-domain), solved in place. The heap sees the
-  // same (time, index) pairs in the same i-ascending push order as
-  // award_greedily over the virtual models, so with the scalar kernels the
-  // pop sequence — and the allocation — is bit-identical to it. The heap
-  // never holds more than p entries, so it is reserved at p, and the sweep's
-  // buffer is freed before the award loop.
-  std::vector<Entry> storage;
-  storage.reserve(speeds.size());
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap(
-      std::greater<>{}, std::move(storage));
-  {
-    std::vector<double> sp(speeds.size());
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      sp[i] = static_cast<double>(d.counts[i] + 1);
-    speeds_at(speeds, sp, counters, sp);
-    for (std::size_t i = 0; i < speeds.size(); ++i)
-      heap.emplace(static_cast<double>(d.counts[i] + 1) / sp[i], i);
-  }
-  for (std::int64_t deficit = n - assigned; deficit > 0; --deficit) {
-    const auto [t, i] = heap.top();
-    heap.pop();
-    ++d.counts[i];
-    heap.emplace(compiled_time_at(speeds, counters, i, d.counts[i] + 1), i);
-  }
+  // One batched sweep over the post-award sizes (counts + 1 >= 1, all
+  // in-domain), solved in place: every processor's first post-award time.
+  std::vector<double> first(speeds.size());
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    first[i] = static_cast<double>(d.counts[i] + 1);
+  speeds_at(speeds, first, counters, first);
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    first[i] = static_cast<double>(d.counts[i] + 1) / first[i];
+  const std::int64_t deficit = n - assigned;
+  if (!select_awards(speeds, counters, first, deficit, d.counts))
+    award_from_heap(speeds, counters, first, deficit, d.counts);
   return d;
 }
 

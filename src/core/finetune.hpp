@@ -28,12 +28,16 @@ namespace fpm::core {
 Distribution fine_tune(const SpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes);
 
-/// Compiled-model overload: the award heap is seeded from ONE batched
-/// speed_all() sweep (the p-wide hot loop of the epilogue, vectorized for
-/// the power/exp lanes) instead of p virtual calls; the award/shed
-/// iterations stay per-entry. In scalar mode (force_simd_backend("off"))
-/// every value, and the heap's push sequence, is bit-identical to the same
-/// greedy run over the virtual models. Each speed evaluation adds one to
+/// Compiled-model overload: every processor's first post-award time comes
+/// from ONE batched speed_all() sweep (the p-wide hot loop of the epilogue,
+/// vectorized for the power/exp lanes) instead of p virtual calls. The
+/// awards are then selected exactly (nth_element over the (time, index)
+/// pairs, O(p) plus one per-entry time per award) rather than popped from
+/// a heap; a deficit above p, or a time that is not finite or falls along
+/// a processor's chain, runs the award heap instead. Both give the
+/// greedy's allocation, and in scalar mode (force_simd_backend("off"))
+/// every value, and so the allocation, is bit-identical to the same greedy
+/// run over the virtual models. Each speed evaluation adds one to
 /// `counters->speed_evals` (pass nullptr to skip).
 Distribution fine_tune(const CompiledSpeedList& speeds, std::int64_t n,
                        std::span<const double> small_sizes,

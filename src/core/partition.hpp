@@ -115,6 +115,12 @@ struct PartitionStats {
   /// search's cost is here rather than in `iterations`, which is why
   /// iterations_saved alone cannot show it.
   int warm_probes = 0;
+  /// Line solves spent on Figure 18's two lines, their expansions
+  /// included. A cold secant start on a wide Figure-18 window opens at the
+  /// mean-speed line and solves none; narrow windows and flat curves fall
+  /// back to the pair. Rolled into the partition.bracket.figure18_lines
+  /// obs counter.
+  int figure18_lines = 0;
   /// The search-phase portion of speed_evals/intersect_solves: everything
   /// up to (excluding) the fine-tuning epilogue. Fine-tuning costs the same
   /// ~1.5p evaluations whether the search started cold or warm, so these

@@ -213,6 +213,7 @@ struct PartitionCounters {
   obs::Counter& speed_evals;
   obs::Counter& intersect_solves;
   obs::Counter& bracket_saturations;
+  obs::Counter& figure18_lines;
   obs::Counter& warmstart_hits;
   obs::Counter& warmstart_iterations_saved;
   obs::Counter& warmstart_stale;
@@ -231,6 +232,7 @@ const PartitionCounters& partition_counters() {
         reg.counter(obs::names::kPartitionSpeedEvals),
         reg.counter(obs::names::kPartitionIntersectSolves),
         reg.counter(obs::names::kPartitionBracketSaturations),
+        reg.counter(obs::names::kPartitionBracketFigure18Lines),
         reg.counter(obs::names::kPartitionWarmstartHits),
         reg.counter(obs::names::kPartitionWarmstartIterationsSaved),
         reg.counter(obs::names::kPartitionWarmstartStale),
@@ -264,6 +266,8 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
   counters.intersect_solves.add(result.stats.intersect_solves);
   if (result.stats.bracket_saturations != 0)
     counters.bracket_saturations.add(result.stats.bracket_saturations);
+  if (result.stats.figure18_lines != 0)
+    counters.figure18_lines.add(result.stats.figure18_lines);
   if (result.stats.warmstart == WarmStart::Hit) {
     counters.warmstart_hits.add(1);
     counters.warmstart_iterations_saved.add(result.stats.iterations_saved);

@@ -295,7 +295,7 @@ MetricsRegistry& metrics() {
 }
 
 std::span<const MetricInfo> metric_catalogue() {
-  static constexpr std::array<MetricInfo, 40> kCatalogue{{
+  static constexpr std::array<MetricInfo, 41> kCatalogue{{
       {"partition.invocations.<algorithm>", "counter",
        "core::partition() calls per registry algorithm (the paper's "
        "basic/modified/combined family, Figs. 7-15)"},
@@ -309,6 +309,10 @@ std::span<const MetricInfo> metric_catalogue() {
        "generic-bisection bracket expansions that hit the 256-doubling cap "
        "still above the line: the solve returned a saturated-bracket "
        "midpoint, not a true crossing (slope far below every model)"},
+      {names::kPartitionBracketFigure18Lines, "counter",
+       "line solves spent on Figure 18's two bracket lines: a cold secant "
+       "start on a wide window opens at the mean-speed line and solves "
+       "none; narrow windows and flat curves fall back to the pair"},
       {names::kPartitionBatchSimdEntries, "counter",
        "intersect_all entries solved by the vector batch kernels (SIMD "
        "lane occupancy of the compiled SoA plan)"},

@@ -202,6 +202,11 @@ inline constexpr const char* kPartitionIntersectSolves =
 // bracket's midpoint, not a true crossing — see speed_kernels.hpp).
 inline constexpr const char* kPartitionBracketSaturations =
     "partition.intersect.bracket_saturations";
+// Line solves spent on Figure 18's two lines (PartitionStats::
+// figure18_lines): every search opened from Figure 18, and a cold secant
+// start whose window is narrow or whose total-size curve is flat.
+inline constexpr const char* kPartitionBracketFigure18Lines =
+    "partition.bracket.figure18_lines";
 // Batch-lane occupancy of CompiledSpeedList::intersect_all: entries solved
 // by the vector kernels vs entries that took a scalar path (per-entry
 // fallback lane, or vector-kernel punts recomputed scalar). The vector-path

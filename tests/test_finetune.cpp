@@ -3,9 +3,13 @@
 // against brute force on small instances).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <queue>
+#include <string>
 
 #include "core/finetune.hpp"
+#include "core/fleetgen.hpp"
 #include "helpers.hpp"
 
 namespace fpm::core {
@@ -121,6 +125,130 @@ TEST(FineTune, GreedyCompletionIsOptimalFromConsistentSeed) {
     }
     EXPECT_LE(makespan(speeds, tuned), makespan(speeds, best) + slack)
         << e.name;
+  }
+}
+
+/// The award heap, the selection's oracle: the floor allocation of `small`
+/// (which must not exceed n), seeded from one batched speed sweep, then one
+/// pop per award.
+std::vector<std::int64_t> heap_fine_tune(const CompiledSpeedList& speeds,
+                                         std::int64_t n,
+                                         const std::vector<double>& small) {
+  std::vector<std::int64_t> counts(speeds.size());
+  std::int64_t assigned = 0;
+  for (std::size_t i = 0; i < speeds.size(); ++i) {
+    counts[i] = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(std::floor(small[i])));
+    assigned += counts[i];
+  }
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  std::vector<double> sp(speeds.size());
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    sp[i] = static_cast<double>(counts[i] + 1);
+  speeds_at(speeds, sp, nullptr, sp);
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    heap.emplace(static_cast<double>(counts[i] + 1) / sp[i], i);
+  for (std::int64_t deficit = n - assigned; deficit > 0; --deficit) {
+    const auto [t, i] = heap.top();
+    heap.pop();
+    ++counts[i];
+    const double x = static_cast<double>(counts[i] + 1);
+    heap.emplace(x / speeds.speed(i, x), i);
+  }
+  return counts;
+}
+
+TEST(FineTune, SelectionMatchesAwardHeap) {
+  // The selection awards exactly what the heap pops, deficit by deficit,
+  // with the scalar sweeps and every runnable vector backend.
+  struct Case {
+    std::string name;
+    fpm::test::CurveSet owned;
+    std::vector<double> small;
+  };
+  std::vector<Case> cases;
+  {
+    // Equal times at different indices: the index breaks every tie.
+    Case c{"ties", {}, {}};
+    for (int i = 0; i < 8; ++i) {
+      c.owned.push_back(std::make_shared<ConstantSpeed>(100.0, 1e9));
+      c.small.push_back(10.0 + 0.5 * (i % 2));
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // One processor a million times faster takes every award.
+    Case c{"one-takes-all", {}, {}};
+    for (int i = 0; i < 16; ++i) {
+      c.owned.push_back(
+          std::make_shared<ConstantSpeed>(i == 0 ? 1e6 : 1.0, 1e9));
+      c.small.push_back(0.0);
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    // SteppedSpeed plateaus with a sharp drop inside the awarded range.
+    Case c{"stepped-plateau", {}, {}};
+    for (int i = 0; i < 12; ++i) {
+      const double s0 = 400.0 + 25.0 * i;
+      c.owned.push_back(std::make_shared<SteppedSpeed>(
+          s0, std::vector<SteppedSpeed::Step>{{1000.0 + i, s0 / 4.0, 0.5}},
+          1e6));
+      c.small.push_back(996.0 + 0.7 * i);
+    }
+    cases.push_back(std::move(c));
+  }
+  // The benchmark's fleet shapes, seeded from their searches' steep lines
+  // and from lines a few elements short of them (longer award chains).
+  FleetMix stepped_only;
+  stepped_only.constant = stepped_only.linear_decay = 0.0;
+  stepped_only.power_decay = stepped_only.exp_decay = 0.0;
+  stepped_only.piecewise = 0.0;
+  stepped_only.stepped = 1.0;
+  for (const auto& [p, mix] :
+       {std::pair{std::size_t{64}, FleetMix{}},
+        std::pair{std::size_t{4096}, FleetMix{}},
+        std::pair{std::size_t{256}, stepped_only}}) {
+    SyntheticFleet fleet = make_synthetic_fleet(p, 7, mix);
+    const SpeedList list = fleet.list();
+    const double slope = partition(list, 1'000'000'000).stats.final_slope;
+    const std::vector<double> line =
+        sizes_at(CompiledSpeedList::compile(list), slope, nullptr);
+    for (const double shift : {0.0, 2.5}) {
+      Case c{"fleet p=" + std::to_string(p) + " shift " +
+                 std::to_string(shift),
+             fleet.owned, line};
+      for (std::size_t i = 0; i < p; ++i)
+        c.small[i] = std::max(
+            0.0, c.small[i] - shift * static_cast<double>(i % 3));
+      cases.push_back(std::move(c));
+    }
+  }
+
+  for (const std::string& backend : fpm::test::runnable_backends()) {
+    const fpm::test::BackendScope scope(backend);
+    for (const Case& c : cases) {
+      SpeedList list;
+      for (const auto& f : c.owned) list.push_back(f.get());
+      const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+      const auto p = static_cast<std::int64_t>(list.size());
+      std::int64_t floors = 0;
+      for (const double x : c.small)
+        floors += static_cast<std::int64_t>(std::floor(x));
+      for (const std::int64_t deficit :
+           {std::int64_t{0}, std::int64_t{1}, p / 2, p - 1, p, p + 1,
+            3 * p}) {
+        const std::int64_t n = floors + deficit;
+        EvalCounters counters;
+        const Distribution d = fine_tune(compiled, n, c.small, &counters);
+        EXPECT_EQ(d.counts, heap_fine_tune(compiled, n, c.small))
+            << backend << " " << c.name << " deficit " << deficit;
+        EXPECT_EQ(d.total(), n) << backend << " " << c.name;
+        EXPECT_GE(counters.speed_evals, p + deficit)
+            << backend << " " << c.name << " deficit " << deficit;
+      }
+    }
   }
 }
 

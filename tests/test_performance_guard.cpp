@@ -101,9 +101,9 @@ TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
   // see a wrong default policy. Pin the search's cost too, measured alike
   // with the scalar sweeps and the portable, AVX2 and AVX-512 backends,
   // each pin allowing 10% either way:
-  // - the default policy (combined from the secant bracket): 32,768 solves,
-  //   8 per processor — the Figure-18 lines and six secant probes, with no
-  //   bisection step left. One sweep more or less is 12.5%.
+  // - the default policy (combined from the secant bracket): 20,480 solves,
+  //   5 per processor — secant probes from the mean-speed line, with no
+  //   Figure-18 line and no bisection step. One sweep more or less is 20%.
   // - combined from the Figure-18 bracket, the paper's published search:
   //   151,552 solves (37 per processor). A stall window of 1 or 2 costs
   //   21-27% more.
@@ -114,7 +114,7 @@ TEST(PerformanceGuard, ModifiedIntersectionSolvesWithinPaperBound) {
     std::optional<Bracket> start;  ///< unset: partition()'s own start
     std::int64_t measured;
   };
-  const Pin pins[] = {{"default", std::nullopt, 32'768},
+  const Pin pins[] = {{"default", std::nullopt, 20'480},
                       {"figure18", Bracket::Figure18, 151'552}};
   const auto solve = [&](const Pin& pin) {
     return pin.start ? detail::partition_from(*pin.start, fleet.list(), kN, {})

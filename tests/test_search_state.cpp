@@ -11,6 +11,7 @@
 #include "core/detail/search_state.hpp"
 #include "core/fleetgen.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 
 namespace fpm::core::detail {
 namespace {
@@ -146,6 +147,41 @@ TEST(SearchState, SingleProcessorConvergesImmediatelyOrFast) {
   EXPECT_TRUE(state.converged());
   // The single bracket must pin x near n.
   EXPECT_NEAR(state.small()[0], 12345.0, 1.0);
+}
+
+TEST(BracketStart, Figure18LinesOnlyWhereTheMeanLineCannotOpen) {
+  // A cold secant start on a wide Figure-18 window (the synthetic fleets
+  // span two decades of speed) opens at the mean-speed line and solves
+  // neither Figure-18 line. Narrow windows (at most 16x, the homogeneous
+  // ensembles) and the exponential family's flat total-size curve solve
+  // the pair, and partition() rolls the count into its obs counter.
+  obs::Counter& counter =
+      obs::metrics().counter(obs::names::kPartitionBracketFigure18Lines);
+  for (const std::size_t p : {std::size_t{64}, std::size_t{4096}}) {
+    for (std::uint64_t s = 1; s <= 8; ++s) {
+      const SyntheticFleet fleet = make_synthetic_fleet(p, s);
+      const std::int64_t before = counter.value();
+      const PartitionResult r = partition(fleet.list(), 1'000'000'000);
+      EXPECT_EQ(r.stats.figure18_lines, 0) << "p=" << p << " s=" << s;
+      EXPECT_EQ(counter.value(), before) << "p=" << p << " s=" << s;
+    }
+  }
+  constexpr std::int64_t kN = 100'000'000;
+  int total = 0;
+  for (const fpm::test::Ensemble& e : fpm::test::all_ensembles(6)) {
+    const SlopeBracket window = detect_bracket(e.list(), kN);
+    const PartitionResult r = partition(e.list(), kN);
+    total += r.stats.figure18_lines;
+    if (window.hi_slope <= 16.0 * window.lo_slope) {
+      EXPECT_GE(r.stats.figure18_lines, 2) << e.name;
+    }
+  }
+  EXPECT_GT(total, 0);
+  const fpm::test::Ensemble flat = fpm::test::exponential_ensemble(4);
+  const std::int64_t before = counter.value();
+  const PartitionResult r = partition(flat.list(), kN);
+  EXPECT_GT(r.stats.figure18_lines, 0);
+  EXPECT_EQ(counter.value() - before, r.stats.figure18_lines);
 }
 
 TEST(BracketStart, DistributionsBitIdenticalAcrossAlgorithmsAndStarts) {
