@@ -35,13 +35,11 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
   dist.block = b;
 
   // Under the functional model every group partitions the same models:
-  // compile them once and let each group's solve reuse that compilation
-  // (sub-lists, e.g. the bounded algorithm's residual rounds, do not match
-  // the guard and compile their own). The distributions are bit-identical
-  // to compiling per solve.
+  // compile them once and run each group's solve on that compilation (the
+  // bounded algorithm's residual rounds compile their own sub-lists). The
+  // distributions are bit-identical to compiling per solve.
   const core::CompiledSpeedList compiled =
       core::CompiledSpeedList::compile(models);
-  const core::PrecompiledGuard guard(models, compiled);
   // Successive groups solve the same models at a shrinking n, so each
   // group's solve warm-starts from the previous group's slope (a hint
   // changes only the search cost, never the distribution). A caller's own
@@ -58,7 +56,7 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
     // Step 1: optimal shares (x_i) for the remaining sub-matrix.
     std::vector<double> shares(p);
     if (opts.model == VgbModel::Functional) {
-      core::PartitionResult r = core::partition(models, elements, policy);
+      core::PartitionResult r = core::partition(compiled, elements, policy);
       for (std::size_t i = 0; i < p; ++i)
         shares[i] = static_cast<double>(r.distribution.counts[i]);
       if (chain_hints)

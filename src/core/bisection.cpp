@@ -9,7 +9,8 @@ PartitionResult partition_basic(const SpeedList& speeds, std::int64_t n,
   return partitioner_registry().run(kAlgorithmBasic, speeds, n, policy);
 }
 
-PartitionResult detail::basic_from(Bracket start, const SpeedList& speeds,
+PartitionResult detail::basic_from(Bracket start,
+                                   const CompiledSpeedList& speeds,
                                    std::int64_t n,
                                    const PartitionPolicy& policy) {
   const int cap = policy.max_iterations.value_or(kSearchIterationCap);

@@ -13,14 +13,15 @@ namespace fpm::core {
 namespace {
 
 std::vector<std::int64_t> bounds_or_capacity(const PartitionPolicy& policy,
-                                             const SpeedList& speeds) {
+                                             const CompiledSpeedList& speeds) {
   if (!policy.bounds.empty()) return policy.bounds;
   // Default capacity: the modelled range end of each curve (the paper's
   // point b — the size at which the processor pages itself to a halt).
   std::vector<std::int64_t> bounds;
   bounds.reserve(speeds.size());
-  for (const SpeedFunction* f : speeds)
-    bounds.push_back(static_cast<std::int64_t>(std::ceil(f->max_size())));
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    bounds.push_back(
+        static_cast<std::int64_t>(std::ceil(speeds.base(i)->max_size())));
   return bounds;
 }
 
@@ -31,7 +32,8 @@ PartitionResult partition_bounded(const SpeedList& speeds, std::int64_t n,
   return partitioner_registry().run(kAlgorithmBounded, speeds, n, policy);
 }
 
-PartitionResult detail::bounded_from(Bracket start, const SpeedList& speeds,
+PartitionResult detail::bounded_from(Bracket start,
+                                     const CompiledSpeedList& speeds,
                                      std::int64_t n,
                                      const PartitionPolicy& policy) {
   const std::vector<std::int64_t> bounds = bounds_or_capacity(policy, speeds);
@@ -56,18 +58,22 @@ PartitionResult detail::bounded_from(Bracket start, const SpeedList& speeds,
   PartitionPolicy inner = policy;
   bool first_round = true;
   while (remaining > 0 && !active.empty()) {
-    SpeedList sub;
-    sub.reserve(active.size());
-    for (const std::size_t i : active) sub.push_back(speeds[i]);
-    PartitionResult sub_result = combined_from(start, sub, remaining, inner);
+    PartitionResult sub_result;
     if (first_round) {
       // The hint describes the full unclamped problem; the residual rounds
       // solve a different one (fewer processors, fewer elements), so only
       // the first inner search warm-starts.
+      sub_result = combined_from(start, speeds, remaining, inner);
       result.stats.warmstart = sub_result.stats.warmstart;
       result.stats.iterations_saved = sub_result.stats.iterations_saved;
       inner.hint.reset();
       first_round = false;
+    } else {
+      SpeedList sub;
+      sub.reserve(active.size());
+      for (const std::size_t i : active) sub.push_back(speeds.base(i));
+      sub_result = combined_from(start, CompiledSpeedList::compile(sub),
+                                 remaining, inner);
     }
     add_counters(result.stats, sub_result.stats);
     result.stats.final_slope = sub_result.stats.final_slope;

@@ -11,7 +11,8 @@ PartitionResult partition_combined(const SpeedList& speeds, std::int64_t n,
   return partitioner_registry().run(kAlgorithmCombined, speeds, n, policy);
 }
 
-PartitionResult detail::combined_from(Bracket start, const SpeedList& speeds,
+PartitionResult detail::combined_from(Bracket start,
+                                      const CompiledSpeedList& speeds,
                                       std::int64_t n,
                                       const PartitionPolicy& policy) {
   const int max_iterations =

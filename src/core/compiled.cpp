@@ -167,7 +167,7 @@ inline const detail::simd::SimdKernels* active_kernels() noexcept {
   return g_kernels.load(std::memory_order_relaxed);
 }
 
-/// Thread-local precompiled hint installed by PrecompiledGuard.
+/// The list and model PrecompiledGuard installed on this thread.
 thread_local const SpeedList* g_precompiled_speeds = nullptr;
 thread_local const CompiledSpeedList* g_precompiled_list = nullptr;
 
@@ -1154,34 +1154,30 @@ void CompiledSpeedList::speed_all(std::span<const double> xs,
     scalar_lane(kExp);
     return;
   }
-  // Gather xs through idx into a padded column (pad slots duplicate the
-  // last real size: in-domain, never scattered back), run the kernel over
-  // the whole lane, fix up NaN punts with the exact scalar evaluation.
-  // Every xs[i] is read before out[i] is written, so out may alias xs.
-  static thread_local detail::simd::LaneVector xbuf;
-  static thread_local detail::simd::LaneVector rbuf;
+  // Gather xs through idx into an on-stack block of up to kLaneChunk sizes
+  // (pad slots duplicate the last real size: in-domain, never scattered
+  // back), run the kernel over the block in place, fix up NaN punts with
+  // the exact scalar evaluation; chunks start on multiples of kLaneChunk,
+  // as in lane_chunk_intersect. Every xs[i] is read before out[i] is
+  // written, so out may alias xs.
   const auto vector_lane = [&](LaneId lane) {
     const std::size_t count = layout_.lanes[lane].count;
-    if (count == 0) return;
     const std::uint32_t* idx = lane_idx(lane);
-    const std::size_t storage = detail::simd::padded_size(count);
-    const std::size_t mpad = detail::simd::padded_size(count, kern->width);
-    xbuf.resize(storage);
-    rbuf.resize(storage);
-    for (std::size_t j = 0; j < count; ++j) xbuf[j] = xs[idx[j]];
-    for (std::size_t j = count; j < storage; ++j) xbuf[j] = xbuf[count - 1];
-    if (lane == kPower) {
-      kern->power_speed_batch(column(lane, 0), column(lane, 1),
-                              column(lane, 2), xbuf.data(), mpad,
-                              rbuf.data());
-    } else {
-      kern->exp_speed_batch(column(lane, 0), column(lane, 1), xbuf.data(),
-                            mpad, rbuf.data());
-    }
-    for (std::size_t j = 0; j < count; ++j) {
-      double s = rbuf[j];
-      if (std::isnan(s)) s = speed(idx[j], xbuf[j]);
-      out[idx[j]] = s;
+    for (std::size_t begin = 0; begin < count; begin += kLaneChunk) {
+      const std::size_t m = std::min(kLaneChunk, count - begin);
+      const std::size_t mpad = detail::simd::padded_size(m, kern->width);
+      alignas(64) double block[kLaneChunk];
+      for (std::size_t j = 0; j < m; ++j) block[j] = xs[idx[begin + j]];
+      for (std::size_t j = m; j < mpad; ++j) block[j] = block[m - 1];
+      const auto col = [&](int c) { return column(lane, c) + begin; };
+      if (lane == kPower)
+        kern->power_speed_batch(col(0), col(1), col(2), block, mpad, block);
+      else
+        kern->exp_speed_batch(col(0), col(1), block, mpad, block);
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::uint32_t i = idx[begin + j];
+        out[i] = std::isnan(block[j]) ? speed(i, xs[i]) : block[j];
+      }
     }
   };
   vector_lane(kPower);
@@ -1233,10 +1229,35 @@ std::vector<double> sizes_at(const CompiledSpeedList& speeds, double slope,
 
 double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters) {
-  static thread_local std::vector<double> scratch;
+  std::vector<double> sizes(speeds.size());
+  sizes_at(speeds, slope, counters, sizes);
+  return line_total(sizes);
+}
+
+SlopeBracket figure18_probe(const CompiledSpeedList& speeds, std::int64_t n,
+                            EvalCounters* counters,
+                            std::vector<double>& scratch,
+                            double* mean_slope) {
+  const double probe =
+      static_cast<double>(n) / static_cast<double>(speeds.size());
   scratch.resize(speeds.size());
-  sizes_at(speeds, slope, counters, scratch);
-  return line_total(scratch);
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    scratch[i] = std::min(probe, speeds.max_size(i));
+  speeds_at(speeds, scratch, counters, scratch);
+  double s_min = std::numeric_limits<double>::infinity();
+  double s_max = 0.0;
+  double s_sum = 0.0;
+  for (const double s : scratch) {
+    s_min = std::min(s_min, s);
+    s_max = std::max(s_max, s);
+    s_sum += s;
+  }
+  if (mean_slope != nullptr) *mean_slope = s_sum / static_cast<double>(n);
+  SlopeBracket br;
+  br.hi_slope = s_max / probe;  // line 1 of Figure 18
+  br.lo_slope = s_min / probe;  // line 2 of Figure 18
+  if (br.lo_slope <= 0.0) br.lo_slope = br.hi_slope * 1e-12;
+  return br;
 }
 
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
@@ -1247,30 +1268,16 @@ SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
   if (speeds.size() == 0)
     throw std::invalid_argument("detect_bracket: no speeds");
   if (n < 1) throw std::invalid_argument("detect_bracket: n must be >= 1");
-  const double p = static_cast<double>(speeds.size());
-  const double probe = static_cast<double>(n) / p;
-  double s_min = std::numeric_limits<double>::infinity();
-  double s_max = 0.0;
-  for (std::size_t i = 0; i < speeds.size(); ++i) {
-    const double s = speeds.speed(i, std::min(probe, speeds.max_size(i)));
-    s_min = std::min(s_min, s);
-    s_max = std::max(s_max, s);
-  }
-  if (counters)
-    counters->speed_evals += static_cast<std::int64_t>(speeds.size());
-  SlopeBracket br;
-  br.hi_slope = s_max / probe;  // line 1 of Figure 18
-  br.lo_slope = s_min / probe;  // line 2 of Figure 18
-  if (br.lo_slope <= 0.0) br.lo_slope = br.hi_slope * 1e-12;
+  std::vector<double> hi_local, lo_local;
+  std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;
+  std::vector<double>& lo_sizes = large != nullptr ? *large : lo_local;
+  SlopeBracket br = figure18_probe(speeds, n, counters, hi_sizes);
   // Figure 18's construction guarantees the bracket under the shape
   // requirement; the expansion loops below make the function total for any
   // inputs. Intersections extend beyond the modelled ranges (see
   // SpeedFunction::intersect), so the total size is unbounded as the slope
   // approaches zero and the shallow expansion always terminates. Each test
   // keeps its solved sizes, so the final lines come back without a re-solve.
-  std::vector<double> hi_local, lo_local;
-  std::vector<double>& hi_sizes = small != nullptr ? *small : hi_local;
-  std::vector<double>& lo_sizes = large != nullptr ? *large : lo_local;
   double total = 0.0;
   br.hi_slope = solve_bracket_line(speeds, n, br.hi_slope, true, counters,
                                    hi_sizes, total);

@@ -13,9 +13,11 @@
 // detail/speed_kernels.hpp (asserted in tests against a list wrapped so
 // that every entry compiles to Generic).
 //
-// detail::SearchState compiles its input once per search and runs every
-// line solve through intersect_all, so all five registry algorithms search
-// on compiled models; the batch/server layer (core/server.hpp) keys its
+// The engine, core::partition(const CompiledSpeedList&, ...), takes the
+// compiled list as an argument and detail::SearchState runs every line
+// solve on it through intersect_all, so all five registry algorithms search
+// on compiled models; a caller that solves one model set many times
+// compiles it once. The batch/server layer (core/server.hpp) keys its
 // cache with the fingerprint() content hash plus a check word from the
 // same walk. force_simd_backend() is the one runtime switch: it picks the
 // vector backend of the batch lanes, or "off" for the bit-exact scalar
@@ -361,6 +363,16 @@ void sizes_at(const CompiledSpeedList& speeds, double slope,
               EvalCounters* counters, std::span<double> out);
 double total_size_at(const CompiledSpeedList& speeds, double slope,
                      EvalCounters* counters);
+/// The probe of Figure 18, shared by detect_bracket and a cold search so
+/// that both open on the same two lines: every speed at min(n/p, b_i) in
+/// one speeds_at sweep into `scratch` (resized to p). Returns line 1 as
+/// hi_slope (the largest speed over n/p) and line 2 as lo_slope (the
+/// smallest, or hi_slope·1e-12 when that is not positive); `mean_slope`
+/// receives the speeds' sum over n, the mean-speed line.
+SlopeBracket figure18_probe(const CompiledSpeedList& speeds, std::int64_t n,
+                            EvalCounters* counters,
+                            std::vector<double>& scratch,
+                            double* mean_slope = nullptr);
 SlopeBracket detect_bracket(const CompiledSpeedList& speeds, std::int64_t n,
                             EvalCounters* counters,
                             std::vector<double>* small = nullptr,
@@ -437,12 +449,14 @@ std::size_t parallel_intersect_threshold() noexcept;
 void set_parallel_intersect_threshold(std::size_t entries) noexcept;
 
 /// RAII thread-local hint installing an already-compiled model for a
-/// specific SpeedList: while in scope, detail::SearchState construction
-/// over an *identical* list (same pointers, same order) reuses `compiled`
-/// instead of compiling again. The batch server compiles each request once
-/// and wraps the engine call in a guard, halving the per-miss compile work;
-/// nested guards save and restore the outer hint. `speeds` and `compiled`
-/// must outlive the guard.
+/// specific SpeedList: while in scope, partition(const SpeedList&) over an
+/// *identical* list (same pointers, same order) runs the engine on
+/// `compiled` instead of compiling again. That overload is the only code
+/// that consults it; library callers pass their compiled list to
+/// partition(const CompiledSpeedList&) instead. bench/perf's replay_layers
+/// is the guard's last user, and the guard is deleted together with that
+/// replay (ROADMAP.md, item 6). Nested guards save and restore the outer
+/// hint. `speeds` and `compiled` must outlive the guard.
 class PrecompiledGuard {
  public:
   PrecompiledGuard(const SpeedList& speeds,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "core/detail/speed_kernels.hpp"
 
@@ -53,26 +52,19 @@ double line_sum(const std::vector<double>& xs) {
 
 }  // namespace
 
-SearchState::SearchState(const SpeedList& speeds, std::int64_t n,
+SearchState::SearchState(const CompiledSpeedList& speeds, std::int64_t n,
                          const SearchObserver* observer,
                          const PartitionHint* hint, Bracket start)
-    : n_(n),
+    : compiled_(speeds),
+      n_(n),
       log_n_(std::log(static_cast<double>(n))),
       saturation_base_(bracket_saturation_tally()),
       observer_(observer),
       hint_(hint) {
-  // A PrecompiledGuard hint for this exact list (the batch server compiles
-  // each request once up front) short-circuits the compilation entirely.
-  if (const CompiledSpeedList* pre = precompiled_match(speeds)) {
-    compiled_ = pre;
-  } else {
-    compiled_storage_.emplace(CompiledSpeedList::compile(speeds));
-    compiled_ = &*compiled_storage_;
-  }
   if (hint != nullptr && hint->usable())
     warmstart_ = try_warm_bracket(*hint) ? WarmStart::Hit : WarmStart::Stale;
   if (warmstart_ != WarmStart::Hit) open_cold(start);
-  intersections_ += static_cast<int>(2 * compiled_->size());
+  intersections_ += static_cast<int>(2 * compiled_.size());
   if (observing())
     emit(SearchStepKind::Bracket, bracket_.hi_slope, false, kNoProcessor);
 }
@@ -110,8 +102,8 @@ SearchState::SecantOutcome SearchState::secant_bracket(double window_lo,
     if (!(slope >= window_lo && slope <= window_hi) ||
         out.probes == kProbeBudget)
       return false;
-    scratch_.resize(compiled_->size());
-    sizes_at(*compiled_, slope, &counters_, scratch_);
+    scratch_.resize(compiled_.size());
+    sizes_at(compiled_, slope, &counters_, scratch_);
     ++out.probes;
     total = line_sum(scratch_);
     if (!(total > 0.0) || !std::isfinite(total)) return false;
@@ -177,7 +169,7 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint) {
   // fingerprint check catches silent model swaps behind an unchanged call
   // site. fingerprint == 0 opts out (callers whose curves legitimately
   // change every round rely on the bracket verification below instead).
-  if (hint.fingerprint != 0 && compiled_->fingerprint() != hint.fingerprint)
+  if (hint.fingerprint != 0 && compiled_.fingerprint() != hint.fingerprint)
     return false;
   // When n drifted, rescale: sizes at a slope scale roughly like 1/slope,
   // so the new optimum sits near slope·(old n / new n) — the secant's
@@ -201,31 +193,18 @@ bool SearchState::try_warm_bracket(const PartitionHint& hint) {
 }
 
 void SearchState::open_cold(Bracket start) {
-  // The Figure-18 probe in one batched sweep: every speed at min(n/p, b_i).
-  const std::size_t p = compiled_->size();
-  const double probe = static_cast<double>(n_) / static_cast<double>(p);
-  scratch_.resize(p);
-  for (std::size_t i = 0; i < p; ++i)
-    scratch_[i] = std::min(probe, compiled_->max_size(i));
-  speeds_at(*compiled_, scratch_, &counters_, scratch_);
-  double s_min = std::numeric_limits<double>::infinity();
-  double s_max = 0.0;
-  double s_sum = 0.0;
-  for (const double s : scratch_) {
-    s_min = std::min(s_min, s);
-    s_max = std::max(s_max, s);
-    s_sum += s;
-  }
-  const double hi = s_max / probe;  // line 1 of Figure 18
-  double lo = s_min / probe;        // line 2 of Figure 18
-  if (lo <= 0.0) lo = hi * 1e-12;
+  double mean_slope = 0.0;
+  const SlopeBracket figure18 =
+      figure18_probe(compiled_, n_, &counters_, scratch_, &mean_slope);
+  const double hi = figure18.hi_slope;
+  const double lo = figure18.lo_slope;
 
   Side steep, shallow;
   if (start == Bracket::Secant && hi > kWarmWindow * lo) {
     // A wide window: open the secant at the mean-speed line, the mean of
     // the per-processor Figure-18 slopes (exact for constant speeds),
     // inside the Figure-18 window.
-    const SecantPoint mean{s_sum / static_cast<double>(n_), 0.0};
+    const SecantPoint mean{mean_slope, 0.0};
     restart_secant(mean, mean);
     if (secant_bracket(lo, hi, steep, shallow, true).straddled) {
       adopt(steep, shallow);
@@ -254,11 +233,11 @@ void SearchState::open_cold(Bracket start) {
 void SearchState::solve_figure18_line(double slope, bool is_steep,
                                       Side& side) {
   const std::int64_t before = counters_.intersect_solves;
-  side.slope = solve_bracket_line(*compiled_, n_, slope, is_steep, &counters_,
+  side.slope = solve_bracket_line(compiled_, n_, slope, is_steep, &counters_,
                                   side.sizes, side.total);
   figure18_lines_ += static_cast<int>(
       (counters_.intersect_solves - before) /
-      static_cast<std::int64_t>(compiled_->size()));
+      static_cast<std::int64_t>(compiled_.size()));
 }
 
 void SearchState::adopt(Side& steep, Side& shallow) {
@@ -279,7 +258,7 @@ void SearchState::finish(PartitionResult& result) {
   // before it allocates its own.
   large_ = std::vector<double>();
   scratch_ = std::vector<double>();
-  result.distribution = fine_tune(*compiled_, n_, small_, &counters_);
+  result.distribution = fine_tune(compiled_, n_, small_, &counters_);
   stats.speed_evals = counters_.speed_evals;
   stats.intersect_solves = counters_.intersect_solves;
   stats.bracket_saturations = bracket_saturations();
@@ -335,8 +314,8 @@ void SearchState::emit(SearchStepKind kind, double slope, bool kept_low,
 void SearchState::split_at(double slope, SearchStepKind kind,
                            std::size_t processor) {
   ++iterations_;
-  scratch_.resize(compiled_->size());
-  sizes_at(*compiled_, slope, &counters_, scratch_);
+  scratch_.resize(compiled_.size());
+  sizes_at(compiled_, slope, &counters_, scratch_);
   intersections_ += static_cast<int>(scratch_.size());
   const double sum = line_sum(scratch_);
   remember({slope, std::log(sum) - log_n_});
@@ -406,7 +385,7 @@ void SearchState::step_modified() {
   double slope = 0.0;
   if (m > 0.0) {
     ++counters_.speed_evals;
-    slope = compiled_->speed(best, m) / m;
+    slope = compiled_.speed(best, m) / m;
   }
   // m lies strictly between the two intersections of graph `best`, so by the
   // decreasing-ratio property the new slope lies strictly inside the slope

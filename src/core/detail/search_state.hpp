@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,10 +20,9 @@ namespace fpm::core::detail {
 /// The region between two lines through the origin, tracked as the slope
 /// interval together with the per-processor intersection coordinates.
 ///
-/// The constructor flattens the input through CompiledSpeedList once (or
-/// adopts the model a PrecompiledGuard installed for this list), and every
-/// solve — bracket detection, secant probes, line splits and the fine-tune
-/// epilogue — runs on the compiled sweeps. Each speed evaluation and each
+/// The state reads the caller's compiled model, which must outlive it, and
+/// every solve — bracket detection, secant probes, line splits and the
+/// fine-tune epilogue — runs on its sweeps. Each speed evaluation and each
 /// per-processor intersect solve is counted once, at the boundary the
 /// SpeedFunction interface would see it.
 class SearchState {
@@ -36,14 +34,15 @@ class SearchState {
   /// tight verified one around the hinted slope (see PartitionHint);
   /// verification failure falls back to the cold bracket, so the search
   /// result is bit-identical with or without the hint.
-  SearchState(const SpeedList& speeds, std::int64_t n,
+  SearchState(const CompiledSpeedList& speeds, std::int64_t n,
               const SearchObserver* observer = nullptr,
               const PartitionHint* hint = nullptr,
               Bracket start = Bracket::Figure18);
-
-  // compiled_ may point into compiled_storage_, so copies would dangle.
-  SearchState(const SearchState&) = delete;
-  SearchState& operator=(const SearchState&) = delete;
+  // The state keeps a reference, which a temporary model would leave
+  // dangling.
+  SearchState(CompiledSpeedList&&, std::int64_t,
+              const SearchObserver* = nullptr, const PartitionHint* = nullptr,
+              Bracket = Bracket::Figure18) = delete;
 
   /// Per-processor intersections with the steep line (sum <= n).
   const std::vector<double>& small() const noexcept { return small_; }
@@ -197,11 +196,7 @@ class SearchState {
   void emit(SearchStepKind kind, double slope, bool kept_low,
             std::size_t processor) const;
 
-  // compiled_ points either at compiled_storage_ (we compiled here) or at
-  // a caller-owned model installed via PrecompiledGuard (the batch server's
-  // once-per-request compilation).
-  std::optional<CompiledSpeedList> compiled_storage_;
-  const CompiledSpeedList* compiled_ = nullptr;
+  const CompiledSpeedList& compiled_;
   std::int64_t n_;
   double log_n_;
   SlopeBracket bracket_;
@@ -235,15 +230,15 @@ inline int guaranteed_steps(std::size_t p, std::int64_t n) {
 }
 
 /// The shared frame of the line-search entry points: rejects an empty
-/// speed list, answers n <= 0 with all-zero counts, otherwise builds the
+/// model list, answers n <= 0 with all-zero counts, otherwise builds the
 /// SearchState from the policy's observer and hint and the cold `start`,
 /// lets `search` step it, and runs the shared epilogue. `algorithm` is the
 /// reported registry id.
 template <typename Search>
 PartitionResult run_search(const char* algorithm, Bracket start,
-                           const SpeedList& speeds, std::int64_t n,
+                           const CompiledSpeedList& speeds, std::int64_t n,
                            const PartitionPolicy& policy, Search&& search) {
-  if (speeds.empty())
+  if (speeds.size() == 0)
     throw std::invalid_argument(std::string("partition_") + algorithm +
                                 ": no speeds");
   PartitionResult result;

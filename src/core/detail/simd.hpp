@@ -41,9 +41,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
-
-#include "util/aligned.hpp"
 
 namespace fpm::core::detail::simd {
 
@@ -61,11 +58,6 @@ constexpr std::size_t padded_size(std::size_t n,
                                   std::size_t width = kMaxLanes) noexcept {
   return (n + width - 1) / width * width;
 }
-
-/// 64-byte-aligned scratch columns (speed_all's gathered sizes and
-/// results), aligned like the compiled lane columns: every vector load in
-/// the kernels is then naturally aligned, at either width.
-using LaneVector = std::vector<double, util::AlignedAllocator<double, 64>>;
 
 /// One compiled set of vector entry points. All array arguments are padded
 /// to kMaxLanes and 64-byte aligned; `m` is the padded length (a multiple
@@ -104,7 +96,8 @@ struct SimdKernels {
   /// Batched speed evaluation at per-entry sizes (the fine-tune epilogue's
   /// hot loop): res[j] = family_speed(params[j], x[j]). Punts (NaN) on
   /// non-normal parameters and wherever the vexp clamp or the exp-decay
-  /// 1e-280 floor decision could bite.
+  /// 1e-280 floor decision could bite. res may be x itself: each register
+  /// of x is loaded before its results are stored.
   void (*power_speed_batch)(const double* a, const double* b, const double* c,
                             const double* x, std::size_t m, double* res);
   void (*exp_speed_batch)(const double* a, const double* b, const double* x,

@@ -15,7 +15,7 @@ PartitionResult partition_interpolation(const SpeedList& speeds,
 }
 
 PartitionResult detail::interpolation_from(Bracket start,
-                                           const SpeedList& speeds,
+                                           const CompiledSpeedList& speeds,
                                            std::int64_t n,
                                            const PartitionPolicy& policy) {
   const int max_iterations =

@@ -11,7 +11,8 @@ PartitionResult partition_modified(const SpeedList& speeds, std::int64_t n,
   return partitioner_registry().run(kAlgorithmModified, speeds, n, policy);
 }
 
-PartitionResult detail::modified_from(Bracket start, const SpeedList& speeds,
+PartitionResult detail::modified_from(Bracket start,
+                                      const CompiledSpeedList& speeds,
                                       std::int64_t n,
                                       const PartitionPolicy& policy) {
   return run_search(

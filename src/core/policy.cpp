@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <variant>
 
+#include "core/compiled.hpp"
 #include "core/detail/search_state.hpp"
 #include "obs/metrics.hpp"
 
@@ -167,14 +168,15 @@ PartitionResult PartitionerRegistry::run(std::string_view id,
                                          std::int64_t n,
                                          const PartitionPolicy& policy) const {
   const PartitionerInfo& info = at(id);
-  return info.search(info.start, speeds, n, policy);
+  return info.search(info.start, CompiledSpeedList::compile(speeds), n,
+                     policy);
 }
 
 PartitionResult detail::partition_from(Bracket start, const SpeedList& speeds,
                                        std::int64_t n,
                                        const PartitionPolicy& policy) {
-  return partitioner_registry().at(policy.algorithm).search(start, speeds, n,
-                                                            policy);
+  return partitioner_registry().at(policy.algorithm).search(
+      start, CompiledSpeedList::compile(speeds), n, policy);
 }
 
 const PartitionerRegistry& partitioner_registry() {
@@ -253,10 +255,10 @@ obs::Counter& invocation_counter(const std::string& algorithm) {
 
 }  // namespace
 
-PartitionResult partition(const SpeedList& speeds, std::int64_t n,
+PartitionResult partition(const CompiledSpeedList& speeds, std::int64_t n,
                           const PartitionPolicy& policy) {
-  PartitionResult result =
-      partitioner_registry().run(policy.algorithm, speeds, n, policy);
+  const PartitionerInfo& info = partitioner_registry().at(policy.algorithm);
+  PartitionResult result = info.search(info.start, speeds, n, policy);
   // Roll the per-call PartitionStats accounting into the process-wide
   // registry: one invocation counter per algorithm id, plus the
   // SpeedFunction-boundary totals.
@@ -277,6 +279,13 @@ PartitionResult partition(const SpeedList& speeds, std::int64_t n,
   if (result.stats.warm_probes != 0)
     counters.warmstart_probes.add(result.stats.warm_probes);
   return result;
+}
+
+PartitionResult partition(const SpeedList& speeds, std::int64_t n,
+                          const PartitionPolicy& policy) {
+  if (const CompiledSpeedList* installed = precompiled_match(speeds))
+    return partition(*installed, n, policy);
+  return partition(CompiledSpeedList::compile(speeds), n, policy);
 }
 
 PartitionPolicy parse_policy(std::string_view algorithm,

@@ -22,6 +22,8 @@
 
 namespace fpm::core {
 
+class CompiledSpeedList;
+
 /// Default iteration caps used when PartitionPolicy::max_iterations is
 /// unset: the open-ended searches (basic, interpolation) stop at 2^20 steps;
 /// the searches with the modified algorithm's guaranteed bound (modified,
@@ -80,13 +82,15 @@ struct PartitionPolicy {
 };
 
 namespace detail {
-/// A family member's search, opened from the given cold start.
-using SearchFn = PartitionResult(Bracket start, const SpeedList&,
+/// A family member's search over an already-compiled model, opened from
+/// the given cold start.
+using SearchFn = PartitionResult(Bracket start, const CompiledSpeedList&,
                                  std::int64_t, const PartitionPolicy&);
 /// partition() opened from `start` instead of the algorithm's registry
 /// start (bounded's inner solves included): the seam tests and the
 /// algorithm ablation compare starts through. Only the search's cost
-/// differs; the distribution is the same from either start.
+/// differs; the distribution is the same from either start. Compiles
+/// `speeds` once and runs the search on it.
 PartitionResult partition_from(Bracket start, const SpeedList& speeds,
                                std::int64_t n, const PartitionPolicy& policy);
 }  // namespace detail
@@ -125,8 +129,9 @@ class PartitionerRegistry {
   const PartitionerInfo& at(std::string_view id) const;
   bool contains(std::string_view id) const { return find(id) != nullptr; }
 
-  /// Runs the algorithm `id` from its registry start. Throws
-  /// std::invalid_argument naming the valid ids when the id is unknown.
+  /// Compiles `speeds` once and runs the algorithm `id` on it from its
+  /// registry start. Throws std::invalid_argument naming the valid ids
+  /// when the id is unknown.
   PartitionResult run(std::string_view id, const SpeedList& speeds,
                       std::int64_t n, const PartitionPolicy& policy) const;
 
@@ -138,9 +143,17 @@ class PartitionerRegistry {
 /// basic, modified, combined, interpolation, bounded.
 const PartitionerRegistry& partitioner_registry();
 
-/// The engine entry point every consumer layer calls: partitions n elements
-/// over the listed speeds with the algorithm selected by `policy`. The
-/// default policy is exactly partition_combined(speeds, n).
+/// The engine: partitions n elements over an already-compiled model with
+/// the algorithm selected by `policy`, and rolls the result's counters into
+/// the obs registry. The search reads `speeds` and keeps nothing of it, so
+/// a caller that solves one model set many times (the server, VGB's group
+/// solves, an adaptation loop) compiles once and passes the same list to
+/// every call, from any number of threads.
+PartitionResult partition(const CompiledSpeedList& speeds, std::int64_t n,
+                          const PartitionPolicy& policy = {});
+
+/// The entry point for a SpeedList: compiles it once and runs the engine
+/// above. The default policy is exactly partition_combined(speeds, n).
 PartitionResult partition(const SpeedList& speeds, std::int64_t n,
                           const PartitionPolicy& policy = {});
 

@@ -353,11 +353,9 @@ ServeResult PartitionServer::account(ServeResult outcome,
 
 PartitionResult PartitionServer::partition_with_hint(
     const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy) {
-  // Compile once here and hand the model to the engine through the
-  // thread-local guard, so SearchState does not compile a second time.
+  // Compile once: the hint store's key and the engine share the model.
   const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
-  PrecompiledGuard guard(speeds, compiled);
-  if (!warm_start_) return partition(speeds, n, policy);
+  if (!warm_start_) return partition(compiled, n, policy);
   PartitionPolicy hinted = policy;
   if (!policy.hint) {  // a caller's own hint is honoured untouched
     hints_.find(compiled.fingerprint(), [&](const SlopeHint& stored) {
@@ -365,7 +363,7 @@ PartitionResult PartitionServer::partition_with_hint(
       return true;
     });
   }
-  PartitionResult result = partition(speeds, n, hinted);
+  PartitionResult result = partition(compiled, n, hinted);
   // Results whose final_slope does not describe the full problem leave the
   // store alone. The bounded algorithm reports the slope of its last
   // residual round — a sub-problem over the unclamped processors — and its

@@ -224,8 +224,8 @@ class PartitionServer {
   /// Partitions on the calling thread, consulting the cache first. A
   /// cache hit returns the stored result verbatim (the key is computed via
   /// the allocation-free fingerprint, no compilation); a miss compiles the
-  /// model once, computes via core::partition() under a PrecompiledGuard
-  /// (so the engine reuses the compilation), and stores. With warm_start on
+  /// model once, passes it to the core::partition() overload that takes
+  /// the compiled list (so the engine reuses the compilation), and stores. With warm_start on
   /// (the default), misses whose fingerprint was solved before — near-miss
   /// traffic: same models, nearby n — carry the remembered slope into the
   /// engine as a PartitionHint, which narrows the search without changing
@@ -399,8 +399,8 @@ class PartitionServer {
     std::vector<std::int64_t> counts;
   };
 
-  /// Compiles `speeds` once and runs the engine under a PrecompiledGuard;
-  /// with warm_start on, installs the stored hint for the fingerprint and
+  /// Compiles `speeds` once and runs the engine on the compiled list; with
+  /// warm_start on, installs the stored hint for the fingerprint and
   /// refreshes the store from the result.
   PartitionResult partition_with_hint(const SpeedList& speeds, std::int64_t n,
                                       const PartitionPolicy& policy);

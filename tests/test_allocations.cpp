@@ -6,7 +6,8 @@
 //   - compile() lays a list out in one block: exactly one allocation for
 //     a non-empty list, whatever its length, and a p = 64 list's block
 //     stays within its measured size;
-//   - a cached p = 64 answer keeps its counts packed and its key once.
+//   - a cached p = 64 answer keeps its counts packed and its key once;
+//   - a solve and a line total leave no heap behind them.
 // Every replaced form allocates and frees through malloc/free, so the
 // sanitizer build sees matched pairs.
 #include <gtest/gtest.h>
@@ -295,6 +296,29 @@ TEST(AllocationGuard, CachedAnswerAtP64KeepsItsCountsPackedAndItsKeyOnce) {
   // second copy of the key in the index as well, an entry measures 853.
   EXPECT_LE(per_entry, 520);
   EXPECT_GE(per_entry, 256);
+}
+
+TEST(AllocationGuard, SolveAndLineTotalLeaveNoHeapBehind) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "live bytes are measured with glibc's malloc_usable_size";
+#endif
+  // A p = 1024 solve first starts the lane pool and registers the obs
+  // counters; after that a p = 4096 solve (which splits its sweeps across
+  // the pool) and a line total must free everything they allocate, in
+  // scalar mode and on the best vector backend alike. Buffers kept per
+  // thread between calls would stay grown to the largest p seen.
+  const core::SyntheticFleet warm = core::make_synthetic_fleet(1024, 3);
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(4096, 3);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(fleet.list());
+  constexpr std::int64_t kN = 100'000'000;
+  for (const char* backend : {"off", "auto"}) {
+    const test::BackendScope scope(backend);
+    const double slope = core::partition(warm.list(), kN).stats.final_slope;
+    const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+    (void)core::partition(fleet.list(), kN);
+    (void)core::total_size_at(compiled, slope, nullptr);
+    EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), before) << backend;
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "balance/rebalancer.hpp"
+#include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
@@ -564,9 +565,9 @@ TEST(PartitionServer, ServeReportsIntoTheMetricsRegistry) {
 }
 
 TEST(PartitionServer, CacheHitIsBitIdenticalToPrecompiledMiss) {
-  // The miss path now computes under a PrecompiledGuard (the server's
-  // once-per-request compilation); hits and direct partition() calls must
-  // still agree bit for bit.
+  // The miss path passes its once-per-request compilation to the engine's
+  // compiled overload; hits and direct partition() calls must still agree
+  // bit for bit.
   const test::Ensemble e = test::mixed_ensemble();
   const core::SpeedList list = e.list();
   const core::PartitionResult direct = core::partition(list, 123457);
@@ -577,6 +578,44 @@ TEST(PartitionServer, CacheHitIsBitIdenticalToPrecompiledMiss) {
   EXPECT_EQ(hit.distribution.counts, direct.distribution.counts);
   EXPECT_EQ(hit.stats.speed_evals, direct.stats.speed_evals);
   EXPECT_EQ(hit.stats.intersect_solves, direct.stats.intersect_solves);
+}
+
+TEST(SharedCompiledList, FourThreadsAnswerBitIdenticallyToSerialSolves) {
+  // The engine reads a compiled list and keeps nothing of it, so threads
+  // may share one: at p = 64, and at p = 4096, whose sweeps split across
+  // the lane pool, every answer equals the serial one bit for bit. Run
+  // under TSan in CI.
+  for (const std::size_t p : {std::size_t{64}, std::size_t{4096}}) {
+    const core::SyntheticFleet fleet = core::make_synthetic_fleet(p, 11);
+    const core::CompiledSpeedList compiled =
+        core::CompiledSpeedList::compile(fleet.list());
+    std::vector<std::int64_t> ns;
+    for (int i = 0; i < 4; ++i)
+      ns.push_back(static_cast<std::int64_t>(p) * 20'000 + 7919LL * i);
+    std::vector<core::PartitionResult> serial;
+    for (const std::int64_t n : ns)
+      serial.push_back(core::partition(compiled, n));
+
+    constexpr int kThreads = 4;
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < ns.size(); ++i) {
+          const std::size_t j = (static_cast<std::size_t>(t) + i) % ns.size();
+          const core::PartitionResult r = core::partition(compiled, ns[j]);
+          if (r.distribution.counts != serial[j].distribution.counts ||
+              std::bit_cast<std::uint64_t>(r.stats.final_slope) !=
+                  std::bit_cast<std::uint64_t>(serial[j].stats.final_slope) ||
+              r.stats.speed_evals != serial[j].stats.speed_evals ||
+              r.stats.intersect_solves != serial[j].stats.intersect_solves)
+            ++mismatches;
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << "p = " << p;
+  }
 }
 
 TEST(PartitionServer, DestructorShedsQueuedRequestsWithoutBreakingPromises) {

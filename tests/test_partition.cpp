@@ -3,6 +3,9 @@
 // evaluation.
 #include <gtest/gtest.h>
 
+#include "core/compiled.hpp"
+#include "core/detail/search_state.hpp"
+#include "core/fleetgen.hpp"
 #include "core/partition.hpp"
 #include "helpers.hpp"
 
@@ -40,6 +43,42 @@ TEST(DetectBracket, HandlesOverCapacityProblems) {
   const auto n = static_cast<std::int64_t>(capacity * 3.0);
   const SlopeBracket br = detect_bracket(e.list(), n);
   EXPECT_GE(total_size_at(e.list(), br.lo_slope), static_cast<double>(n));
+}
+
+TEST(DetectBracket, ReportsTheLinesAFigure18SearchAdopts) {
+  // detect_bracket and a cold Bracket::Figure18 search take Figure 18's
+  // probe through one helper, so they open on the same lines bit for bit
+  // on every backend, where the power/exp speed lanes may differ from the
+  // per-entry evaluation in the last ULPs.
+  std::vector<fpm::test::Ensemble> ensembles = fpm::test::all_ensembles(6);
+  ensembles.push_back(fpm::test::mixed_ensemble());
+  const SyntheticFleet fleet = make_synthetic_fleet(64, 7);
+  const SyntheticFleet large = make_synthetic_fleet(1024, 7);
+  std::vector<SpeedList> lists{fleet.list(), large.list()};
+  for (const fpm::test::Ensemble& e : ensembles) lists.push_back(e.list());
+  for (const std::string& backend : fpm::test::runnable_backends()) {
+    const fpm::test::BackendScope scope(backend);
+    for (const SpeedList& list : lists) {
+      const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+      for (const std::int64_t n : {1'000LL, 999'983LL, 100'000'007LL}) {
+        EvalCounters counters;
+        std::vector<double> small, large_sizes;
+        const SlopeBracket br =
+            detect_bracket(compiled, n, &counters, &small, &large_sizes);
+        const detail::SearchState state(compiled, n);
+        const std::string where =
+            backend + " p=" + std::to_string(list.size()) +
+            " n=" + std::to_string(n);
+        EXPECT_EQ(br.hi_slope, state.hi_slope()) << where;
+        EXPECT_EQ(br.lo_slope, state.lo_slope()) << where;
+        EXPECT_EQ(small, state.small()) << where;
+        EXPECT_EQ(large_sizes, state.large()) << where;
+        EXPECT_EQ(counters.speed_evals, state.speed_evals()) << where;
+        EXPECT_EQ(counters.intersect_solves, state.intersect_solves())
+            << where;
+      }
+    }
+  }
 }
 
 TEST(TotalSizeAt, StrictlyDecreasingInSlope) {

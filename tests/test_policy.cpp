@@ -3,7 +3,9 @@
 // and the shared search instrumentation (per-call counters + step traces).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -89,6 +91,96 @@ TEST(Registry, EachAlgorithmRunsFromItsFixedStart) {
     }
   }
   EXPECT_GT(bounded_runs, 0);
+}
+
+/// Expects two results to agree in the distribution and every stats
+/// field.
+void expect_same_result(const PartitionResult& a, const PartitionResult& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.distribution.counts, b.distribution.counts) << where;
+  const PartitionStats& x = a.stats;
+  const PartitionStats& y = b.stats;
+  EXPECT_EQ(x.iterations, y.iterations) << where;
+  EXPECT_EQ(x.intersections, y.intersections) << where;
+  EXPECT_EQ(x.final_slope, y.final_slope) << where;
+  EXPECT_EQ(x.algorithm, y.algorithm) << where;
+  EXPECT_EQ(x.switched_to_modified, y.switched_to_modified) << where;
+  EXPECT_EQ(x.speed_evals, y.speed_evals) << where;
+  EXPECT_EQ(x.intersect_solves, y.intersect_solves) << where;
+  EXPECT_EQ(x.warmstart, y.warmstart) << where;
+  EXPECT_EQ(x.iterations_saved, y.iterations_saved) << where;
+  EXPECT_EQ(x.warm_probes, y.warm_probes) << where;
+  EXPECT_EQ(x.figure18_lines, y.figure18_lines) << where;
+  EXPECT_EQ(x.search_speed_evals, y.search_speed_evals) << where;
+  EXPECT_EQ(x.search_intersect_solves, y.search_intersect_solves) << where;
+  EXPECT_EQ(x.bracket_saturations, y.bracket_saturations) << where;
+}
+
+TEST(Registry, CompiledAndListEntryPointsAgree) {
+  // partition(const CompiledSpeedList&) is the engine and
+  // partition(const SpeedList&) compiles, then runs it: the two answer
+  // alike for every algorithm, from a cold start, a hint and a stale
+  // hint, on every backend. Bounded runs once on the curves' capacities
+  // and once on bounds that clamp.
+  const SyntheticFleet fleet = make_synthetic_fleet(64, 5);
+  std::vector<std::pair<std::string, SpeedList>> lists{
+      {"fleet p=64", fleet.list()}};
+  const std::vector<Ensemble> ensembles = fpm::test::all_ensembles(6);
+  for (const Ensemble& e : ensembles) lists.emplace_back(e.name, e.list());
+  constexpr std::int64_t kN = 10'000'019;
+  int clamped_runs = 0, hits = 0, stale = 0;
+  for (const std::string& backend : fpm::test::runnable_backends()) {
+    const fpm::test::BackendScope scope(backend);
+    for (const auto& [name, speeds] : lists) {
+      const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
+      const PartitionResult cold = partition(compiled, kN);
+      std::vector<PartitionPolicy> policies;
+      for (const std::string& id : partitioner_registry().ids()) {
+        PartitionPolicy policy{.algorithm = id};
+        if (id == kAlgorithmBounded) {
+          std::int64_t capacity = 0;
+          for (const std::int64_t b : capacity_bounds(speeds)) capacity += b;
+          if (capacity >= kN) policies.push_back(policy);
+          // Every other processor bound one element below its unbounded
+          // share, the rest free to take all of n.
+          for (std::size_t i = 0; i < speeds.size(); ++i)
+            policy.bounds.push_back(
+                i % 2 == 0 ? std::max<std::int64_t>(
+                                 cold.distribution.counts[i] - 1, 0)
+                           : kN);
+          ++clamped_runs;
+        }
+        policies.push_back(policy);
+      }
+      const PartitionHint hint{.slope = cold.stats.final_slope,
+                               .n = kN - kN / 64,
+                               .fingerprint = compiled.fingerprint()};
+      PartitionHint mismatched = hint;
+      mismatched.fingerprint ^= 1;
+      PartitionHint far = hint;
+      far.slope *= 1e6;
+      for (PartitionPolicy& policy : policies) {
+        for (const std::optional<PartitionHint>& start :
+             {std::optional<PartitionHint>{}, std::optional{hint},
+              std::optional{mismatched}, std::optional{far}}) {
+          policy.hint = start;
+          const std::string where =
+              backend + " " + name + " " + format_policy(policy) +
+              (policy.bounds.empty() ? "" : " (clamped)") + " hint " +
+              (start ? std::to_string(start->slope) + "/" +
+                           std::to_string(start->fingerprint)
+                     : "none");
+          const PartitionResult engine = partition(compiled, kN, policy);
+          expect_same_result(engine, partition(speeds, kN, policy), where);
+          hits += engine.stats.warmstart == WarmStart::Hit;
+          stale += engine.stats.warmstart == WarmStart::Stale;
+        }
+      }
+    }
+  }
+  EXPECT_GT(clamped_runs, 0);
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(stale, 0);
 }
 
 TEST(PartitionEngine, DefaultPolicyIsExactlyCombined) {

@@ -19,7 +19,8 @@ namespace {
 TEST(SearchState, InitialBracketStraddlesN) {
   const auto e = fpm::test::power_ensemble(4);
   const std::int64_t n = 1000000;
-  SearchState state(e.list(), n);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, n);
   double small_sum = 0.0, large_sum = 0.0;
   for (const double x : state.small()) small_sum += x;
   for (const double x : state.large()) large_sum += x;
@@ -37,8 +38,9 @@ TEST(SearchState, SecantStartNarrowsInsideFigure18) {
   for (const auto& e : fpm::test::all_ensembles(6)) {
     for (const std::int64_t n : {std::int64_t{1'000}, std::int64_t{999'983},
                                  std::int64_t{100'000'007}}) {
-      const SearchState figure18(e.list(), n);
-      const SearchState secant(e.list(), n, nullptr, nullptr,
+      const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+      const SearchState figure18(compiled, n);
+      const SearchState secant(compiled, n, nullptr, nullptr,
                                Bracket::Secant);
       const auto sum = [](const std::vector<double>& xs) {
         return std::accumulate(xs.begin(), xs.end(), 0.0);
@@ -60,7 +62,8 @@ TEST(SearchState, SecantStartNarrowsInsideFigure18) {
 
 TEST(SearchState, InteriorCountsMatchBrackets) {
   const auto e = fpm::test::linear_ensemble(3);
-  SearchState state(e.list(), 100000);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, 100000);
   for (std::size_t i = 0; i < 3; ++i) {
     const double lo = state.small()[i];
     const double hi = state.large()[i];
@@ -79,7 +82,8 @@ TEST(SearchState, InteriorCountsMatchBrackets) {
 
 TEST(SearchState, StepsShrinkTheBracket) {
   const auto e = fpm::test::unimodal_ensemble(4);
-  SearchState state(e.list(), 500000);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, 500000);
   const double width0 = state.hi_slope() - state.lo_slope();
   state.step_basic(true);
   const double width1 = state.hi_slope() - state.lo_slope();
@@ -94,7 +98,8 @@ TEST(SearchState, StepsShrinkTheBracket) {
 TEST(SearchState, StepPreservesBracketInvariant) {
   const auto e = fpm::test::stepped_ensemble(5);
   const std::int64_t n = 3000000;
-  SearchState state(e.list(), n);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, n);
   for (int it = 0; it < 30 && !state.converged(); ++it) {
     if (it % 2 == 0)
       state.step_basic(false);
@@ -111,7 +116,8 @@ TEST(SearchState, StepPreservesBracketInvariant) {
 
 TEST(SearchState, ConvergedMeansNoInteriorIntegers) {
   const auto e = fpm::test::power_ensemble(3);
-  SearchState state(e.list(), 250000);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, 250000);
   int guard = 0;
   while (!state.converged() && ++guard < 10000) state.step_basic(true);
   ASSERT_TRUE(state.converged());
@@ -128,7 +134,8 @@ TEST(SearchState, ConvergedMeansNoInteriorIntegers) {
 
 TEST(SearchState, ModifiedStepHalvesTheChosenGraphsCandidates) {
   const auto e = fpm::test::linear_ensemble(2);
-  SearchState state(e.list(), 777777);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, 777777);
   // Find the graph with the most candidates, take one modified step, and
   // verify its candidate count dropped to about half.
   std::size_t target = state.interior_count(0) >= state.interior_count(1) ? 0 : 1;
@@ -141,7 +148,8 @@ TEST(SearchState, ModifiedStepHalvesTheChosenGraphsCandidates) {
 
 TEST(SearchState, SingleProcessorConvergesImmediatelyOrFast) {
   const auto e = fpm::test::constant_ensemble(1);
-  SearchState state(e.list(), 12345);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(e.list());
+  SearchState state(compiled, 12345);
   int guard = 0;
   while (!state.converged() && ++guard < 100) state.step_basic(true);
   EXPECT_TRUE(state.converged());

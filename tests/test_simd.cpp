@@ -321,7 +321,8 @@ TEST(Simd, SearchStateSnapshotsSaturationTally) {
       std::make_shared<OpaqueConstantSpeed>(50.0, 1.0)};
   core::SpeedList list;
   for (const auto& f : owned) list.push_back(f.get());
-  core::detail::SearchState state(list, 1000);
+  const CompiledSpeedList compiled = CompiledSpeedList::compile(list);
+  core::detail::SearchState state(compiled, 1000);
   EXPECT_EQ(state.bracket_saturations(), 0);
   // A follow-up solve on the constructing thread (the fine-tuning pattern)
   // that saturates must be visible in the snapshot delta.
