@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/compiled.hpp"
@@ -37,9 +38,11 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
   // Under the functional model every group partitions the same models:
   // compile them once and run each group's solve on that compilation (the
   // bounded algorithm's residual rounds compile their own sub-lists). The
-  // distributions are bit-identical to compiling per solve.
-  const core::CompiledSpeedList compiled =
-      core::CompiledSpeedList::compile(models);
+  // distributions are bit-identical to compiling per solve. The
+  // single-number model solves nothing and compiles nothing.
+  std::optional<core::CompiledSpeedList> compiled;
+  if (opts.model == VgbModel::Functional)
+    compiled.emplace(core::CompiledSpeedList::compile(models));
   // Successive groups solve the same models at a shrinking n, so each
   // group's solve warm-starts from the previous group's slope (a hint
   // changes only the search cost, never the distribution). A caller's own
@@ -56,13 +59,13 @@ VgbDistribution variable_group_block(const core::SpeedList& models,
     // Step 1: optimal shares (x_i) for the remaining sub-matrix.
     std::vector<double> shares(p);
     if (opts.model == VgbModel::Functional) {
-      core::PartitionResult r = core::partition(compiled, elements, policy);
+      core::PartitionResult r = core::partition(*compiled, elements, policy);
       for (std::size_t i = 0; i < p; ++i)
         shares[i] = static_cast<double>(r.distribution.counts[i]);
       if (chain_hints)
         policy.hint = core::next_hint(r, elements,
                                       policy.hint ? &*policy.hint : nullptr,
-                                      compiled.fingerprint());
+                                      compiled->fingerprint());
     } else {
       const double ref = static_cast<double>(opts.reference_n) *
                          static_cast<double>(opts.reference_n);

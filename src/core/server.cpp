@@ -198,7 +198,9 @@ PartitionServer::PartitionServer(ServerOptions options)
           obs::metrics().counter(obs::names::kServerCacheMisses),
           obs::metrics().counter(obs::names::kServerCacheEvictions),
           obs::metrics().gauge(obs::names::kServerSloQueueDelayMicros),
-          obs::metrics().histogram(obs::names::kServerSloDegradeSeconds)},
+          obs::metrics().histogram(obs::names::kServerSloDegradeSeconds),
+          obs::metrics().gauge(obs::names::kServerModelsHeld),
+          obs::metrics().counter(obs::names::kServerModelsReused)},
       warm_start_(options.warm_start),
       max_queue_depth_(options.max_queue_depth),
       estimator_(kEwmaAlpha),
@@ -269,6 +271,7 @@ void PartitionServer::worker_loop() {
 }
 
 void PartitionServer::execute(QueuedJob job) {
+  leave_queue(job);
   if (Clock::now() >= job.arrival.deadline) {
     // The deadline passed while the request waited in the queue; do not
     // spend a solve that is already late.
@@ -297,24 +300,36 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
   // Observers expect a real search (their callbacks must fire per step);
   // bounded policies carry capacity constraints a rescaled distribution
   // would silently violate. Both get a plain shed.
-  std::optional<SlopeHint> prev;
+  struct Previous {
+    std::vector<std::int64_t> counts;
+    std::int64_t n;
+  };
+  std::optional<Previous> prev;
+  ModelKey key;
+  bool share = false;
+  HeldModel held = arrival.model;
+  bool wanted = false;
   if (request.slo.allow_degraded && !request.speeds.empty() &&
       request.n >= 1 && !request.policy.observer &&
       request.policy.algorithm != kAlgorithmBounded) {
-    const std::uint64_t fingerprint =
-        arrival.key ? arrival.key->fingerprint
-                    : model_key(request.speeds).fingerprint;
-    hints_.find(fingerprint, [&](const SlopeHint& stored) {
+    key = arrival.key ? *arrival.key : model_key(request.speeds);
+    share = shares_model(request.policy, key);
+    hints_.find(key.fingerprint, [&](const SlopeHint& stored) {
       if (stored.counts.size() != request.speeds.size()) return false;
-      prev = stored;  // touched only when usable for this request
+      prev = Previous{stored.counts, stored.hint.n};  // touched only if usable
+      if (share)
+        wanted = pick_model(stored, request.speeds, key.check, held);
       return true;
     });
   }
   std::optional<DegradedAnswer> answer;
   if (prev) {
     obs::TimerSpan span(metrics_.slo_degrade);
-    answer = degraded_answer(request.speeds, request.n, prev->counts,
-                             prev->hint.n);
+    const std::shared_ptr<const CompiledSpeedList> model =
+        share ? model_for(request.speeds, key, std::move(held), wanted)
+              : nullptr;
+    answer = degraded_answer(request.speeds, request.n, prev->counts, prev->n,
+                             model.get());
   }
   if (answer) {
     outcome.status = ServeStatus::Degraded;
@@ -326,6 +341,7 @@ ServeResult PartitionServer::resolve_shed(const BatchRequest& request,
 }
 
 void PartitionServer::degrade_or_shed(QueuedJob&& job, ShedReason reason) {
+  leave_queue(job);
   job.promise.set_value(resolve_shed(job.request, reason, job.arrival));
 }
 
@@ -351,18 +367,113 @@ ServeResult PartitionServer::account(ServeResult outcome,
 // Hint store (warm starts + degradation source)
 // ---------------------------------------------------------------------------
 
-PartitionResult PartitionServer::partition_with_hint(
-    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy) {
-  // Compile once: the hint store's key and the engine share the model.
-  const CompiledSpeedList compiled = CompiledSpeedList::compile(speeds);
-  if (!warm_start_) return partition(compiled, n, policy);
-  PartitionPolicy hinted = policy;
-  if (!policy.hint) {  // a caller's own hint is honoured untouched
-    hints_.find(compiled.fingerprint(), [&](const SlopeHint& stored) {
-      hinted.hint = stored.hint;
-      return true;
-    });
+bool PartitionServer::shares_model(const PartitionPolicy& policy,
+                                   const ModelKey& key) {
+  return key.cacheable && !policy.observer &&
+         policy.algorithm != kAlgorithmBounded;
+}
+
+bool PartitionServer::fits(const HeldModel& held, const SpeedList& speeds,
+                           std::uint64_t check) {
+  if (!held.list || held.check != check || held.list->size() != speeds.size())
+    return false;
+  for (std::size_t i = 0; i < speeds.size(); ++i)
+    if (speeds[i] != held.list->base(i)) return false;
+  return true;
+}
+
+bool PartitionServer::pick_model(const SlopeHint& stored,
+                                 const SpeedList& speeds, std::uint64_t check,
+                                 HeldModel& held) {
+  if (!fits(held, speeds, check))
+    held = fits(stored.model, speeds, check) ? stored.model : HeldModel{};
+  return !held.list && stored.waiting > 0;
+}
+
+void PartitionServer::count_held(std::int64_t delta) noexcept {
+  models_held_.fetch_add(delta, std::memory_order_relaxed);
+  metrics_.models_held.add(delta);
+}
+
+std::shared_ptr<const CompiledSpeedList> PartitionServer::model_for(
+    const SpeedList& speeds, const ModelKey& key, HeldModel held,
+    bool wanted) {
+  if (held.list) {
+    metrics_.models_reused.add(1);
+    return std::move(held.list);
   }
+  if (!wanted) return nullptr;
+  held = {std::make_shared<const CompiledSpeedList>(
+              CompiledSpeedList::compile(speeds)),
+          key.check};
+  std::shared_ptr<const CompiledSpeedList> list = held.list;
+  // The entry keeps it only while requests of the fleet still wait. A held
+  // model that did not fit (other objects of equal content) is replaced,
+  // and freed here, outside the shard lock, if nothing else uses it.
+  hints_.find(key.fingerprint, [&](SlopeHint& stored) {
+    if (stored.waiting == 0) return false;
+    if (!stored.model.list) count_held(1);
+    std::swap(stored.model, held);
+    return true;
+  });
+  return list;
+}
+
+void PartitionServer::join_queue(QueuedJob& job) {
+  if (!warm_start_) return;  // no hint store entries, nothing to share
+  if (!job.arrival.key) job.arrival.key = model_key(job.request.speeds);
+  if (!shares_model(job.request.policy, *job.arrival.key)) return;
+  job.arrival.waiting =
+      hints_.find(job.arrival.key->fingerprint, [](SlopeHint& stored) {
+        ++stored.waiting;
+        return true;
+      });
+}
+
+void PartitionServer::leave_queue(QueuedJob& job) {
+  if (!job.arrival.waiting) return;
+  job.arrival.waiting = false;
+  hints_.find(job.arrival.key->fingerprint, [&](SlopeHint& stored) {
+    // An entry evicted and stored again may count fewer requests than
+    // leave it; it still releases its model with the last one.
+    if (stored.waiting > 0) --stored.waiting;
+    if (stored.waiting > 0) {
+      job.arrival.model = stored.model;
+    } else if (stored.model.list) {
+      job.arrival.model = std::exchange(stored.model, {});
+      count_held(-1);
+    }
+    return true;
+  });
+}
+
+PartitionResult PartitionServer::partition_with_hint(
+    const SpeedList& speeds, std::int64_t n, const PartitionPolicy& policy,
+    const std::optional<ModelKey>& key, HeldModel held) {
+  if (!warm_start_)
+    return partition(CompiledSpeedList::compile(speeds), n, policy);
+  PartitionPolicy hinted = policy;
+  const auto take_hint = [&](const SlopeHint& stored) {
+    if (!policy.hint) hinted.hint = stored.hint;  // a caller's own hint
+    return true;                                  // is honoured untouched
+  };
+  // With the key known before compiling, one look at the fleet's entry
+  // yields the hint and any held model; otherwise compile, then look.
+  std::shared_ptr<const CompiledSpeedList> shared;
+  const bool share = key && shares_model(policy, *key);
+  if (share) {
+    bool wanted = false;
+    hints_.find(key->fingerprint, [&](const SlopeHint& stored) {
+      wanted = pick_model(stored, speeds, key->check, held);
+      return take_hint(stored);
+    });
+    shared = model_for(speeds, *key, std::move(held), wanted);
+  }
+  std::optional<CompiledSpeedList> own;
+  const CompiledSpeedList& compiled =
+      shared ? *shared : own.emplace(CompiledSpeedList::compile(speeds));
+  const std::uint64_t fingerprint = compiled.fingerprint();
+  if (!share && !policy.hint) hints_.find(fingerprint, take_hint);
   PartitionResult result = partition(compiled, n, hinted);
   // Results whose final_slope does not describe the full problem leave the
   // store alone. The bounded algorithm reports the slope of its last
@@ -370,17 +481,19 @@ PartitionResult PartitionServer::partition_with_hint(
   // clamped distribution is the wrong degradation source for unbounded
   // requests of the same models.
   if (n <= 0 || result.stats.algorithm == kAlgorithmBounded) return result;
-  const std::uint64_t fingerprint = compiled.fingerprint();
   const auto next = next_hint(result, n, nullptr, fingerprint);
   if (!next) return result;
   const auto evicted = hints_.put(
       fingerprint, SlopeHint{*next, result.distribution.counts},
       [&](SlopeHint& stored, SlopeHint& fresh) {
         // Chained from the stored hint, a warm hit keeps its cold baseline.
-        fresh.hint = *next_hint(result, n, &stored.hint, fingerprint);
-        stored = std::move(fresh);
+        stored.hint = *next_hint(result, n, &stored.hint, fingerprint);
+        stored.counts = std::move(fresh.counts);
       });
-  if (evicted) bump(Tally::HintEvictions);
+  if (evicted) {
+    bump(Tally::HintEvictions);
+    if (evicted->second.model.list) count_held(-1);
+  }
   return result;
 }
 
@@ -390,7 +503,7 @@ PartitionResult PartitionServer::partition_with_hint(
 
 PartitionResult PartitionServer::serve(const SpeedList& speeds, std::int64_t n,
                                        const PartitionPolicy& policy) {
-  return serve(speeds, n, policy, std::nullopt);
+  return serve(speeds, n, policy, std::nullopt, {});
 }
 
 PartitionServer::ModelKey PartitionServer::model_key(const SpeedList& speeds) {
@@ -404,7 +517,8 @@ PartitionServer::ModelKey PartitionServer::model_key(const SpeedList& speeds) {
 PartitionResult PartitionServer::serve(const SpeedList& speeds,
                                        std::int64_t n,
                                        const PartitionPolicy& policy,
-                                       std::optional<ModelKey> key) {
+                                       std::optional<ModelKey> key,
+                                       HeldModel held) {
   obs::TimerSpan span(metrics_.serve_latency);
   if (policy.observer) {
     // The observer is a side effect the caller expects on every call; a
@@ -423,7 +537,7 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds,
     // request count. The slope hints are independent of result caching and
     // stay live.
     bump(Tally::Uncacheable);
-    return partition_with_hint(speeds, n, policy);
+    return partition_with_hint(speeds, n, policy, key, std::move(held));
   }
   const std::string cache_key =
       result_key(key->fingerprint, key->check, n, policy);
@@ -435,7 +549,7 @@ PartitionResult PartitionServer::serve(const SpeedList& speeds,
   metrics_.misses.add(1);
   // A near-miss (fingerprint seen before under a different n) warm-starts
   // from the remembered slope.
-  result = partition_with_hint(speeds, n, policy);
+  result = partition_with_hint(speeds, n, policy, key, std::move(held));
   if (cache_.insert(cache_key, result)) metrics_.evictions.add(1);
   return result;
 }
@@ -472,8 +586,8 @@ ServeResult PartitionServer::solve_admitted(const BatchRequest& request,
   const Clock::time_point start = Clock::now();
   ServeResult outcome;
   try {
-    outcome.result =
-        serve(request.speeds, request.n, request.policy, arrival.key);
+    outcome.result = serve(request.speeds, request.n, request.policy,
+                           arrival.key, arrival.model);
   } catch (...) {
     // Engine rejections (unknown algorithm id, invalid policy) are caller
     // errors, not load: count the request admitted before the error
@@ -525,6 +639,7 @@ std::future<ServeResult> PartitionServer::submit(BatchRequest request) {
     return future;
   }
   const Priority priority = job.request.slo.priority;
+  join_queue(job);
 
   ShedReason reject = ShedReason::None;  // None = enqueued
   std::optional<QueuedJob> victim;
@@ -642,6 +757,8 @@ CacheStats PartitionServer::cache_stats() const {
   s.uncacheable = tally(Tally::Uncacheable);
   s.hint_entries = hints_.size();
   s.hint_evictions = tally(Tally::HintEvictions);
+  s.models_held = static_cast<std::size_t>(
+      models_held_.load(std::memory_order_relaxed));
   return s;
 }
 

@@ -9,8 +9,10 @@
 // from a thread-safe cache keyed by the CompiledSpeedList content
 // fingerprint and fans cache misses out over a fixed pool of worker
 // threads; a hint store keeps the last solve of each fingerprint for warm
-// starts and degraded answers. Both stores are one detail::ShardedLru (16
-// lock shards, LRU per shard). Full answers are bit-identical to calling
+// starts and degraded answers, and, while requests of that model list wait
+// in the queue, its compiled model, so their misses and degraded answers
+// compile it once. Both stores are one detail::ShardedLru (16 lock shards,
+// LRU per shard). Full answers are bit-identical to calling
 // core::partition() directly: the cache stores what the engine returned.
 //
 // When offered load exceeds capacity the server degrades deliberately
@@ -40,6 +42,7 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -112,6 +115,9 @@ struct CacheStats {
   /// ServerOptions::hint_capacity).
   std::size_t hint_entries = 0;
   std::int64_t hint_evictions = 0;
+  /// Compiled models the hint store holds: at most one per model list with
+  /// requests waiting in the queue, none once the queue is empty.
+  std::size_t models_held = 0;
 };
 
 /// SLO accounting for requests submitted through the deadline-aware entry
@@ -224,8 +230,10 @@ class PartitionServer {
   /// Partitions on the calling thread, consulting the cache first. A
   /// cache hit returns the stored result verbatim (the key is computed via
   /// the allocation-free fingerprint, no compilation); a miss compiles the
-  /// model once, passes it to the core::partition() overload that takes
-  /// the compiled list (so the engine reuses the compilation), and stores. With warm_start on
+  /// model once, or takes the one the hint store holds while requests of
+  /// the same model objects wait in the queue (docs/serving.md, "Shared
+  /// compiled models"), runs the core::partition() overload that takes the
+  /// compiled list, and stores. With warm_start on
   /// (the default), misses whose fingerprint was solved before — near-miss
   /// traffic: same models, nearby n — carry the remembered slope into the
   /// engine as a PartitionHint, which narrows the search without changing
@@ -313,13 +321,35 @@ class PartitionServer {
   };
   static ModelKey model_key(const SpeedList& speeds);
 
+  /// A compiled model list and the check word of the key it was compiled
+  /// under (its fingerprint is the hint-store key that holds it).
+  struct HeldModel {
+    std::shared_ptr<const CompiledSpeedList> list;
+    std::uint64_t check = 0;
+  };
+  /// True when a request for `speeds` under `policy` may solve on a shared
+  /// compilation: the list is cacheable (a Generic entry forwards to its
+  /// object) and the policy neither carries an observer nor is bounded
+  /// (which reads base(i) to compile its residual lists).
+  static bool shares_model(const PartitionPolicy& policy, const ModelKey& key);
+  /// True when `held` is the compilation of these very objects under this
+  /// 128-bit key: same check word and speeds[i] == base(i) for every i, so
+  /// its base() pointers name the caller's live objects.
+  static bool fits(const HeldModel& held, const SpeedList& speeds,
+                   std::uint64_t check);
+
   /// What arrive() records about an SLO request.
   struct Arrival {
     Clock::time_point submitted{};
     Clock::time_point deadline{};  ///< time_point::max() when none
-    /// The request's model key, when the cache probe already computed it;
-    /// the solve and the degrade path reuse it.
+    /// The request's model key, when the cache probe or submit() already
+    /// computed it; the solve and the degrade path reuse it.
     std::optional<ModelKey> key{};
+    /// Counted against its fleet's hint-store entry while it waits in the
+    /// queue (leave_queue() uncounts it).
+    bool waiting = false;
+    /// The fleet's held model, taken as the request left the queue.
+    HeldModel model{};
   };
 
   struct QueuedJob {
@@ -329,11 +359,12 @@ class PartitionServer {
   };
 
   /// serve() with the request's model key when the caller already has it
-  /// (nullopt: computed here if needed). Every entry point lands here, so a
-  /// request walks its model list for the key at most once.
+  /// (nullopt: computed here if needed) and the model it took from the
+  /// queue. Every entry point lands here, so a request walks its model
+  /// list for the key at most once.
   PartitionResult serve(const SpeedList& speeds, std::int64_t n,
                         const PartitionPolicy& policy,
-                        std::optional<ModelKey> key);
+                        std::optional<ModelKey> key, HeldModel held);
 
   /// The prologue of serve_slo() and submit(): stamps `arrival`, counts
   /// the request offered and, when `probe_cache`, answers it from the cache
@@ -352,6 +383,14 @@ class PartitionServer {
 
   void worker_loop();
   void execute(QueuedJob job);
+  /// Counts a request about to be queued against its fleet's hint-store
+  /// entry, if the fleet has one and its requests may share a model.
+  void join_queue(QueuedJob& job);
+  /// Uncounts a request that left the queue (dequeued, displaced, rejected
+  /// or stolen) and hands it the fleet's held model; the entry releases the
+  /// model with its last waiting request. Runs once per job, later calls
+  /// do nothing.
+  void leave_queue(QueuedJob& job);
   /// The accounted Degraded (slo.allow_degraded and a usable previous
   /// solution in the hint store permitting) or Shed outcome for a request
   /// that will not get a full solve.
@@ -373,6 +412,8 @@ class PartitionServer {
     obs::Counter& evictions;
     obs::Gauge& slo_queue_delay_us;
     obs::Histogram& slo_degrade;
+    obs::Gauge& models_held;
+    obs::Counter& models_reused;
   };
 
   /// The per-server tallies, each mirrored by one registry counter (which
@@ -393,17 +434,41 @@ class PartitionServer {
 
   /// The remembered previous solution for one model fingerprint: the hint
   /// that warm-starts the next search (next_hint() of the last one), plus
-  /// the distribution the degraded-answer path rescales.
+  /// the distribution the degraded-answer path rescales. While `waiting`
+  /// queued requests of the fleet count against the entry, it may hold
+  /// their compiled model; it never holds one at waiting == 0.
   struct SlopeHint {
     PartitionHint hint;
     std::vector<std::int64_t> counts;
+    std::size_t waiting = 0;
+    HeldModel model{};
   };
 
-  /// Compiles `speeds` once and runs the engine on the compiled list; with
-  /// warm_start on, installs the stored hint for the fingerprint and
-  /// refreshes the store from the result.
+  /// Under the entry's shard lock: keeps `held` when it fits the request,
+  /// else takes the entry's model when that fits. Returns whether the entry
+  /// wants a fresh compilation (its fleet has waiting requests and no
+  /// fitting model is held).
+  static bool pick_model(const SlopeHint& stored, const SpeedList& speeds,
+                         std::uint64_t check, HeldModel& held);
+  /// The compilation a miss or a degraded answer runs on: `held` when
+  /// pick_model() found one (counted as reused); when `wanted`, a fresh
+  /// compilation that the fleet's entry keeps; else nullptr (the caller
+  /// compiles for itself).
+  std::shared_ptr<const CompiledSpeedList> model_for(const SpeedList& speeds,
+                                                     const ModelKey& key,
+                                                     HeldModel held,
+                                                     bool wanted);
+  /// Adds `delta` to the held-model count and the server.models.held gauge.
+  void count_held(std::int64_t delta) noexcept;
+
+  /// Runs the engine on a compiled list: the fleet's held model when one
+  /// fits, else a fresh compilation. With warm_start on, installs the
+  /// stored hint for the fingerprint and refreshes the store from the
+  /// result.
   PartitionResult partition_with_hint(const SpeedList& speeds, std::int64_t n,
-                                      const PartitionPolicy& policy);
+                                      const PartitionPolicy& policy,
+                                      const std::optional<ModelKey>& key,
+                                      HeldModel held);
 
   /// Shared bookkeeping for an SLO answer: stamps latency and the deadline
   /// verdict, bumps the outcome tallies, and returns the answer.
@@ -418,6 +483,7 @@ class PartitionServer {
   /// LRU-bounded, 16 shards picked by fingerprint % 16: fingerprint churn
   /// evicts the least recently touched hint.
   detail::ShardedLru<std::uint64_t, SlopeHint> hints_;
+  std::atomic<std::int64_t> models_held_{0};
   std::array<std::atomic<std::int64_t>, kTallies> tally_{};
   std::array<obs::Counter*, kTallies> tally_counters_{};
 

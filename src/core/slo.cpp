@@ -81,7 +81,8 @@ __extension__ using int128 = __int128;
 
 std::optional<DegradedAnswer> degraded_answer(
     const SpeedList& speeds, std::int64_t n,
-    std::span<const std::int64_t> prev_counts, std::int64_t prev_n) {
+    std::span<const std::int64_t> prev_counts, std::int64_t prev_n,
+    const CompiledSpeedList* compiled) {
   const std::size_t p = speeds.size();
   if (p == 0 || n < 1 || prev_n < 1 || prev_counts.size() != p)
     return std::nullopt;
@@ -156,8 +157,8 @@ std::optional<DegradedAnswer> degraded_answer(
   // now, fewer than n in all. Between them the search runs a log-space
   // secant on ln total(c) - ln n, opened at the mean-speed line
   // sum_i s_i(x_i) / n (exact for constant speeds), until the bracket's
-  // log-width is at most kBoundBracket. The model list is compiled only
-  // when a line has to be solved.
+  // log-width is at most kBoundBracket. Without a caller's compilation the
+  // model list is compiled only when a line has to be solved.
   const double nd = static_cast<double>(n);
   double lo = -std::log(out.makespan);  // ln c with total >= n
   double hi = std::numeric_limits<double>::infinity();  // ln c, total <= n
@@ -166,7 +167,7 @@ std::optional<DegradedAnswer> degraded_answer(
     hi = -std::log(fastest);
     c_hi = 1.0 / fastest;
   }
-  std::optional<CompiledSpeedList> compiled;
+  std::optional<CompiledSpeedList> own;
   double u = std::log(speed_sum / nd);  // the next probe, ln c
   double prev_u = std::numeric_limits<double>::quiet_NaN();
   double prev_g = prev_u;
@@ -176,7 +177,7 @@ std::optional<DegradedAnswer> degraded_answer(
       u = std::isfinite(hi) ? 0.5 * (lo + hi) : lo + std::numbers::ln2;
     const double c = std::exp(u);
     if (!(c > 0.0) || !std::isfinite(c)) return std::nullopt;
-    if (!compiled) compiled.emplace(CompiledSpeedList::compile(speeds));
+    if (!compiled) compiled = &own.emplace(CompiledSpeedList::compile(speeds));
     const double total = total_size_at(*compiled, c, nullptr);
     const bool steep = total <= nd;  // one-sided: NaN counts as shallow
     if (steep) {

@@ -26,6 +26,8 @@
 
 namespace fpm::core {
 
+class CompiledSpeedList;
+
 /// Request importance class. Under overload the server sheds Low before
 /// Normal before High; within a class, the latest deadline goes first.
 enum class Priority : std::uint8_t { Low = 0, Normal = 1, High = 2 };
@@ -123,9 +125,14 @@ struct DegradedAnswer {
 /// closes the bracket, usually in zero to two intersect_all sweeps (none,
 /// and no compilation, when the rescaled answer is already balanced to
 /// within 2^(1/64)).
+///
+/// `compiled`, when given, is `speeds` compiled (CompiledSpeedList::compile
+/// of these very objects) and the sweeps run on it; the answer is the same
+/// bit for bit. Without it the list is compiled on the first sweep.
 std::optional<DegradedAnswer> degraded_answer(
     const SpeedList& speeds, std::int64_t n,
-    std::span<const std::int64_t> prev_counts, std::int64_t prev_n);
+    std::span<const std::int64_t> prev_counts, std::int64_t prev_n,
+    const CompiledSpeedList* compiled = nullptr);
 
 /// Queue-delay estimator: an exponentially weighted moving average of
 /// observed per-request service times, kept per priority class, multiplied

@@ -295,7 +295,7 @@ MetricsRegistry& metrics() {
 }
 
 std::span<const MetricInfo> metric_catalogue() {
-  static constexpr std::array<MetricInfo, 41> kCatalogue{{
+  static constexpr std::array<MetricInfo, 43> kCatalogue{{
       {"partition.invocations.<algorithm>", "counter",
        "core::partition() calls per registry algorithm (the paper's "
        "basic/modified/combined family, Figs. 7-15)"},
@@ -368,6 +368,12 @@ std::span<const MetricInfo> metric_catalogue() {
       {names::kServerHintsEvicted, "counter",
        "warm-start hints LRU-evicted under fingerprint churn "
        "(ServerOptions::hint_capacity)"},
+      {names::kServerModelsHeld, "gauge",
+       "compiled models the servers' hint stores hold: at most one per "
+       "model list with requests waiting in a queue"},
+      {names::kServerModelsReused, "counter",
+       "cache misses and degraded answers served on a held compiled model "
+       "instead of compiling the model list again"},
       {names::kServerSloOffered, "counter",
        "SLO-aware requests received (submit/run_batch/serve_slo); equals "
        "admitted + degraded + the four shed counters at all times"},

@@ -254,6 +254,10 @@ inline constexpr const char* kServerCacheUncacheable =
     "server.cache.uncacheable";
 inline constexpr const char* kServerCacheBytes = "server.cache.bytes";
 inline constexpr const char* kServerHintsEvicted = "server.hints.evicted";
+// Compiled models the hint store holds for fleets with queued requests, and
+// the misses and degraded answers served on one instead of compiling.
+inline constexpr const char* kServerModelsHeld = "server.models.held";
+inline constexpr const char* kServerModelsReused = "server.models.reused";
 // SLO layer of the PartitionServer: deadline-aware requests only
 // (submit/run_batch/serve_slo). offered == admitted + degraded + sheds.
 inline constexpr const char* kServerSloOffered = "server.slo.offered";

@@ -7,15 +7,21 @@
 //     a non-empty list, whatever its length, and a p = 64 list's block
 //     stays within its measured size;
 //   - a cached p = 64 answer keeps its counts packed and its key once;
-//   - a solve and a line total leave no heap behind them.
+//   - a solve and a line total leave no heap behind them;
+//   - queued requests of one fleet compile it once, and a single-number
+//     VGB call compiles nothing.
 // Every replaced form allocates and frees through malloc/free, so the
 // sanitizer build sees matched pairs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <optional>
 #include <set>
@@ -25,8 +31,10 @@
 #include <malloc.h>
 #endif
 
+#include "apps/vgb.hpp"
 #include "core/fleetgen.hpp"
 #include "core/fpm.hpp"
+#include "core/server.hpp"
 #include "helpers.hpp"
 
 namespace {
@@ -35,6 +43,18 @@ std::atomic<std::int64_t> g_allocations{0};
 /// Bytes allocated through operator new and not yet freed, each block
 /// counted at the allocator's usable size (glibc only; 0 elsewhere).
 std::atomic<std::int64_t> g_live_bytes{0};
+
+/// Allocations of exactly g_watched_size bytes, on every thread, while that
+/// size is non-zero; and this thread's last allocation size.
+std::atomic<std::size_t> g_watched_size{0};
+std::atomic<std::int64_t> g_watched{0};
+thread_local std::size_t t_last_size = 0;
+
+void watch(std::size_t size) {
+  t_last_size = size;
+  if (size == g_watched_size.load(std::memory_order_relaxed))
+    g_watched.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::int64_t usable_size(void* p) {
 #if defined(__GLIBC__)
@@ -52,10 +72,12 @@ void* counted(void* p) {
 }
 
 void* counted_alloc(std::size_t size) {
+  watch(size);
   return counted(std::malloc(size == 0 ? 1 : size));
 }
 
 void* counted_alloc(std::size_t size, std::align_val_t align) {
+  watch(size);
   const auto a = static_cast<std::size_t>(align);
   // aligned_alloc wants a size that is a multiple of the alignment.
   return counted(
@@ -138,6 +160,52 @@ std::int64_t allocations(Call&& call) {
   call();
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
+
+/// Blocks the size of `list`'s compiled block that `call` allocates, on
+/// any thread. compile() makes that one allocation: the layout, a multiple
+/// of 8 bytes, plus 63 bytes of alignment slack. The size is odd, so no
+/// array of 2-, 4- or 8-byte elements has it.
+template <typename Call>
+std::int64_t compiled_blocks(const core::SpeedList& list, Call&& call) {
+  (void)CompiledSpeedList::compile(list);
+  const std::size_t block = t_last_size;
+  EXPECT_EQ(block % 2, 1u);
+  g_watched.store(0, std::memory_order_relaxed);
+  g_watched_size.store(block, std::memory_order_relaxed);
+  call();
+  g_watched_size.store(0, std::memory_order_relaxed);
+  return g_watched.load(std::memory_order_relaxed);
+}
+
+/// A model whose speed() blocks until release(): a request over it holds
+/// the server's worker inside its solve.
+class Gate final : public core::SpeedFunction {
+ public:
+  double speed(double) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return 100.0;
+  }
+  double max_size() const override { return 1e9; }
+  bool wait_entered() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(60),
+                        [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool released_ = false;
+};
 
 TEST(AllocationGuard, CountingOperatorNewIsInstalled) {
   EXPECT_EQ(allocations([] {
@@ -319,6 +387,77 @@ TEST(AllocationGuard, SolveAndLineTotalLeaveNoHeapBehind) {
     (void)core::total_size_at(compiled, slope, nullptr);
     EXPECT_EQ(g_live_bytes.load(std::memory_order_relaxed), before) << backend;
   }
+}
+
+TEST(AllocationGuard, QueuedRequestsOfOneFleetCompileItOnce) {
+  // Six requests of one p = 64 fleet wait behind a gated solve in a
+  // depth-3 queue: three are degraded on the submitting thread (two
+  // displaced, one rejected) and three are solved by the worker. Each
+  // would compile the fleet on its own; sharing the held model, they
+  // allocate one compiled block between them.
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(64, 36);
+  const core::SpeedList list = fleet.list();
+  const test::Ensemble e = test::mixed_ensemble();
+  Gate gate;
+  core::SpeedList gated = e.list();
+  gated.push_back(&gate);
+  core::ServerOptions opts;
+  opts.threads = 1;
+  opts.max_queue_depth = 3;
+  core::PartitionServer server(opts);
+  struct Release {
+    Gate& gate;
+    ~Release() { gate.release(); }
+  } release{gate};
+  (void)server.serve(list, 2'000'000);  // stores the hint degrading needs
+  std::vector<std::future<core::ServeResult>> answers;
+  const std::int64_t blocks = compiled_blocks(list, [&] {
+    answers.push_back(server.submit({gated, 100000, {}, {}}));
+    ASSERT_TRUE(gate.wait_entered());
+    const core::Priority order[] = {
+        core::Priority::Low,  core::Priority::Low,  core::Priority::Low,
+        core::Priority::High, core::Priority::High, core::Priority::Normal};
+    for (std::size_t i = 0; i < std::size(order); ++i) {
+      core::BatchRequest req{list, 2'100'000 + 7919 * static_cast<std::int64_t>(i),
+                             {}, {}};
+      req.slo.priority = order[i];
+      answers.push_back(server.submit(std::move(req)));
+    }
+    gate.release();
+    ASSERT_TRUE(server.drain(std::chrono::seconds(60)));
+  });
+  int ok = 0, degraded = 0;
+  for (std::future<core::ServeResult>& f : answers) {
+    const core::ServeResult r = f.get();
+    ok += r.status == core::ServeStatus::Ok;
+    degraded += r.status == core::ServeStatus::Degraded;
+  }
+  EXPECT_EQ(ok, 4);  // the gated solve and three of the fleet's
+  EXPECT_EQ(degraded, 3);
+  EXPECT_EQ(blocks, 1);
+  EXPECT_EQ(server.cache_stats().models_held, 0u);
+}
+
+TEST(AllocationGuard, SingleNumberVgbCompilesNothing) {
+  // The single-number model reads speeds at one reference size and solves
+  // nothing, so it has no use for a compiled list; the functional model
+  // compiles its models once per call.
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(12, 37);
+  const core::SpeedList list = fleet.list();
+  apps::VgbOptions single;
+  single.model = apps::VgbModel::SingleNumber;
+  EXPECT_EQ(compiled_blocks(list,
+                            [&] {
+                              (void)apps::variable_group_block(list, 20000,
+                                                               single);
+                            }),
+            0);
+  EXPECT_EQ(compiled_blocks(list,
+                            [&] {
+                              (void)apps::variable_group_block(list, 20000,
+                                                               {});
+                            }),
+            1);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -502,6 +504,173 @@ TEST(SubmitSlo, DisplacementPrefersLowestPriorityLatestDeadline) {
   EXPECT_EQ(s.offered, 3);
   EXPECT_EQ(s.admitted, 2);
   EXPECT_EQ(s.shed_queue_full, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Shared compiled models: queued requests of one fleet compile it once
+// ---------------------------------------------------------------------------
+
+TEST(SubmitSlo, QueuedFleetSharesOneCompiledModel) {
+  const core::SyntheticFleet fleet = core::make_synthetic_fleet(64, 34);
+  const core::SpeedList list = fleet.list();
+  const test::Ensemble e = test::mixed_ensemble();
+  GateSpeed gate;
+  core::SpeedList gated = e.list();
+  gated.push_back(&gate);
+  core::ServerOptions opts;
+  opts.threads = 1;
+  opts.max_queue_depth = 4;
+  core::PartitionServer server(opts);
+  struct Release {
+    GateSpeed& gate;
+    ~Release() { gate.release(); }
+  } release{gate};
+  obs::Counter& reused =
+      obs::metrics().counter(obs::names::kServerModelsReused);
+  const std::int64_t reused_before = reused.value();
+  // A synchronous solve stores the fleet's hint (the degraded answers'
+  // source) and holds no model: nothing of the fleet waits in the queue.
+  constexpr std::int64_t kPrevN = 2'000'000;
+  const core::PartitionResult prev = server.serve(list, kPrevN);
+  EXPECT_EQ(server.cache_stats().models_held, 0u);
+
+  std::future<core::ServeResult> held = server.submit({gated, 100000, {}, {}});
+  ASSERT_TRUE(gate.wait_entered(std::chrono::seconds(60)));
+  // Four Low requests fill the depth-4 queue; three High and one Normal
+  // displace them (each victim is degraded on this thread), and a last
+  // Normal request is the queue's worst and is degraded itself.
+  struct Sent {
+    std::int64_t n;
+    std::future<core::ServeResult> answer;
+  };
+  std::vector<Sent> sent;
+  const core::Priority order[] = {
+      core::Priority::Low,  core::Priority::Low,    core::Priority::Low,
+      core::Priority::Low,  core::Priority::High,   core::Priority::High,
+      core::Priority::High, core::Priority::Normal, core::Priority::Normal};
+  for (std::size_t i = 0; i < std::size(order); ++i) {
+    core::BatchRequest req{list, 1'900'000 + 7919 * static_cast<std::int64_t>(i),
+                           {}, {}};
+    req.slo.priority = order[i];
+    const std::int64_t n = req.n;
+    sent.push_back({n, server.submit(std::move(req))});
+  }
+  // One compilation so far, by the first degraded answer, and the queued
+  // requests keep it.
+  EXPECT_EQ(server.cache_stats().models_held, 1u);
+  gate.release();
+  ASSERT_TRUE(server.drain(std::chrono::seconds(60)));
+  EXPECT_EQ(held.get().status, core::ServeStatus::Ok);
+
+  int ok = 0, degraded = 0;
+  for (Sent& s : sent) {
+    const core::ServeResult r = s.answer.get();
+    if (r.status == core::ServeStatus::Ok) {
+      ++ok;
+      EXPECT_EQ(r.result.distribution.counts,
+                core::partition(list, s.n).distribution.counts)
+          << "n = " << s.n;
+    } else {
+      ASSERT_EQ(r.status, core::ServeStatus::Degraded) << "n = " << s.n;
+      ++degraded;
+      const auto want = core::degraded_answer(
+          list, s.n, prev.distribution.counts, kPrevN);
+      ASSERT_TRUE(want.has_value());
+      EXPECT_EQ(r.result.distribution.counts, want->distribution.counts)
+          << "n = " << s.n;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.error_bound),
+                std::bit_cast<std::uint64_t>(want->error_bound))
+          << "n = " << s.n;
+    }
+  }
+  EXPECT_EQ(ok, 4);
+  EXPECT_EQ(degraded, 5);
+  // Nine answers, one compilation: the other eight ran on the held model.
+  EXPECT_EQ(reused.value() - reused_before, 8);
+  EXPECT_EQ(server.cache_stats().models_held, 0u)
+      << "a model outlived the queue";
+  EXPECT_EQ(obs::metrics().gauge(obs::names::kServerModelsHeld).value(), 0);
+  expect_invariant(server);
+}
+
+TEST(SubmitSlo, EqualContentFromOtherObjectsCompilesAgain) {
+  // Two fleets of equal content share the 128-bit key but not their
+  // objects. The first fleet is destroyed while the model compiled from it
+  // is still held; the second fleet's requests must not run on it.
+  std::optional<core::SyntheticFleet> first(core::make_synthetic_fleet(64, 35));
+  const core::SyntheticFleet second = core::make_synthetic_fleet(64, 35);
+  const core::SpeedList a = first->list();
+  const core::SpeedList b = second.list();
+  std::uint64_t check_a = 0, check_b = 0;
+  ASSERT_EQ(core::CompiledSpeedList::fingerprint_of(a, nullptr, &check_a),
+            core::CompiledSpeedList::fingerprint_of(b, nullptr, &check_b));
+  ASSERT_EQ(check_a, check_b);
+
+  const test::Ensemble e = test::mixed_ensemble();
+  GateSpeed gate1, gate2;
+  core::SpeedList gated1 = e.list(), gated2 = e.list();
+  gated1.push_back(&gate1);
+  gated2.push_back(&gate2);
+  core::ServerOptions opts;
+  opts.threads = 1;
+  core::PartitionServer server(opts);
+  struct Release {
+    GateSpeed& one;
+    GateSpeed& two;
+    ~Release() {
+      one.release();
+      two.release();
+    }
+  } release{gate1, gate2};
+  obs::Counter& reused =
+      obs::metrics().counter(obs::names::kServerModelsReused);
+  const std::int64_t reused_before = reused.value();
+  (void)server.serve(a, 3'000'000);  // the fleet's hint-store entry
+  EXPECT_EQ(server.cache_stats().models_held, 0u);
+
+  const auto request = [](const core::SpeedList& speeds, std::int64_t n,
+                          core::Priority priority) {
+    core::BatchRequest req{speeds, n, {}, {}};
+    req.slo.priority = priority;
+    return req;
+  };
+  std::future<core::ServeResult> g1 =
+      server.submit(request(gated1, 100000, core::Priority::High));
+  ASSERT_TRUE(gate1.wait_entered(std::chrono::seconds(60)));
+  // Queue order: A's request, the second gated solve, then B's two.
+  std::future<core::ServeResult> ra =
+      server.submit(request(a, 3'100'000, core::Priority::High));
+  std::future<core::ServeResult> g2 =
+      server.submit(request(gated2, 100000, core::Priority::Normal));
+  std::future<core::ServeResult> rb =
+      server.submit(request(b, 3'200'000, core::Priority::Low));
+  std::future<core::ServeResult> rb2 =
+      server.submit(request(b, 3'300'000, core::Priority::Low));
+  gate1.release();
+  const core::ServeResult answer_a = ra.get();
+  EXPECT_EQ(answer_a.status, core::ServeStatus::Ok);
+  ASSERT_TRUE(gate2.wait_entered(std::chrono::seconds(60)));
+  // A's request compiled the model from A's objects; B's requests still
+  // wait, so the entry holds it. Free A's objects now.
+  EXPECT_EQ(server.cache_stats().models_held, 1u);
+  EXPECT_EQ(reused.value(), reused_before);
+  first.reset();
+  gate2.release();
+  ASSERT_TRUE(server.drain(std::chrono::seconds(60)));
+  EXPECT_EQ(g1.get().status, core::ServeStatus::Ok);
+  EXPECT_EQ(g2.get().status, core::ServeStatus::Ok);
+  const core::ServeResult answer_b = rb.get();
+  const core::ServeResult answer_b2 = rb2.get();
+  ASSERT_EQ(answer_b.status, core::ServeStatus::Ok);
+  ASSERT_EQ(answer_b2.status, core::ServeStatus::Ok);
+  EXPECT_EQ(answer_b.result.distribution.counts,
+            core::partition(b, 3'200'000).distribution.counts);
+  EXPECT_EQ(answer_b2.result.distribution.counts,
+            core::partition(b, 3'300'000).distribution.counts);
+  // B's first request compiled its own model (A's did not fit its
+  // objects) and B's second ran on it: one reuse in all.
+  EXPECT_EQ(reused.value() - reused_before, 1);
+  EXPECT_EQ(server.cache_stats().models_held, 0u);
 }
 
 TEST(RunBatch, ResultsMapOneToOneWithShedEntriesMarkedInPlace) {
